@@ -6,7 +6,7 @@ GO ?= go
 LABEL ?= local
 BENCH_SCALE ?= 12
 
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench bench-json bench-parallel build-isolation serve smoke-serve clean
+.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench bench-json bench-parallel bench-build build-isolation serve smoke-serve clean
 
 all: build test
 
@@ -94,6 +94,14 @@ bench-json:
 # this so benchmark code cannot rot; drop -benchtime 1x for real numbers.
 bench-parallel:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/parallel
+
+# The repo's benchmark (BENCHMARK.json) lives in its own module under
+# benchmark/, so the root `go build ./...` and `go test ./...` never compile
+# it: vet and test it here so a gbbs/serve API change that breaks it fails
+# in CI instead of at the next benchmark run.
+bench-build:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 clean:
 	$(GO) clean ./...

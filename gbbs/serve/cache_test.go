@@ -3,159 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/gbbs"
 )
-
-// buildPath returns a build function producing a path graph over n vertices
-// and counting its invocations.
-func buildPath(t *testing.T, n int, builds *atomic.Int64) func(ctx context.Context) (gbbs.Graph, error) {
-	t.Helper()
-	return func(ctx context.Context) (gbbs.Graph, error) {
-		builds.Add(1)
-		return gbbs.New(gbbs.WithThreads(1)).Build(ctx, gbbs.Path(n), gbbs.Symmetrize())
-	}
-}
-
-func TestCacheSingleflightDedup(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	var builds atomic.Int64
-	slowBuild := func(ctx context.Context) (gbbs.Graph, error) {
-		builds.Add(1)
-		time.Sleep(30 * time.Millisecond) // widen the race window
-		return gbbs.New(gbbs.WithThreads(1)).Build(ctx, gbbs.Path(100), gbbs.Symmetrize())
-	}
-
-	const waiters = 16
-	var wg sync.WaitGroup
-	var hitCount atomic.Int64
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g, hit, err := c.GetOrBuild(context.Background(), "k", slowBuild)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if g.N() != 100 {
-				t.Errorf("got n=%d", g.N())
-			}
-			if hit {
-				hitCount.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("concurrent identical requests triggered %d builds, want exactly 1", got)
-	}
-	if got := hitCount.Load(); got != waiters-1 {
-		t.Fatalf("hits = %d, want %d", got, waiters-1)
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != waiters-1 {
-		t.Fatalf("stats: hits=%d misses=%d, want %d/1", s.Hits, s.Misses, waiters-1)
-	}
-}
-
-func TestCacheHitSkipsBuild(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	var builds atomic.Int64
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.GetOrBuild(context.Background(), "k", buildPath(t, 50, &builds)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("3 sequential identical requests triggered %d builds, want 1", got)
-	}
-}
-
-func TestCacheEvictionByByteBudget(t *testing.T) {
-	// A symmetrized path over n vertices is ~8(n+1)+8(n-1) bytes by the
-	// cache's estimate (~16n). Budget for one such graph, not two.
-	c := NewCache(context.Background(), 40_000)
-	var builds atomic.Int64
-	if _, _, err := c.GetOrBuild(context.Background(), "a", buildPath(t, 2000, &builds)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.GetOrBuild(context.Background(), "b", buildPath(t, 2000, &builds)); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.Evictions < 1 {
-		t.Fatalf("no eviction under a budget of %d with size %d", s.BudgetBytes, s.SizeBytes)
-	}
-	if len(s.Entries) != 1 || s.Entries[0].Spec != "b" {
-		t.Fatalf("entries after eviction = %+v, want only the newer key", s.Entries)
-	}
-	if s.SizeBytes > s.BudgetBytes {
-		t.Fatalf("size %d still over budget %d", s.SizeBytes, s.BudgetBytes)
-	}
-	// The evicted key rebuilds on the next request.
-	if _, hit, err := c.GetOrBuild(context.Background(), "a", buildPath(t, 2000, &builds)); err != nil || hit {
-		t.Fatalf("evicted key: hit=%v err=%v, want a fresh miss", hit, err)
-	}
-	if got := builds.Load(); got != 3 {
-		t.Fatalf("builds = %d, want 3", got)
-	}
-}
-
-func TestCacheLRUOrder(t *testing.T) {
-	// Budget fits two path(2000) graphs (~32KB each); a third insert must
-	// evict the least recently *used* key, not the oldest inserted.
-	c := NewCache(context.Background(), 70_000)
-	var builds atomic.Int64
-	for _, key := range []string{"a", "b"} {
-		if _, _, err := c.GetOrBuild(context.Background(), key, buildPath(t, 2000, &builds)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch "a" so "b" becomes LRU.
-	if _, hit, err := c.GetOrBuild(context.Background(), "a", buildPath(t, 2000, &builds)); err != nil || !hit {
-		t.Fatalf("touch a: hit=%v err=%v", hit, err)
-	}
-	if _, _, err := c.GetOrBuild(context.Background(), "c", buildPath(t, 2000, &builds)); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	keys := map[string]bool{}
-	for _, e := range s.Entries {
-		keys[e.Spec] = true
-	}
-	if !keys["a"] || !keys["c"] || keys["b"] {
-		t.Fatalf("after LRU eviction entries = %+v, want a and c", s.Entries)
-	}
-}
-
-func TestCacheFailedBuildNotRetained(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	var builds atomic.Int64
-	boom := errors.New("boom")
-	failing := func(ctx context.Context) (gbbs.Graph, error) {
-		builds.Add(1)
-		return nil, boom
-	}
-	if _, _, err := c.GetOrBuild(context.Background(), "k", failing); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// The error is not cached: the next request retries the build.
-	if _, hit, err := c.GetOrBuild(context.Background(), "k", buildPath(t, 10, &builds)); err != nil || hit {
-		t.Fatalf("retry after failed build: hit=%v err=%v", hit, err)
-	}
-	if got := builds.Load(); got != 2 {
-		t.Fatalf("builds = %d, want 2", got)
-	}
-	if s := c.Stats(); len(s.Entries) != 1 {
-		t.Fatalf("entries = %+v, want the one successful build", s.Entries)
-	}
-}
 
 func TestCacheWaiterDeadlineDoesNotAbortBuild(t *testing.T) {
 	c := NewCache(context.Background(), 1<<20)
@@ -179,92 +32,6 @@ func TestCacheWaiterDeadlineDoesNotAbortBuild(t *testing.T) {
 	}
 	if got := builds.Load(); got != 1 {
 		t.Fatalf("builds = %d, want 1 (deadline must not abort or retrigger)", got)
-	}
-}
-
-// TestCacheClearDuringBuild races Clear against an in-flight build for a
-// key that is immediately re-requested: the stale build's completion must
-// neither account phantom bytes nor disturb the newer entry.
-func TestCacheClearDuringBuild(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	eng := gbbs.New(gbbs.WithThreads(1))
-	blockOld := make(chan struct{})
-	oldBuild := func(ctx context.Context) (gbbs.Graph, error) {
-		<-blockOld
-		return eng.Build(ctx, gbbs.Path(100), gbbs.Symmetrize())
-	}
-	oldDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.GetOrBuild(context.Background(), "k", oldBuild)
-		oldDone <- err
-	}()
-	// Wait until the old build's entry is registered, then drop it.
-	for len(c.Stats().Entries) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	c.Clear()
-
-	blockNew := make(chan struct{})
-	newBuild := func(ctx context.Context) (gbbs.Graph, error) {
-		<-blockNew
-		return eng.Build(ctx, gbbs.Path(200), gbbs.Symmetrize())
-	}
-	newDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.GetOrBuild(context.Background(), "k", newBuild)
-		newDone <- err
-	}()
-
-	close(blockOld) // stale build completes against a re-inserted key
-	if err := <-oldDone; err != nil {
-		t.Fatal(err)
-	}
-	close(blockNew)
-	if err := <-newDone; err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	wantBytes := int64(8*201 + 4*398) // the path(200) graph, nothing else
-	if len(s.Entries) != 1 || s.SizeBytes != wantBytes {
-		t.Fatalf("after stale-build race: entries=%+v size=%d, want one entry of %d bytes",
-			s.Entries, s.SizeBytes, wantBytes)
-	}
-	// The retained entry must be the new build, still servable as a hit.
-	g, hit, err := c.GetOrBuild(context.Background(), "k", newBuild)
-	if err != nil || !hit || g.N() != 200 {
-		t.Fatalf("retained entry: n=%v hit=%v err=%v, want the path(200) graph", g, hit, err)
-	}
-}
-
-// TestCachePanickingBuildDoesNotCrash converts a build panic into the
-// waiters' error and leaves the cache healthy for a retry — an unrecovered
-// panic in the detached build goroutine would kill the whole process.
-func TestCachePanickingBuildDoesNotCrash(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	var builds atomic.Int64
-	_, _, err := c.GetOrBuild(context.Background(), "k", func(ctx context.Context) (gbbs.Graph, error) {
-		panic("make: negative length")
-	})
-	if err == nil || !strings.Contains(err.Error(), "build panicked") {
-		t.Fatalf("err = %v, want a build-panicked error", err)
-	}
-	// The failed entry is not retained; the key rebuilds cleanly.
-	g, hit, err := c.GetOrBuild(context.Background(), "k", buildPath(t, 10, &builds))
-	if err != nil || hit || g.N() != 10 {
-		t.Fatalf("retry after panic: g=%v hit=%v err=%v", g, hit, err)
-	}
-}
-
-func TestCacheClear(t *testing.T) {
-	c := NewCache(context.Background(), 1<<20)
-	var builds atomic.Int64
-	if _, _, err := c.GetOrBuild(context.Background(), "k", buildPath(t, 10, &builds)); err != nil {
-		t.Fatal(err)
-	}
-	c.Clear()
-	s := c.Stats()
-	if len(s.Entries) != 0 || s.SizeBytes != 0 {
-		t.Fatalf("after Clear: %+v", s)
 	}
 }
 

@@ -128,7 +128,7 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		info.Shards = part.Shards
 		// Report per-shard sizes when the current version's decomposition is
 		// resident; a describe never forces a split.
-		if co := s.shards.peek(shardKey(snap.ID(), part)); co != nil {
+		if co, ok := s.shards.peek(shardKey(snap.ID(), part)); ok {
 			for _, st := range co.Stats() {
 				info.ShardBytes = append(info.ShardBytes, st.ApproxBytes)
 			}
@@ -305,13 +305,19 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheInvalidate implements DELETE /v1/cache?key=K: drop the entry
 // stored under exactly K from whichever cache holds it (specs key the graph
-// cache, run fingerprints the result cache). 404 when neither does.
+// cache, run fingerprints the result cache). 404 when neither does. Shard
+// decompositions of graph K go with it: an operator invalidates a spec
+// because its source changed (a file: input rewritten on disk), and a
+// coordinator left resident would keep executing sharded runs on the old
+// split.
 func (s *Server) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "missing \"key\" query parameter")
 		return
 	}
+	prefix := shardKeyPrefix(key)
+	s.shards.invalidateMatching(func(k string) bool { return strings.HasPrefix(k, prefix) })
 	resp := CacheInvalidateResponse{
 		Key:           key,
 		GraphRemoved:  s.cache.Invalidate(key),

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/gbbs"
@@ -20,220 +17,54 @@ import (
 // of an algorithm run, which is the serving layer's biggest throughput
 // lever for repeated tenant traffic.
 //
-// Lookups are singleflight: concurrent identical requests share one
-// execution — the first caller runs it under its own context (holding its
-// own admission grant), later arrivals wait on the entry, each bounded by
-// its own context. Unlike graph builds, executions are not detached: a
-// result is cheap to recompute relative to a build, and detaching would
-// divorce the run from the admission grant that accounts for its worker
-// threads. Failed executions (deadline expiry, validation errors) are
-// never retained, so transient errors are retried by the next request.
+// It is the flight instantiation whose cost is approxResponseBytes and whose
+// runs are not detached: the first caller executes under its own context
+// (holding its own admission grant), later arrivals wait on the entry, each
+// bounded by its own context. A result is cheap to recompute relative to a
+// build, and detaching would divorce the run from the admission grant that
+// accounts for its worker threads.
 //
-// Completed entries are evicted least-recently-used once the cache's
-// approximate byte footprint exceeds its budget, mirroring the graph
-// cache. An entry's size approximates its in-memory footprint: the stored
+// An entry's size approximates its in-memory footprint: the stored
 // Result.Value dominates and is sized from its element count (4 bytes per
 // []uint32 label and so on — see approxResponseBytes), so the budget
 // bounds resident memory, not serialized response bytes (the JSON form of
 // a label array is roughly twice its in-memory size).
 type ResultCache struct {
-	budget int64
-
-	mu        sync.Mutex
-	entries   map[string]*resultEntry
-	lru       *list.List // of *resultEntry, front = most recently used
-	bytes     int64      // total approximate bytes of completed entries
-	completed int        // resident successfully-completed entries
-
-	hits, misses, evictions int64
-}
-
-// resultEntry is one cached (or in-flight) execution. ready is closed when
-// the execution completes; resp/err/bytes are immutable afterwards.
-type resultEntry struct {
-	key   string
-	ready chan struct{}
-
-	resp  RunResponse
-	err   error
-	bytes int64
-
-	hits     int64
-	lastUsed time.Time
-	elem     *list.Element
+	f *flight[RunResponse]
 }
 
 // NewResultCache returns a result cache evicting past approximately budget
 // bytes. budget <= 0 disables retention entirely except for singleflight
 // sharing of in-flight executions.
 func NewResultCache(budget int64) *ResultCache {
-	return &ResultCache{
-		budget:  budget,
-		entries: make(map[string]*resultEntry),
-		lru:     list.New(),
-	}
+	return &ResultCache{f: newFlight(budget, approxResponseBytes, nil, nil)}
 }
 
 // GetOrRun returns the response cached under key, joining an in-flight
 // execution for the key if one is running, or executing run otherwise. The
 // returned hit is false only for a caller that executed. The executing
 // caller's ctx bounds its run; waiters are bounded by their own ctx. A run
-// that returns an error is reported to its caller but never cached, and a
-// waiter that joined a run failing on the *executor's* terms (its client
-// disconnecting, its tighter deadline) does not inherit that error: it
-// retries — executing itself if no newer run is in flight — so one
-// tenant's cancellation cannot fail another tenant's valid request. A
-// panicking run is converted into an error (and its entry dropped) rather
-// than stranding waiters on a never-ready entry.
+// that returns an error (or panics) is reported to its caller but never
+// cached, and a waiter that joined a run failing on the *executor's* terms
+// (its client disconnecting, its tighter deadline) does not inherit that
+// error: it retries — executing itself if no newer run is in flight — so
+// one tenant's cancellation cannot fail another tenant's valid request.
 func (c *ResultCache) GetOrRun(ctx context.Context, key string, run func(ctx context.Context) (RunResponse, error)) (RunResponse, bool, error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			e.hits++
-			e.lastUsed = time.Now()
-			c.lru.MoveToFront(e.elem)
-			c.hits++
-			c.mu.Unlock()
-			resp, err := e.wait(ctx)
-			if err == nil || ctx.Err() != nil {
-				return resp, true, err
-			}
-			// The joined run failed on its own terms while this caller is
-			// still live. Undo the hit recorded above (nothing was served
-			// from cache; the retry below will count once, as a miss), drop
-			// the failed entry if the executor has not already (removeLocked
-			// is idempotent), and try again.
-			c.mu.Lock()
-			c.hits--
-			if c.entries[key] == e {
-				c.removeLocked(e)
-			}
-			c.mu.Unlock()
-			continue
-		}
-		e := &resultEntry{key: key, ready: make(chan struct{}), lastUsed: time.Now()}
-		e.elem = c.lru.PushFront(e)
-		c.entries[key] = e
-		c.misses++
-		c.mu.Unlock()
-
-		e.resp, e.err = runRecovered(ctx, run)
-		if e.err == nil {
-			e.bytes = approxResponseBytes(e.resp)
-		}
-
-		// Publish and account in one critical section: until this lock is
-		// taken the entry is not done(), so evictLocked and Clear cannot
-		// subtract bytes that were never added; once ready is closed, the
-		// accounting (or removal) has already happened atomically with it.
-		c.mu.Lock()
-		close(e.ready)
-		if c.entries[e.key] == e {
-			if e.err != nil {
-				// Never retain failures: the next identical request retries
-				// instead of replaying a possibly transient error forever.
-				c.removeLocked(e)
-			} else {
-				c.bytes += e.bytes
-				c.completed++
-				c.evictLocked()
-			}
-		}
-		c.mu.Unlock()
-		return e.resp, false, e.err
-	}
-}
-
-// runRecovered executes run, converting a panic into an error so the entry
-// is always published and dropped — an unready entry with no executor
-// would otherwise park every future identical request until its deadline.
-// (The handler goroutine survives either way: net/http recovers panics;
-// this keeps the cache consistent.)
-func runRecovered(ctx context.Context, run func(ctx context.Context) (RunResponse, error)) (resp RunResponse, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = RunResponse{}, fmt.Errorf("serve: run panicked: %v", r)
-		}
-	}()
-	return run(ctx)
-}
-
-// wait blocks until the entry's execution completes or ctx is done.
-func (e *resultEntry) wait(ctx context.Context) (RunResponse, error) {
-	select {
-	case <-e.ready:
-		return e.resp, e.err
-	case <-ctx.Done():
-		return RunResponse{}, ctx.Err()
-	}
-}
-
-// done reports whether the entry's execution has completed.
-func (e *resultEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-// evictLocked evicts completed least-recently-used entries until the
-// footprint fits the budget; in-flight entries are never evicted.
-func (c *ResultCache) evictLocked() {
-	for c.bytes > c.budget {
-		victim := (*resultEntry)(nil)
-		for elem := c.lru.Back(); elem != nil; elem = elem.Prev() {
-			e := elem.Value.(*resultEntry)
-			if e.done() {
-				victim = e
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		c.removeLocked(victim)
-		c.evictions++
-	}
-}
-
-// removeLocked unlinks an entry and reclaims its accounted bytes. It is
-// idempotent: a second removal of the same entry (an executor and a
-// retrying waiter racing to drop a failure) finds it absent from the map
-// and list.Remove no-ops on an unlinked element.
-func (c *ResultCache) removeLocked(e *resultEntry) {
-	if _, ok := c.entries[e.key]; ok && c.entries[e.key] == e {
-		delete(c.entries, e.key)
-	}
-	c.lru.Remove(e.elem)
-	if e.done() && e.err == nil {
-		c.bytes -= e.bytes
-		c.completed--
-	}
+	return c.f.do(ctx, key, run)
 }
 
 // Counters returns the cache's hit/miss counts and the number of resident
 // completed entries without materializing a Stats snapshot — cheap enough
 // for a liveness endpoint polled every few seconds.
 func (c *ResultCache) Counters() (hits, misses int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.completed
+	n := c.f.counters()
+	return n.hits, n.misses, n.completed
 }
 
 // Invalidate removes the entry cached under exactly key, reporting whether
 // one was present. An in-flight execution keeps running and publishes to
 // its waiters, but its result is not retained.
-func (c *ResultCache) Invalidate(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.removeLocked(e)
-	}
-	return ok
-}
+func (c *ResultCache) Invalidate(key string) bool { return c.f.invalidate(key) }
 
 // InvalidateMatching removes every entry whose key satisfies pred and
 // returns how many were removed. The update path uses it to drop exactly
@@ -241,26 +72,7 @@ func (c *ResultCache) Invalidate(key string) bool {
 // fingerprint embeds the snapshot ID, so the predicate can select one
 // graph's keys without flushing anything else.
 func (c *ResultCache) InvalidateMatching(pred func(key string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for key, e := range c.entries {
-		if pred(key) {
-			c.removeLocked(e)
-			removed++
-		}
-	}
-	return removed
-}
-
-// Clear empties the cache (in-flight executions keep running and publish
-// to their waiters, but their results are not retained). Counters survive.
-func (c *ResultCache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		c.removeLocked(e)
-	}
+	return c.f.invalidateMatching(pred)
 }
 
 // ResultCacheStats is the result-cache snapshot GET /v1/cache returns.
@@ -297,24 +109,19 @@ type ResultEntryStats struct {
 
 // Stats returns a consistent snapshot of the cache's counters and entries.
 func (c *ResultCache) Stats() ResultCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	n, entries := c.f.snapshot()
 	s := ResultCacheStats{
-		BudgetBytes: c.budget,
-		SizeBytes:   c.bytes,
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
-		Entries:     make([]ResultEntryStats, 0, c.lru.Len()),
+		BudgetBytes: n.budget,
+		SizeBytes:   n.size,
+		Hits:        n.hits,
+		Misses:      n.misses,
+		Evictions:   n.evictions,
+		Entries:     make([]ResultEntryStats, 0, len(entries)),
 	}
-	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
-		e := elem.Value.(*resultEntry)
-		done := e.done()
-		es := ResultEntryStats{Key: e.key, Hits: e.hits, Running: !done, LastUsed: e.lastUsed}
-		if done {
-			es.Bytes = e.bytes
-		}
-		s.Entries = append(s.Entries, es)
+	for _, e := range entries {
+		s.Entries = append(s.Entries, ResultEntryStats{
+			Key: e.key, Bytes: e.cost, Hits: e.hits, Running: e.running, LastUsed: e.lastUsed,
+		})
 	}
 	return s
 }

@@ -2,10 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,100 +19,6 @@ func fakeRun(runs *atomic.Int64, summary string) func(ctx context.Context) (RunR
 	}
 }
 
-func TestResultCacheSingleflight(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	var runs atomic.Int64
-	slow := func(ctx context.Context) (RunResponse, error) {
-		runs.Add(1)
-		time.Sleep(30 * time.Millisecond) // widen the race window
-		var resp RunResponse
-		resp.Result.Summary = "shared"
-		return resp, nil
-	}
-
-	const waiters = 16
-	var wg sync.WaitGroup
-	var hitCount atomic.Int64
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, hit, err := c.GetOrRun(context.Background(), "k", slow)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if resp.Result.Summary != "shared" {
-				t.Errorf("summary = %q", resp.Result.Summary)
-			}
-			if hit {
-				hitCount.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("concurrent identical requests executed %d times, want exactly 1", got)
-	}
-	if got := hitCount.Load(); got != waiters-1 {
-		t.Fatalf("hits = %d, want %d", got, waiters-1)
-	}
-	st := c.Stats()
-	if st.Hits != waiters-1 || st.Misses != 1 || len(st.Entries) != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestResultCacheErrorsNotRetained(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	boom := errors.New("boom")
-	var runs atomic.Int64
-	fail := func(ctx context.Context) (RunResponse, error) {
-		runs.Add(1)
-		return RunResponse{}, boom
-	}
-	if _, _, err := c.GetOrRun(context.Background(), "k", fail); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// The failure was dropped: the next identical request re-executes and
-	// can succeed.
-	resp, hit, err := c.GetOrRun(context.Background(), "k", fakeRun(&runs, "ok"))
-	if err != nil || hit || resp.Result.Summary != "ok" {
-		t.Fatalf("retry after failure: resp=%+v hit=%v err=%v", resp, hit, err)
-	}
-	if runs.Load() != 2 {
-		t.Fatalf("runs = %d, want 2", runs.Load())
-	}
-	if st := c.Stats(); len(st.Entries) != 1 || st.SizeBytes <= 0 {
-		t.Fatalf("stats after retry = %+v", st)
-	}
-}
-
-func TestResultCacheLRUEviction(t *testing.T) {
-	// Budget fits roughly two small responses.
-	var runs atomic.Int64
-	probe, _ := fakeRun(&runs, "x")(context.Background())
-	budget := 2*approxResponseBytes(probe) + 10
-	c := NewResultCache(budget)
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.GetOrRun(context.Background(), key, fakeRun(&runs, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions < 2 || st.SizeBytes > st.BudgetBytes {
-		t.Fatalf("stats = %+v, want >= 2 evictions within budget", st)
-	}
-	// Oldest entries fell out; the most recent is still resident.
-	if _, hit, _ := c.GetOrRun(context.Background(), "k3", fakeRun(&runs, "x")); !hit {
-		t.Fatal("most recent entry was evicted")
-	}
-	if _, hit, _ := c.GetOrRun(context.Background(), "k0", fakeRun(&runs, "x")); hit {
-		t.Fatal("evicted entry reported a hit")
-	}
-}
-
 func TestResultCacheDisabledRetention(t *testing.T) {
 	c := NewResultCache(-1)
 	var runs atomic.Int64
@@ -130,40 +32,6 @@ func TestResultCacheDisabledRetention(t *testing.T) {
 	}
 	if st := c.Stats(); len(st.Entries) != 0 || st.SizeBytes != 0 {
 		t.Fatalf("stats = %+v, want empty", st)
-	}
-}
-
-func TestResultCacheClear(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	var runs atomic.Int64
-	if _, _, err := c.GetOrRun(context.Background(), "k", fakeRun(&runs, "x")); err != nil {
-		t.Fatal(err)
-	}
-	c.Clear()
-	if st := c.Stats(); len(st.Entries) != 0 || st.SizeBytes != 0 || st.Misses != 1 {
-		t.Fatalf("stats after Clear = %+v", st)
-	}
-	if _, hit, _ := c.GetOrRun(context.Background(), "k", fakeRun(&runs, "x")); hit {
-		t.Fatal("cleared entry reported a hit")
-	}
-}
-
-// TestResultCachePanicRecovered checks a panicking run cannot poison the
-// fingerprint: the caller gets an error, the entry is dropped, and the
-// next identical request executes fresh instead of parking forever.
-func TestResultCachePanicRecovered(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	if _, _, err := c.GetOrRun(context.Background(), "k", func(ctx context.Context) (RunResponse, error) {
-		panic("kaboom")
-	}); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want recovered panic", err)
-	}
-	var runs atomic.Int64
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, hit, err := c.GetOrRun(ctx, "k", fakeRun(&runs, "alive"))
-	if err != nil || hit || resp.Result.Summary != "alive" {
-		t.Fatalf("after panic: resp=%+v hit=%v err=%v, want fresh execution", resp, hit, err)
 	}
 }
 
@@ -211,22 +79,4 @@ func TestResultCacheWaiterRetriesExecutorFailure(t *testing.T) {
 	if hits, misses, entries := c.Counters(); hits != 1 || misses != 2 || entries != 1 {
 		t.Fatalf("counters = %d hits / %d misses / %d entries, want 1/2/1", hits, misses, entries)
 	}
-}
-
-func TestResultCacheWaiterDeadline(t *testing.T) {
-	c := NewResultCache(1 << 20)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	go c.GetOrRun(context.Background(), "k", func(ctx context.Context) (RunResponse, error) { //nolint:errcheck
-		close(started)
-		<-release
-		return RunResponse{}, nil
-	})
-	<-started
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, hit, err := c.GetOrRun(ctx, "k", nil); !hit || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("waiter got hit=%v err=%v, want deadline while joining in-flight run", hit, err)
-	}
-	close(release)
 }

@@ -19,7 +19,14 @@
 // fingerprint (gbbs.Request.Key: algorithm, canonical input spec, source
 // vertex, resolved seed, normalized params) — every algorithm is
 // deterministic in that tuple, so a repeated identical request is answered
-// from memory without executing anything.
+// from memory without executing anything. Both, and the cache of shard
+// coordinators behind sharded runs, are instantiations of one unexported
+// mechanism (flight: lookup-or-join, run, publish and account under one
+// lock, evict completed entries LRU past a budget, invalidate); they differ
+// only in how a value is costed, whether it is released on leaving, and
+// whether its production is detached from the request that started it. The
+// async job table is a separate structure on purpose — an ID-addressed
+// registry with TTL retention and queue positions, not a cache.
 //
 // A third layer is the versioned graph store (gbbs/store): graphs built
 // once via PUT /v1/graphs/{name} and addressed by name in RunRequest.Graph,
@@ -159,7 +166,7 @@ type Server struct {
 	engines *EnginePool
 	store   *store.Store
 	jobs    *jobTable
-	shards  *shardCache
+	shards  *flight[*shard.Coordinator]
 	mux     *http.ServeMux
 	started time.Time
 
@@ -234,10 +241,10 @@ func New(cfg Config) *Server {
 // ServeHTTP dispatches to the server's endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Cache exposes the server's graph cache (for stats or explicit Clear).
+// Cache exposes the server's graph cache (for stats or invalidation).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Results exposes the server's result cache (for stats or explicit Clear).
+// Results exposes the server's result cache (for stats or invalidation).
 func (s *Server) Results() *ResultCache { return s.results }
 
 // Limiter exposes the server's admission limiter.
@@ -254,7 +261,7 @@ func (s *Server) Store() *store.Store { return s.store }
 // error; call it after the http.Server has drained.
 func (s *Server) Close() {
 	s.stopBuild()
-	s.shards.closeAll()
+	s.shards.invalidateMatching(func(string) bool { return true })
 	s.engines.Close()
 }
 
@@ -469,7 +476,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Persistent:         s.store.Persistent(),
 		Durability:         s.store.Durability(),
 		MaxShards:          s.cfg.MaxShards,
-		ShardCoordinators:  s.shards.stats(),
+		ShardCoordinators:  s.shardStats(),
 	})
 }
 

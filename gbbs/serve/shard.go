@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"repro/gbbs"
 	"repro/gbbs/shard"
@@ -34,6 +32,14 @@ func shardKey(graphKey string, part gbbs.Partition) string {
 	return graphKey + "|" + part.String()
 }
 
+// shardKeyPrefix is the prefix every coordinator key of the graph identified
+// by graphKey carries, and no other graph's does: canonical partitions all
+// start "shards=", and "|shards=" cannot continue a spec key into a longer
+// one because no transform is named shards.
+func shardKeyPrefix(graphKey string) string {
+	return graphKey + "|shards="
+}
+
 // storeShardPrefix is the prefix a coordinator cache key carries exactly
 // when its graph is a version of the named stored graph (the key starts
 // with the snapshot ID). The trailing ",version=" makes the name boundary
@@ -42,134 +48,15 @@ func storeShardPrefix(name string) string {
 	return "store(name=" + name + ",version="
 }
 
-// shardCache is an LRU of shard coordinators with singleflight construction:
-// concurrent sharded requests for one (graph, partition) share the one
-// in-flight split instead of each splitting their own copy.
-type shardCache struct {
-	mu      sync.Mutex
-	entries map[string]*shardEntry
-	lru     *list.List // of *shardEntry, front = most recently used
-
-	hits, misses, evictions int64
-}
-
-// shardEntry is one resident (or in-flight) coordinator. ready is closed
-// when construction completes; co/err are immutable afterwards.
-type shardEntry struct {
-	key   string
-	ready chan struct{}
-	co    *shard.Coordinator
-	err   error
-	elem  *list.Element
-}
-
-func newShardCache() *shardCache {
-	return &shardCache{entries: make(map[string]*shardEntry), lru: list.New()}
-}
-
-// getOrBuild returns the coordinator cached under key, joining an in-flight
-// construction if one is running, or invoking build otherwise. hit is false
-// only for the caller that ran build. Waiting is bounded by ctx; the build
-// itself runs on the calling goroutine (a split is a small multiple of one
-// graph pass, unlike the minutes-long builds the graph cache detaches).
-func (c *shardCache) getOrBuild(ctx context.Context, key string, build func() (*shard.Coordinator, error)) (co *shard.Coordinator, hit bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.hits++
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.co, true, e.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	e := &shardEntry{key: key, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.misses++
-	c.mu.Unlock()
-
-	e.co, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		// Failed constructions are not retained: drop the entry so the next
-		// request retries instead of replaying the error forever.
-		c.remove(e)
-		return nil, false, e.err
-	}
-	c.evictOverflow()
-	return e.co, false, nil
-}
-
-// remove drops one entry (under its own lock acquisition).
-func (c *shardCache) remove(e *shardEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
-		c.lru.Remove(e.elem)
-	}
-}
-
-// evictOverflow closes and drops least-recently-used coordinators beyond the
-// resident bound. Only completed entries are evicted; an in-flight one is
-// skipped (its builder holds no lock while splitting, so it cannot be
-// removed safely until ready).
-func (c *shardCache) evictOverflow() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.lru.Len() > maxShardCoordinators {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*shardEntry)
-			select {
-			case <-e.ready:
-			default:
-				continue // still building
-			}
-			delete(c.entries, e.key)
-			c.lru.Remove(el)
-			if e.co != nil {
-				e.co.Close()
-			}
-			c.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything resident is in-flight
-		}
-	}
-}
-
-// invalidateMatching closes and drops every completed coordinator whose key
-// matches, returning how many were dropped. The update and delete paths call
-// it with the stored graph's key fragment so decompositions of superseded
-// versions stop occupying residency.
-func (c *shardCache) invalidateMatching(match func(key string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.lru.Back(); el != nil; {
-		prev := el.Prev()
-		e := el.Value.(*shardEntry)
-		select {
-		case <-e.ready:
-			if match(e.key) {
-				delete(c.entries, e.key)
-				c.lru.Remove(el)
-				if e.co != nil {
-					e.co.Close()
-				}
-				dropped++
-			}
-		default: // in-flight; skip
-		}
-		el = prev
-	}
-	return dropped
+// newShardCache returns the coordinator cache: the flight instantiation in
+// which every coordinator costs 1 against a budget of maxShardCoordinators,
+// a coordinator leaving the cache is closed, and a split runs on the calling
+// goroutine under the request's context (it is a small multiple of one graph
+// pass, unlike the minutes-long builds the graph cache detaches).
+func newShardCache() *flight[*shard.Coordinator] {
+	return newFlight(maxShardCoordinators,
+		func(*shard.Coordinator) int64 { return 1 },
+		(*shard.Coordinator).Close, nil)
 }
 
 // ShardCoordinatorInfo describes one resident shard coordinator for
@@ -186,65 +73,17 @@ type ShardCoordinatorInfo struct {
 	Shards []shard.ShardStat `json:"shards"`
 }
 
-// stats snapshots every completed resident coordinator, most recently used
-// first.
-func (c *shardCache) stats() []ShardCoordinatorInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ShardCoordinatorInfo, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*shardEntry)
-		select {
-		case <-e.ready:
-		default:
-			continue
+// shardStats describes every completed resident coordinator, most recently
+// used first.
+func (s *Server) shardStats() []ShardCoordinatorInfo {
+	_, entries := s.shards.snapshot()
+	out := make([]ShardCoordinatorInfo, 0, len(entries))
+	for _, e := range entries {
+		if !e.running {
+			out = append(out, ShardCoordinatorInfo{Key: e.key, Partition: e.val.Partition().String(), Shards: e.val.Stats()})
 		}
-		if e.co == nil {
-			continue
-		}
-		out = append(out, ShardCoordinatorInfo{
-			Key:       e.key,
-			Partition: e.co.Partition().String(),
-			Shards:    e.co.Stats(),
-		})
 	}
 	return out
-}
-
-// peek returns the completed coordinator under key without affecting LRU
-// order, or nil. The graph-describe endpoint uses it to report shard stats
-// without forcing a split.
-func (c *shardCache) peek(key string) *shard.Coordinator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	select {
-	case <-e.ready:
-		return e.co
-	default:
-		return nil
-	}
-}
-
-// closeAll closes every completed coordinator (server shutdown).
-func (c *shardCache) closeAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*shardEntry)
-		select {
-		case <-e.ready:
-			if e.co != nil {
-				e.co.Close()
-			}
-		default:
-		}
-	}
-	c.entries = make(map[string]*shardEntry)
-	c.lru.Init()
 }
 
 // parseShards validates a request's partition spec against the server's
@@ -298,7 +137,7 @@ func (s *Server) setShardDefault(name string, p gbbs.Partition, remember bool) {
 // it (results are thread-count independent, only latency varies).
 func (s *Server) coordinatorFor(ctx context.Context, p *parsedRun, eng *gbbs.Engine, g gbbs.Graph) (*shard.Coordinator, bool, error) {
 	key := shardKey(p.key, *p.part)
-	return s.shards.getOrBuild(ctx, key, func() (*shard.Coordinator, error) {
+	return s.shards.do(ctx, key, func(ctx context.Context) (*shard.Coordinator, error) {
 		csr, err := eng.Compact(ctx, g)
 		if err != nil {
 			return nil, fmt.Errorf("sharded execution needs an uncompressed graph: %w", err)

@@ -1,8 +1,12 @@
 package serve_test
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/gbbs"
@@ -193,5 +197,63 @@ func TestShardCoordinatorInvalidation(t *testing.T) {
 	}
 	if after.Sharded == nil || after.Sharded.Partition.Shards != 2 {
 		t.Fatalf("post-update run not sharded: %+v", after.Sharded)
+	}
+}
+
+// TestShardCoordinatorDroppedWithGraphSpec: when an operator invalidates a
+// file-backed spec because the file changed, the spec's resident
+// decompositions go with the graph-cache entry — the next sharded run
+// splits the rebuilt graph instead of executing on the old file's split.
+func TestShardCoordinatorDroppedWithGraphSpec(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{MaxShards: 4})
+	path := filepath.Join(t.TempDir(), "g.adj")
+	writePath := func(n int) {
+		t.Helper()
+		g, err := gbbs.New(gbbs.WithThreads(1)).BuildCSR(context.Background(), gbbs.Path(n), gbbs.Symmetrize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gbbs.WriteAdjacency(f, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(seed int, shards string) serve.RunResponse {
+		t.Helper()
+		var resp serve.RunResponse
+		body := fmt.Sprintf(`{"source":%q,"algorithm":"cc","include_value":true,"seed":%d,"shards":%q}`, "file:"+path, seed, shards)
+		if status := postRun(t, ts, body, &resp); status != http.StatusOK {
+			t.Fatalf("run seed=%d shards=%q: status %d", seed, shards, status)
+		}
+		return resp
+	}
+	writePath(64)
+	old := run(1, "2")
+	if n := len(old.Result.Value.([]any)); n != 64 {
+		t.Fatalf("sharded run on the first file labelled %d vertices, want 64", n)
+	}
+
+	writePath(32)
+	if status := doJSON(t, ts, http.MethodDelete, "/v1/cache?key="+url.QueryEscape(old.Spec), "", nil); status != http.StatusOK {
+		t.Fatalf("invalidate spec: status %d", status)
+	}
+	var h serve.HealthResponse
+	getJSON(t, ts, "/healthz", &h)
+	if len(h.ShardCoordinators) != 0 {
+		t.Fatalf("coordinators still resident after their graph was invalidated: %+v", h.ShardCoordinators)
+	}
+	// A fresh fingerprint (new seed) so the result cache is out of the picture.
+	fresh := run(2, "2")
+	if fresh.Cache != "miss" {
+		t.Fatalf("graph cache = %q after invalidation, want a rebuild", fresh.Cache)
+	}
+	if n := len(fresh.Result.Value.([]any)); n != 32 {
+		t.Fatalf("sharded run after the file changed labelled %d vertices, want 32 (stale decomposition)", n)
 	}
 }

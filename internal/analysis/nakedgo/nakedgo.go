@@ -26,16 +26,17 @@ import (
 //   - internal/parallel/pool.go: the worker pool IS the scheduler's spawn
 //     site; every other goroutine in the process is meant to descend from
 //     the ones created here.
-//   - gbbs/serve/cache.go: the graph cache intentionally detaches one
-//     build goroutine per cache fill so that a caller timing out does not
-//     cancel the build for the other tenants waiting on the same entry;
-//     runBuild recovers panics itself precisely because it is detached.
+//   - gbbs/serve/flight.go: the serving layer's one cache type detaches a
+//     run from its first caller when constructed with a detach context —
+//     only the graph cache is — so that a caller timing out does not cancel
+//     the build for the other tenants waiting on the same entry; produce
+//     recovers panics itself precisely because it may be detached.
 //   - cmd/gbbs-serve/main.go: process-lifecycle goroutine waiting for
 //     SIGINT/SIGTERM to drain the HTTP server; it manages the daemon, not
 //     algorithm work, so no scheduler is in scope.
 var allowFiles = lintutil.NewPackageList(
 	"internal/parallel/pool.go",
-	"gbbs/serve/cache.go",
+	"gbbs/serve/flight.go",
 	"cmd/gbbs-serve/main.go",
 )
 
