@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# bench-json output label/scale: `make bench-json LABEL=post-pool BENCH_SCALE=14`
-LABEL ?= local
-BENCH_SCALE ?= 12
-
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench bench-json bench-parallel bench-build build-isolation serve smoke-serve clean
+.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build build-isolation serve smoke-serve clean
 
 all: build test
 
@@ -77,28 +73,18 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Regenerate the paper's tables/figures at a small scale (cmd/gbbs-bench
-# -scale raises it) and run the Go benchmarks.
-bench:
-	$(GO) run ./cmd/gbbs-bench -all -scale 12
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Record a benchmark trajectory point: per-algorithm times for the paper
-# suite at 1 and NumCPU threads, written to BENCH_$(LABEL).json so future
-# perf PRs can diff against it.
-bench-json:
-	$(GO) run ./cmd/gbbs-bench -json BENCH_$(LABEL).json -label $(LABEL) -scale $(BENCH_SCALE)
-
 # Compile-and-smoke the scheduler microbenchmarks (dispatch latency,
 # fork-join depth, round-based proxy, pooled vs spawn baseline). CI runs
 # this so benchmark code cannot rot; drop -benchtime 1x for real numbers.
+# Everything else is measured by `bash benchmark/run.sh` (see bench-build).
 bench-parallel:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/parallel
 
-# The repo's benchmark (BENCHMARK.json) lives in its own module under
-# benchmark/, so the root `go build ./...` and `go test ./...` never compile
-# it: vet and test it here so a gbbs/serve API change that breaks it fails
-# in CI instead of at the next benchmark run.
+# The repo's benchmark (BENCHMARK.json) is its only measurement system. It
+# lives in its own module under benchmark/, which the root `go build ./...`
+# and `go test ./...` never compile: vet it and run its tests here, including
+# the four-workload smoke (benchmark/smoke_test.go), so a gbbs/serve API
+# change that breaks it fails in CI instead of at the next benchmark run.
 bench-build:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...

@@ -29,8 +29,8 @@
 // (gbbs.Algorithm.Params): Engine.Run validates request options against it
 // — unknown names and out-of-range values are descriptive errors, not
 // silent defaults — and a declarative request has a canonical fingerprint
-// (gbbs.Request.Key) identifying its deterministic result. Both CLI
-// drivers dispatch exclusively through the registry, so a package that
+// (gbbs.Request.Key) identifying its deterministic result. The CLI driver
+// dispatches exclusively through the registry, so a package that
 // registers a new algorithm is immediately runnable from cmd/gbbs-run,
 // listed by `gbbs-run -list`, described by `gbbs-run -describe`, and
 // served by the HTTP daemon.
@@ -53,12 +53,13 @@
 // worker threads of concurrently running requests so one tenant cannot
 // starve the rest.
 //
-// # Harness
+// # Benchmark
 //
-// The benchmark harness in cmd/gbbs-bench regenerates every table and
-// figure of the paper's evaluation (its 15-problem suite is derived from
-// the registry's paper-row metadata), and the testing.B benchmarks in
-// bench_test.go mirror it. See ARCHITECTURE.md for the layer map, the
-// scheduler-isolation invariant, the build-pipeline phases and the request
-// lifecycle through the server, with file pointers into each layer.
+// The repository's one measurement system is the benchmark/ module,
+// declared by BENCHMARK.json: the paper's 15-problem suite at 1 and P
+// threads on two graph regimes plus closed-loop serving workloads, with
+// every answer verified and a per-layer breakdown (see benchmark/README.md).
+// See ARCHITECTURE.md for the layer map, the scheduler-isolation
+// invariant, the build-pipeline phases and the request lifecycle through
+// the server, with file pointers into each layer.
 package repro

@@ -14,8 +14,7 @@ import (
 // executes on the engine's per-call scheduler (via Engine.exec), so registry
 // dispatch has exactly the same isolation and cancellation behavior as the
 // typed Engine methods. PaperRow/PaperOrder mark the 15 problems forming the
-// rows of the paper's Tables 2, 4 and 5; the bench harness derives its suite
-// from them instead of keeping its own hand-written list.
+// rows of the paper's Tables 2, 4 and 5 (gbbs.PaperSuite).
 //
 // Every registration declares its full Param schema — the defaults are the
 // paper's settings — so Engine.Run rejects unknown or out-of-range Opts and

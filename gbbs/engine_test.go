@@ -189,8 +189,8 @@ func TestEngineRunDispatch(t *testing.T) {
 	}
 }
 
-// TestRegistry checks registration invariants and the paper-suite metadata
-// the bench harness relies on.
+// TestRegistry checks registration invariants and the paper-suite metadata:
+// row order and the Tables 2/4/5 row labels.
 func TestRegistry(t *testing.T) {
 	algos := Algorithms()
 	if len(algos) < 15 {
@@ -214,24 +214,41 @@ func TestRegistry(t *testing.T) {
 	}
 
 	suite := PaperSuite()
-	if len(suite) != 15 {
-		t.Fatalf("paper suite has %d problems, want 15", len(suite))
-	}
-	for i, a := range suite {
-		if a.PaperOrder != i+1 {
-			t.Fatalf("suite[%d] = %q with order %d", i, a.Name, a.PaperOrder)
+	t.Run("SuiteCoversFifteenProblems", func(t *testing.T) {
+		if len(suite) != 15 {
+			t.Fatalf("paper suite has %d problems, want 15 (Table 1)", len(suite))
 		}
-	}
-	if suite[0].Name != "bfs" || suite[14].Name != "tc" {
-		t.Fatalf("suite order: first %q last %q", suite[0].Name, suite[14].Name)
-	}
+		rows := map[string]bool{}
+		for i, a := range suite {
+			if a.PaperOrder != i+1 {
+				t.Fatalf("suite[%d] = %q with order %d", i, a.Name, a.PaperOrder)
+			}
+			if a.PaperRow == "" {
+				t.Fatalf("suite[%d] = %q has no paper row label", i, a.Name)
+			}
+			rows[a.PaperRow] = true
+		}
+		if suite[0].Name != "bfs" || suite[14].Name != "tc" {
+			t.Fatalf("suite order: first %q last %q", suite[0].Name, suite[14].Name)
+		}
+		for _, want := range []string{
+			"Breadth-First Search (BFS)", "Connectivity", "Biconnectivity",
+			"Strongly Connected Components (SCC)", "Minimum Spanning Forest (MSF)",
+			"k-core", "Triangle Counting (TC)",
+		} {
+			if !rows[want] {
+				t.Fatalf("paper suite missing row %q", want)
+			}
+		}
+	})
 
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register(Algorithm{Name: "bfs", Run: suite[0].Run})
+	bfs, _ := Lookup("bfs")
+	Register(Algorithm{Name: "bfs", Run: bfs.Run})
 }
 
 // TestRegisterCustomAlgorithm registers a user-defined algorithm and runs it

@@ -229,8 +229,8 @@ type Algorithm struct {
 	// symmetrized ones).
 	Directed bool
 	// PaperRow, when non-empty, is this algorithm's row label in the
-	// paper's Tables 2/4/5. The bench harness derives its 15-problem suite
-	// from these.
+	// paper's Tables 2/4/5; PaperSuite collects the 15 problems that carry
+	// one.
 	PaperRow string
 	// PaperOrder is the algorithm's row position within the paper's tables.
 	PaperOrder int

@@ -8,7 +8,7 @@
 // Inside the scoped packages it flags:
 //
 //   - wall-clock reads (time.Now and friends): timing belongs to the
-//     measurement layers (internal/bench, gbbs's Result metadata), never
+//     measurement layers (gbbs's Result metadata, the benchmark), never
 //     inside an algorithm or builder;
 //   - any use of math/rand or math/rand/v2: the repository's randomness is
 //     hash-based and splittable (internal/xrand) precisely so parallel
@@ -45,7 +45,6 @@ import (
 //   - repro/gbbs/serve, repro/cmd/..., repro/examples/...: serving and
 //     CLI layers; cache aging, request timing and log timestamps are
 //     inherently wall-clock;
-//   - repro/internal/bench: measuring wall-clock time is its whole job;
 //   - repro/internal/parallel: uses time only for the worker pool's idle
 //     timeout, which affects goroutine lifetime, never algorithm output.
 var scope = lintutil.NewPackageList(

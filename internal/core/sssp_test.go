@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ligra"
 	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
@@ -90,7 +91,7 @@ func TestWeightedBFSMatchesDijkstra(t *testing.T) {
 func TestWeightedBFSUnblockedAgrees(t *testing.T) {
 	g := symWeightedGraphs()["rmat-w"]
 	a := WeightedBFS(parallel.Default, g, 3)
-	b := WeightedBFSUnblocked(parallel.Default, g, 3)
+	b := weightedBFS(parallel.Default, g, 3, ligra.Opts{NoBlocked: true})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("blocked/unblocked disagree at %d: %d vs %d", v, a[v], b[v])

@@ -20,13 +20,6 @@ func WeightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32) []uint32 {
 	return weightedBFS(s, g, src, ligra.Opts{})
 }
 
-// WeightedBFSUnblocked is WeightedBFS forced onto the flat (non-blocked)
-// sparse edgeMap. It exists for the Table 6 ablation comparing
-// edgeMapBlocked against the standard sparse traversal.
-func WeightedBFSUnblocked(s *parallel.Scheduler, g graph.Graph, src uint32) []uint32 {
-	return weightedBFS(s, g, src, ligra.Opts{NoBlocked: true})
-}
-
 func weightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32, opt ligra.Opts) []uint32 {
 	n := g.N()
 	dist := make([]uint32, n)

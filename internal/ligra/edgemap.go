@@ -27,12 +27,12 @@ type Opts struct {
 	// the dense direction when |U| + sum of out-degrees > m/DenseThreshold.
 	// 0 means the Ligra default of 20.
 	DenseThreshold int
-	// NoDense forces the sparse direction (used e.g. by wBFS until its
-	// frontiers grow, and to compare the two sparse variants in Table 6).
+	// NoDense forces the sparse direction (used to exercise or measure the
+	// sparse traversals in isolation).
 	NoDense bool
 	// NoBlocked uses the flat sparse traversal (one output slot per edge)
-	// instead of edgeMapBlocked. The paper's Table 6 measures this ablation
-	// on wBFS.
+	// instead of edgeMapBlocked. The flat path is the simple reference the
+	// tests check edgeMapBlocked against.
 	NoBlocked bool
 	// NoOutput skips building the output subset; EdgeMap returns Empty.
 	NoOutput bool
@@ -42,9 +42,9 @@ type Opts struct {
 const none = ^uint32(0)
 
 // Traffic tallies the words written by the sparse traversals, the memory
-// stream Table 6 observes shrinking under edgeMapBlocked. It is only
-// approximate (allocation and filter passes are excluded) but both variants
-// are counted the same way.
+// stream edgeMapBlocked shrinks relative to the flat traversal (the
+// paper's Table 6 proxy). It is only approximate (allocation and filter
+// passes are excluded) but both variants are counted the same way.
 var Traffic atomic.Int64
 
 // EdgeMap is Ligra's edgeMap (§3): it applies update to every edge (u, v)

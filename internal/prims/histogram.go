@@ -1,9 +1,6 @@
 package prims
 
-import (
-	"repro/internal/atomics"
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // This file implements the paper's §5 "work-efficient histogram". The
 // Histogram primitive takes a sequence of keys and computes, for each
@@ -12,20 +9,8 @@ import (
 // implementation fetch-and-adds a per-key counter and suffers heavy
 // contention on high-degree vertices; the work-efficient version avoids
 // contention by sorting keys in blocks (a radix partition) and reducing runs,
-// touching each counter once. Both are provided so the Table 6 ablation can
-// compare them.
-
-// HistogramAtomic adds 1 to counts[k] for every k in keys using
-// fetch-and-add. counts must be zeroed by the caller and have length greater
-// than every key. This is the contended baseline of Table 6's
-// "k-core (fetch-and-add)" row.
-func HistogramAtomic(s *parallel.Scheduler, keys []uint32, counts []uint32) {
-	s.ForRange(len(keys), 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomics.FetchAndAdd32(&counts[keys[i]], 1)
-		}
-	})
-}
+// touching each counter once. The contended fetch-and-add baseline is
+// k-core's own variant (core.KCoreFetchAndAdd, registered as kcore-faa).
 
 // Histogram returns the distinct keys of the input in sorted order together
 // with their multiplicities, in O(n) work per radix pass and O(log n)

@@ -379,22 +379,6 @@ func TestHistogramMatchesMap(t *testing.T) {
 	}
 }
 
-func TestHistogramAtomicMatchesHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	keys := make([]uint32, 50000)
-	for i := range keys {
-		keys[i] = uint32(rng.Intn(64)) // few bins: heavy contention path
-	}
-	dense := make([]uint32, 64)
-	HistogramAtomic(parallel.Default, keys, dense)
-	ids, counts := Histogram(parallel.Default, keys, 6)
-	for i, id := range ids {
-		if dense[id] != counts[i] {
-			t.Fatalf("bin %d: atomic %d vs sorted %d", id, dense[id], counts[i])
-		}
-	}
-}
-
 func TestHistogramApply(t *testing.T) {
 	keys := []uint32{3, 3, 3, 1, 2, 2}
 	got := map[uint32]uint32{}

@@ -2,9 +2,8 @@
 // paper's §3 (scan, reduce, filter, pack) plus the sorting, histogramming,
 // selection and permutation routines the algorithm implementations rely on.
 // Every primitive has O(n) (or O(n log n) for sorting) work and low depth.
-// Primitives are scheduler-scoped: each takes the *parallel.Scheduler it
-// should run on as its first argument (pass parallel.Default for the
-// process-wide pool) and degrades to a plain sequential loop on a
+// Primitives are scheduler-scoped: each takes the scheduler it should run
+// on as its first argument and degrades to a plain sequential loop on a
 // one-worker scheduler.
 package prims
 
