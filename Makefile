@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build build-isolation serve smoke-serve clean
+.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve clean
 
 all: build test
 
@@ -38,13 +38,6 @@ fuzz-smoke:
 	$(GO) test ./gbbs -fuzz '^FuzzParsePartition$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
-
-# Verify the engine-scoped build pipeline: vet plus race-mode tests of the
-# graph-construction packages and the public Build API (covers the
-# concurrent-engines isolation and build-cancellation tests).
-build-isolation:
-	$(GO) vet ./internal/graph/... ./internal/gen/... ./internal/compress/... ./gbbs/...
-	$(GO) test -race ./internal/graph/... ./internal/gen/... ./internal/compress/... ./gbbs/...
 
 # Run the HTTP serving daemon (see cmd/gbbs-serve -h for flags).
 serve:

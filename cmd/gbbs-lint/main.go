@@ -1,8 +1,8 @@
 // gbbs-lint is the repository's invariant checker: a `go vet -vettool`
 // compatible multichecker bundling the analyzers in internal/analysis
-// (schedisolation, nakedgo, ctxpoll, atomicmix, nondeterminism,
-// exporteddoc). Run it through the vet driver so packages are loaded,
-// facts flow between them, and exit status follows vet conventions:
+// (nakedgo, ctxpoll, atomicmix, nondeterminism, exporteddoc). Run it
+// through the vet driver so packages are loaded, facts flow between them,
+// and exit status follows vet conventions:
 //
 //	go build -o bin/gbbs-lint ./cmd/gbbs-lint
 //	go vet -vettool=bin/gbbs-lint ./...

@@ -35,9 +35,9 @@
 // listed by `gbbs-run -list`, described by `gbbs-run -describe`, and
 // served by the HTTP daemon.
 //
-// The older package-level free functions (gbbs.BFS, gbbs.RMATGraph,
-// gbbs.SetThreads, ...) remain working but deprecated; they delegate to a
-// process-wide default scheduler.
+// There is no process-wide scheduler and no package-level algorithm
+// function: every build and every run goes through an Engine, which is
+// what keeps concurrent engines isolated.
 //
 // # Serving layer
 //

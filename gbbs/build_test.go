@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/gbbs"
+	"repro/internal/gen"
+	"repro/internal/parallel"
 )
 
 // buildBytes serializes a built CSR so byte-level determinism can be
@@ -56,7 +58,7 @@ func TestBuildMatchesLegacyConstructors(t *testing.T) {
 	eng := gbbs.New()
 	ctx := context.Background()
 
-	legacy := gbbs.RMATGraph(10, 8, true, true, 3)
+	legacy := gen.BuildRMAT(parallel.New(runtime.NumCPU()), 10, 8, true, true, 3)
 	built, err := eng.BuildCSR(ctx, gbbs.RMAT(10, 8, 3), gbbs.Symmetrize(), gbbs.PaperWeights(3))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +71,7 @@ func TestBuildMatchesLegacyConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Engine.Build(RMAT, Symmetrize, PaperWeights) differs from RMATGraph")
+		t.Fatal("Engine.Build(RMAT, Symmetrize, PaperWeights) differs from gen.BuildRMAT")
 	}
 }
 

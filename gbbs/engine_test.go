@@ -3,15 +3,23 @@ package gbbs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/gen"
+	"repro/internal/parallel"
 )
+
+// sched builds the fixture graphs of this package's tests; the code under
+// test always runs on an Engine's own scheduler.
+var sched = parallel.New(runtime.NumCPU())
 
 // testGraph builds a moderate RMAT graph shared by the engine tests.
 var testGraphOnce = sync.OnceValue(func() *CSR {
-	return RMATGraph(12, 16, true, false, 7)
+	return gen.BuildRMAT(sched, 12, 16, true, false, 7)
 })
 
 // TestEngineIsolationConcurrent runs algorithms concurrently on engines with
@@ -79,23 +87,19 @@ func TestEngineIsolationConcurrent(t *testing.T) {
 }
 
 // TestEngineThreadCountsStayIsolated checks one engine's worker count never
-// leaks into another engine or into the deprecated global.
+// leaks into another engine.
 func TestEngineThreadCountsStayIsolated(t *testing.T) {
-	before := Threads()
 	a := New(WithThreads(2))
 	b := New(WithThreads(7))
 	if a.Threads() != 2 || b.Threads() != 7 {
 		t.Fatalf("engine thread counts: got %d and %d, want 2 and 7", a.Threads(), b.Threads())
-	}
-	if Threads() != before {
-		t.Fatalf("creating engines changed the default engine's thread count: %d -> %d", before, Threads())
 	}
 }
 
 // TestEngineCancellation checks a long run on a large RMAT graph returns
 // promptly with context.Canceled once its context is cancelled mid-flight.
 func TestEngineCancellation(t *testing.T) {
-	g := RMATGraph(16, 16, true, false, 11)
+	g := gen.BuildRMAT(sched, 16, 16, true, false, 11)
 	e := New(WithThreads(2), WithSeed(1))
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -132,11 +136,11 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 
 // TestEngineDeadline checks deadline expiry surfaces as DeadlineExceeded.
 func TestEngineDeadline(t *testing.T) {
-	g := RMATGraph(15, 16, true, false, 13)
+	g := gen.BuildRMAT(sched, 15, 16, true, false, 13)
 	e := New(WithThreads(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := e.SCC(ctx, RMATGraph(15, 16, false, false, 13), SCCOpts{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.SCC(ctx, gen.BuildRMAT(sched, 15, 16, false, false, 13), SCCOpts{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	_ = g
@@ -272,26 +276,5 @@ func TestRegisterCustomAlgorithm(t *testing.T) {
 	}
 	if res.Value.(int64) != int64(g.M()) {
 		t.Fatalf("degree sum %d != m %d", res.Value, g.M())
-	}
-}
-
-// TestDeprecatedFreeFunctionsStillWork pins the legacy surface: free
-// functions and SetThreads keep working and agree with Engine results.
-func TestDeprecatedFreeFunctionsStillWork(t *testing.T) {
-	g := testGraphOnce()
-	old := SetThreads(2)
-	defer SetThreads(old)
-	if Threads() != 2 {
-		t.Fatalf("Threads() = %d after SetThreads(2)", Threads())
-	}
-	dist := BFS(g, 0)
-	want, err := New(WithThreads(3)).BFS(context.Background(), g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range dist {
-		if dist[v] != want[v] {
-			t.Fatal("free-function BFS disagrees with Engine BFS")
-		}
 	}
 }

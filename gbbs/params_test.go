@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // lookupT fetches a registered algorithm or fails the test.
@@ -191,7 +193,7 @@ func TestRequestKey(t *testing.T) {
 	}
 
 	// No declarative input: not fingerprintable.
-	if _, err := (Request{Graph: RMATGraph(4, 4, true, false, 1)}).Key(cc); err == nil {
+	if _, err := (Request{Graph: gen.BuildRMAT(sched, 4, 4, true, false, 1)}).Key(cc); err == nil {
 		t.Fatal("Key accepted a direct Graph")
 	}
 	// Bad opts: same rejection Engine.Run gives.
@@ -203,7 +205,7 @@ func TestRequestKey(t *testing.T) {
 // TestEngineRunValidatesOpts checks Engine.Run rejects schema violations
 // with descriptive errors and without executing.
 func TestEngineRunValidatesOpts(t *testing.T) {
-	g := RMATGraph(8, 8, true, false, 1)
+	g := gen.BuildRMAT(sched, 8, 8, true, false, 1)
 	e := New(WithThreads(2))
 	defer e.Close()
 	ctx := context.Background()
@@ -234,7 +236,7 @@ func TestEngineRunValidatesOpts(t *testing.T) {
 // engine default, an explicit pointer (including to 0) wins, and the
 // effective seed is recorded in Result.Seed.
 func TestEngineRunSeedResolution(t *testing.T) {
-	g := RMATGraph(10, 8, true, false, 1)
+	g := gen.BuildRMAT(sched, 10, 8, true, false, 1)
 	e := New(WithThreads(2), WithSeed(9))
 	defer e.Close()
 	ctx := context.Background()

@@ -15,13 +15,11 @@ import (
 	"repro/internal/analysis/exporteddoc"
 	"repro/internal/analysis/nakedgo"
 	"repro/internal/analysis/nondeterminism"
-	"repro/internal/analysis/schedisolation"
 )
 
 // All returns the full invariant suite in the order gbbs-lint runs it.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		schedisolation.Analyzer,
 		nakedgo.Analyzer,
 		ctxpoll.Analyzer,
 		atomicmix.Analyzer,

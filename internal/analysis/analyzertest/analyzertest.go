@@ -15,8 +15,9 @@
 //     fixture can impersonate a scoped package such as repro/internal/core
 //     and exercise the analyzers' package allowlists;
 //   - real repository packages load through [RepoLoader], which maps the
-//     module path onto the checkout — this is how gbbs/guard_test.go runs
-//     schedisolation over the actual build-phase packages in-process;
+//     module path onto the checkout — this is how the doc_lint_test.go
+//     files in gbbs, gbbs/serve and gbbs/store run exporteddoc over the
+//     actual packages in-process;
 //   - standard-library imports are typechecked from GOROOT source, so the
 //     whole harness works offline.
 //
@@ -436,32 +437,16 @@ func Check(t *testing.T, l *Loader, analyzers []*analysis.Analyzer, path string)
 	}
 }
 
-// Diagnostics loads and typechecks a package and returns one analyzer's
-// findings as "file:line: message" strings sorted by position — the shape
-// the thin guard-test wrappers assert on.
-func Diagnostics(t *testing.T, l *Loader, a *analysis.Analyzer, path string) []string {
-	t.Helper()
-	pkg, err := l.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return analyzeToStrings(t, l, a, pkg)
-}
-
-// SyntaxDiagnostics is Diagnostics for purely syntactic analyzers: the
-// package is parsed but not typechecked, so the wrapper tests in gbbs and
-// gbbs/serve stay fast.
+// SyntaxDiagnostics parses (but does not typecheck) a package, so the
+// wrapper tests in gbbs, gbbs/serve and gbbs/store stay fast, and returns a
+// purely syntactic analyzer's findings as "file:line: message" strings
+// sorted by position.
 func SyntaxDiagnostics(t *testing.T, l *Loader, a *analysis.Analyzer, path string) []string {
 	t.Helper()
 	pkg, err := l.LoadSyntax(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analyzeToStrings(t, l, a, pkg)
-}
-
-func analyzeToStrings(t *testing.T, l *Loader, a *analysis.Analyzer, pkg *Package) []string {
-	t.Helper()
 	diags, err := NewRunner(l).Analyze(a, pkg)
 	if err != nil {
 		t.Fatal(err)

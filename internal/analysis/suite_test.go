@@ -11,7 +11,6 @@ import (
 	"repro/internal/analysis/exporteddoc"
 	"repro/internal/analysis/nakedgo"
 	"repro/internal/analysis/nondeterminism"
-	"repro/internal/analysis/schedisolation"
 )
 
 // The fixtures live in testdata/src laid out GOPATH-style; packages under
@@ -23,11 +22,8 @@ func TestAnalyzers(t *testing.T) {
 		analyzers []*analysis.Analyzer
 		path      string
 	}{
-		// Aliased parallel.Default / wrapper uses in a build-phase package.
-		{"schedisolation", []*analysis.Analyzer{schedisolation.Analyzer}, "repro/internal/graph"},
-		// The facade is allowlisted for schedisolation but held to the
-		// documentation bar; one fixture, two invariants.
-		{"facade", []*analysis.Analyzer{schedisolation.Analyzer, exporteddoc.Analyzer}, "repro/gbbs"},
+		// The facade is held to the documentation bar.
+		{"facade", []*analysis.Analyzer{exporteddoc.Analyzer}, "repro/gbbs"},
 		// Round loops (direct poll, cross-package fact, intra-package
 		// fixpoint, infinite loops, bounded loops) plus a bare go statement.
 		{"core", []*analysis.Analyzer{ctxpoll.Analyzer, nakedgo.Analyzer}, "repro/internal/core"},

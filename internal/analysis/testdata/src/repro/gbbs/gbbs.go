@@ -1,16 +1,14 @@
-// Package gbbs is a fixture impersonating the public facade. Two
-// invariants meet here: schedisolation's allowlist admits this package's
-// deliberate parallel.Default references (no diagnostics), while
-// exporteddoc holds it to the documentation bar (the acceptance case "an
+// Package gbbs is a fixture impersonating the public facade, which
+// exporteddoc holds to the documentation bar (the acceptance case "an
 // undocumented export in gbbs").
 package gbbs
 
 import "repro/internal/parallel"
 
-// Workers reports the global worker count; documented, allowlisted: clean.
-func Workers() int { return parallel.Workers() }
+// Workers reports a scheduler's worker count; documented: clean.
+func Workers(s *parallel.Scheduler) int { return s.Workers() }
 
-func Undocumented() int { return parallel.Default.Workers() } // want `undocumented exported identifier: func Undocumented`
+func Undocumented(s *parallel.Scheduler) int { return s.Workers() } // want `undocumented exported identifier: func Undocumented`
 
 // Options is documented, but one of its exported fields is not.
 type Options struct {

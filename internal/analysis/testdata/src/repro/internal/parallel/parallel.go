@@ -1,14 +1,11 @@
 // Package parallel is a fixture stub impersonating the real
 // repro/internal/parallel: same import path (under the fixture loader),
-// same names for the pieces the analyzers key on — the Scheduler type,
-// Poll, the process-global Default, and the package-level wrappers.
+// same names for the pieces the analyzers key on — the Scheduler type and
+// its Poll method.
 package parallel
 
 // Scheduler is the stub of the fork-join runtime handle.
 type Scheduler struct{ workers int }
-
-// New returns a stub scheduler.
-func New(p int) *Scheduler { return &Scheduler{workers: p} }
 
 // Poll is the cancellation check ctxpoll looks for.
 func (s *Scheduler) Poll() {}
@@ -18,15 +15,3 @@ func (s *Scheduler) ForRange(n, grain int, body func(lo, hi int)) { body(0, n) }
 
 // Workers reports the stub worker count.
 func (s *Scheduler) Workers() int { return s.workers }
-
-// Default is the process-global scheduler schedisolation bans.
-var Default = New(1)
-
-// ForRange delegates to Default (banned wrapper).
-func ForRange(n, grain int, body func(lo, hi int)) { Default.ForRange(n, grain, body) }
-
-// Workers delegates to Default (banned wrapper).
-func Workers() int { return Default.Workers() }
-
-// SetWorkers delegates to Default (banned wrapper).
-func SetWorkers(p int) int { prev := Default.workers; Default.workers = p; return prev }

@@ -1,15 +1,22 @@
 package bucket
 
 import (
-	"repro/internal/parallel"
+	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/parallel"
 )
+
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
 
 func TestIncreasingBasic(t *testing.T) {
 	// Identifier i lives in bucket i%5.
 	vals := []uint32{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
-	b := New(parallel.Default, len(vals), 4, Increasing, 4, func(i uint32) uint32 { return vals[i] })
+	b := New(sched, len(vals), 4, Increasing, 4, func(i uint32) uint32 { return vals[i] })
 	seen := map[uint32][]uint32{}
 	for {
 		bkt, ids := b.NextBucket()
@@ -28,7 +35,7 @@ func TestIncreasingBasic(t *testing.T) {
 }
 
 func TestNilIdentifiersNeverAppear(t *testing.T) {
-	b := New(parallel.Default, 10, 0, Increasing, 10, func(i uint32) uint32 {
+	b := New(sched, 10, 0, Increasing, 10, func(i uint32) uint32 {
 		if i%2 == 0 {
 			return Nil
 		}
@@ -52,7 +59,7 @@ func TestUpdateMovesIdentifiers(t *testing.T) {
 	// Start everyone in bucket 5; after extracting bucket 5 is empty but we
 	// move half of them before extraction.
 	cur := []uint32{5, 5, 5, 5}
-	b := New(parallel.Default, 4, 2, Increasing, 100, func(i uint32) uint32 { return cur[i] })
+	b := New(sched, 4, 2, Increasing, 100, func(i uint32) uint32 { return cur[i] })
 	cur[0], cur[1] = 7, 9
 	b.Update([]uint32{0, 1})
 	order := map[uint32]uint32{}
@@ -78,7 +85,7 @@ func TestUpdateMovesIdentifiers(t *testing.T) {
 
 func TestUpdateToNilRemoves(t *testing.T) {
 	cur := []uint32{1, 1, 1}
-	b := New(parallel.Default, 3, 0, Increasing, 10, func(i uint32) uint32 { return cur[i] })
+	b := New(sched, 3, 0, Increasing, 10, func(i uint32) uint32 { return cur[i] })
 	cur[1] = Nil
 	b.Update([]uint32{1})
 	var got []uint32
@@ -99,7 +106,7 @@ func TestRepeatedUpdatesNoDuplicates(t *testing.T) {
 	// Update the same identifier many times, including to the same bucket,
 	// then check it is extracted exactly once at its final bucket.
 	cur := []uint32{50}
-	b := New(parallel.Default, 1, 4, Increasing, 1000, func(i uint32) uint32 { return cur[i] })
+	b := New(sched, 1, 4, Increasing, 1000, func(i uint32) uint32 { return cur[i] })
 	for k := 0; k < 10; k++ {
 		b.Update([]uint32{0}) // same bucket: must not duplicate
 	}
@@ -125,7 +132,7 @@ func TestRepeatedUpdatesNoDuplicates(t *testing.T) {
 func TestOverflowWindowAdvance(t *testing.T) {
 	// Buckets far beyond the open window force overflow handling.
 	n := 1000
-	b := New(parallel.Default, n, 8, Increasing, uint32(n), func(i uint32) uint32 { return i })
+	b := New(sched, n, 8, Increasing, uint32(n), func(i uint32) uint32 { return i })
 	prev := -1
 	count := 0
 	for {
@@ -146,7 +153,7 @@ func TestOverflowWindowAdvance(t *testing.T) {
 
 func TestDecreasingOrder(t *testing.T) {
 	vals := []uint32{3, 9, 0, 9, 5}
-	b := New(parallel.Default, len(vals), 4, Decreasing, 9, func(i uint32) uint32 { return vals[i] })
+	b := New(sched, len(vals), 4, Decreasing, 9, func(i uint32) uint32 { return vals[i] })
 	var buckets []uint32
 	var idCount int
 	for {
@@ -171,7 +178,7 @@ func TestMonotoneClampIntoCurrentBucket(t *testing.T) {
 	// contract: k-core clamps decremented degrees to the current core and
 	// re-extracts them at the same bucket).
 	cur := []uint32{3, 10}
-	b := New(parallel.Default, 2, 4, Increasing, 100, func(i uint32) uint32 { return cur[i] })
+	b := New(sched, 2, 4, Increasing, 100, func(i uint32) uint32 { return cur[i] })
 	bkt, ids := b.NextBucket()
 	if bkt != 3 || len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("first bucket %d ids %v", bkt, ids)
@@ -185,7 +192,7 @@ func TestMonotoneClampIntoCurrentBucket(t *testing.T) {
 }
 
 func TestEmptyStructure(t *testing.T) {
-	b := New(parallel.Default, 0, 0, Increasing, 0, func(i uint32) uint32 { return 0 })
+	b := New(sched, 0, 0, Increasing, 0, func(i uint32) uint32 { return 0 })
 	if bkt, ids := b.NextBucket(); bkt != Nil || ids != nil {
 		t.Fatal("empty structure returned a bucket")
 	}

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,11 @@ import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
+
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
 
 func TestVarintRoundTrip(t *testing.T) {
 	err := quick.Check(func(x uint64) bool {
@@ -91,24 +97,24 @@ func equalGraphs(t *testing.T, name string, csr *graph.CSR, cg *Graph) {
 
 func TestFromCSRRoundTrip(t *testing.T) {
 	cases := map[string]*graph.CSR{
-		"rmat-sym":  gen.BuildRMAT(parallel.Default, 10, 8, true, false, 3),
-		"rmat-dir":  gen.BuildRMAT(parallel.Default, 9, 8, false, false, 3),
-		"torus":     gen.BuildTorus3D(parallel.Default, 6, false, 3),
-		"weighted":  gen.BuildRMAT(parallel.Default, 9, 6, true, true, 4),
-		"wdirected": gen.BuildErdosRenyi(parallel.Default, 500, 3000, false, true, 4),
-		"empty":     graph.FromEdgeList(parallel.Default, 10, &graph.EdgeList{N: 10}, graph.BuildOptions{Symmetrize: true}),
-		"star":      graph.FromEdgeList(parallel.Default, 500, gen.Star(500), graph.BuildOptions{Symmetrize: true}),
+		"rmat-sym":  gen.BuildRMAT(sched, 10, 8, true, false, 3),
+		"rmat-dir":  gen.BuildRMAT(sched, 9, 8, false, false, 3),
+		"torus":     gen.BuildTorus3D(sched, 6, false, 3),
+		"weighted":  gen.BuildRMAT(sched, 9, 6, true, true, 4),
+		"wdirected": gen.BuildErdosRenyi(sched, 500, 3000, false, true, 4),
+		"empty":     graph.FromEdgeList(sched, 10, &graph.EdgeList{N: 10}, graph.BuildOptions{Symmetrize: true}),
+		"star":      graph.FromEdgeList(sched, 500, gen.Star(500), graph.BuildOptions{Symmetrize: true}),
 	}
 	for name, csr := range cases {
 		for _, bs := range []int{1, 3, 64, 1024} {
-			equalGraphs(t, name, csr, FromCSR(parallel.Default, csr, bs))
+			equalGraphs(t, name, csr, FromCSR(sched, csr, bs))
 		}
 	}
 }
 
 func TestOutRangeMatchesSlice(t *testing.T) {
-	csr := gen.BuildRMAT(parallel.Default, 9, 10, true, false, 7)
-	cg := FromCSR(parallel.Default, csr, 16)
+	csr := gen.BuildRMAT(sched, 9, 10, true, false, 7)
+	cg := FromCSR(sched, csr, 16)
 	for v := uint32(0); int(v) < csr.N(); v++ {
 		d := csr.OutDeg(v)
 		for _, r := range [][2]int{{0, d}, {1, d - 1}, {d / 3, 2 * d / 3}, {0, 1}, {d, d}} {
@@ -136,8 +142,8 @@ func TestOutRangeMatchesSlice(t *testing.T) {
 }
 
 func TestOutRangeEarlyExit(t *testing.T) {
-	csr := graph.FromEdgeList(parallel.Default, 200, gen.Star(200), graph.BuildOptions{Symmetrize: true})
-	cg := FromCSR(parallel.Default, csr, 8)
+	csr := graph.FromEdgeList(sched, 200, gen.Star(200), graph.BuildOptions{Symmetrize: true})
+	cg := FromCSR(sched, csr, 8)
 	count := 0
 	cg.OutRange(0, 0, 150, func(u uint32, _ int32) bool {
 		count++
@@ -149,8 +155,8 @@ func TestOutRangeEarlyExit(t *testing.T) {
 }
 
 func TestTransposeDirected(t *testing.T) {
-	csr := gen.BuildRMAT(parallel.Default, 8, 6, false, false, 9)
-	cg := FromCSR(parallel.Default, csr, 0)
+	csr := gen.BuildRMAT(sched, 8, 6, false, false, 9)
+	cg := FromCSR(sched, csr, 0)
 	tr := cg.Transpose()
 	for v := uint32(0); int(v) < csr.N(); v++ {
 		var got []uint32
@@ -160,7 +166,7 @@ func TestTransposeDirected(t *testing.T) {
 		}
 	}
 	// Symmetric transpose is identity.
-	sg := FromCSR(parallel.Default, gen.BuildTorus3D(parallel.Default, 4, false, 1), 0)
+	sg := FromCSR(sched, gen.BuildTorus3D(sched, 4, false, 1), 0)
 	if sg.Transpose() != graph.Graph(sg) {
 		t.Fatal("symmetric transpose should be the same graph")
 	}
@@ -169,8 +175,8 @@ func TestTransposeDirected(t *testing.T) {
 func TestCompressionRatio(t *testing.T) {
 	// Sorted difference coding of a local-order graph must beat the 4
 	// bytes/edge of uncompressed uint32 adjacency.
-	csr := gen.BuildTorus3D(parallel.Default, 20, false, 1)
-	cg := FromCSR(parallel.Default, csr, 0)
+	csr := gen.BuildTorus3D(sched, 20, false, 1)
+	cg := FromCSR(sched, csr, 0)
 	if bpe := cg.BytesPerEdge(); bpe >= 4 {
 		t.Fatalf("torus bytes/edge = %.2f, want < 4", bpe)
 	}
@@ -180,9 +186,9 @@ func TestCompressionRatio(t *testing.T) {
 }
 
 func TestFromFuncMatchesFromCSR(t *testing.T) {
-	csr := gen.BuildRMAT(parallel.Default, 9, 8, true, false, 13)
-	direct := FromCSR(parallel.Default, csr, 16)
-	viaFunc := FromFunc(parallel.Default, csr.N(), true, 16,
+	csr := gen.BuildRMAT(sched, 9, 8, true, false, 13)
+	direct := FromCSR(sched, csr, 16)
+	viaFunc := FromFunc(sched, csr.N(), true, 16,
 		func(v uint32) int { return csr.OutDeg(v) },
 		func(v uint32, add func(u uint32, w int32)) {
 			csr.OutNgh(v, func(u uint32, w int32) bool { add(u, w); return true })
@@ -200,7 +206,7 @@ func TestFromFuncMatchesFromCSR(t *testing.T) {
 func TestFromFuncFiltered(t *testing.T) {
 	// Build the degree-ordered directed graph the way TC does and verify
 	// edge count halves (every undirected edge kept once).
-	csr := gen.BuildRMAT(parallel.Default, 8, 8, true, false, 14)
+	csr := gen.BuildRMAT(sched, 8, 8, true, false, 14)
 	keep := func(v, u uint32) bool {
 		du, dv := csr.OutDeg(u), csr.OutDeg(v)
 		if dv != du {
@@ -208,7 +214,7 @@ func TestFromFuncFiltered(t *testing.T) {
 		}
 		return v < u
 	}
-	dg := FromFunc(parallel.Default, csr.N(), false, 0,
+	dg := FromFunc(sched, csr.N(), false, 0,
 		func(v uint32) int {
 			d := 0
 			csr.OutNgh(v, func(u uint32, _ int32) bool {
@@ -233,8 +239,8 @@ func TestFromFuncFiltered(t *testing.T) {
 }
 
 func TestCompressedEarlyExitOutNgh(t *testing.T) {
-	csr := gen.BuildTorus3D(parallel.Default, 4, false, 1)
-	cg := FromCSR(parallel.Default, csr, 2)
+	csr := gen.BuildTorus3D(sched, 4, false, 1)
+	cg := FromCSR(sched, csr, 2)
 	count := 0
 	cg.OutNgh(0, func(u uint32, _ int32) bool {
 		count++

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
@@ -13,7 +12,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 	for name, g := range symWeightedGraphs() {
 		want := seqref.Dijkstra(g, 0)
 		for _, delta := range []int32{0, 1, 3, 1000} {
-			got := DeltaStepping(parallel.Default, g, 0, delta)
+			got := DeltaStepping(sched, g, 0, delta)
 			for v := range want {
 				gv := int64(got[v])
 				if got[v] == Inf {
@@ -32,8 +31,8 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 
 func TestDeltaSteppingAgreesWithWBFS(t *testing.T) {
 	g := symWeightedGraphs()["rmat-w"]
-	a := WeightedBFS(parallel.Default, g, 5)
-	b := DeltaStepping(parallel.Default, g, 5, 0)
+	a := WeightedBFS(sched, g, 5)
+	b := DeltaStepping(sched, g, 5, 0)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("wBFS and Δ-stepping disagree at %d: %d vs %d", v, a[v], b[v])
@@ -47,8 +46,8 @@ func TestMISPrefixEqualsRootset(t *testing.T) {
 	// each other).
 	for _, name := range []string{"rmat", "er", "torus", "star", "complete", "grid"} {
 		g := symGraphs()[name]
-		a := MIS(parallel.Default, g, 11)
-		b := MISPrefix(parallel.Default, g, 11)
+		a := MIS(sched, g, 11)
+		b := MISPrefix(sched, g, 11)
 		for v := range a {
 			if a[v] != b[v] {
 				t.Fatalf("%s: rootset and prefix MIS differ at %d", name, v)
@@ -58,8 +57,8 @@ func TestMISPrefixEqualsRootset(t *testing.T) {
 }
 
 func TestMISPrefixIsMaximalIndependent(t *testing.T) {
-	g := gen.BuildErdosRenyi(parallel.Default, 1000, 5000, true, false, 31)
-	in := MISPrefix(parallel.Default, g, 3)
+	g := gen.BuildErdosRenyi(sched, 1000, 5000, true, false, 31)
+	in := MISPrefix(sched, g, 3)
 	for v := 0; v < g.N(); v++ {
 		hasSet := false
 		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
@@ -80,11 +79,11 @@ func TestMISPrefixIsMaximalIndependent(t *testing.T) {
 func TestColoringLFProperAndCompact(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "complete", "star"} {
 		g := symGraphs()[name]
-		colors := ColoringLF(parallel.Default, g, 9)
-		if !ValidColoring(parallel.Default, g, colors) {
+		colors := ColoringLF(sched, g, 9)
+		if !ValidColoring(sched, g, colors) {
 			t.Fatalf("%s: LF coloring improper", name)
 		}
-		if nc := NumColors(parallel.Default, colors); nc > g.MaxDegree()+1 {
+		if nc := NumColors(sched, colors); nc > g.MaxDegree()+1 {
 			t.Fatalf("%s: LF used %d colors > Δ+1", name, nc)
 		}
 	}
@@ -92,8 +91,8 @@ func TestColoringLFProperAndCompact(t *testing.T) {
 
 func TestColoringLFvsLLFBothProper(t *testing.T) {
 	g := symGraphs()["rmat"]
-	lf := NumColors(parallel.Default, ColoringLF(parallel.Default, g, 4))
-	llf := NumColors(parallel.Default, Coloring(parallel.Default, g, 4))
+	lf := NumColors(sched, ColoringLF(sched, g, 4))
+	llf := NumColors(sched, Coloring(sched, g, 4))
 	// Both are greedy (Δ+1) heuristics; the counts should be in the same
 	// ballpark (the paper's tables show them within a few colors).
 	if lf <= 0 || llf <= 0 || lf > 3*llf || llf > 3*lf {
@@ -104,8 +103,8 @@ func TestColoringLFvsLLFBothProper(t *testing.T) {
 func TestApproxKCoreRoundsUpExact(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete", "tree", "empty"} {
 		g := symGraphs()[name]
-		exact, _ := KCore(parallel.Default, g, 0)
-		approx := ApproxKCore(parallel.Default, g)
+		exact, _ := KCore(sched, g, 0)
+		approx := ApproxKCore(sched, g)
 		for v := range exact {
 			if want := NextPow2AtLeast(exact[v]); approx[v] != want {
 				t.Fatalf("%s: approx[%d] = %d want next-pow2(%d) = %d",
@@ -126,10 +125,10 @@ func TestNextPow2AtLeast(t *testing.T) {
 
 func TestDeltaSteppingPathGraph(t *testing.T) {
 	// High-diameter sanity: many buckets, light-edge chains.
-	el := gen.WithRandomWeights(parallel.Default, gen.Path(2000), 7, 5)
-	g := graph.FromEdgeList(parallel.Default, 2000, el, graph.BuildOptions{Symmetrize: true})
+	el := gen.WithRandomWeights(sched, gen.Path(2000), 7, 5)
+	g := graph.FromEdgeList(sched, 2000, el, graph.BuildOptions{Symmetrize: true})
 	want := seqref.Dijkstra(g, 0)
-	got := DeltaStepping(parallel.Default, g, 0, 2)
+	got := DeltaStepping(sched, g, 0, 2)
 	for v := range want {
 		if int64(got[v]) != want[v] {
 			t.Fatalf("path dist[%d] = %d want %d", v, got[v], want[v])

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
@@ -54,7 +53,7 @@ func TestBiconnectivityMatchesHopcroftTarjan(t *testing.T) {
 			continue
 		}
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 13))
+		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, 13))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("%s: biconnectivity edge partition mismatch", name)
 		}
@@ -86,9 +85,9 @@ func TestBiconnectivityKnownShapes(t *testing.T) {
 		}, 1},
 	}
 	for _, c := range cases {
-		g := graph.FromEdgeList(parallel.Default, c.el.N, c.el, graph.BuildOptions{Symmetrize: true})
-		b := Biconnectivity(parallel.Default, g, 0.2, 3)
-		if got := NumBiccLabels(parallel.Default, g, b); got != c.want {
+		g := graph.FromEdgeList(sched, c.el.N, c.el, graph.BuildOptions{Symmetrize: true})
+		b := Biconnectivity(sched, g, 0.2, 3)
+		if got := NumBiccLabels(sched, g, b); got != c.want {
 			t.Fatalf("%s: %d BCCs want %d", c.name, got, c.want)
 		}
 		want := seqref.BCC(g)
@@ -100,9 +99,9 @@ func TestBiconnectivityKnownShapes(t *testing.T) {
 
 func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
-		g := gen.BuildErdosRenyi(parallel.Default, 150, 300, true, false, 2000+seed)
+		g := gen.BuildErdosRenyi(sched, 150, 300, true, false, 2000+seed)
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, seed))
+		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, seed))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("seed %d: biconnectivity mismatch", seed)
 		}
@@ -110,9 +109,9 @@ func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 }
 
 func TestNumBiccLabelsCountsDistinct(t *testing.T) {
-	g := graph.FromEdgeList(parallel.Default, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
-	b := Biconnectivity(parallel.Default, g, 0.2, 1)
-	if got := NumBiccLabels(parallel.Default, g, b); got != 3 {
+	g := graph.FromEdgeList(sched, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
+	b := Biconnectivity(sched, g, 0.2, 1)
+	if got := NumBiccLabels(sched, g, b); got != 3 {
 		t.Fatalf("path4 has %d BCCs want 3", got)
 	}
 }

@@ -3,13 +3,12 @@ package core
 import (
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
 func TestLDDClustersAreConnectedAndComplete(t *testing.T) {
 	for name, g := range symGraphs() {
-		labels := LDD(parallel.Default, g, 0.2, 7)
+		labels := LDD(sched, g, 0.2, 7)
 		n := g.N()
 		for v := 0; v < n; v++ {
 			if labels[v] == Inf {
@@ -52,8 +51,8 @@ func TestLDDCutFraction(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus"} {
 		g := symGraphs()[name]
 		beta := 0.2
-		labels := LDD(parallel.Default, g, beta, 11)
-		cut := CutEdges(parallel.Default, g, labels)
+		labels := LDD(sched, g, beta, 11)
+		cut := CutEdges(sched, g, labels)
 		if cut > g.M() { // cut counts each direction once; M counts directions
 			t.Fatalf("%s: impossible cut count %d > m=%d", name, cut, g.M())
 		}
@@ -66,7 +65,7 @@ func TestLDDCutFraction(t *testing.T) {
 func TestConnectivityMatchesUnionFind(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.Components(g)
-		got := Connectivity(parallel.Default, g, 0.2, 5)
+		got := Connectivity(sched, g, 0.2, 5)
 		if !seqref.SamePartition(want, got) {
 			t.Fatalf("%s: connectivity partition mismatch", name)
 		}
@@ -75,8 +74,8 @@ func TestConnectivityMatchesUnionFind(t *testing.T) {
 
 func TestConnectivityDifferentSeedsAgree(t *testing.T) {
 	g := symGraphs()["rmat"]
-	a := Connectivity(parallel.Default, g, 0.2, 1)
-	b := Connectivity(parallel.Default, g, 0.5, 99)
+	a := Connectivity(sched, g, 0.2, 1)
+	b := Connectivity(sched, g, 0.5, 99)
 	if !seqref.SamePartition(a, b) {
 		t.Fatal("different seeds/betas changed the partition")
 	}
@@ -84,8 +83,8 @@ func TestConnectivityDifferentSeedsAgree(t *testing.T) {
 
 func TestComponentCount(t *testing.T) {
 	g := symGraphs()["sparse-islands"]
-	labels := Connectivity(parallel.Default, g, 0.2, 3)
-	num, largest := ComponentCount(parallel.Default, labels)
+	labels := Connectivity(sched, g, 0.2, 3)
+	num, largest := ComponentCount(sched, labels)
 	// Islands: {0,1,2}, {10,11,12}, {50,51}, plus 92 singletons.
 	if num != 3+92 {
 		t.Fatalf("num components = %d want %d", num, 95)
@@ -97,7 +96,7 @@ func TestComponentCount(t *testing.T) {
 
 func TestSpanningForestProperties(t *testing.T) {
 	for name, g := range symGraphs() {
-		parent, level, roots := SpanningForest(parallel.Default, g, 0.2, 9)
+		parent, level, roots := SpanningForest(sched, g, 0.2, 9)
 		cc := seqref.Components(g)
 		// One root per component.
 		comps := map[uint32]bool{}
@@ -108,13 +107,13 @@ func TestSpanningForestProperties(t *testing.T) {
 			}
 			comps[c] = true
 		}
-		nComp, _ := ComponentCount(parallel.Default, cc)
+		nComp, _ := ComponentCount(sched, cc)
 		if len(roots) != nComp {
 			t.Fatalf("%s: %d roots for %d components", name, len(roots), nComp)
 		}
 		// Tree edge count: n - #components.
-		if ForestEdgeCount(parallel.Default, parent) != g.N()-nComp {
-			t.Fatalf("%s: forest has %d edges want %d", name, ForestEdgeCount(parallel.Default, parent), g.N()-nComp)
+		if ForestEdgeCount(sched, parent) != g.N()-nComp {
+			t.Fatalf("%s: forest has %d edges want %d", name, ForestEdgeCount(sched, parent), g.N()-nComp)
 		}
 		// Parents are real edges and one level up.
 		for v := 0; v < g.N(); v++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/parallel"
@@ -12,14 +13,14 @@ import (
 // schedule. These tests re-run each algorithm under 1, 2 and all workers
 // and require identical (or partition-identical) outputs.
 
-func withWorkers(t *testing.T, p int, f func()) {
-	t.Helper()
-	old := parallel.SetWorkers(p)
-	defer parallel.SetWorkers(old)
-	f()
+// withWorkers runs f on a fresh scheduler of width p.
+func withWorkers(p int, f func(s *parallel.Scheduler)) {
+	s := parallel.New(p)
+	defer s.Close()
+	f(s)
 }
 
-func workerCounts() []int { return []int{1, 2, 0} } // 0 = leave default
+func workerCounts() []int { return []int{1, 2, runtime.NumCPU()} }
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	g := symGraphs()["rmat"]
@@ -39,30 +40,26 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		tc       int64
 		coverLen int
 	}
-	collect := func() result {
+	collect := func(s *parallel.Scheduler) result {
 		var r result
-		r.bfs = BFS(parallel.Default, g, 0)
-		r.wbfs = WeightedBFS(parallel.Default, wg, 0)
-		r.coreness, _ = KCore(parallel.Default, g, 0)
-		r.colors = Coloring(parallel.Default, g, 3)
-		r.mis = MIS(parallel.Default, g, 3)
-		_, r.msfW = MSF(parallel.Default, wg)
-		r.mmLen = len(MaximalMatching(parallel.Default, g, 3))
-		r.ccPart = Connectivity(parallel.Default, g, 0.2, 3)
-		r.sccPart = SCC(parallel.Default, dg, 3, SCCOpts{})
-		r.tc = TriangleCount(parallel.Default, g)
-		r.coverLen = len(ApproxSetCover(parallel.Default, g, 0.01, 3))
+		r.bfs = BFS(s, g, 0)
+		r.wbfs = WeightedBFS(s, wg, 0)
+		r.coreness, _ = KCore(s, g, 0)
+		r.colors = Coloring(s, g, 3)
+		r.mis = MIS(s, g, 3)
+		_, r.msfW = MSF(s, wg)
+		r.mmLen = len(MaximalMatching(s, g, 3))
+		r.ccPart = Connectivity(s, g, 0.2, 3)
+		r.sccPart = SCC(s, dg, 3, SCCOpts{})
+		r.tc = TriangleCount(s, g)
+		r.coverLen = len(ApproxSetCover(s, g, 0.01, 3))
 		return r
 	}
 	var base result
-	withWorkers(t, 1, func() { base = collect() })
+	withWorkers(1, func(s *parallel.Scheduler) { base = collect(s) })
 	for _, p := range workerCounts()[1:] {
 		var got result
-		if p == 0 {
-			got = collect()
-		} else {
-			withWorkers(t, p, func() { got = collect() })
-		}
+		withWorkers(p, func(s *parallel.Scheduler) { got = collect(s) })
 		for v := range base.bfs {
 			if got.bfs[v] != base.bfs[v] {
 				t.Fatalf("p=%d: BFS differs at %d", p, v)
@@ -104,9 +101,9 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestBiconnectivityDeterministicAcrossWorkers(t *testing.T) {
 	g := symGraphs()["er"]
 	var base map[uint64]uint32
-	withWorkers(t, 1, func() { base = biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 5)) })
+	withWorkers(1, func(s *parallel.Scheduler) { base = biccEdgePartition(g, Biconnectivity(s, g, 0.2, 5)) })
 	var par map[uint64]uint32
-	withWorkers(t, 0, func() { par = biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, 5)) })
+	withWorkers(runtime.NumCPU(), func(s *parallel.Scheduler) { par = biccEdgePartition(g, Biconnectivity(s, g, 0.2, 5)) })
 	if !samePartitionMaps(base, par) {
 		t.Fatal("biconnectivity partition depends on worker count")
 	}

@@ -1,28 +1,35 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
+
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
 
 // symGraphs returns the symmetric test fixture family: a spread of
 // structures (power-law, high-diameter, random, degenerate) sized for fast
 // tests.
 func symGraphs() map[string]*graph.CSR {
 	return map[string]*graph.CSR{
-		"rmat":     gen.BuildRMAT(parallel.Default, 10, 8, true, false, 42),
-		"torus":    gen.BuildTorus3D(parallel.Default, 7, false, 42),
-		"er":       gen.BuildErdosRenyi(parallel.Default, 2000, 6000, true, false, 42),
-		"er-dense": gen.BuildErdosRenyi(parallel.Default, 300, 8000, true, false, 42),
-		"path":     graph.FromEdgeList(parallel.Default, 500, gen.Path(500), graph.BuildOptions{Symmetrize: true}),
-		"cycle":    graph.FromEdgeList(parallel.Default, 500, gen.Cycle(500), graph.BuildOptions{Symmetrize: true}),
-		"star":     graph.FromEdgeList(parallel.Default, 1000, gen.Star(1000), graph.BuildOptions{Symmetrize: true}),
-		"grid":     graph.FromEdgeList(parallel.Default, 400, gen.Grid2D(20), graph.BuildOptions{Symmetrize: true}),
-		"complete": graph.FromEdgeList(parallel.Default, 40, gen.Complete(40), graph.BuildOptions{Symmetrize: true}),
-		"tree":     graph.FromEdgeList(parallel.Default, 511, gen.BinaryTree(511), graph.BuildOptions{Symmetrize: true}),
-		"empty":    graph.FromEdgeList(parallel.Default, 64, &graph.EdgeList{N: 64}, graph.BuildOptions{Symmetrize: true}),
-		"sparse-islands": graph.FromEdgeList(parallel.Default, 100, &graph.EdgeList{
+		"rmat":     gen.BuildRMAT(sched, 10, 8, true, false, 42),
+		"torus":    gen.BuildTorus3D(sched, 7, false, 42),
+		"er":       gen.BuildErdosRenyi(sched, 2000, 6000, true, false, 42),
+		"er-dense": gen.BuildErdosRenyi(sched, 300, 8000, true, false, 42),
+		"path":     graph.FromEdgeList(sched, 500, gen.Path(500), graph.BuildOptions{Symmetrize: true}),
+		"cycle":    graph.FromEdgeList(sched, 500, gen.Cycle(500), graph.BuildOptions{Symmetrize: true}),
+		"star":     graph.FromEdgeList(sched, 1000, gen.Star(1000), graph.BuildOptions{Symmetrize: true}),
+		"grid":     graph.FromEdgeList(sched, 400, gen.Grid2D(20), graph.BuildOptions{Symmetrize: true}),
+		"complete": graph.FromEdgeList(sched, 40, gen.Complete(40), graph.BuildOptions{Symmetrize: true}),
+		"tree":     graph.FromEdgeList(sched, 511, gen.BinaryTree(511), graph.BuildOptions{Symmetrize: true}),
+		"empty":    graph.FromEdgeList(sched, 64, &graph.EdgeList{N: 64}, graph.BuildOptions{Symmetrize: true}),
+		"sparse-islands": graph.FromEdgeList(sched, 100, &graph.EdgeList{
 			N: 100,
 			U: []uint32{0, 1, 10, 11, 12, 50},
 			V: []uint32{1, 2, 11, 12, 10, 51},
@@ -34,14 +41,14 @@ func symGraphs() map[string]*graph.CSR {
 // weights in [1, log n).
 func symWeightedGraphs() map[string]*graph.CSR {
 	return map[string]*graph.CSR{
-		"rmat-w":  gen.BuildRMAT(parallel.Default, 10, 8, true, true, 43),
-		"torus-w": gen.BuildTorus3D(parallel.Default, 6, true, 43),
-		"er-w":    gen.BuildErdosRenyi(parallel.Default, 1500, 6000, true, true, 43),
-		"grid-w": graph.FromEdgeList(parallel.Default, 400,
-			gen.WithRandomWeights(parallel.Default, gen.Grid2D(20), 9, 43),
+		"rmat-w":  gen.BuildRMAT(sched, 10, 8, true, true, 43),
+		"torus-w": gen.BuildTorus3D(sched, 6, true, 43),
+		"er-w":    gen.BuildErdosRenyi(sched, 1500, 6000, true, true, 43),
+		"grid-w": graph.FromEdgeList(sched, 400,
+			gen.WithRandomWeights(sched, gen.Grid2D(20), 9, 43),
 			graph.BuildOptions{Symmetrize: true}),
-		"path-w": graph.FromEdgeList(parallel.Default, 300,
-			gen.WithRandomWeights(parallel.Default, gen.Path(300), 5, 43),
+		"path-w": graph.FromEdgeList(sched, 300,
+			gen.WithRandomWeights(sched, gen.Path(300), 5, 43),
 			graph.BuildOptions{Symmetrize: true}),
 	}
 }
@@ -52,10 +59,10 @@ func dirGraphs() map[string]*graph.CSR {
 	cycle3 := &graph.EdgeList{N: 7, U: []uint32{0, 1, 2, 3, 4, 5}, V: []uint32{1, 2, 0, 4, 5, 3}}
 	dag := &graph.EdgeList{N: 6, U: []uint32{0, 0, 1, 2, 3, 4}, V: []uint32{1, 2, 3, 3, 4, 5}}
 	return map[string]*graph.CSR{
-		"rmat-dir":   gen.BuildRMAT(parallel.Default, 10, 8, false, false, 44),
-		"er-dir":     gen.BuildErdosRenyi(parallel.Default, 1000, 4000, false, false, 44),
-		"er-sparse":  gen.BuildErdosRenyi(parallel.Default, 2000, 2500, false, false, 45),
-		"two-cycles": graph.FromEdgeList(parallel.Default, 7, cycle3, graph.BuildOptions{}),
-		"dag":        graph.FromEdgeList(parallel.Default, 6, dag, graph.BuildOptions{}),
+		"rmat-dir":   gen.BuildRMAT(sched, 10, 8, false, false, 44),
+		"er-dir":     gen.BuildErdosRenyi(sched, 1000, 4000, false, false, 44),
+		"er-sparse":  gen.BuildErdosRenyi(sched, 2000, 2500, false, false, 45),
+		"two-cycles": graph.FromEdgeList(sched, 7, cycle3, graph.BuildOptions{}),
+		"dag":        graph.FromEdgeList(sched, 6, dag, graph.BuildOptions{}),
 	}
 }

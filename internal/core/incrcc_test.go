@@ -13,13 +13,13 @@ import (
 
 func TestUnionFindCCMatchesReference(t *testing.T) {
 	for name, g := range symGraphs() {
-		got := UnionFindCC(parallel.Default, g)
+		got := UnionFindCC(sched, g)
 		if !seqref.SamePartition(seqref.Components(g), got) {
 			t.Fatalf("%s: union-find partition differs from reference", name)
 		}
 	}
 	for name, g := range dirGraphs() {
-		got := UnionFindCC(parallel.Default, g)
+		got := UnionFindCC(sched, g)
 		if !seqref.SamePartition(seqref.Components(g), got) {
 			t.Fatalf("%s: directed union-find partition differs from reference", name)
 		}
@@ -28,7 +28,7 @@ func TestUnionFindCCMatchesReference(t *testing.T) {
 
 func TestUnionFindCCLabelsAreComponentMinima(t *testing.T) {
 	for name, g := range symGraphs() {
-		labels := UnionFindCC(parallel.Default, g)
+		labels := UnionFindCC(sched, g)
 		minOf := map[uint32]uint32{}
 		for v, l := range labels {
 			if l > uint32(v) {
@@ -77,7 +77,7 @@ func incrBatch(seed uint64, n, m int) *graph.EdgeList {
 }
 
 func TestIncrementalCCMatchesFromScratch(t *testing.T) {
-	s := parallel.Default
+	s := sched
 	const n = 2000
 	// Sparse base so batches actually merge components.
 	base := graph.FromEdgeList(s, n, incrBatch(11, n, 1200), graph.BuildOptions{Symmetrize: true})
@@ -125,7 +125,7 @@ func TestIncrementalCCDeterministicAcrossThreads(t *testing.T) {
 }
 
 func TestIncrementalCCEmptyAndNoop(t *testing.T) {
-	s := parallel.Default
+	s := sched
 	g := symGraphs()["sparse-islands"]
 	prev := UnionFindCC(s, g)
 	if got := IncrementalCC(s, prev, nil); !slices.Equal(got, prev) {

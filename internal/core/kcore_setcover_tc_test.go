@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
 func TestKCoreMatchesMatulaBeck(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.Coreness(g)
-		got, rho := KCore(parallel.Default, g, 0)
+		got, rho := KCore(sched, g, 0)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: coreness[%d] = %d want %d", name, v, got[v], want[v])
@@ -26,8 +25,8 @@ func TestKCoreMatchesMatulaBeck(t *testing.T) {
 func TestKCoreFetchAndAddAgrees(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete"} {
 		g := symGraphs()[name]
-		a, rhoA := KCore(parallel.Default, g, 0)
-		b, rhoB := KCoreFetchAndAdd(parallel.Default, g)
+		a, rhoA := KCore(sched, g, 0)
+		b, rhoB := KCoreFetchAndAdd(sched, g)
 		if rhoA != rhoB {
 			t.Fatalf("%s: rho differs: %d vs %d", name, rhoA, rhoB)
 		}
@@ -42,7 +41,7 @@ func TestKCoreFetchAndAddAgrees(t *testing.T) {
 func TestKCoreKnownValues(t *testing.T) {
 	// Complete graph on k vertices: all corenesses k-1, one peeling round.
 	g := symGraphs()["complete"]
-	core, rho := KCore(parallel.Default, g, 0)
+	core, rho := KCore(sched, g, 0)
 	for v, c := range core {
 		if c != uint32(g.N()-1) {
 			t.Fatalf("K%d coreness[%d] = %d", g.N(), v, c)
@@ -51,13 +50,13 @@ func TestKCoreKnownValues(t *testing.T) {
 	if rho != 1 {
 		t.Fatalf("K%d peeled in %d rounds want 1", g.N(), rho)
 	}
-	if Degeneracy(parallel.Default, core) != g.N()-1 {
-		t.Fatalf("degeneracy = %d", Degeneracy(parallel.Default, core))
+	if Degeneracy(sched, core) != g.N()-1 {
+		t.Fatalf("degeneracy = %d", Degeneracy(sched, core))
 	}
 	// Torus: 6-regular, all coreness 6, one round (the paper notes 3D-Torus
 	// peels in a single round).
 	tg := symGraphs()["torus"]
-	tcore, trho := KCore(parallel.Default, tg, 0)
+	tcore, trho := KCore(sched, tg, 0)
 	for v, c := range tcore {
 		if c != 6 {
 			t.Fatalf("torus coreness[%d] = %d want 6", v, c)
@@ -70,8 +69,8 @@ func TestKCoreKnownValues(t *testing.T) {
 
 func TestApproxSetCoverCoversEverything(t *testing.T) {
 	for name, g := range symGraphs() {
-		cover := ApproxSetCover(parallel.Default, g, 0.01, 5)
-		if !CoverIsValid(parallel.Default, g, cover) {
+		cover := ApproxSetCover(sched, g, 0.01, 5)
+		if !CoverIsValid(sched, g, cover) {
 			t.Fatalf("%s: cover invalid", name)
 		}
 	}
@@ -81,13 +80,13 @@ func TestApproxSetCoverQuality(t *testing.T) {
 	// Star: the center alone covers all leaves; the cover must be tiny
 	// (center + something covering the center).
 	g := symGraphs()["star"]
-	cover := ApproxSetCover(parallel.Default, g, 0.01, 9)
+	cover := ApproxSetCover(sched, g, 0.01, 9)
 	if len(cover) > 2 {
 		t.Fatalf("star cover has %d sets want <= 2", len(cover))
 	}
 	// Random graph: approximation should be well below n.
 	rg := symGraphs()["er-dense"]
-	rc := ApproxSetCover(parallel.Default, rg, 0.01, 9)
+	rc := ApproxSetCover(sched, rg, 0.01, 9)
 	if len(rc) > rg.N()/3 {
 		t.Fatalf("dense cover has %d sets (n=%d), suspiciously large", len(rc), rg.N())
 	}
@@ -96,8 +95,8 @@ func TestApproxSetCoverQuality(t *testing.T) {
 func TestApproxSetCoverEpsilonVariants(t *testing.T) {
 	g := symGraphs()["rmat"]
 	for _, eps := range []float64{0.01, 0.1, 0.5} {
-		cover := ApproxSetCover(parallel.Default, g, eps, 3)
-		if !CoverIsValid(parallel.Default, g, cover) {
+		cover := ApproxSetCover(sched, g, eps, 3)
+		if !CoverIsValid(sched, g, cover) {
 			t.Fatalf("eps=%v: invalid cover", eps)
 		}
 	}
@@ -106,7 +105,7 @@ func TestApproxSetCoverEpsilonVariants(t *testing.T) {
 func TestTriangleCountMatchesSequential(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.Triangles(g)
-		got := TriangleCount(parallel.Default, g)
+		got := TriangleCount(sched, g)
 		if got != want {
 			t.Fatalf("%s: TC = %d want %d", name, got, want)
 		}
@@ -118,22 +117,22 @@ func TestTriangleCountKnownValues(t *testing.T) {
 	g := symGraphs()["complete"]
 	n := int64(g.N())
 	want := n * (n - 1) * (n - 2) / 6
-	if got := TriangleCount(parallel.Default, g); got != want {
+	if got := TriangleCount(sched, g); got != want {
 		t.Fatalf("K%d TC = %d want %d", n, got, want)
 	}
 	// Trees and tori (no odd cycles... torus has none of length 3) have 0.
-	if got := TriangleCount(parallel.Default, symGraphs()["tree"]); got != 0 {
+	if got := TriangleCount(sched, symGraphs()["tree"]); got != 0 {
 		t.Fatalf("tree TC = %d", got)
 	}
-	if got := TriangleCount(parallel.Default, symGraphs()["torus"]); got != 0 {
+	if got := TriangleCount(sched, symGraphs()["torus"]); got != 0 {
 		t.Fatalf("torus TC = %d", got)
 	}
 }
 
 func TestTriangleCountLargerRMAT(t *testing.T) {
-	g := gen.BuildRMAT(parallel.Default, 11, 8, true, false, 50)
+	g := gen.BuildRMAT(sched, 11, 8, true, false, 50)
 	want := seqref.Triangles(g)
-	got := TriangleCount(parallel.Default, g)
+	got := TriangleCount(sched, g)
 	if got != want {
 		t.Fatalf("rmat TC = %d want %d", got, want)
 	}

@@ -3,14 +3,13 @@ package core
 import (
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/prims"
 	"repro/internal/seqref"
 )
 
 func TestMISIsIndependentAndMaximal(t *testing.T) {
 	for name, g := range symGraphs() {
-		in := MIS(parallel.Default, g, 3)
+		in := MIS(sched, g, 3)
 		for v := 0; v < g.N(); v++ {
 			hasSetNeighbor := false
 			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
@@ -38,9 +37,9 @@ func TestMISEqualsSequentialGreedy(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "star", "complete"} {
 		g := symGraphs()[name]
 		seed := uint64(3)
-		rank := prims.InversePermutation(parallel.Default, prims.RandomPermutation(parallel.Default, g.N(), seed))
+		rank := prims.InversePermutation(sched, prims.RandomPermutation(sched, g.N(), seed))
 		want := seqref.GreedyMIS(g, rank)
-		got := MIS(parallel.Default, g, seed)
+		got := MIS(sched, g, seed)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: MIS[%d] = %v want %v", name, v, got[v], want[v])
@@ -51,7 +50,7 @@ func TestMISEqualsSequentialGreedy(t *testing.T) {
 
 func TestMISEmptyGraphAllIn(t *testing.T) {
 	g := symGraphs()["empty"]
-	in := MIS(parallel.Default, g, 1)
+	in := MIS(sched, g, 1)
 	for v, ok := range in {
 		if !ok {
 			t.Fatalf("isolated vertex %d excluded from MIS", v)
@@ -61,12 +60,12 @@ func TestMISEmptyGraphAllIn(t *testing.T) {
 
 func TestColoringIsProper(t *testing.T) {
 	for name, g := range symGraphs() {
-		colors := Coloring(parallel.Default, g, 7)
-		if !ValidColoring(parallel.Default, g, colors) {
+		colors := Coloring(sched, g, 7)
+		if !ValidColoring(sched, g, colors) {
 			t.Fatalf("%s: improper coloring", name)
 		}
 		// At most Δ+1 colors.
-		if nc := NumColors(parallel.Default, colors); nc > g.MaxDegree()+1 {
+		if nc := NumColors(sched, colors); nc > g.MaxDegree()+1 {
 			t.Fatalf("%s: %d colors exceeds Δ+1 = %d", name, nc, g.MaxDegree()+1)
 		}
 	}
@@ -74,7 +73,7 @@ func TestColoringIsProper(t *testing.T) {
 
 func TestColoringAllVerticesColored(t *testing.T) {
 	g := symGraphs()["rmat"]
-	colors := Coloring(parallel.Default, g, 1)
+	colors := Coloring(sched, g, 1)
 	for v, c := range colors {
 		if c == Inf {
 			t.Fatalf("vertex %d uncolored", v)
@@ -84,8 +83,8 @@ func TestColoringAllVerticesColored(t *testing.T) {
 
 func TestColoringCompleteGraphUsesExactlyN(t *testing.T) {
 	g := symGraphs()["complete"]
-	colors := Coloring(parallel.Default, g, 5)
-	if nc := NumColors(parallel.Default, colors); nc != g.N() {
+	colors := Coloring(sched, g, 5)
+	if nc := NumColors(sched, colors); nc != g.N() {
 		t.Fatalf("complete graph used %d colors want %d", nc, g.N())
 	}
 }
@@ -93,8 +92,8 @@ func TestColoringCompleteGraphUsesExactlyN(t *testing.T) {
 func TestColoringBipartiteUsesFewColors(t *testing.T) {
 	// LLF on a star must use exactly 2 colors.
 	g := symGraphs()["star"]
-	colors := Coloring(parallel.Default, g, 2)
-	if nc := NumColors(parallel.Default, colors); nc != 2 {
+	colors := Coloring(sched, g, 2)
+	if nc := NumColors(sched, colors); nc != 2 {
 		t.Fatalf("star used %d colors want 2", nc)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 func TestMSFMatchesKruskalWeight(t *testing.T) {
 	for name, g := range symWeightedGraphs() {
-		eu, ev, ew := extractEdges(parallel.Default, g, true)
+		eu, ev, ew := extractEdges(sched, g, true)
 		wantW, wantCount := seqref.Kruskal(g.N(), eu, ev, ew)
-		forest, gotW := MSF(parallel.Default, g)
+		forest, gotW := MSF(sched, g)
 		if gotW != wantW {
 			t.Fatalf("%s: MSF weight %d want %d", name, gotW, wantW)
 		}
@@ -25,7 +25,7 @@ func TestMSFMatchesKruskalWeight(t *testing.T) {
 
 func TestMSFIsSpanningForest(t *testing.T) {
 	for name, g := range symWeightedGraphs() {
-		forest, _ := MSF(parallel.Default, g)
+		forest, _ := MSF(sched, g)
 		// The forest must be acyclic and connect exactly the components of g.
 		uf := seqref.NewUnionFind(g.N())
 		for _, e := range forest {
@@ -58,10 +58,10 @@ func TestMSFIsSpanningForest(t *testing.T) {
 
 func TestMSFLargeTriggersFiltering(t *testing.T) {
 	// Dense enough that m >> 3n: the filtering path runs.
-	g := gen.BuildErdosRenyi(parallel.Default, 500, 30000, true, true, 77)
-	eu, ev, ew := extractEdges(parallel.Default, g, true)
+	g := gen.BuildErdosRenyi(sched, 500, 30000, true, true, 77)
+	eu, ev, ew := extractEdges(sched, g, true)
 	wantW, wantCount := seqref.Kruskal(g.N(), eu, ev, ew)
-	forest, gotW := MSF(parallel.Default, g)
+	forest, gotW := MSF(sched, g)
 	if gotW != wantW || len(forest) != wantCount {
 		t.Fatalf("filtered MSF: weight %d (want %d), %d edges (want %d)", gotW, wantW, len(forest), wantCount)
 	}
@@ -69,8 +69,8 @@ func TestMSFLargeTriggersFiltering(t *testing.T) {
 
 func TestMSFDeterministic(t *testing.T) {
 	g := symWeightedGraphs()["rmat-w"]
-	f1, w1 := MSF(parallel.Default, g)
-	f2, w2 := MSF(parallel.Default, g)
+	f1, w1 := MSF(sched, g)
+	f2, w2 := MSF(sched, g)
 	if w1 != w2 || len(f1) != len(f2) {
 		t.Fatal("MSF not deterministic")
 	}
@@ -78,11 +78,11 @@ func TestMSFDeterministic(t *testing.T) {
 
 func TestMaximalMatchingValidMaximal(t *testing.T) {
 	for name, g := range symGraphs() {
-		match := MaximalMatching(parallel.Default, g, 21)
+		match := MaximalMatching(sched, g, 21)
 		if !MatchingIsValid(g, match) {
 			t.Fatalf("%s: matching invalid", name)
 		}
-		if !MatchingIsMaximal(parallel.Default, g, match) {
+		if !MatchingIsMaximal(sched, g, match) {
 			t.Fatalf("%s: matching not maximal", name)
 		}
 	}
@@ -94,13 +94,13 @@ func TestMaximalMatchingEqualsSequentialGreedy(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "grid", "cycle"} {
 		g := symGraphs()[name]
 		seed := uint64(31)
-		eu, ev, _ := extractEdges(parallel.Default, g, false)
+		eu, ev, _ := extractEdges(sched, g, false)
 		key := make([]uint64, len(eu))
 		for i := range key {
 			key[i] = uint64(xrand.Hash32(seed, uint64(i)))<<32 | uint64(uint32(i))
 		}
 		want := seqref.GreedyMatching(g.N(), eu, ev, key)
-		got := MaximalMatching(parallel.Default, g, seed)
+		got := MaximalMatching(sched, g, seed)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d matched edges want %d", name, len(got), len(want))
 		}
@@ -113,16 +113,16 @@ func TestMaximalMatchingEqualsSequentialGreedy(t *testing.T) {
 }
 
 func TestMaximalMatchingFilteringPath(t *testing.T) {
-	g := gen.BuildErdosRenyi(parallel.Default, 400, 20000, true, false, 88)
-	match := MaximalMatching(parallel.Default, g, 5)
-	if !MatchingIsValid(g, match) || !MatchingIsMaximal(parallel.Default, g, match) {
+	g := gen.BuildErdosRenyi(sched, 400, 20000, true, false, 88)
+	match := MaximalMatching(sched, g, 5)
+	if !MatchingIsValid(g, match) || !MatchingIsMaximal(sched, g, match) {
 		t.Fatal("filtered matching broken")
 	}
 }
 
 func TestExtractEdgesOncePerEdge(t *testing.T) {
 	g := symGraphs()["rmat"]
-	eu, ev, _ := extractEdges(parallel.Default, g, false)
+	eu, ev, _ := extractEdges(sched, g, false)
 	if 2*len(eu) != g.M() {
 		t.Fatalf("extracted %d edges for m=%d", len(eu), g.M())
 	}
@@ -132,9 +132,7 @@ func TestExtractEdgesOncePerEdge(t *testing.T) {
 		}
 	}
 	// Under one worker the extraction must be identical.
-	old := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(old)
-	eu1, ev1, _ := extractEdges(parallel.Default, g, false)
+	eu1, ev1, _ := extractEdges(parallel.New(1), g, false)
 	for i := range eu {
 		if eu[i] != eu1[i] || ev[i] != ev1[i] {
 			t.Fatal("extraction differs under one worker")

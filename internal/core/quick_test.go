@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
@@ -28,7 +27,7 @@ func quickGraph(raw []uint16, weighted bool) *graph.CSR {
 		w := int32(raw[i]%9) + 1
 		el.Add(u, v, w)
 	}
-	return graph.FromEdgeList(parallel.Default, n, el, graph.BuildOptions{Symmetrize: true})
+	return graph.FromEdgeList(sched, n, el, graph.BuildOptions{Symmetrize: true})
 }
 
 func quickCfg() *quick.Config { return &quick.Config{MaxCount: 60} }
@@ -37,7 +36,7 @@ func TestQuickBFSAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
 		want := seqref.BFS(g, 0)
-		got := BFS(parallel.Default, g, 0)
+		got := BFS(sched, g, 0)
 		for v := range want {
 			if got[v] != want[v] {
 				return false
@@ -53,7 +52,7 @@ func TestQuickBFSAgainstOracle(t *testing.T) {
 func TestQuickConnectivityAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16, seed uint64) bool {
 		g := quickGraph(raw, false)
-		return seqref.SamePartition(seqref.Components(g), Connectivity(parallel.Default, g, 0.2, seed))
+		return seqref.SamePartition(seqref.Components(g), Connectivity(sched, g, 0.2, seed))
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestQuickKCoreAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
 		want := seqref.Coreness(g)
-		got, _ := KCore(parallel.Default, g, 0)
+		got, _ := KCore(sched, g, 0)
 		for v := range want {
 			if got[v] != want[v] {
 				return false
@@ -80,7 +79,7 @@ func TestQuickKCoreAgainstOracle(t *testing.T) {
 func TestQuickTriangleCountAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
-		return TriangleCount(parallel.Default, g) == seqref.Triangles(g)
+		return TriangleCount(sched, g) == seqref.Triangles(g)
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +90,8 @@ func TestQuickWeightedSSSPAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, true)
 		want := seqref.Dijkstra(g, 0)
-		wbfs := WeightedBFS(parallel.Default, g, 0)
-		ds := DeltaStepping(parallel.Default, g, 0, 2)
+		wbfs := WeightedBFS(sched, g, 0)
+		ds := DeltaStepping(sched, g, 0, 2)
 		for v := range want {
 			if want[v] == math.MaxInt64 {
 				if wbfs[v] != Inf || ds[v] != Inf {
@@ -114,9 +113,9 @@ func TestQuickWeightedSSSPAgainstOracle(t *testing.T) {
 func TestQuickMSFAgainstKruskal(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, true)
-		eu, ev, ew := extractEdges(parallel.Default, g, true)
+		eu, ev, ew := extractEdges(sched, g, true)
 		wantW, wantC := seqref.Kruskal(g.N(), eu, ev, ew)
-		forest, gotW := MSF(parallel.Default, g)
+		forest, gotW := MSF(sched, g)
 		return gotW == wantW && len(forest) == wantC
 	}, quickCfg())
 	if err != nil {
@@ -127,7 +126,7 @@ func TestQuickMSFAgainstKruskal(t *testing.T) {
 func TestQuickMISMaximalIndependent(t *testing.T) {
 	err := quick.Check(func(raw []uint16, seed uint64) bool {
 		g := quickGraph(raw, false)
-		in := MIS(parallel.Default, g, seed)
+		in := MIS(sched, g, seed)
 		for v := 0; v < g.N(); v++ {
 			hasSet := false
 			bad := false
@@ -154,7 +153,7 @@ func TestQuickMISMaximalIndependent(t *testing.T) {
 func TestQuickColoringProper(t *testing.T) {
 	err := quick.Check(func(raw []uint16, seed uint64) bool {
 		g := quickGraph(raw, false)
-		return ValidColoring(parallel.Default, g, Coloring(parallel.Default, g, seed)) && ValidColoring(parallel.Default, g, ColoringLF(parallel.Default, g, seed))
+		return ValidColoring(sched, g, Coloring(sched, g, seed)) && ValidColoring(sched, g, ColoringLF(sched, g, seed))
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +167,8 @@ func TestQuickSCCAgainstTarjan(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			el.Add(uint32(raw[i])%n, uint32(raw[i+1])%n, 1)
 		}
-		g := graph.FromEdgeList(parallel.Default, n, el, graph.BuildOptions{})
-		return seqref.SamePartition(seqref.SCC(g), SCC(parallel.Default, g, seed, SCCOpts{Beta: 1.5}))
+		g := graph.FromEdgeList(sched, n, el, graph.BuildOptions{})
+		return seqref.SamePartition(seqref.SCC(g), SCC(sched, g, seed, SCCOpts{Beta: 1.5}))
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func TestQuickBiconnectivityAgainstHopcroftTarjan(t *testing.T) {
 			return true
 		}
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(parallel.Default, g, 0.2, seed))
+		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, seed))
 		return samePartitionMaps(want, got)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
@@ -194,7 +193,7 @@ func TestQuickBiconnectivityAgainstHopcroftTarjan(t *testing.T) {
 func TestQuickSetCoverValid(t *testing.T) {
 	err := quick.Check(func(raw []uint16, seed uint64) bool {
 		g := quickGraph(raw, false)
-		return CoverIsValid(parallel.Default, g, ApproxSetCover(parallel.Default, g, 0.01, seed))
+		return CoverIsValid(sched, g, ApproxSetCover(sched, g, 0.01, seed))
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +203,8 @@ func TestQuickSetCoverValid(t *testing.T) {
 func TestQuickMatchingValidMaximal(t *testing.T) {
 	err := quick.Check(func(raw []uint16, seed uint64) bool {
 		g := quickGraph(raw, false)
-		m := MaximalMatching(parallel.Default, g, seed)
-		return MatchingIsValid(g, m) && MatchingIsMaximal(parallel.Default, g, m)
+		m := MaximalMatching(sched, g, seed)
+		return MatchingIsValid(g, m) && MatchingIsMaximal(sched, g, m)
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)

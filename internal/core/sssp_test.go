@@ -7,14 +7,13 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ligra"
-	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
 
 func TestBFSMatchesSequential(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.BFS(g, 0)
-		got := BFS(parallel.Default, g, 0)
+		got := BFS(sched, g, 0)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: BFS dist[%d] = %d want %d", name, v, got[v], want[v])
@@ -26,7 +25,7 @@ func TestBFSMatchesSequential(t *testing.T) {
 func TestBFSDirected(t *testing.T) {
 	for name, g := range dirGraphs() {
 		want := seqref.BFS(g, 0)
-		got := BFS(parallel.Default, g, 0)
+		got := BFS(sched, g, 0)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: BFS dist[%d] = %d want %d", name, v, got[v], want[v])
@@ -37,7 +36,7 @@ func TestBFSDirected(t *testing.T) {
 
 func TestBFSTreeIsValid(t *testing.T) {
 	for name, g := range symGraphs() {
-		dist, parent := BFSTree(parallel.Default, g, 0)
+		dist, parent := BFSTree(sched, g, 0)
 		for v := range dist {
 			switch {
 			case dist[v] == Inf:
@@ -59,8 +58,8 @@ func TestBFSTreeIsValid(t *testing.T) {
 
 func TestMultiBFSCoversAllComponents(t *testing.T) {
 	g := symGraphs()["sparse-islands"]
-	_, _, roots := SpanningForest(parallel.Default, g, 0.2, 1)
-	dist, parent := MultiBFS(parallel.Default, g, roots)
+	_, _, roots := SpanningForest(sched, g, 0.2, 1)
+	dist, parent := MultiBFS(sched, g, roots)
 	for v := range dist {
 		if dist[v] == Inf || parent[v] == Inf {
 			t.Fatalf("vertex %d unreached by multi-source BFS from component roots", v)
@@ -71,7 +70,7 @@ func TestMultiBFSCoversAllComponents(t *testing.T) {
 func TestWeightedBFSMatchesDijkstra(t *testing.T) {
 	for name, g := range symWeightedGraphs() {
 		want := seqref.Dijkstra(g, 0)
-		got := WeightedBFS(parallel.Default, g, 0)
+		got := WeightedBFS(sched, g, 0)
 		for v := range want {
 			w := want[v]
 			gv := int64(got[v])
@@ -90,8 +89,8 @@ func TestWeightedBFSMatchesDijkstra(t *testing.T) {
 
 func TestWeightedBFSUnblockedAgrees(t *testing.T) {
 	g := symWeightedGraphs()["rmat-w"]
-	a := WeightedBFS(parallel.Default, g, 3)
-	b := weightedBFS(parallel.Default, g, 3, ligra.Opts{NoBlocked: true})
+	a := WeightedBFS(sched, g, 3)
+	b := weightedBFS(sched, g, 3, ligra.Opts{NoBlocked: true})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("blocked/unblocked disagree at %d: %d vs %d", v, a[v], b[v])
@@ -102,7 +101,7 @@ func TestWeightedBFSUnblockedAgrees(t *testing.T) {
 func TestBellmanFordMatchesSequential(t *testing.T) {
 	for name, g := range symWeightedGraphs() {
 		want, wneg := seqref.BellmanFord(g, 0)
-		got, gneg := BellmanFord(parallel.Default, g, 0)
+		got, gneg := BellmanFord(sched, g, 0)
 		if wneg != gneg {
 			t.Fatalf("%s: negative cycle flag %v want %v", name, gneg, wneg)
 		}
@@ -122,8 +121,8 @@ func TestBellmanFordNegativeWeightsNoCycle(t *testing.T) {
 		V: []uint32{1, 2, 1, 3},
 		W: []int32{5, 2, -4, 1},
 	}
-	g := graph.FromEdgeList(parallel.Default, 4, el, graph.BuildOptions{})
-	dist, neg := BellmanFord(parallel.Default, g, 0)
+	g := graph.FromEdgeList(sched, 4, el, graph.BuildOptions{})
+	dist, neg := BellmanFord(sched, g, 0)
 	if neg {
 		t.Fatal("false negative-cycle report")
 	}
@@ -143,8 +142,8 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 		V: []uint32{1, 2, 1, 3},
 		W: []int32{1, -2, 1, 1},
 	}
-	g := graph.FromEdgeList(parallel.Default, 5, el, graph.BuildOptions{})
-	dist, neg := BellmanFord(parallel.Default, g, 0)
+	g := graph.FromEdgeList(sched, 5, el, graph.BuildOptions{})
+	dist, neg := BellmanFord(sched, g, 0)
 	if !neg {
 		t.Fatal("missed negative cycle")
 	}
@@ -164,7 +163,7 @@ func TestBellmanFordNegativeCycle(t *testing.T) {
 func TestBCMatchesSequential(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.BC(g, 0)
-		got := BC(parallel.Default, g, 0)
+		got := BC(sched, g, 0)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
 				t.Fatalf("%s: BC[%d] = %v want %v", name, v, got[v], want[v])
@@ -176,7 +175,7 @@ func TestBCMatchesSequential(t *testing.T) {
 func TestBCDirected(t *testing.T) {
 	for name, g := range dirGraphs() {
 		want := seqref.BC(g, 0)
-		got := BC(parallel.Default, g, 0)
+		got := BC(sched, g, 0)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
 				t.Fatalf("%s: BC[%d] = %v want %v", name, v, got[v], want[v])
@@ -187,8 +186,8 @@ func TestBCDirected(t *testing.T) {
 
 func TestBCKnownValues(t *testing.T) {
 	// Path 0-1-2-3: from source 0, dependencies are 1->2, 2->1, 3->0.
-	g := graph.FromEdgeList(parallel.Default, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
-	got := BC(parallel.Default, g, 0)
+	g := graph.FromEdgeList(sched, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
+	got := BC(sched, g, 0)
 	want := []float64{0, 2, 1, 0}
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9 {

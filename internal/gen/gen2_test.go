@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 func TestBarabasiAlbertShape(t *testing.T) {
-	g := BuildBarabasiAlbert(parallel.Default, 2000, 4, false, 5)
+	g := BuildBarabasiAlbert(sched, 2000, 4, false, 5)
 	if g.N() != 2000 {
 		t.Fatalf("N = %d", g.N())
 	}
@@ -41,7 +40,7 @@ func TestBarabasiAlbertDeterministic(t *testing.T) {
 func TestWattsStrogatzNoRewire(t *testing.T) {
 	// p=0: pure ring lattice, every vertex has degree 2k after
 	// symmetrization.
-	g := BuildWattsStrogatz(parallel.Default, 100, 3, 0, false, 1)
+	g := BuildWattsStrogatz(sched, 100, 3, 0, false, 1)
 	for v := uint32(0); int(v) < g.N(); v++ {
 		if g.OutDeg(v) != 6 {
 			t.Fatalf("lattice degree %d at %d, want 6", g.OutDeg(v), v)
@@ -50,8 +49,8 @@ func TestWattsStrogatzNoRewire(t *testing.T) {
 }
 
 func TestWattsStrogatzRewireChangesEdges(t *testing.T) {
-	lattice := WattsStrogatz(parallel.Default, 500, 4, 0, 2)
-	rewired := WattsStrogatz(parallel.Default, 500, 4, 0.5, 2)
+	lattice := WattsStrogatz(sched, 500, 4, 0, 2)
+	rewired := WattsStrogatz(sched, 500, 4, 0.5, 2)
 	diff := 0
 	for i := range lattice.V {
 		if lattice.V[i] != rewired.V[i] {
@@ -65,7 +64,7 @@ func TestWattsStrogatzRewireChangesEdges(t *testing.T) {
 }
 
 func TestWattsStrogatzFullRewireStillBuilds(t *testing.T) {
-	g := BuildWattsStrogatz(parallel.Default, 200, 2, 1.0, true, 3)
+	g := BuildWattsStrogatz(sched, 200, 2, 1.0, true, 3)
 	if g.N() != 200 || g.M() == 0 || !g.Weighted() {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}

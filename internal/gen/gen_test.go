@@ -1,15 +1,21 @@
 package gen
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func TestTorus3DIsSixRegular(t *testing.T) {
 	side := 5
-	g := BuildTorus3D(parallel.Default, side, false, 1)
+	g := BuildTorus3D(sched, side, false, 1)
 	n := side * side * side
 	if g.N() != n {
 		t.Fatalf("N = %d want %d", g.N(), n)
@@ -26,7 +32,7 @@ func TestTorus3DIsSixRegular(t *testing.T) {
 
 func TestTorus3DSmallSidesDegenerate(t *testing.T) {
 	// side=2 wraps onto the same neighbor twice; dedup shrinks degrees.
-	g := BuildTorus3D(parallel.Default, 2, false, 1)
+	g := BuildTorus3D(sched, 2, false, 1)
 	if g.N() != 8 {
 		t.Fatalf("N = %d", g.N())
 	}
@@ -38,7 +44,7 @@ func TestTorus3DSmallSidesDegenerate(t *testing.T) {
 }
 
 func TestRMATShape(t *testing.T) {
-	g := BuildRMAT(parallel.Default, 12, 8, true, false, 7)
+	g := BuildRMAT(sched, 12, 8, true, false, 7)
 	n := 1 << 12
 	if g.N() != n {
 		t.Fatalf("N = %d", g.N())
@@ -54,9 +60,9 @@ func TestRMATShape(t *testing.T) {
 }
 
 func TestRMATDeterministicInSeed(t *testing.T) {
-	a := RMAT(parallel.Default, 8, 4, 3)
-	b := RMAT(parallel.Default, 8, 4, 3)
-	c := RMAT(parallel.Default, 8, 4, 4)
+	a := RMAT(sched, 8, 4, 3)
+	b := RMAT(sched, 8, 4, 3)
+	c := RMAT(sched, 8, 4, 4)
 	if a.Len() != b.Len() {
 		t.Fatal("same seed different sizes")
 	}
@@ -79,7 +85,7 @@ func TestRMATDeterministicInSeed(t *testing.T) {
 }
 
 func TestErdosRenyi(t *testing.T) {
-	g := BuildErdosRenyi(parallel.Default, 1000, 5000, true, false, 11)
+	g := BuildErdosRenyi(sched, 1000, 5000, true, false, 11)
 	if g.N() != 1000 {
 		t.Fatalf("N = %d", g.N())
 	}
@@ -89,23 +95,23 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestSmallGenerators(t *testing.T) {
-	if g := graph.FromEdgeList(parallel.Default, 16, Path(16), graph.BuildOptions{Symmetrize: true}); g.M() != 30 {
+	if g := graph.FromEdgeList(sched, 16, Path(16), graph.BuildOptions{Symmetrize: true}); g.M() != 30 {
 		t.Fatalf("path M = %d", g.M())
 	}
-	if g := graph.FromEdgeList(parallel.Default, 16, Cycle(16), graph.BuildOptions{Symmetrize: true}); g.M() != 32 {
+	if g := graph.FromEdgeList(sched, 16, Cycle(16), graph.BuildOptions{Symmetrize: true}); g.M() != 32 {
 		t.Fatalf("cycle M = %d", g.M())
 	}
-	if g := graph.FromEdgeList(parallel.Default, 16, Star(16), graph.BuildOptions{Symmetrize: true}); g.OutDeg(0) != 15 {
+	if g := graph.FromEdgeList(sched, 16, Star(16), graph.BuildOptions{Symmetrize: true}); g.OutDeg(0) != 15 {
 		t.Fatal("star center degree wrong")
 	}
-	if g := graph.FromEdgeList(parallel.Default, 6, Complete(6), graph.BuildOptions{Symmetrize: true}); g.M() != 30 {
+	if g := graph.FromEdgeList(sched, 6, Complete(6), graph.BuildOptions{Symmetrize: true}); g.M() != 30 {
 		t.Fatalf("complete M = %d", g.M())
 	}
-	if g := graph.FromEdgeList(parallel.Default, 15, BinaryTree(15), graph.BuildOptions{Symmetrize: true}); g.OutDeg(0) != 2 {
+	if g := graph.FromEdgeList(sched, 15, BinaryTree(15), graph.BuildOptions{Symmetrize: true}); g.OutDeg(0) != 2 {
 		t.Fatal("tree root degree wrong")
 	}
 	side := 4
-	g := graph.FromEdgeList(parallel.Default, side*side, Grid2D(side), graph.BuildOptions{Symmetrize: true})
+	g := graph.FromEdgeList(sched, side*side, Grid2D(side), graph.BuildOptions{Symmetrize: true})
 	if g.OutDeg(0) != 2 || g.OutDeg(uint32(side+1)) != 4 {
 		t.Fatalf("grid degrees corner=%d interior=%d", g.OutDeg(0), g.OutDeg(uint32(side+1)))
 	}
@@ -113,7 +119,7 @@ func TestSmallGenerators(t *testing.T) {
 
 func TestWithRandomWeights(t *testing.T) {
 	el := Path(100)
-	WithRandomWeights(parallel.Default, el, 5, 9)
+	WithRandomWeights(sched, el, 5, 9)
 	if !el.Weighted() {
 		t.Fatal("weights not attached")
 	}

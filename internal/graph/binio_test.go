@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"slices"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 func TestBinaryRoundTripSymmetricWeighted(t *testing.T) {
 	el := &EdgeList{N: 5, U: []uint32{0, 1, 2, 3}, V: []uint32{1, 2, 3, 4}, W: []int32{3, 1, 4, 1}}
-	g := FromEdgeList(parallel.Default, 5, el, BuildOptions{Symmetrize: true})
+	g := FromEdgeList(sched, 5, el, BuildOptions{Symmetrize: true})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(parallel.Default, &buf)
+	h, err := ReadBinary(sched, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +30,12 @@ func TestBinaryRoundTripSymmetricWeighted(t *testing.T) {
 
 func TestBinaryRoundTripDirected(t *testing.T) {
 	el := &EdgeList{N: 4, U: []uint32{0, 0, 1, 2}, V: []uint32{1, 2, 2, 0}}
-	g := FromEdgeList(parallel.Default, 4, el, BuildOptions{})
+	g := FromEdgeList(sched, 4, el, BuildOptions{})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(parallel.Default, &buf)
+	h, err := ReadBinary(sched, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +53,7 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 }
 
 func TestBinaryRejectsCorruption(t *testing.T) {
-	g := FromEdgeList(parallel.Default, 3, &EdgeList{N: 3, U: []uint32{0, 1}, V: []uint32{1, 2}}, BuildOptions{Symmetrize: true})
+	g := FromEdgeList(sched, 3, &EdgeList{N: 3, U: []uint32{0, 1}, V: []uint32{1, 2}}, BuildOptions{Symmetrize: true})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
@@ -68,7 +66,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		good[:len(good)-3], // truncated edges
 	}
 	for i, c := range cases {
-		if _, err := ReadBinary(parallel.Default, bytes.NewReader(c)); err == nil {
+		if _, err := ReadBinary(sched, bytes.NewReader(c)); err == nil {
 			t.Fatalf("case %d: corrupt input accepted", i)
 		}
 	}
@@ -78,18 +76,18 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	bad[len(bad)-3] = 0xff
 	bad[len(bad)-2] = 0xff
 	bad[len(bad)-1] = 0xff
-	if _, err := ReadBinary(parallel.Default, bytes.NewReader(bad)); err == nil {
+	if _, err := ReadBinary(sched, bytes.NewReader(bad)); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 }
 
 func TestBinaryEmptyGraph(t *testing.T) {
-	g := FromEdgeList(parallel.Default, 7, &EdgeList{N: 7}, BuildOptions{Symmetrize: true})
+	g := FromEdgeList(sched, 7, &EdgeList{N: 7}, BuildOptions{Symmetrize: true})
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(parallel.Default, &buf)
+	h, err := ReadBinary(sched, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

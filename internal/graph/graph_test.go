@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -8,10 +9,15 @@ import (
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func smallDirected() *CSR {
 	// 0->1, 0->2, 1->2, 2->0, 3 isolated
 	el := &EdgeList{N: 4, U: []uint32{0, 0, 1, 2}, V: []uint32{1, 2, 2, 0}}
-	return FromEdgeList(parallel.Default, 4, el, BuildOptions{})
+	return FromEdgeList(sched, 4, el, BuildOptions{})
 }
 
 func TestFromEdgeListDirected(t *testing.T) {
@@ -38,7 +44,7 @@ func TestFromEdgeListDirected(t *testing.T) {
 
 func TestFromEdgeListSymmetrize(t *testing.T) {
 	el := &EdgeList{N: 3, U: []uint32{0, 1}, V: []uint32{1, 2}}
-	g := FromEdgeList(parallel.Default, 3, el, BuildOptions{Symmetrize: true})
+	g := FromEdgeList(sched, 3, el, BuildOptions{Symmetrize: true})
 	if !g.Symmetric() || g.M() != 4 {
 		t.Fatalf("symmetric=%v M=%d", g.Symmetric(), g.M())
 	}
@@ -56,11 +62,11 @@ func TestFromEdgeListDedupAndSelfLoops(t *testing.T) {
 		U: []uint32{0, 0, 0, 1, 1},
 		V: []uint32{1, 1, 0, 2, 2},
 	}
-	g := FromEdgeList(parallel.Default, 3, el, BuildOptions{})
+	g := FromEdgeList(sched, 3, el, BuildOptions{})
 	if g.M() != 2 {
 		t.Fatalf("M=%d want 2 (dedup + self-loop removal)", g.M())
 	}
-	g2 := FromEdgeList(parallel.Default, 3, el, BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
+	g2 := FromEdgeList(sched, 3, el, BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
 	if g2.M() != 5 {
 		t.Fatalf("M=%d want 5 with keeps", g2.M())
 	}
@@ -73,7 +79,7 @@ func TestWeightedDedupKeepsMinWeight(t *testing.T) {
 		V: []uint32{1, 1, 1},
 		W: []int32{7, 3, 5},
 	}
-	g := FromEdgeList(parallel.Default, 2, el, BuildOptions{})
+	g := FromEdgeList(sched, 2, el, BuildOptions{})
 	if g.M() != 1 {
 		t.Fatalf("M=%d", g.M())
 	}
@@ -98,7 +104,7 @@ func TestOutNghEarlyExit(t *testing.T) {
 
 func TestOutRange(t *testing.T) {
 	el := &EdgeList{N: 5, U: []uint32{0, 0, 0, 0}, V: []uint32{1, 2, 3, 4}}
-	g := FromEdgeList(parallel.Default, 5, el, BuildOptions{})
+	g := FromEdgeList(sched, 5, el, BuildOptions{})
 	var got []uint32
 	g.OutRange(0, 1, 3, func(u uint32, w int32) bool {
 		got = append(got, u)
@@ -120,7 +126,7 @@ func TestTransposed(t *testing.T) {
 	}
 	// Symmetric graphs transpose to themselves.
 	el := &EdgeList{N: 2, U: []uint32{0}, V: []uint32{1}}
-	sg := FromEdgeList(parallel.Default, 2, el, BuildOptions{Symmetrize: true})
+	sg := FromEdgeList(sched, 2, el, BuildOptions{Symmetrize: true})
 	if sg.Transposed() != sg {
 		t.Fatal("symmetric transpose should be identity")
 	}
@@ -133,7 +139,7 @@ func TestWeightsRideAlong(t *testing.T) {
 		V: []uint32{2, 1, 2},
 		W: []int32{20, 10, 30},
 	}
-	g := FromEdgeList(parallel.Default, 3, el, BuildOptions{})
+	g := FromEdgeList(sched, 3, el, BuildOptions{})
 	if !g.Weighted() {
 		t.Fatal("not weighted")
 	}
@@ -152,7 +158,7 @@ func TestWeightsRideAlong(t *testing.T) {
 
 func TestMaxDegreeAndDegrees(t *testing.T) {
 	el := &EdgeList{N: 4, U: []uint32{0, 0, 0, 1}, V: []uint32{1, 2, 3, 2}}
-	g := FromEdgeList(parallel.Default, 4, el, BuildOptions{})
+	g := FromEdgeList(sched, 4, el, BuildOptions{})
 	if g.MaxDegree() != 3 {
 		t.Fatalf("MaxDegree = %d", g.MaxDegree())
 	}
@@ -165,7 +171,7 @@ func TestMaxDegreeAndDegrees(t *testing.T) {
 func TestFromAdjacency(t *testing.T) {
 	// Rebuild the small directed graph through FromAdjacency.
 	g := smallDirected()
-	h := FromAdjacency(parallel.Default, g.N(), false, func(v uint32) int { return g.OutDeg(v) },
+	h := FromAdjacency(sched, g.N(), false, func(v uint32) int { return g.OutDeg(v) },
 		func(v uint32, add func(u uint32, w int32)) {
 			g.OutNgh(v, func(u uint32, w int32) bool { add(u, w); return true })
 		})
@@ -189,7 +195,7 @@ func TestBuildDegreesProperty(t *testing.T) {
 			el.U = append(el.U, uint32(raw[i])%uint32(n))
 			el.V = append(el.V, uint32(raw[i+1])%uint32(n))
 		}
-		g := FromEdgeList(parallel.Default, n, el, BuildOptions{})
+		g := FromEdgeList(sched, n, el, BuildOptions{})
 		outSum, inSum := 0, 0
 		for v := uint32(0); int(v) < n; v++ {
 			outSum += g.OutDeg(v)
@@ -224,7 +230,7 @@ func TestBuildDegreesProperty(t *testing.T) {
 
 func TestAdjacencySorted(t *testing.T) {
 	el := &EdgeList{N: 8, U: []uint32{3, 3, 3, 3}, V: []uint32{7, 1, 5, 0}}
-	g := FromEdgeList(parallel.Default, 8, el, BuildOptions{})
+	g := FromEdgeList(sched, 8, el, BuildOptions{})
 	if !slices.IsSorted(g.OutNghSlice(3)) {
 		t.Fatalf("adjacency not sorted: %v", g.OutNghSlice(3))
 	}
@@ -245,7 +251,7 @@ func TestEdgeListHelpers(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := FromEdgeList(parallel.Default, 5, &EdgeList{N: 5}, BuildOptions{})
+	g := FromEdgeList(sched, 5, &EdgeList{N: 5}, BuildOptions{})
 	if g.N() != 5 || g.M() != 0 {
 		t.Fatalf("empty graph N=%d M=%d", g.N(), g.M())
 	}

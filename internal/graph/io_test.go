@@ -5,18 +5,16 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 func TestAdjacencyRoundTripUnweighted(t *testing.T) {
 	el := &EdgeList{N: 4, U: []uint32{0, 0, 1, 2}, V: []uint32{1, 2, 2, 0}}
-	g := FromEdgeList(parallel.Default, 4, el, BuildOptions{})
+	g := FromEdgeList(sched, 4, el, BuildOptions{})
 	var buf bytes.Buffer
 	if err := WriteAdjacency(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadAdjacency(parallel.Default, &buf, false)
+	h, err := ReadAdjacency(sched, &buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +33,12 @@ func TestAdjacencyRoundTripUnweighted(t *testing.T) {
 
 func TestAdjacencyRoundTripWeighted(t *testing.T) {
 	el := &EdgeList{N: 3, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 0}, W: []int32{4, 5, 6}}
-	g := FromEdgeList(parallel.Default, 3, el, BuildOptions{})
+	g := FromEdgeList(sched, 3, el, BuildOptions{})
 	var buf bytes.Buffer
 	if err := WriteAdjacency(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadAdjacency(parallel.Default, &buf, false)
+	h, err := ReadAdjacency(sched, &buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +54,12 @@ func TestAdjacencyRoundTripWeighted(t *testing.T) {
 
 func TestAdjacencyRoundTripSymmetric(t *testing.T) {
 	el := &EdgeList{N: 3, U: []uint32{0, 1}, V: []uint32{1, 2}}
-	g := FromEdgeList(parallel.Default, 3, el, BuildOptions{Symmetrize: true})
+	g := FromEdgeList(sched, 3, el, BuildOptions{Symmetrize: true})
 	var buf bytes.Buffer
 	if err := WriteAdjacency(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadAdjacency(parallel.Default, &buf, true)
+	h, err := ReadAdjacency(sched, &buf, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestReadAdjacencyErrors(t *testing.T) {
 		"AdjacencyGraph\n-1\n0\n",            // negative n
 	}
 	for i, c := range cases {
-		if _, err := ReadAdjacency(parallel.Default, strings.NewReader(c), false); err == nil {
+		if _, err := ReadAdjacency(sched, strings.NewReader(c), false); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // failWriter errors after accepting limit bytes, injecting mid-stream write
@@ -37,7 +35,7 @@ func testGraphForIO() *CSR {
 	for i := 0; i < 99; i++ {
 		el.Add(uint32(i), uint32(i+1), int32(i%7+1))
 	}
-	return FromEdgeList(parallel.Default, 100, el, BuildOptions{Symmetrize: true})
+	return FromEdgeList(sched, 100, el, BuildOptions{Symmetrize: true})
 }
 
 func TestWriteAdjacencyPropagatesWriteErrors(t *testing.T) {
@@ -93,16 +91,16 @@ func mustNotLoad(t *testing.T, what string, decode func([]byte) (*CSR, error), b
 }
 
 func decodePlain(b []byte) (*CSR, error) {
-	return ReadBinary(parallel.Default, bytes.NewReader(b))
+	return ReadBinary(sched, bytes.NewReader(b))
 }
 
 func decodeChecked(b []byte) (*CSR, error) {
-	return ReadBinaryChecked(parallel.Default, bytes.NewReader(b))
+	return ReadBinaryChecked(sched, bytes.NewReader(b))
 }
 
 func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 	sym := testGraphForIO()
-	g, err := ReadBinaryChecked(parallel.Default, bytes.NewReader(checkedBytes(t, sym)))
+	g, err := ReadBinaryChecked(sched, bytes.NewReader(checkedBytes(t, sym)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +113,8 @@ func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		el.Add(uint32(i), uint32(i+1), 0)
 	}
-	dir := FromEdgeList(parallel.Default, 10, el, BuildOptions{})
-	g, err = ReadBinaryChecked(parallel.Default, bytes.NewReader(checkedBytes(t, dir)))
+	dir := FromEdgeList(sched, 10, el, BuildOptions{})
+	g, err = ReadBinaryChecked(sched, bytes.NewReader(checkedBytes(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func collect(iter func(func(u uint32, w int32) bool)) (ns []uint32, ws []int32) 
 }
 
 func TestOverlayMatchesFromScratch(t *testing.T) {
-	s := parallel.Default
+	s := sched
 	for _, tc := range []struct {
 		name      string
 		symmetric bool
@@ -155,7 +155,7 @@ func (g *CSR) ToEdgeListSeq() *EdgeList {
 }
 
 func TestCompactByteIdenticalToFromScratch(t *testing.T) {
-	s := parallel.Default
+	s := sched
 	for _, symmetric := range []bool{false, true} {
 		for _, weighted := range []bool{false, true} {
 			const n = 300
@@ -204,7 +204,7 @@ func TestApplyEdgesDeterministicAcrossThreads(t *testing.T) {
 }
 
 func TestApplyEdgesIdempotentAndChaining(t *testing.T) {
-	s := parallel.Default
+	s := sched
 	const n = 100
 	base := FromEdgeList(s, n, randomEdges(8, n, 300, false), BuildOptions{Symmetrize: true})
 	batch := randomEdges(9, n, 80, false)

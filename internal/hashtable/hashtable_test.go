@@ -1,14 +1,20 @@
 package hashtable
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func TestInsertContains(t *testing.T) {
-	tb := New(parallel.Default, 100)
+	tb := New(sched, 100)
 	if !tb.Insert(3, 7) {
 		t.Fatal("first insert returned false")
 	}
@@ -24,7 +30,7 @@ func TestInsertContains(t *testing.T) {
 }
 
 func TestForEachOfEnumeratesAllLabels(t *testing.T) {
-	tb := New(parallel.Default, 1000)
+	tb := New(sched, 1000)
 	for l := uint32(0); l < 20; l++ {
 		tb.Insert(42, l)
 		tb.Insert(43, l+100)
@@ -46,7 +52,7 @@ func TestForEachOfEnumeratesAllLabels(t *testing.T) {
 }
 
 func TestForEachOfEarlyStop(t *testing.T) {
-	tb := New(parallel.Default, 100)
+	tb := New(sched, 100)
 	for l := uint32(0); l < 10; l++ {
 		tb.Insert(1, l)
 	}
@@ -58,10 +64,10 @@ func TestForEachOfEarlyStop(t *testing.T) {
 }
 
 func TestConcurrentInsertsExactCount(t *testing.T) {
-	tb := New(parallel.Default, 1<<16)
+	tb := New(sched, 1<<16)
 	n := 50000
 	// Every pair inserted twice from different positions: exactly n unique.
-	parallel.For(2*n, 64, func(i int) {
+	sched.For(2*n, 64, func(i int) {
 		j := i % n
 		tb.Insert(uint32(j%997), uint32(j))
 	})
@@ -76,7 +82,7 @@ func TestConcurrentInsertsExactCount(t *testing.T) {
 }
 
 func TestReserveGrowsAndPreserves(t *testing.T) {
-	tb := New(parallel.Default, 16)
+	tb := New(sched, 16)
 	for i := uint32(0); i < 10; i++ {
 		tb.Insert(i, i*i)
 	}
@@ -102,7 +108,7 @@ func TestReserveGrowsAndPreserves(t *testing.T) {
 }
 
 func TestEntries(t *testing.T) {
-	tb := New(parallel.Default, 64)
+	tb := New(sched, 64)
 	tb.Insert(5, 6)
 	tb.Insert(7, 8)
 	e := tb.Entries()
@@ -120,7 +126,7 @@ func TestEntries(t *testing.T) {
 
 func TestHeavyCollisionVertex(t *testing.T) {
 	// All labels on one vertex: the probe run must stay correct as it wraps.
-	tb := New(parallel.Default, 64)
+	tb := New(sched, 64)
 	for l := uint32(0); l < 40; l++ {
 		tb.Insert(9, l)
 	}

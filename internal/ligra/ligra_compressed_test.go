@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/gen"
-	"repro/internal/parallel"
 )
 
 // EdgeMap must behave identically over the compressed representation,
@@ -13,8 +12,8 @@ import (
 // compressed vertices across logical blocks.
 
 func TestEdgeMapModesAgreeOnCompressed(t *testing.T) {
-	csr := gen.BuildRMAT(parallel.Default, 10, 10, true, false, 21)
-	cg := compress.FromCSR(parallel.Default, csr, 16) // small blocks exercise multi-block vertices
+	csr := gen.BuildRMAT(sched, 10, 10, true, false, 21)
+	cg := compress.FromCSR(sched, csr, 16) // small blocks exercise multi-block vertices
 	base := bfsLevels(csr, 0, Opts{NoDense: true, NoBlocked: true})
 	for name, opt := range map[string]Opts{
 		"blocked": {NoDense: true},
@@ -32,7 +31,7 @@ func TestEdgeMapModesAgreeOnCompressed(t *testing.T) {
 }
 
 func TestTrafficCounterShrinksWithBlocked(t *testing.T) {
-	csr := gen.BuildRMAT(parallel.Default, 12, 10, true, true, 22)
+	csr := gen.BuildRMAT(sched, 12, 10, true, true, 22)
 	run := func(opt Opts) int64 {
 		Traffic.Store(0)
 		bfsLevels(csr, 0, opt)

@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,6 +10,11 @@ import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
+
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
 
 func TestVertexSubsetBasics(t *testing.T) {
 	s := Empty(10)
@@ -20,37 +26,37 @@ func TestVertexSubsetBasics(t *testing.T) {
 		t.Fatal("Single broken")
 	}
 	s = FromSparse(10, []uint32{1, 5, 9})
-	d := s.Dense(parallel.Default)
+	d := s.Dense(sched)
 	if !d[1] || !d[5] || !d[9] || d[0] {
 		t.Fatal("Dense conversion broken")
 	}
 	flags := make([]bool, 10)
 	flags[2], flags[7] = true, true
-	s = FromDense(parallel.Default, flags, -1)
+	s = FromDense(sched, flags, -1)
 	if s.Size() != 2 {
 		t.Fatalf("FromDense recount = %d", s.Size())
 	}
-	sp := s.Sparse(parallel.Default)
+	sp := s.Sparse(sched)
 	slices.Sort(sp)
 	if !slices.Equal(sp, []uint32{2, 7}) {
 		t.Fatalf("Sparse conversion = %v", sp)
 	}
-	all := All(parallel.Default, 5)
+	all := All(sched, 5)
 	if all.Size() != 5 || !all.Contains(4) {
 		t.Fatal("All broken")
 	}
 }
 
 func TestVertexMapAndFilter(t *testing.T) {
-	s := All(parallel.Default, 100)
+	s := All(sched, 100)
 	var count [100]uint32
-	VertexMap(parallel.Default, s, func(v uint32) { atomics.FetchAndAdd32(&count[v], 1) })
+	VertexMap(sched, s, func(v uint32) { atomics.FetchAndAdd32(&count[v], 1) })
 	for v, c := range count {
 		if c != 1 {
 			t.Fatalf("vertex %d mapped %d times", v, c)
 		}
 	}
-	f := VertexFilter(parallel.Default, s, func(v uint32) bool { return v%10 == 0 })
+	f := VertexFilter(sched, s, func(v uint32) bool { return v%10 == 0 })
 	if f.Size() != 10 {
 		t.Fatalf("filter size = %d", f.Size())
 	}
@@ -74,7 +80,7 @@ func bfsLevels(g graph.Graph, src uint32, opt Opts) []uint32 {
 	for frontier.Size() > 0 {
 		round++
 		r := round
-		frontier = EdgeMap(parallel.Default, g, frontier,
+		frontier = EdgeMap(sched, g, frontier,
 			func(s, d uint32, w int32) bool {
 				if atomics.TestAndSet(&visited[d]) {
 					level[d] = r
@@ -90,9 +96,9 @@ func bfsLevels(g graph.Graph, src uint32, opt Opts) []uint32 {
 
 func TestEdgeMapModesAgree(t *testing.T) {
 	graphs := map[string]graph.Graph{
-		"rmat":  gen.BuildRMAT(parallel.Default, 10, 8, true, false, 5),
-		"torus": gen.BuildTorus3D(parallel.Default, 7, false, 5),
-		"er":    gen.BuildErdosRenyi(parallel.Default, 2000, 8000, true, false, 5),
+		"rmat":  gen.BuildRMAT(sched, 10, 8, true, false, 5),
+		"torus": gen.BuildTorus3D(sched, 7, false, 5),
+		"er":    gen.BuildErdosRenyi(sched, 2000, 8000, true, false, 5),
 	}
 	for name, g := range graphs {
 		base := bfsLevels(g, 0, Opts{NoDense: true, NoBlocked: true}) // flat sparse only
@@ -117,7 +123,7 @@ func TestEdgeMapDirectedUsesInEdgesForDense(t *testing.T) {
 	// Directed path 0->1->2->3; dense pull must still follow out-direction
 	// semantics via in-edges.
 	el := &graph.EdgeList{N: 4, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 3}}
-	g := graph.FromEdgeList(parallel.Default, 4, el, graph.BuildOptions{})
+	g := graph.FromEdgeList(sched, 4, el, graph.BuildOptions{})
 	lv := bfsLevels(g, 0, Opts{DenseThreshold: 1 << 30})
 	want := []uint32{0, 1, 2, 3}
 	if !slices.Equal(lv, want) {
@@ -126,8 +132,8 @@ func TestEdgeMapDirectedUsesInEdgesForDense(t *testing.T) {
 }
 
 func TestEdgeMapEmptyFrontier(t *testing.T) {
-	g := gen.BuildTorus3D(parallel.Default, 3, false, 1)
-	out := EdgeMap(parallel.Default, g, Empty(g.N()),
+	g := gen.BuildTorus3D(sched, 3, false, 1)
+	out := EdgeMap(sched, g, Empty(g.N()),
 		func(s, d uint32, w int32) bool { return true },
 		func(d uint32) bool { return true }, Opts{})
 	if out.Size() != 0 {
@@ -136,9 +142,9 @@ func TestEdgeMapEmptyFrontier(t *testing.T) {
 }
 
 func TestEdgeMapNoOutput(t *testing.T) {
-	g := gen.BuildTorus3D(parallel.Default, 3, false, 1)
+	g := gen.BuildTorus3D(sched, 3, false, 1)
 	touched := make([]uint32, g.N())
-	out := EdgeMap(parallel.Default, g, Single(g.N(), 0),
+	out := EdgeMap(sched, g, Single(g.N(), 0),
 		func(s, d uint32, w int32) bool {
 			atomics.FetchAndAdd32(&touched[d], 1)
 			return true
@@ -159,9 +165,9 @@ func TestEdgeMapNoOutput(t *testing.T) {
 
 func TestEdgeMapWeightsArriveAtUpdate(t *testing.T) {
 	el := &graph.EdgeList{N: 3, U: []uint32{0, 0}, V: []uint32{1, 2}, W: []int32{7, 9}}
-	g := graph.FromEdgeList(parallel.Default, 3, el, graph.BuildOptions{})
+	g := graph.FromEdgeList(sched, 3, el, graph.BuildOptions{})
 	var w1, w2 int32
-	EdgeMap(parallel.Default, g, Single(3, 0),
+	EdgeMap(sched, g, Single(3, 0),
 		func(s, d uint32, w int32) bool {
 			if d == 1 {
 				w1 = w
@@ -177,8 +183,8 @@ func TestEdgeMapWeightsArriveAtUpdate(t *testing.T) {
 }
 
 func TestEdgeMapCondSkips(t *testing.T) {
-	g := gen.BuildTorus3D(parallel.Default, 4, false, 1)
-	out := EdgeMap(parallel.Default, g, Single(g.N(), 0),
+	g := gen.BuildTorus3D(sched, 4, false, 1)
+	out := EdgeMap(sched, g, Single(g.N(), 0),
 		func(s, d uint32, w int32) bool { return true },
 		func(d uint32) bool { return false }, Opts{})
 	if out.Size() != 0 {
@@ -191,17 +197,17 @@ func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 	// single-vertex path of edgeMapBlocked.
 	n := 3 * emBlockSize
 	el := gen.Star(n)
-	g := graph.FromEdgeList(parallel.Default, n, el, graph.BuildOptions{Symmetrize: true})
+	g := graph.FromEdgeList(sched, n, el, graph.BuildOptions{Symmetrize: true})
 	visited := make([]uint32, n)
 	visited[0] = 1
-	out := EdgeMap(parallel.Default, g, Single(n, 0),
+	out := EdgeMap(sched, g, Single(n, 0),
 		func(s, d uint32, w int32) bool { return atomics.TestAndSet(&visited[d]) },
 		func(d uint32) bool { return atomics.Load32(&visited[d]) == 0 },
 		Opts{NoDense: true})
 	if out.Size() != n-1 {
 		t.Fatalf("star edgeMap reached %d of %d", out.Size(), n-1)
 	}
-	got := slices.Clone(out.Sparse(parallel.Default))
+	got := slices.Clone(out.Sparse(sched))
 	slices.Sort(got)
 	for i, v := range got {
 		if v != uint32(i+1) {
@@ -216,7 +222,7 @@ func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 // computes the direction heuristic's degree sum from the flags without
 // materializing the sparse form.
 func TestEdgeMapDenseFrontierMatchesSparse(t *testing.T) {
-	g := gen.BuildRMAT(parallel.Default, 10, 8, true, false, 7)
+	g := gen.BuildRMAT(sched, 10, 8, true, false, 7)
 	n := g.N()
 	members := []uint32{}
 	flags := make([]bool, n)
@@ -228,12 +234,12 @@ func TestEdgeMapDenseFrontierMatchesSparse(t *testing.T) {
 		results := [][]uint32{}
 		for _, frontier := range []VertexSubset{
 			FromSparse(n, slices.Clone(members)),
-			FromDense(parallel.Default, slices.Clone(flags), len(members)),
+			FromDense(sched, slices.Clone(flags), len(members)),
 		} {
-			out := EdgeMap(parallel.Default, g, frontier,
+			out := EdgeMap(sched, g, frontier,
 				func(s, d uint32, w int32) bool { return true },
 				func(d uint32) bool { return true }, opt)
-			ids := slices.Clone(out.Sparse(parallel.Default))
+			ids := slices.Clone(out.Sparse(sched))
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
 			results = append(results, ids)

@@ -32,23 +32,21 @@
 // goroutines — and Close parks the pool immediately and permanently
 // (operations afterwards still run correctly, inline on their callers).
 //
-// The runtime is instance-based: a Scheduler carries its own worker count,
-// pool and optional cancellation signal, so independent callers — e.g. two
-// gbbs.Engine values serving different requests — run concurrently with
-// different parallelism and no shared state. Default is the process-wide
-// scheduler the package-level wrappers (ForRange, SetWorkers, ...) delegate
-// to; it preserves the historical free-function surface used by the
-// paper-measurement path.
+// The runtime is instance-based and there is no process-wide scheduler: a
+// Scheduler carries its own fixed worker count, pool and optional
+// cancellation signal, and every parallel operation runs on the Scheduler
+// it is handed. Independent callers — e.g. two gbbs.Engine values serving
+// different requests — therefore run concurrently with different
+// parallelism and no shared state.
 //
-// A Scheduler with one worker (New(1), or SetWorkers(1) on Default) runs
-// every operation inline with zero scheduling overhead; this is how the
+// A Scheduler with one worker (New(1)) runs every operation inline with zero
+// scheduling overhead and never starts a worker; this is how the
 // single-thread columns of the paper's Tables 2, 4 and 5 are measured.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 )
 
 // Scheduler executes parallel loops and fork-join tasks on a persistent,
@@ -57,12 +55,12 @@ import (
 // loops issued against the same Scheduler at once share the pool's workers
 // and each is driven to completion by its own submitting goroutine.
 type Scheduler struct {
-	workers atomic.Int64
+	workers int // fixed at New, copied by Attach; never written afterwards
 	grain   int // default grain override; 0 selects the automatic grain
 	// pool is the persistent worker set, shared with every Attach child so
 	// an engine's whole call tree draws from one resident pool. owner marks
-	// the Scheduler that created the pool: SetWorkers and Close resize or
-	// park the pool only through its owner.
+	// the Scheduler that created the pool: Close parks the pool only through
+	// its owner.
 	pool  *pool
 	owner bool
 	// done/err carry an optional cancellation signal attached with
@@ -78,14 +76,10 @@ type Scheduler struct {
 // demand. p < 1 selects 1 (fully sequential); use runtime.NumCPU() for the
 // hardware parallelism.
 func New(p int) *Scheduler {
-	s := &Scheduler{}
 	if p < 1 {
 		p = 1
 	}
-	s.workers.Store(int64(p))
-	s.pool = newPool(p - 1)
-	s.owner = true
-	return s
+	return &Scheduler{workers: p, pool: newPool(p - 1), owner: true}
 }
 
 // NewWithGrain returns a Scheduler with a fixed default grain size used when
@@ -98,28 +92,8 @@ func NewWithGrain(p, grain int) *Scheduler {
 	return s
 }
 
-// Default is the process-wide scheduler the package-level wrappers delegate
-// to. It defaults to runtime.NumCPU() workers.
-var Default = New(runtime.NumCPU())
-
-// Workers reports the scheduler's current worker count.
-func (s *Scheduler) Workers() int { return int(s.workers.Load()) }
-
-// SetWorkers sets the scheduler's worker count and returns the previous
-// value. p < 1 is treated as 1. On a pool-owning scheduler (one made by New,
-// not Attach) it also resizes the pool: growth takes effect on the next
-// loop, and excess workers after a shrink exit when they next go idle. It
-// does not affect operations in flight.
-func (s *Scheduler) SetWorkers(p int) int {
-	if p < 1 {
-		p = 1
-	}
-	prev := int(s.workers.Swap(int64(p)))
-	if s.owner {
-		s.pool.setLimit(p - 1)
-	}
-	return prev
-}
+// Workers reports the scheduler's worker count.
+func (s *Scheduler) Workers() int { return s.workers }
 
 // Close parks the scheduler's worker pool permanently: parked workers exit,
 // busy ones finish their current task first, and no new workers spawn.
@@ -139,15 +113,14 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) PoolWorkers() int { return s.pool.workerCount() }
 
 // Attach returns a child scheduler that shares s's worker pool — so an
-// engine's whole call tree runs on one resident worker set — but carries
-// its own worker count (copied from s) and additionally observes ctx: once
+// engine's whole call tree runs on one resident worker set — and s's worker
+// count, and additionally observes ctx: once
 // ctx is done, Poll on the child panics with a cancellation token that
 // RecoverStop translates into ctx.Err(). Attach is how a gbbs.Engine scopes
 // one algorithm invocation to one request context. A nil or background-like
 // ctx (ctx.Done() == nil) returns a child with no cancellation signal.
 func (s *Scheduler) Attach(ctx context.Context) *Scheduler {
-	child := &Scheduler{grain: s.grain, pool: s.pool}
-	child.workers.Store(s.workers.Load())
+	child := &Scheduler{workers: s.workers, grain: s.grain, pool: s.pool}
 	if ctx != nil && ctx.Done() != nil {
 		child.done = ctx.Done()
 		child.err = ctx.Err
@@ -244,7 +217,7 @@ func (s *Scheduler) ForRange(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := s.Workers()
+	p := s.workers
 	grain = s.grainOf(n, grain, p)
 	blocks := (n + grain - 1) / grain
 	if p == 1 || blocks == 1 {
@@ -310,7 +283,7 @@ func (s *Scheduler) For(n, grain int, body func(i int)) {
 // degrade to sequential calls when all workers are busy. The join is the
 // task's atomic counter; no goroutine is spawned and no channel allocated.
 func (s *Scheduler) Do(f, g func()) {
-	if s.Workers() == 1 {
+	if s.workers == 1 {
 		f()
 		g()
 		return
@@ -323,13 +296,13 @@ func (s *Scheduler) Do(f, g func()) {
 // Do it publishes one task and participates in draining it, claiming any
 // functions no pool worker picks up.
 func (s *Scheduler) DoN(fs ...func()) {
-	if s.Workers() == 1 || len(fs) <= 1 {
+	if s.workers == 1 || len(fs) <= 1 {
 		for _, f := range fs {
 			f()
 		}
 		return
 	}
-	helpers := min(s.Workers(), len(fs)) - 1
+	helpers := min(s.workers, len(fs)) - 1
 	s.runTask(&task{blocks: int64(len(fs)), funcs: fs}, helpers)
 }
 
@@ -340,7 +313,7 @@ func (s *Scheduler) Blocks(n, grain int) []int {
 	if n <= 0 {
 		return []int{0}
 	}
-	grain = s.grainOf(n, grain, s.Workers())
+	grain = s.grainOf(n, grain, s.workers)
 	nb := (n + grain - 1) / grain
 	out := make([]int, nb+1)
 	for b := 0; b < nb; b++ {
@@ -358,36 +331,3 @@ func (s *Scheduler) ForBlocks(bounds []int, body func(b, lo, hi int)) {
 		body(b, bounds[b], bounds[b+1])
 	})
 }
-
-// Package-level wrappers delegating to Default. They keep the historical
-// free-function surface working (the paper-measurement path and older tests
-// flip Default's worker count); new code should hold a *Scheduler.
-
-// Workers reports Default's worker count.
-//
-// Deprecated: use a Scheduler instance (parallel.New or Default.Workers).
-func Workers() int { return Default.Workers() }
-
-// SetWorkers sets Default's worker count and returns the previous value.
-//
-// Deprecated: create an isolated scheduler with parallel.New(p) instead of
-// mutating the process-wide default.
-func SetWorkers(p int) int { return Default.SetWorkers(p) }
-
-// ForRange runs body over [0, n) on the Default scheduler.
-func ForRange(n, grain int, body func(lo, hi int)) { Default.ForRange(n, grain, body) }
-
-// For runs body(i) for each i in [0, n) on the Default scheduler.
-func For(n, grain int, body func(i int)) { Default.For(n, grain, body) }
-
-// Do runs f and g in parallel on the Default scheduler.
-func Do(f, g func()) { Default.Do(f, g) }
-
-// DoN runs each of fs in parallel on the Default scheduler.
-func DoN(fs ...func()) { Default.DoN(fs...) }
-
-// Blocks returns Default's block partition for n items.
-func Blocks(n, grain int) []int { return Default.Blocks(n, grain) }
-
-// ForBlocks runs body once per block on the Default scheduler.
-func ForBlocks(bounds []int, body func(b, lo, hi int)) { Default.ForBlocks(bounds, body) }

@@ -1,15 +1,19 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
+
+// sched is the scheduler the tests below run on, at the hardware width.
+var sched = New(runtime.NumCPU())
 
 func TestForRangeCoversAllIndicesOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1023, 1 << 16} {
 		for _, grain := range []int{0, 1, 3, 64, 100000} {
 			seen := make([]int32, n)
-			ForRange(n, grain, func(lo, hi int) {
+			sched.ForRange(n, grain, func(lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("n=%d grain=%d: bad range [%d,%d)", n, grain, lo, hi)
 				}
@@ -29,7 +33,7 @@ func TestForRangeCoversAllIndicesOnce(t *testing.T) {
 func TestForCoversAllIndices(t *testing.T) {
 	n := 10000
 	var sum atomic.Int64
-	For(n, 0, func(i int) { sum.Add(int64(i)) })
+	sched.For(n, 0, func(i int) { sum.Add(int64(i)) })
 	want := int64(n) * int64(n-1) / 2
 	if sum.Load() != want {
 		t.Fatalf("For sum = %d, want %d", sum.Load(), want)
@@ -37,11 +41,9 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 func TestForRangeSingleWorkerRunsInline(t *testing.T) {
-	old := SetWorkers(1)
-	defer SetWorkers(old)
 	// With one worker the body must run on the calling goroutine in order.
 	last := -1
-	ForRange(1000, 10, func(lo, hi int) {
+	New(1).ForRange(1000, 10, func(lo, hi int) {
 		if lo != last+1 {
 			t.Fatalf("out-of-order block start %d after %d", lo, last)
 		}
@@ -52,18 +54,26 @@ func TestForRangeSingleWorkerRunsInline(t *testing.T) {
 	}
 }
 
+// TestSetWorkersClampsToOne checks that asking for a non-positive worker
+// count, whether through New or NewWithGrain, yields one worker that still
+// runs every iteration.
 func TestSetWorkersClampsToOne(t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
-	SetWorkers(-5)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d after SetWorkers(-5)", Workers())
+	for _, s := range []*Scheduler{New(-5), NewWithGrain(-5, 16)} {
+		if s.Workers() != 1 {
+			t.Fatalf("Workers() = %d for a scheduler built with -5", s.Workers())
+		}
+		var count atomic.Int64
+		s.For(100, 0, func(i int) { count.Add(1) })
+		if count.Load() != 100 {
+			t.Fatalf("clamped scheduler ran %d of 100 iterations", count.Load())
+		}
+		s.Close()
 	}
 }
 
 func TestDoRunsBoth(t *testing.T) {
 	var a, b atomic.Bool
-	Do(func() { a.Store(true) }, func() { b.Store(true) })
+	sched.Do(func() { a.Store(true) }, func() { b.Store(true) })
 	if !a.Load() || !b.Load() {
 		t.Fatal("Do did not run both functions")
 	}
@@ -75,12 +85,12 @@ func TestDoNRunsAll(t *testing.T) {
 	for i := range fs {
 		fs[i] = func() { count.Add(1) }
 	}
-	DoN(fs...)
+	sched.DoN(fs...)
 	if count.Load() != 17 {
 		t.Fatalf("DoN ran %d of 17", count.Load())
 	}
-	DoN() // no-op must not hang
-	DoN(func() { count.Add(1) })
+	sched.DoN() // no-op must not hang
+	sched.DoN(func() { count.Add(1) })
 	if count.Load() != 18 {
 		t.Fatalf("DoN single = %d", count.Load())
 	}
@@ -89,13 +99,13 @@ func TestDoNRunsAll(t *testing.T) {
 func TestBlocksPartition(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 4097} {
 		for _, grain := range []int{0, 1, 7, 4096} {
-			b := Blocks(n, grain)
+			b := sched.Blocks(n, grain)
 			if b[0] != 0 || b[len(b)-1] != n {
-				t.Fatalf("Blocks(%d,%d) endpoints: %v", n, grain, b)
+				t.Fatalf("sched.Blocks(%d,%d) endpoints: %v", n, grain, b)
 			}
 			for i := 1; i < len(b); i++ {
 				if b[i] <= b[i-1] && n > 0 {
-					t.Fatalf("Blocks(%d,%d) non-increasing: %v", n, grain, b)
+					t.Fatalf("sched.Blocks(%d,%d) non-increasing: %v", n, grain, b)
 				}
 			}
 		}
@@ -107,8 +117,8 @@ func TestNestedParallelism(t *testing.T) {
 	// cover the full 2-D space.
 	n, m := 64, 64
 	seen := make([]int32, n*m)
-	For(n, 1, func(i int) {
-		For(m, 8, func(j int) {
+	sched.For(n, 1, func(i int) {
+		sched.For(m, 8, func(j int) {
 			atomic.AddInt32(&seen[i*m+j], 1)
 		})
 	})
@@ -123,7 +133,7 @@ func BenchmarkForRangeOverhead(b *testing.B) {
 	x := make([]int64, 1<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ForRange(len(x), 0, func(lo, hi int) {
+		sched.ForRange(len(x), 0, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				x[j]++
 			}

@@ -78,27 +78,13 @@ type pool struct {
 	tasks   []*task   // published tasks that may still have unclaimed blocks
 	waiters []*waiter // parked workers, top of stack woken first (warm stacks)
 	spawned int       // live worker goroutines
-	limit   int       // max worker goroutines (scheduler workers - 1)
+	limit   int       // max worker goroutines (scheduler workers - 1); fixed
 	closed  bool
 	idle    time.Duration
 }
 
 func newPool(limit int) *pool {
-	if limit < 0 {
-		limit = 0
-	}
 	return &pool{limit: limit, idle: defaultIdleTimeout}
-}
-
-// setLimit resizes the pool. Growth takes effect on the next submit; excess
-// workers after a shrink exit when they next look for work.
-func (p *pool) setLimit(limit int) {
-	if limit < 0 {
-		limit = 0
-	}
-	p.mu.Lock()
-	p.limit = limit
-	p.mu.Unlock()
 }
 
 // submit publishes t and recruits up to helpers workers for it: parked
@@ -186,7 +172,7 @@ func (p *pool) workerCount() int {
 
 // worker is the body of one pool goroutine: claim work while any is
 // published, otherwise park on a private channel; exit when the pool is
-// closed, shrunk below the current population, or idle past the timeout.
+// closed or idle past the timeout.
 func (p *pool) worker() {
 	w := &waiter{ch: make(chan struct{}, 1)}
 	timer := time.NewTimer(time.Hour)
@@ -203,7 +189,7 @@ func (p *pool) worker() {
 			p.mu.Lock()
 			continue
 		}
-		if p.closed || p.spawned > p.limit {
+		if p.closed {
 			p.spawned--
 			p.mu.Unlock()
 			return

@@ -201,26 +201,6 @@ func TestPoolWorkersAutoParkAfterIdle(t *testing.T) {
 	s.Close()
 }
 
-// TestSetWorkersShrinksPool lowers the worker count and checks the surplus
-// pool workers drain away (they exit when next looking for work).
-func TestSetWorkersShrinksPool(t *testing.T) {
-	s := New(8)
-	s.pool.idle = 20 * time.Millisecond
-	var count atomic.Int64
-	s.For(200000, 64, func(i int) { count.Add(1) })
-	s.SetWorkers(2)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.PoolWorkers() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool still has %d workers after SetWorkers(2)", s.PoolWorkers())
-		}
-		var c atomic.Int64
-		s.For(1000, 100, func(i int) { c.Add(1) }) // nudge workers to rescan
-		time.Sleep(5 * time.Millisecond)
-	}
-	s.Close()
-}
-
 // TestDoNClaimsEverythingWithBusyPool saturates the pool with a long loop
 // while issuing DoN from another goroutine: with no free workers the
 // submitter must claim every function itself.

@@ -14,25 +14,14 @@ func TestSchedulerIsolatedWorkerCounts(t *testing.T) {
 	if a.Workers() != 1 || b.Workers() != 6 {
 		t.Fatalf("workers: %d, %d", a.Workers(), b.Workers())
 	}
-	if prev := b.SetWorkers(3); prev != 6 {
-		t.Fatalf("SetWorkers returned %d, want 6", prev)
-	}
-	if a.Workers() != 1 {
-		t.Fatal("SetWorkers on one scheduler affected another")
-	}
-	if Default.Workers() < 1 {
-		t.Fatal("Default has no workers")
-	}
 }
 
 func TestSchedulerClampsToOneWorker(t *testing.T) {
 	if New(-3).Workers() != 1 {
 		t.Fatal("New(-3) did not clamp to 1")
 	}
-	s := New(4)
-	s.SetWorkers(0)
-	if s.Workers() != 1 {
-		t.Fatal("SetWorkers(0) did not clamp to 1")
+	if New(0).Workers() != 1 {
+		t.Fatal("New(0) did not clamp to 1")
 	}
 }
 
@@ -123,17 +112,4 @@ func TestRecoverStopRepanicsForeignPanics(t *testing.T) {
 		defer RecoverStop(&err)
 		panic("boom")
 	}()
-}
-
-func TestPackageWrappersUseDefault(t *testing.T) {
-	old := SetWorkers(2)
-	defer SetWorkers(old)
-	if Workers() != Default.Workers() {
-		t.Fatal("package Workers diverges from Default")
-	}
-	var count atomic.Int64
-	For(1000, 0, func(i int) { count.Add(1) })
-	if count.Load() != 1000 {
-		t.Fatalf("package For ran %d iterations", count.Load())
-	}
 }

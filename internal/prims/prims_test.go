@@ -2,6 +2,7 @@ package prims
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -10,6 +11,11 @@ import (
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func TestScanMatchesSequential(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 1000, 1 << 15} {
 		a := make([]int64, n)
@@ -17,7 +23,7 @@ func TestScanMatchesSequential(t *testing.T) {
 			a[i] = int64(i%7 - 3)
 		}
 		out := make([]int64, n)
-		total := Scan(parallel.Default, a, out)
+		total := Scan(sched, a, out)
 		var s int64
 		for i := 0; i < n; i++ {
 			if out[i] != s {
@@ -33,7 +39,7 @@ func TestScanMatchesSequential(t *testing.T) {
 
 func TestScanInPlace(t *testing.T) {
 	a := []int{5, 3, 1, 2}
-	total := ScanInPlace(parallel.Default, a)
+	total := ScanInPlace(sched, a)
 	want := []int{0, 5, 8, 9}
 	if total != 11 || !slices.Equal(a, want) {
 		t.Fatalf("got %v total %d", a, total)
@@ -43,7 +49,7 @@ func TestScanInPlace(t *testing.T) {
 func TestScanInclusive(t *testing.T) {
 	a := []uint32{1, 2, 3, 4}
 	out := make([]uint32, 4)
-	total := ScanInclusive(parallel.Default, a, out)
+	total := ScanInclusive(sched, a, out)
 	if total != 10 || !slices.Equal(out, []uint32{1, 3, 6, 10}) {
 		t.Fatalf("got %v total %d", out, total)
 	}
@@ -56,7 +62,7 @@ func TestScanQuickProperty(t *testing.T) {
 			in[i] = int64(v)
 		}
 		out := make([]int64, len(in))
-		total := Scan(parallel.Default, in, out)
+		total := Scan(sched, in, out)
 		var s int64
 		for i := range in {
 			if out[i] != s {
@@ -76,27 +82,27 @@ func TestReduceAndSum(t *testing.T) {
 	for i := range a {
 		a[i] = i
 	}
-	if got := Sum(parallel.Default, a); got != 100000*99999/2 {
+	if got := Sum(sched, a); got != 100000*99999/2 {
 		t.Fatalf("Sum = %d", got)
 	}
-	if got := Max(parallel.Default, a); got != 99999 {
+	if got := Max(sched, a); got != 99999 {
 		t.Fatalf("Max = %d", got)
 	}
-	if got := Min(parallel.Default, a); got != 0 {
+	if got := Min(sched, a); got != 0 {
 		t.Fatalf("Min = %d", got)
 	}
-	if got := Reduce(parallel.Default, []int{}, -1, func(x, y int) int { return x + y }); got != -1 {
+	if got := Reduce(sched, []int{}, -1, func(x, y int) int { return x + y }); got != -1 {
 		t.Fatalf("Reduce empty = %d", got)
 	}
 }
 
 func TestMapReduceAndCount(t *testing.T) {
 	n := 12345
-	got := MapReduce(parallel.Default, n, 0, func(i int) int { return i * 2 }, func(x, y int) int { return x + y })
+	got := MapReduce(sched, n, 0, func(i int) int { return i * 2 }, func(x, y int) int { return x + y })
 	if got != n*(n-1) {
 		t.Fatalf("MapReduce = %d want %d", got, n*(n-1))
 	}
-	c := Count(parallel.Default, n, func(i int) bool { return i%3 == 0 })
+	c := Count(sched, n, func(i int) bool { return i%3 == 0 })
 	want := (n + 2) / 3
 	if c != want {
 		t.Fatalf("Count = %d want %d", c, want)
@@ -110,7 +116,7 @@ func TestFilterMatchesSequential(t *testing.T) {
 			a[i] = uint32(i * 7 % 256)
 		}
 		pred := func(v uint32) bool { return v%2 == 0 }
-		got := Filter(parallel.Default, a, pred)
+		got := Filter(sched, a, pred)
 		var want []uint32
 		for _, v := range a {
 			if pred(v) {
@@ -126,24 +132,24 @@ func TestFilterMatchesSequential(t *testing.T) {
 func TestFilterInto(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5, 6}
 	out := make([]int, 6)
-	k := FilterInto(parallel.Default, a, out, func(v int) bool { return v > 3 })
+	k := FilterInto(sched, a, out, func(v int) bool { return v > 3 })
 	if k != 3 || !slices.Equal(out[:k], []int{4, 5, 6}) {
 		t.Fatalf("FilterInto got %v k=%d", out[:k], k)
 	}
 }
 
 func TestPackIndex(t *testing.T) {
-	got := PackIndex(parallel.Default, 10, func(i int) bool { return i%3 == 0 })
+	got := PackIndex(sched, 10, func(i int) bool { return i%3 == 0 })
 	if !slices.Equal(got, []uint32{0, 3, 6, 9}) {
 		t.Fatalf("PackIndex = %v", got)
 	}
-	if PackIndex(parallel.Default, 0, func(int) bool { return true }) != nil {
-		t.Fatal("PackIndex(parallel.Default, 0) should be nil")
+	if PackIndex(sched, 0, func(int) bool { return true }) != nil {
+		t.Fatal("PackIndex(sched, 0) should be nil")
 	}
 }
 
 func TestMapFilter(t *testing.T) {
-	got := MapFilter(parallel.Default, 6, func(i int) bool { return i%2 == 1 }, func(i int) int { return i * i })
+	got := MapFilter(sched, 6, func(i int) bool { return i%2 == 1 }, func(i int) int { return i * i })
 	if !slices.Equal(got, []int{1, 9, 25}) {
 		t.Fatalf("MapFilter = %v", got)
 	}
@@ -158,7 +164,7 @@ func TestRadixSortU64FullWidth(t *testing.T) {
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)
-		RadixSortU64(parallel.Default, a, 64)
+		RadixSortU64(sched, a, 64)
 		if !slices.Equal(a, want) {
 			t.Fatalf("n=%d: radix sort mismatch", n)
 		}
@@ -174,7 +180,7 @@ func TestRadixSortU64PartialBitsIsStable(t *testing.T) {
 	for i := range a {
 		a[i] = uint64(i)<<8 | uint64(rng.Intn(16))
 	}
-	RadixSortU64(parallel.Default, a, 8)
+	RadixSortU64(sched, a, 8)
 	for i := 1; i < n; i++ {
 		lo0, lo1 := a[i-1]&0xff, a[i]&0xff
 		if lo0 > lo1 {
@@ -194,7 +200,7 @@ func TestRadixSortU32(t *testing.T) {
 	}
 	want := slices.Clone(a)
 	slices.Sort(want)
-	RadixSortU32(parallel.Default, a, 32)
+	RadixSortU32(sched, a, 32)
 	if !slices.Equal(a, want) {
 		t.Fatal("RadixSortU32 mismatch")
 	}
@@ -210,7 +216,7 @@ func TestRadixSortPairsCarriesPayload(t *testing.T) {
 		vals[i] = uint32(i)
 	}
 	orig := slices.Clone(keys)
-	RadixSortPairs(parallel.Default, keys, vals, BitsFor(1000))
+	RadixSortPairs(sched, keys, vals, BitsFor(1000))
 	if !IsSortedU64(keys) {
 		t.Fatal("keys not sorted")
 	}
@@ -232,7 +238,7 @@ func TestRadixSortQuickProperty(t *testing.T) {
 		want := slices.Clone(a)
 		slices.Sort(want)
 		got := slices.Clone(a)
-		RadixSortU64(parallel.Default, got, 64)
+		RadixSortU64(sched, got, 64)
 		return slices.Equal(got, want)
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
@@ -242,7 +248,7 @@ func TestRadixSortQuickProperty(t *testing.T) {
 
 func TestRandomPermutationIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 1000, 1 << 16} {
-		p := RandomPermutation(parallel.Default, n, 42)
+		p := RandomPermutation(sched, n, 42)
 		if len(p) != n {
 			t.Fatalf("len = %d want %d", len(p), n)
 		}
@@ -257,20 +263,20 @@ func TestRandomPermutationIsPermutation(t *testing.T) {
 }
 
 func TestRandomPermutationVariesWithSeed(t *testing.T) {
-	a := RandomPermutation(parallel.Default, 1000, 1)
-	b := RandomPermutation(parallel.Default, 1000, 2)
+	a := RandomPermutation(sched, 1000, 1)
+	b := RandomPermutation(sched, 1000, 2)
 	if slices.Equal(a, b) {
 		t.Fatal("different seeds gave identical permutations")
 	}
-	c := RandomPermutation(parallel.Default, 1000, 1)
+	c := RandomPermutation(sched, 1000, 1)
 	if !slices.Equal(a, c) {
 		t.Fatal("same seed gave different permutations")
 	}
 }
 
 func TestInversePermutation(t *testing.T) {
-	p := RandomPermutation(parallel.Default, 5000, 7)
-	inv := InversePermutation(parallel.Default, p)
+	p := RandomPermutation(sched, 5000, 7)
+	inv := InversePermutation(sched, p)
 	for i, v := range p {
 		if inv[v] != uint32(i) {
 			t.Fatalf("inverse broken at %d", i)
@@ -360,7 +366,7 @@ func TestHistogramMatchesMap(t *testing.T) {
 		for i := range keys {
 			keys[i] = uint32(rng.Intn(500))
 		}
-		ids, counts := Histogram(parallel.Default, keys, BitsFor(500))
+		ids, counts := Histogram(sched, keys, BitsFor(500))
 		want := map[uint32]uint32{}
 		for _, k := range keys {
 			want[k]++
@@ -382,7 +388,7 @@ func TestHistogramMatchesMap(t *testing.T) {
 func TestHistogramApply(t *testing.T) {
 	keys := []uint32{3, 3, 3, 1, 2, 2}
 	got := map[uint32]uint32{}
-	HistogramApply(parallel.Default, keys, 2, func(k, c uint32) { got[k] = c })
+	HistogramApply(sched, keys, 2, func(k, c uint32) { got[k] = c })
 	if got[3] != 3 || got[2] != 2 || got[1] != 1 || len(got) != 3 {
 		t.Fatalf("HistogramApply = %v", got)
 	}
@@ -391,7 +397,7 @@ func TestHistogramApply(t *testing.T) {
 func TestHistogramSum(t *testing.T) {
 	keys := []uint32{5, 1, 5, 1, 5}
 	vals := []uint32{10, 1, 20, 2, 30}
-	ids, sums := HistogramSum(parallel.Default, keys, vals, 3)
+	ids, sums := HistogramSum(sched, keys, vals, 3)
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 5 || sums[0] != 3 || sums[1] != 60 {
 		t.Fatalf("HistogramSum ids=%v sums=%v", ids, sums)
 	}
@@ -407,7 +413,7 @@ func TestApproxThreshold(t *testing.T) {
 	sorted := slices.Clone(keys)
 	slices.Sort(sorted)
 	for _, k := range []int{1, 100, n / 2, n - 1, n, 2 * n} {
-		pivot := ApproxThreshold(parallel.Default, keys, k, 11)
+		pivot := ApproxThreshold(sched, keys, k, 11)
 		cnt := 0
 		for _, v := range keys {
 			if v <= pivot {
@@ -430,20 +436,19 @@ func TestApproxThreshold(t *testing.T) {
 }
 
 func TestPrimsUnderSingleWorker(t *testing.T) {
-	old := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(old)
+	s := parallel.New(1)
 	a := make([]int, 10000)
 	for i := range a {
 		a[i] = 1
 	}
-	if Sum(parallel.Default, a) != 10000 {
+	if Sum(s, a) != 10000 {
 		t.Fatal("Sum wrong with 1 worker")
 	}
 	out := make([]int, len(a))
-	if Scan(parallel.Default, a, out) != 10000 || out[9999] != 9999 {
+	if Scan(s, a, out) != 10000 || out[9999] != 9999 {
 		t.Fatal("Scan wrong with 1 worker")
 	}
-	p := RandomPermutation(parallel.Default, 1000, 3)
+	p := RandomPermutation(s, 1000, 3)
 	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
 	for i, v := range p {
 		if v != uint32(i) {

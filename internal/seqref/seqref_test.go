@@ -6,6 +6,7 @@ package seqref
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -13,8 +14,13 @@ import (
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func path4() graph.Graph {
-	return graph.FromEdgeList(parallel.Default, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
+	return graph.FromEdgeList(sched, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
 }
 
 func TestBFSKnown(t *testing.T) {
@@ -28,7 +34,7 @@ func TestBFSKnown(t *testing.T) {
 
 func TestDijkstraKnown(t *testing.T) {
 	el := &graph.EdgeList{N: 3, U: []uint32{0, 0, 1}, V: []uint32{1, 2, 2}, W: []int32{1, 10, 2}}
-	g := graph.FromEdgeList(parallel.Default, 3, el, graph.BuildOptions{})
+	g := graph.FromEdgeList(sched, 3, el, graph.BuildOptions{})
 	d := Dijkstra(g, 0)
 	if d[2] != 3 {
 		t.Fatalf("d[2] = %d want 3 (through vertex 1)", d[2])
@@ -37,7 +43,7 @@ func TestDijkstraKnown(t *testing.T) {
 
 func TestBellmanFordKnownNegCycle(t *testing.T) {
 	el := &graph.EdgeList{N: 3, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 1}, W: []int32{1, -3, 1}}
-	g := graph.FromEdgeList(parallel.Default, 3, el, graph.BuildOptions{})
+	g := graph.FromEdgeList(sched, 3, el, graph.BuildOptions{})
 	d, neg := BellmanFord(g, 0)
 	if !neg || d[1] != math.MinInt64 || d[2] != math.MinInt64 {
 		t.Fatalf("neg=%v d=%v", neg, d)
@@ -56,7 +62,7 @@ func TestBCKnown(t *testing.T) {
 
 func TestComponentsAndPartition(t *testing.T) {
 	el := &graph.EdgeList{N: 5, U: []uint32{0, 2}, V: []uint32{1, 3}}
-	g := graph.FromEdgeList(parallel.Default, 5, el, graph.BuildOptions{Symmetrize: true})
+	g := graph.FromEdgeList(sched, 5, el, graph.BuildOptions{Symmetrize: true})
 	c := Components(g)
 	if c[0] != c[1] || c[2] != c[3] || c[0] == c[2] || c[4] == c[0] {
 		t.Fatalf("components = %v", c)
@@ -83,7 +89,7 @@ func TestKruskalKnown(t *testing.T) {
 func TestSCCKnown(t *testing.T) {
 	// 0->1->2->0 cycle plus 2->3 (3 is its own SCC).
 	el := &graph.EdgeList{N: 4, U: []uint32{0, 1, 2, 2}, V: []uint32{1, 2, 0, 3}}
-	g := graph.FromEdgeList(parallel.Default, 4, el, graph.BuildOptions{})
+	g := graph.FromEdgeList(sched, 4, el, graph.BuildOptions{})
 	c := SCC(g)
 	if c[0] != c[1] || c[1] != c[2] || c[3] == c[0] {
 		t.Fatalf("SCC = %v", c)
@@ -104,7 +110,7 @@ func TestBCCKnown(t *testing.T) {
 		t.Fatalf("path4 has %d BCCs want 3", len(ids))
 	}
 	// Triangle: one BCC.
-	tri := graph.FromEdgeList(parallel.Default, 3, &graph.EdgeList{N: 3, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 0}}, graph.BuildOptions{Symmetrize: true})
+	tri := graph.FromEdgeList(sched, 3, &graph.EdgeList{N: 3, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 0}}, graph.BuildOptions{Symmetrize: true})
 	bccT := BCC(tri)
 	first := uint32(0)
 	for _, id := range bccT {
@@ -120,7 +126,7 @@ func TestBCCKnown(t *testing.T) {
 func TestCorenessKnown(t *testing.T) {
 	// Triangle with a pendant: triangle vertices have coreness 2, pendant 1.
 	el := &graph.EdgeList{N: 4, U: []uint32{0, 1, 2, 0}, V: []uint32{1, 2, 0, 3}}
-	g := graph.FromEdgeList(parallel.Default, 4, el, graph.BuildOptions{Symmetrize: true})
+	g := graph.FromEdgeList(sched, 4, el, graph.BuildOptions{Symmetrize: true})
 	c := Coreness(g)
 	want := []uint32{2, 2, 2, 1}
 	for v := range want {
@@ -132,7 +138,7 @@ func TestCorenessKnown(t *testing.T) {
 
 func TestGreedyMISKnown(t *testing.T) {
 	// Path 0-1-2 with rank order 0,1,2: greedy takes 0, blocks 1, takes 2.
-	g := graph.FromEdgeList(parallel.Default, 3, gen.Path(3), graph.BuildOptions{Symmetrize: true})
+	g := graph.FromEdgeList(sched, 3, gen.Path(3), graph.BuildOptions{Symmetrize: true})
 	in := GreedyMIS(g, []uint32{0, 1, 2})
 	if !in[0] || in[1] || !in[2] {
 		t.Fatalf("MIS = %v", in)
@@ -148,7 +154,7 @@ func TestGreedyMatchingKnown(t *testing.T) {
 }
 
 func TestTrianglesKnown(t *testing.T) {
-	k4 := graph.FromEdgeList(parallel.Default, 4, gen.Complete(4), graph.BuildOptions{Symmetrize: true})
+	k4 := graph.FromEdgeList(sched, 4, gen.Complete(4), graph.BuildOptions{Symmetrize: true})
 	if got := Triangles(k4); got != 4 {
 		t.Fatalf("K4 triangles = %d", got)
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,9 +11,14 @@ import (
 	"repro/internal/parallel"
 )
 
+// sched is the scheduler every test in this package runs on, at the
+// hardware width so the parallel code paths stay covered. Tests that need
+// another width build their own with parallel.New.
+var sched = parallel.New(runtime.NumCPU())
+
 func TestComputeSymTorus(t *testing.T) {
-	g := gen.BuildTorus3D(parallel.Default, 5, false, 1)
-	s := ComputeSym(parallel.Default, "torus", g, Options{Seed: 1})
+	g := gen.BuildTorus3D(sched, 5, false, 1)
+	s := ComputeSym(sched, "torus", g, Options{Seed: 1})
 	if s.N != 125 || s.M != 750 {
 		t.Fatalf("sizes N=%d M=%d", s.N, s.M)
 	}
@@ -35,8 +41,8 @@ func TestComputeSymTorus(t *testing.T) {
 }
 
 func TestComputeDirCycle(t *testing.T) {
-	g := graph.FromEdgeList(parallel.Default, 50, gen.Cycle(50), graph.BuildOptions{})
-	s := ComputeDir(parallel.Default, "cycle", g, Options{Seed: 2})
+	g := graph.FromEdgeList(sched, 50, gen.Cycle(50), graph.BuildOptions{})
+	s := ComputeDir(sched, "cycle", g, Options{Seed: 2})
 	if s.NumSCC != 1 || s.LargestSCC != 50 {
 		t.Fatalf("SCC: %d largest %d", s.NumSCC, s.LargestSCC)
 	}
@@ -46,8 +52,8 @@ func TestComputeDirCycle(t *testing.T) {
 }
 
 func TestWriteTableContainsRows(t *testing.T) {
-	g := gen.BuildTorus3D(parallel.Default, 4, false, 1)
-	s := ComputeSym(parallel.Default, "t", g, Options{Seed: 3})
+	g := gen.BuildTorus3D(sched, 4, false, 1)
+	s := ComputeSym(sched, "t", g, Options{Seed: 3})
 	var buf bytes.Buffer
 	WriteTable(&buf, s, false)
 	out := buf.String()
@@ -57,7 +63,7 @@ func TestWriteTableContainsRows(t *testing.T) {
 		}
 	}
 	var dbuf bytes.Buffer
-	sd := ComputeDir(parallel.Default, "d", graph.FromEdgeList(parallel.Default, 10, gen.Cycle(10), graph.BuildOptions{}), Options{Seed: 3})
+	sd := ComputeDir(sched, "d", graph.FromEdgeList(sched, 10, gen.Cycle(10), graph.BuildOptions{}), Options{Seed: 3})
 	WriteTable(&dbuf, sd, true)
 	if !strings.Contains(dbuf.String(), "Strongly Connected") {
 		t.Fatal("directed table missing SCC row")
@@ -65,8 +71,8 @@ func TestWriteTableContainsRows(t *testing.T) {
 }
 
 func TestSkipTriangles(t *testing.T) {
-	g := gen.BuildRMAT(parallel.Default, 8, 6, true, false, 4)
-	s := ComputeSym(parallel.Default, "r", g, Options{Seed: 1, SkipTriangles: true})
+	g := gen.BuildRMAT(sched, 8, 6, true, false, 4)
+	s := ComputeSym(sched, "r", g, Options{Seed: 1, SkipTriangles: true})
 	if s.Triangles != 0 {
 		t.Fatal("triangles computed despite skip")
 	}
