@@ -43,8 +43,10 @@ fuzz-smoke:
 serve:
 	$(GO) run ./cmd/gbbs-serve
 
-# Boot the daemon, curl /healthz and POST /v1/run twice, assert the second
-# response is a graph-cache hit. Mirrors the CI smoke step.
+# Boot the daemon and drive it end to end over HTTP: /v1/run miss then
+# result-cache hit, schema rejection, stored graphs and edge batches,
+# sharded runs, async jobs (join, cancel, resubmit after cancel), then a
+# SIGKILL and restart over the same -data-dir. Mirrors the CI smoke step.
 smoke-serve:
 	./scripts/smoke-serve.sh
 

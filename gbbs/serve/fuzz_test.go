@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"repro/gbbs/store"
 )
 
 // fuzzServer lazily builds one shared Server for the decoder fuzz target:
@@ -82,22 +84,29 @@ func FuzzRunRequestDecode(f *testing.F) {
 	})
 }
 
-// TestRunErrorStatusMapping pins the status mapping the job-result replay
-// depends on: deadline expiry → 504, cancellation → 503 (wrapped errors
-// included), everything else → 400.
+// TestRunErrorStatusMapping pins the one status mapping every route writes
+// errors through (wrapped errors included): a requestError keeps its own
+// status, a degraded store → 503, an unknown graph → 404, a duplicate graph
+// → 409, deadline expiry → 504, cancellation → 503, an oversize body → 413,
+// everything else → 400.
 func TestRunErrorStatusMapping(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
 		want int
 	}{
+		{&requestError{status: http.StatusGone, msg: "evicted"}, http.StatusGone},
+		{fmt.Errorf("store: apply to g: %w: %w", store.ErrDegraded, errors.New("disk full")), http.StatusServiceUnavailable},
+		{fmt.Errorf("store: %w %q", store.ErrNotFound, "g"), http.StatusNotFound},
+		{fmt.Errorf("store: graph %q %w", "g", store.ErrExists), http.StatusConflict},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{fmt.Errorf("run: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{context.Canceled, http.StatusServiceUnavailable},
 		{fmt.Errorf("run: %w", context.Canceled), http.StatusServiceUnavailable},
+		{fmt.Errorf("decoding request body: %w", &http.MaxBytesError{Limit: 1 << 20}), http.StatusRequestEntityTooLarge},
 		{errors.New("bad parameter"), http.StatusBadRequest},
 	} {
-		if got := runErrorStatus(tc.err); got != tc.want {
-			t.Fatalf("runErrorStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := errorStatus(tc.err); got != tc.want {
+			t.Fatalf("errorStatus(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strings"
 
 	"repro/gbbs"
@@ -102,12 +99,17 @@ func storeInfo(snap store.Snapshot) store.Info {
 	return info
 }
 
-// storeKeyFragment is the substring a run fingerprint contains exactly when
-// it addresses the named stored graph: the snapshot-ID prefix up to (and
-// including) the version separator. The trailing ",version=" makes the name
-// boundary unambiguous — "wiki" never matches keys of "wiki2".
-func storeKeyFragment(name string) string {
-	return "|store(name=" + name + ",version="
+// dropStored invalidates every result-cache entry and resident shard
+// decomposition computed on any version of the named stored graph, and
+// returns how many results it dropped. Both kinds of key embed the
+// snapshot ID — a run fingerprint after its algorithm name, a coordinator
+// key at its start — and matching it up to the version separator makes the
+// name boundary unambiguous: "wiki" never matches keys of "wiki2".
+func (s *Server) dropStored(name string) int {
+	id := "store(name=" + name + ",version="
+	frag := "|" + id
+	s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, id) })
+	return s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
 }
 
 // handleGraphList implements GET /v1/graphs.
@@ -147,9 +149,7 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	frag := storeKeyFragment(name)
-	s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
-	s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, storeShardPrefix(name)) })
+	s.dropStored(name)
 	s.setShardDefault(name, gbbs.Partition{}, false)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -159,38 +159,23 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 // thread admission), then register the CSR in the store at version 1.
 func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
 	var req GraphCreateRequest
-	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+	if err := decodeBody(w, r, maxRequestBytes, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if req.Source == "" {
 		writeError(w, http.StatusBadRequest, "missing \"source\"")
 		return
 	}
-	source, err := gbbs.ParseSource(req.Source)
+	source, transforms, key, err := s.parseInput(req.Source, req.Transforms)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad source spec: %v", err)
-		return
-	}
-	var transforms []gbbs.Transform
-	for _, spec := range req.Transforms {
-		tfs, err := gbbs.ParseTransforms(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad transform spec: %v", err)
-			return
-		}
-		transforms = append(transforms, tfs...)
-	}
-	if err := s.checkScale(source); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	part, rerr := s.parseShards(req.Shards, "")
 	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
+		writeErr(w, rerr)
 		return
 	}
 	if _, dup := s.store.Get(name); dup {
@@ -198,33 +183,16 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancel()
-	threads := min(runtime.NumCPU(), s.cfg.MaxThreads)
-	if err := s.limiter.Acquire(ctx, DefaultTenant, threads); err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	defer s.limiter.Release(DefaultTenant, threads)
-	eng := s.engines.Get(threads)
-	defer s.engines.Put(eng)
-
-	g, err := eng.BuildCSR(ctx, source, transforms...)
-	if err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	snap, err := s.store.Create(name, g, cacheKey(source, transforms))
-	if err != nil {
-		if errors.Is(err, store.ErrDegraded) {
-			writeStoreError(w, err)
-			return
+	var snap store.Snapshot
+	err = s.withEngine(r.Context(), func(ctx context.Context, eng *gbbs.Engine) error {
+		g, err := eng.BuildCSR(ctx, source, transforms...)
+		if err == nil {
+			snap, err = s.store.Create(name, g, key)
 		}
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already exists") {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "%v", err)
+		return err
+	})
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	info := storeInfo(snap)
@@ -248,11 +216,9 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
 	var req EdgeBatchRequest
-	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+	if err := decodeBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if len(req.Edges) == 0 {
@@ -265,24 +231,16 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancel()
-	threads := min(runtime.NumCPU(), s.cfg.MaxThreads)
-	if err := s.limiter.Acquire(ctx, DefaultTenant, threads); err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	defer s.limiter.Release(DefaultTenant, threads)
-	eng := s.engines.Get(threads)
-	defer s.engines.Put(eng)
-
-	next, added, err := s.store.ApplyEdges(ctx, eng, name, batch)
+	var (
+		next  store.Snapshot
+		added int
+	)
+	err = s.withEngine(r.Context(), func(ctx context.Context, eng *gbbs.Engine) (err error) {
+		next, added, err = s.store.ApplyEdges(ctx, eng, name, batch)
+		return err
+	})
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown graph") {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		writeStoreError(w, err)
+		writeErr(w, err)
 		return
 	}
 	invalidated := 0
@@ -290,9 +248,7 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 		// The new version's fingerprints differ, so every retained entry for
 		// this graph is for a superseded version: drop them all, along with
 		// any resident shard decompositions of those versions.
-		frag := storeKeyFragment(name)
-		invalidated = s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
-		s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, storeShardPrefix(name)) })
+		invalidated = s.dropStored(name)
 	}
 	writeJSON(w, http.StatusOK, EdgeBatchResponse{
 		Name:               name,
@@ -368,33 +324,17 @@ func decodeBatch(edges [][]int64, g gbbs.Graph) (*gbbs.UpdateBatch, error) {
 	return batch, nil
 }
 
-// writeBodyError maps a body-decoding failure: 413 for an oversize body,
-// 400 for malformed JSON.
-func writeBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		return
+// withEngine runs fn on a pooled engine of the server's default width,
+// admitted under DefaultTenant and bounded by the default timeout: the
+// build and apply step of the store routes.
+func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *gbbs.Engine) error) error {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+	defer cancel()
+	if err := s.limiter.Acquire(ctx, DefaultTenant, s.threads); err != nil {
+		return err
 	}
-	writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
-}
-
-// writeStoreError maps a build/apply failure on the store paths: a
-// degraded (read-only) graph to 503 with Retry-After, deadline expiry to
-// 504, cancellation to 503, anything else to 400.
-func writeStoreError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrDegraded):
-		// The graph keeps serving reads from its last durable state; the
-		// client should retry mutations after an operator intervenes (or a
-		// restart recovers the store).
-		w.Header().Set("Retry-After", "30")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "canceled: %v", err)
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	}
+	defer s.limiter.Release(DefaultTenant, s.threads)
+	eng := s.engines.Get(s.threads)
+	defer s.engines.Put(eng)
+	return fn(ctx, eng)
 }

@@ -47,8 +47,9 @@ type JobStatus struct {
 	Tenant string `json:"tenant"`
 	// Algorithm echoes the registry name the job dispatches.
 	Algorithm string `json:"algorithm"`
-	// Key is the request's canonical fingerprint (gbbs.Request.Key) — the
-	// identity under which duplicate submissions join this job.
+	// Key is the request's canonical fingerprint (gbbs.Request.Key).
+	// Duplicate submissions — same fingerprint, same include_value — join
+	// this job until it fails.
 	Key string `json:"key"`
 	// QueuePosition is the job's 1-based position among its tenant's queued
 	// jobs while queued; 0 once it has left the queue.
@@ -83,18 +84,25 @@ type JobsStats struct {
 	Evicted int64 `json:"evicted"`
 }
 
+// jobKey is what duplicate submissions join on: the run's fingerprint plus
+// include_value. The value is not part of the fingerprint — both forms
+// share one execution through the result cache — but a job's result is
+// rendered for its submitter, so the two forms are distinct jobs.
+type jobKey struct {
+	fp           string
+	includeValue bool
+}
+
 // job is one async run. Mutable fields are guarded by the owning jobTable's
 // mutex; cancel and the immutable identity fields are set before the job is
 // published.
 type job struct {
-	id           string
-	seq          uint64
-	key          string
-	tenant       string
-	algo         string
-	includeValue bool
-	cancel       context.CancelFunc
-	done         chan struct{} // closed on terminal state
+	id     string
+	seq    uint64
+	key    jobKey
+	tenant string
+	algo   string
+	cancel context.CancelFunc
 
 	state     JobState
 	err       error
@@ -105,7 +113,7 @@ type job struct {
 }
 
 // jobTable is the server's bounded async-job registry: jobs by ID and by
-// fingerprint (so duplicate submissions join), with lazy TTL-based eviction
+// jobKey (so duplicate submissions join), with lazy TTL-based eviction
 // of finished records. All sweeps run inline under the lock on the request
 // paths — the table never owns a background goroutine.
 type jobTable struct {
@@ -116,8 +124,8 @@ type jobTable struct {
 	mu        sync.Mutex
 	nextSeq   uint64
 	byID      map[string]*job
-	byKey     map[string]*job
-	order     list.List // of *job, front = oldest submission
+	byKey     map[jobKey]*job // live and done jobs; a failed job leaves
+	order     list.List       // of *job, front = oldest submission
 	active    int
 	submitted int64
 	joined    int64
@@ -132,7 +140,7 @@ func newJobTable(ttl time.Duration, maxJobs int) *jobTable {
 		maxJobs: maxJobs,
 		now:     time.Now,
 		byID:    make(map[string]*job),
-		byKey:   make(map[string]*job),
+		byKey:   make(map[jobKey]*job),
 	}
 }
 
@@ -164,13 +172,14 @@ func (t *jobTable) sweepLocked() {
 }
 
 // submit registers a new job for the parsed request, or returns the
-// existing job sharing its fingerprint (joined == true). A nil job with a
+// existing job sharing its jobKey (joined == true). A nil job with a
 // non-nil reject means the table is full of active jobs.
 func (t *jobTable) submit(p *parsedRun, cancel context.CancelFunc) (j *job, joined bool, reject *requestError) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sweepLocked()
-	if existing, ok := t.byKey[p.fp]; ok {
+	key := jobKey{p.fp, p.req.IncludeValue}
+	if existing, ok := t.byKey[key]; ok {
 		t.joined++
 		return existing, true, nil
 	}
@@ -182,16 +191,14 @@ func (t *jobTable) submit(p *parsedRun, cancel context.CancelFunc) (j *job, join
 	}
 	t.nextSeq++
 	j = &job{
-		id:           jobIDPrefix + strconv.FormatUint(t.nextSeq, 10),
-		seq:          t.nextSeq,
-		key:          p.fp,
-		tenant:       p.tenant,
-		algo:         p.algo.Name,
-		includeValue: p.req.IncludeValue,
-		cancel:       cancel,
-		done:         make(chan struct{}),
-		state:        JobQueued,
-		submitted:    t.now(),
+		id:        jobIDPrefix + strconv.FormatUint(t.nextSeq, 10),
+		seq:       t.nextSeq,
+		key:       key,
+		tenant:    p.tenant,
+		algo:      p.algo.Name,
+		cancel:    cancel,
+		state:     JobQueued,
+		submitted: t.now(),
 	}
 	t.byID[j.id] = j
 	t.byKey[j.key] = j
@@ -235,7 +242,9 @@ func (t *jobTable) setState(j *job, s JobState) {
 }
 
 // finish moves the job to its terminal state and publishes the response or
-// error.
+// error. A failed job releases its jobKey, as the result cache never keeps
+// a failed run, so the next identical submission starts a new job instead
+// of being handed the dead one.
 func (t *jobTable) finish(j *job, resp RunResponse, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -250,12 +259,14 @@ func (t *jobTable) finish(j *job, resp RunResponse, err error) {
 	if err != nil {
 		j.state = JobFailed
 		j.err = err
+		if t.byKey[j.key] == j {
+			delete(t.byKey, j.key)
+		}
 	} else {
 		j.state = JobDone
 		j.resp = resp
 	}
 	t.active--
-	close(j.done)
 }
 
 // status renders a job's wire form; the queue position is computed against
@@ -269,7 +280,7 @@ func (t *jobTable) status(j *job) JobStatus {
 		State:       j.state,
 		Tenant:      j.tenant,
 		Algorithm:   j.algo,
-		Key:         j.key,
+		Key:         j.key.fp,
 		SubmittedAt: j.submitted,
 	}
 	switch {
@@ -338,19 +349,15 @@ func (t *jobTable) stats() JobsStats {
 
 // handleJobSubmit implements POST /v1/jobs: validate and fingerprint the
 // request exactly like /v1/run, then register a job and return its ID
-// immediately — 202 for a fresh job, 200 when the fingerprint joined an
-// existing one. The execution runs detached from this HTTP request,
-// bounded by the request's timeout (which covers queue wait, build and
-// run, exactly as it does for the synchronous endpoint) and cancellable
-// via DELETE /v1/jobs/{id}.
+// immediately — 202 for a fresh job, 200 when the submission joined an
+// existing one. The runner goroutine then takes the same run step as
+// /v1/run, detached from this HTTP request, bounded by the request's
+// timeout (which covers queue wait, build and run, exactly as it does for
+// the synchronous endpoint) and cancellable via DELETE /v1/jobs/{id}.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRun(w, r)
-	if !ok {
-		return
-	}
-	p, rerr := s.parseRunRequest(req)
-	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
+	p, err := s.readRun(w, r)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	// The job's lifetime is the server's, not this HTTP request's: deadline
@@ -362,7 +369,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		timeoutCancel()
 		jobCancel()
 		if reject != nil {
-			writeError(w, reject.status, "%s", reject.msg)
+			writeErr(w, reject)
 			return
 		}
 		writeJSON(w, http.StatusOK, s.jobs.status(j))
@@ -377,9 +384,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer timeoutCancel()
 		defer jobCancel()
-		resp, _, err := s.results.GetOrRun(jobCtx, p.fp, func(ctx context.Context) (RunResponse, error) {
-			return s.execute(ctx, p)
-		})
+		resp, err := s.run(jobCtx, p)
 		s.jobs.finish(j, resp, err)
 	}()
 	writeJSON(w, http.StatusAccepted, s.jobs.status(j))
@@ -395,41 +400,30 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	j, rerr := s.jobs.lookup(r.PathValue("id"))
 	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
+		writeErr(w, rerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.jobs.status(j))
 }
 
-// handleJobResult implements GET /v1/jobs/{id}/result: the completed run's
-// RunResponse. A job still in flight is a 409; a failed job replays its
-// error with the same status code the synchronous endpoint would have used;
-// an evicted job is a 410.
+// handleJobResult implements GET /v1/jobs/{id}/result: the finished run's
+// outcome, written exactly as /v1/run writes it — the RunResponse, or the
+// failed run's error with the same status and body. A job still in flight
+// is a 409; an evicted job is a 410.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, rerr := s.jobs.lookup(r.PathValue("id"))
 	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
+		writeErr(w, rerr)
 		return
 	}
-	st := s.jobs.status(j)
-	switch st.State {
-	case JobDone:
-		s.jobs.mu.Lock()
-		resp := j.resp
-		include := j.includeValue
-		s.jobs.mu.Unlock()
-		if !include {
-			resp.Result.Value = nil
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case JobFailed:
-		s.jobs.mu.Lock()
-		err := j.err
-		s.jobs.mu.Unlock()
-		writeError(w, runErrorStatus(err), "%s: %v", st.Algorithm, err)
-	default:
-		writeError(w, http.StatusConflict, "job %s is not finished (state %s); poll GET /v1/jobs/%s", st.ID, st.State, st.ID)
+	s.jobs.mu.Lock()
+	state, resp, err := j.state, j.resp, j.err
+	s.jobs.mu.Unlock()
+	if !state.terminal() {
+		writeError(w, http.StatusConflict, "job %s is not finished (state %s); poll GET /v1/jobs/%s", j.id, state, j.id)
+		return
 	}
+	writeResult(w, j.algo, resp, j.key.includeValue, err)
 }
 
 // handleJobCancel implements DELETE /v1/jobs/{id}: cancel a queued or
@@ -441,7 +435,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j, rerr := s.jobs.lookup(r.PathValue("id"))
 	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
+		writeErr(w, rerr)
 		return
 	}
 	j.cancel()

@@ -385,3 +385,147 @@ func TestJobRejectsBadTenant(t *testing.T) {
 		t.Fatalf("oversized tenant submit = %d, want 400", code)
 	}
 }
+
+// getJobResult fetches GET /v1/jobs/{id}/result, returning the HTTP status
+// and the raw body.
+func getJobResult(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestJobFailedReleasesFingerprint: a canceled job lands in failed, and an
+// identical resubmission then starts a new job that runs to done instead of
+// joining the dead one.
+func TestJobFailedReleasesFingerprint(t *testing.T) {
+	_, ts := newJobTestServer(t, Config{MaxThreads: 1})
+	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","threads":1,"timeout_ms":120000}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("hog submit = %d", code)
+	}
+	body := `{"algorithm":"cc","source":"rmat:8","threads":1}`
+	first, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit = %d", code)
+	}
+	deleteJob(t, ts, first.ID)
+	if st, _ := pollUntil(t, ts, first.ID, 5*time.Second, func(s JobStatus) bool { return s.State.terminal() }); st.State != JobFailed {
+		t.Fatalf("canceled job = %+v, want failed", st)
+	}
+	deleteJob(t, ts, hog.ID)
+	pollUntil(t, ts, hog.ID, 5*time.Second, func(s JobStatus) bool { return s.State.terminal() })
+
+	second, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted || second.ID == first.ID {
+		t.Fatalf("resubmit after failure = %d %+v, want 202 with a new ID (not %s)", code, second, first.ID)
+	}
+	if st, _ := pollUntil(t, ts, second.ID, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() }); st.State != JobDone {
+		t.Fatalf("resubmitted job = %+v, want done", st)
+	}
+}
+
+// TestJobJoinRespectsIncludeValue: submissions differing only in
+// include_value are distinct jobs, each rendering its own result, sharing
+// one execution through the result cache; an identical submission joins.
+func TestJobJoinRespectsIncludeValue(t *testing.T) {
+	s, ts := newJobTestServer(t, Config{MaxThreads: 2})
+	bare, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("bare submit = %d", code)
+	}
+	withValue, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","include_value":true}`)
+	if code != http.StatusAccepted || withValue.ID == bare.ID {
+		t.Fatalf("include_value submit = %d %+v, want 202 with a new ID (not %s)", code, withValue, bare.ID)
+	}
+	if withValue.Key != bare.Key {
+		t.Fatalf("keys differ: %q vs %q; include_value is not part of the fingerprint", withValue.Key, bare.Key)
+	}
+	if again, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","include_value":true}`); code != http.StatusOK || again.ID != withValue.ID {
+		t.Fatalf("identical submit = %d %s, want 200 joining %s", code, again.ID, withValue.ID)
+	}
+	for _, c := range []struct {
+		id        string
+		wantValue bool
+	}{{bare.ID, false}, {withValue.ID, true}} {
+		pollUntil(t, ts, c.id, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() })
+		code, body := getJobResult(t, ts, c.id)
+		var run RunResponse
+		if code != http.StatusOK || json.Unmarshal(body, &run) != nil {
+			t.Fatalf("result %s = %d %s", c.id, code, body)
+		}
+		if (run.Result.Value != nil) != c.wantValue {
+			t.Fatalf("result %s value present = %v, want %v", c.id, run.Result.Value != nil, c.wantValue)
+		}
+	}
+	if st := s.results.Stats(); st.Misses != 1 {
+		t.Fatalf("result cache misses = %d, want one shared execution", st.Misses)
+	}
+}
+
+// TestJobResultReportsResultCache: a job reports result_cache like /v1/run
+// — hit (with cache hit) for a fingerprint /v1/run already answered, miss
+// for one it executed.
+func TestJobResultReportsResultCache(t *testing.T) {
+	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
+	body := `{"algorithm":"cc","source":"rmat:8"}`
+	sresp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("sync run = %d", sresp.StatusCode)
+	}
+	for _, c := range []struct{ body, resultCache, cache string }{
+		{body, "hit", "hit"},
+		{`{"algorithm":"cc","source":"rmat:8","seed":7}`, "miss", "hit"},
+	} {
+		st, code := submitJob(t, ts, c.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d", c.body, code)
+		}
+		pollUntil(t, ts, st.ID, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() })
+		code, raw := getJobResult(t, ts, st.ID)
+		var run RunResponse
+		if code != http.StatusOK || json.Unmarshal(raw, &run) != nil {
+			t.Fatalf("result %s = %d %s", st.ID, code, raw)
+		}
+		if run.ResultCache != c.resultCache || run.Cache != c.cache {
+			t.Fatalf("%s: result_cache/cache = %q/%q, want %q/%q", c.body, run.ResultCache, run.Cache, c.resultCache, c.cache)
+		}
+	}
+}
+
+// TestRunAndJobResultShareErrorMapping: the same failing request (wbfs on
+// an unweighted source) answers with the same status and the same body
+// through /v1/run and through the job result replay.
+func TestRunAndJobResultShareErrorMapping(t *testing.T) {
+	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
+	body := `{"algorithm":"wbfs","source":"rmat:8"}`
+	sresp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	syncBody, err := io.ReadAll(sresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, code := submitJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	pollUntil(t, ts, st.ID, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() })
+	jobCode, jobBody := getJobResult(t, ts, st.ID)
+	if sresp.StatusCode != http.StatusBadRequest || jobCode != sresp.StatusCode || !bytes.Equal(jobBody, syncBody) {
+		t.Fatalf("/v1/run = %d %s; job result = %d %s; want the same 400 and body", sresp.StatusCode, syncBody, jobCode, jobBody)
+	}
+}

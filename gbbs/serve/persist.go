@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"repro/gbbs/store"
@@ -22,8 +21,7 @@ func (s *Server) RecoverGraphs(ctx context.Context) (store.RecoveryReport, error
 	if !s.store.Persistent() {
 		return store.RecoveryReport{}, nil
 	}
-	threads := min(runtime.NumCPU(), s.cfg.MaxThreads)
-	eng := s.engines.Get(threads)
+	eng := s.engines.Get(s.threads)
 	defer s.engines.Put(eng)
 	return s.store.Recover(ctx, eng)
 }

@@ -42,8 +42,10 @@
 // /v1/jobs/{id} (state, queue position, elapsed times), its result
 // fetchable via GET /v1/jobs/{id}/result once done, and cancellable with
 // DELETE /v1/jobs/{id} through the engine's context-cancellation path.
-// Jobs are keyed by the same fingerprint as the result cache, so duplicate
-// submissions join one execution and completed jobs feed the cache.
+// A job and a /v1/run request take one request path — decoder, validation,
+// run step, error mapping — and differ only in where the caller waits.
+// Duplicate submissions (same fingerprint and include_value) join one job
+// until it fails; every execution is shared through the result cache.
 // Admission itself is tenant-fair: requests name a tenant
 // (RunRequest.Tenant) and the Limiter drains per-tenant queues by weighted
 // fair scheduling (Config.TenantWeights), so one tenant's backlog cannot
@@ -78,7 +80,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -169,6 +170,7 @@ type Server struct {
 	shards  *flight[*shard.Coordinator]
 	mux     *http.ServeMux
 	started time.Time
+	threads int // default engine width: the CPU count, capped at MaxThreads
 
 	shardDefaultsMu sync.Mutex
 	shardDefaults   map[string]gbbs.Partition // stored-graph name -> default partition
@@ -216,6 +218,7 @@ func New(cfg Config) *Server {
 		shards:        newShardCache(),
 		mux:           http.NewServeMux(),
 		started:       time.Now(),
+		threads:       min(runtime.NumCPU(), cfg.MaxThreads),
 		shardDefaults: make(map[string]gbbs.Partition),
 		buildCtx:      buildCtx,
 		stopBuild:     stop,
@@ -412,10 +415,10 @@ type HealthResponse struct {
 	WarmEngines int `json:"warm_engines"`
 	// WarmThreads is the total worker-thread count across warm engines.
 	WarmThreads int `json:"warm_threads"`
-	// ResultCacheHits counts /v1/run requests answered from the result
-	// cache (including joins of in-flight identical runs).
+	// ResultCacheHits counts runs (/v1/run requests and jobs) answered from
+	// the result cache (including joins of in-flight identical runs).
 	ResultCacheHits int64 `json:"result_cache_hits"`
-	// ResultCacheMisses counts /v1/run requests that executed.
+	// ResultCacheMisses counts runs that executed.
 	ResultCacheMisses int64 `json:"result_cache_misses"`
 	// ResultCacheEntries is the number of completed cached results.
 	ResultCacheEntries int `json:"result_cache_entries"`
@@ -454,6 +457,84 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError writes an ErrorResponse.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// requestError is a rejected request on its way to an ErrorResponse: the
+// HTTP status to answer with and the human-readable reason. It is an error
+// so it travels the same path as every other failure; errorStatus keeps its
+// status.
+type requestError struct {
+	status int
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
+// decodeBody strictly decodes a JSON body of at most limit bytes into v:
+// unknown fields are rejected, and an oversize body surfaces as an
+// *http.MaxBytesError, which errorStatus maps to 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	return nil
+}
+
+// errorStatus is the one map from a failed request to its HTTP status,
+// shared by every route: a requestError keeps its own status; a degraded
+// (read-only) stored graph is 503, an unknown one 404, a duplicate one 409;
+// deadline expiry is 504; cancellation (client gone, job canceled, server
+// shutdown) 503; an oversize body 413; anything else — registry validation,
+// build failures, malformed JSON — 400.
+func errorStatus(err error) int {
+	var rerr *requestError
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &rerr):
+		return rerr.status
+	case errors.Is(err, store.ErrDegraded):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, store.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, store.ErrExists):
+		return http.StatusConflict
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	default:
+		return http.StatusBadRequest
+	}
+}
+
+// writeErr writes err as an ErrorResponse with errorStatus's status. A
+// degraded graph keeps serving reads from its last durable state, so the
+// client is told to retry its mutation after an operator intervenes (or a
+// restart recovers the store).
+func writeErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, store.ErrDegraded) {
+		w.Header().Set("Retry-After", "30")
+	}
+	writeError(w, errorStatus(err), "%v", err)
+}
+
+// writeResult writes the outcome of a run — the response, with
+// Result.Value stripped unless includeValue, or the error prefixed with the
+// algorithm — for both /v1/run and a job's result, so the same outcome is
+// the same status and body on either route.
+func writeResult(w http.ResponseWriter, algo string, resp RunResponse, includeValue bool, err error) {
+	if err != nil {
+		writeErr(w, fmt.Errorf("%s: %w", algo, err))
+		return
+	}
+	if !includeValue {
+		resp.Result.Value = nil
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz implements GET /healthz.
@@ -512,408 +593,4 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		Graph:   s.cache.Stats(),
 		Results: s.results.Stats(),
 	})
-}
-
-// parsedRun is a RunRequest after validation: resolved algorithm, parsed
-// specs, canonical graph-cache key and result-cache fingerprint, resolved
-// seed and tenant, effective thread count and timeout.
-type parsedRun struct {
-	req        RunRequest
-	algo       gbbs.Algorithm
-	source     gbbs.GraphSource
-	transforms []gbbs.Transform
-	snap       store.Snapshot  // store-backed runs: the resolved snapshot
-	useStore   bool            // request addressed a stored graph
-	part       *gbbs.Partition // sharded runs: the resolved partition; nil otherwise
-	key        string          // graph-cache key, or the snapshot ID for store runs
-	fp         string          // result-cache key: gbbs.Request.Key fingerprint
-	seed       uint64          // resolved seed (request seed or gbbs.DefaultSeed)
-	tenant     string          // resolved tenant (request tenant or DefaultTenant)
-	threads    int
-	timeout    time.Duration
-	progress   func(JobState) // async jobs: lifecycle transition hook; nil for /v1/run
-}
-
-// requestError is a rejected request on its way to an ErrorResponse: the
-// HTTP status to answer with and the human-readable reason.
-type requestError struct {
-	status int
-	msg    string
-}
-
-// decodeRun reads and decodes a RunRequest body, writing the error response
-// itself (false) on malformed or oversized input.
-func (s *Server) decodeRun(w http.ResponseWriter, r *http.Request) (RunRequest, bool) {
-	// A RunRequest is a few hundred bytes; cap the body so one client
-	// cannot buffer gigabytes of JSON into the process.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return RunRequest{}, false
-		}
-		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return RunRequest{}, false
-	}
-	return req, true
-}
-
-// validTenant reports whether the tenant name is well-formed: at most 64
-// bytes of letters, digits, '.', '_' and '-'. The bound keeps
-// client-supplied names from bloating the limiter's per-tenant state.
-func validTenant(t string) bool {
-	if len(t) > 64 {
-		return false
-	}
-	for _, c := range t {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// parseRunRequest validates a decoded request — algorithm lookup, spec
-// parsing, size guard, schema validation, fingerprinting, tenant/thread/
-// timeout resolution — without touching the network. It is shared by the
-// synchronous /v1/run handler, the async /v1/jobs submission path, and the
-// request-decoder fuzz harness. Exactly one of the results is non-nil.
-func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
-	fail := func(status int, format string, args ...any) (*parsedRun, *requestError) {
-		return nil, &requestError{status: status, msg: fmt.Sprintf(format, args...)}
-	}
-	a, ok := gbbs.Lookup(req.Algorithm)
-	if !ok {
-		if req.Algorithm == "" {
-			return fail(http.StatusBadRequest, "missing \"algorithm\"")
-		}
-		return fail(http.StatusNotFound, "unknown algorithm %q (GET /v1/algorithms lists the registry)", req.Algorithm)
-	}
-	if (req.Source == "") == (req.Graph == "") {
-		return fail(http.StatusBadRequest, "exactly one of \"source\" and \"graph\" is required")
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if !validTenant(tenant) {
-		return fail(http.StatusBadRequest, "bad tenant %q: want at most 64 bytes of [A-Za-z0-9._-]", req.Tenant)
-	}
-
-	part, rerr := s.parseShards(req.Shards, req.Algorithm)
-	if rerr != nil {
-		return nil, rerr
-	}
-
-	var (
-		source     gbbs.GraphSource
-		transforms []gbbs.Transform
-		snap       store.Snapshot
-		key        string
-		fpReq      gbbs.Request
-	)
-	if req.Graph != "" {
-		if len(req.Transforms) > 0 {
-			return fail(http.StatusBadRequest, "\"transforms\" apply at graph creation, not to runs against a stored graph")
-		}
-		var ok bool
-		snap, ok = s.store.Get(req.Graph)
-		if !ok {
-			return fail(http.StatusNotFound, "unknown graph %q (PUT /v1/graphs/{name} creates one, GET /v1/graphs lists them)", req.Graph)
-		}
-		// The snapshot ID — name plus version — is the input's canonical
-		// identity: a version bump changes every dependent fingerprint, so
-		// a result computed on a superseded version can never be returned.
-		key = snap.ID()
-		fpReq = gbbs.Request{GraphID: key, Source: req.Src, Opts: req.Opts}
-		if part == nil && req.Shards == "" {
-			// A graph stored with a default partition runs sharded when the
-			// algorithm is mergeable; others fall back to a single engine
-			// (the default is advisory, unlike an explicit "shards").
-			if def, ok := s.shardDefault(req.Graph); ok && shard.Mergeable(req.Algorithm) {
-				part = &def
-			}
-		}
-	} else {
-		var err error
-		source, err = gbbs.ParseSource(req.Source)
-		if err != nil {
-			return fail(http.StatusBadRequest, "bad source spec: %v", err)
-		}
-		for _, spec := range req.Transforms {
-			tfs, err := gbbs.ParseTransforms(spec)
-			if err != nil {
-				return fail(http.StatusBadRequest, "bad transform spec: %v", err)
-			}
-			transforms = append(transforms, tfs...)
-		}
-		if err := s.checkScale(source); err != nil {
-			return fail(http.StatusBadRequest, "%v", err)
-		}
-		key = cacheKey(source, transforms)
-		fpReq = gbbs.Request{
-			Input:  &gbbs.InputSpec{Source: source, Transforms: transforms},
-			Source: req.Src,
-			Opts:   req.Opts,
-		}
-	}
-
-	// Resolve the seed once — the warm-pool engines run with
-	// gbbs.DefaultSeed, so this is exactly the seed Engine.Run will use —
-	// and fingerprint the request. Key validates Opts against the
-	// algorithm's parameter schema, so an unknown or out-of-range parameter
-	// is a 400 here, before any admission or build work.
-	seed := gbbs.DefaultSeed
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	fpReq.Seed = &seed
-	fpReq.Partition = part
-	fp, err := fpReq.Key(a)
-	if err != nil {
-		return fail(http.StatusBadRequest, "%v", err)
-	}
-
-	threads := req.Threads
-	if threads <= 0 {
-		threads = min(runtime.NumCPU(), s.cfg.MaxThreads)
-	}
-	threads = min(threads, s.cfg.MaxThreads)
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	return &parsedRun{
-		req:        req,
-		algo:       a,
-		source:     source,
-		transforms: transforms,
-		snap:       snap,
-		useStore:   req.Graph != "",
-		part:       part,
-		key:        key,
-		fp:         fp,
-		seed:       seed,
-		tenant:     tenant,
-		threads:    threads,
-		timeout:    timeout,
-	}, nil
-}
-
-// cacheKey renders the canonical cache key of a parsed input: the source's
-// canonical String joined with each transform's, so every spelling of the
-// same spec ("rmat:16", "rmat:scale=16,factor=16") shares one cache entry.
-func cacheKey(source gbbs.GraphSource, transforms []gbbs.Transform) string {
-	parts := make([]string, 0, len(transforms)+1)
-	parts = append(parts, source.String())
-	for _, t := range transforms {
-		parts = append(parts, t.String())
-	}
-	return strings.Join(parts, "|")
-}
-
-// handleRun implements POST /v1/run: validate and fingerprint, then answer
-// from the result cache when an identical request already ran (or is
-// running — concurrent duplicates share one execution); otherwise admit
-// threads, fetch or build the graph, dispatch through the registry, and
-// cache the response under the fingerprint.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeRun(w, r)
-	if !ok {
-		return
-	}
-	p, rerr := s.parseRunRequest(req)
-	if rerr != nil {
-		writeError(w, rerr.status, "%s", rerr.msg)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
-	defer cancel()
-
-	resp, hit, err := s.results.GetOrRun(ctx, p.fp, func(ctx context.Context) (RunResponse, error) {
-		return s.execute(ctx, p)
-	})
-	if err != nil {
-		s.writeRunError(w, p, err)
-		return
-	}
-	resp.ResultCache = "miss"
-	if hit {
-		// Served from memory: no admission, build or execution happened, so
-		// the graph cache was definitionally not missed either. The embedded
-		// Result (including its timings) is the original run's.
-		resp.ResultCache = "hit"
-		resp.Cache = "hit"
-	}
-	if !p.req.IncludeValue {
-		resp.Result.Value = nil
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// execute runs one validated request end to end — thread admission, graph
-// fetch/build, registry dispatch — and assembles the RunResponse the result
-// cache retains. The response keeps Result.Value regardless of
-// include_value: the cache stores the full result once, and handleRun
-// strips the value per request.
-func (s *Server) execute(ctx context.Context, p *parsedRun) (RunResponse, error) {
-	// Admission: the request's whole execution — including the build it may
-	// start — runs on an engine with p.threads workers, so that is what it
-	// must be admitted for. The grant is held until the run finishes; a
-	// build outliving a departed waiter (deadline hit mid-build) can briefly
-	// run past the cap, bounded by one build per key.
-	if err := s.limiter.Acquire(ctx, p.tenant, p.threads); err != nil {
-		return RunResponse{}, err
-	}
-	defer s.limiter.Release(p.tenant, p.threads)
-	if p.progress != nil {
-		p.progress(JobBuilding)
-	}
-
-	// The engine comes from the warm pool: its scheduler's workers are the
-	// resident goroutines the admission grant accounts for, parked from a
-	// previous request rather than spawned for this one. The per-request
-	// seed travels in gbbs.Request.Seed below, so sharing engines across
-	// requests never leaks randomness between tenants.
-	eng := s.engines.Get(p.threads)
-	defer s.engines.Put(eng)
-	var (
-		g          gbbs.Graph
-		cacheState string
-		runReq     gbbs.Request
-	)
-	if p.useStore {
-		// Store-backed runs bypass the graph cache entirely: the snapshot
-		// already resides in the store, pinned by the version this request
-		// resolved at parse time.
-		g = p.snap.Graph
-		cacheState = "store"
-		runReq = gbbs.Request{Graph: g, GraphID: p.snap.ID(), Source: p.req.Src, Seed: &p.seed, Opts: p.req.Opts}
-		if p.algo.Name == "incrcc" {
-			// Offer the stored incremental state (labels of an earlier
-			// version plus the batches since); the runner falls back to a
-			// full union-find when it is nil or unusable.
-			runReq.Incr = s.store.CCState(p.snap.Name, p.snap.Version)
-		}
-	} else {
-		var hit bool
-		var err error
-		g, hit, err = s.cache.GetOrBuild(ctx, p.key, func(buildCtx context.Context) (gbbs.Graph, error) {
-			return eng.Build(buildCtx, p.source, p.transforms...)
-		})
-		if err != nil {
-			return RunResponse{}, err
-		}
-		cacheState = "miss"
-		if hit {
-			cacheState = "hit"
-		}
-		runReq = gbbs.Request{Graph: g, Source: p.req.Src, Seed: &p.seed, Opts: p.req.Opts}
-	}
-
-	if p.progress != nil {
-		p.progress(JobRunning)
-	}
-	var (
-		rep *shard.Report
-		res gbbs.Result
-		err error
-	)
-	if p.part != nil {
-		// Sharded execution: fetch (or split and cache) the coordinator for
-		// this (graph, partition), then scatter-gather through it. The
-		// coordinator's engines are its own; eng only serves the split.
-		co, _, cerr := s.coordinatorFor(ctx, p, eng, g)
-		if cerr != nil {
-			return RunResponse{}, cerr
-		}
-		res, rep, err = co.Run(ctx, p.algo.Name, gbbs.Request{Source: p.req.Src, Seed: &p.seed, Opts: p.req.Opts})
-	} else {
-		res, err = eng.Run(ctx, p.algo.Name, runReq)
-	}
-	if err != nil {
-		return RunResponse{}, err
-	}
-	res.Graph = nil
-	if p.useStore && p.algo.Name == "incrcc" {
-		if labels, ok := res.Value.([]uint32); ok {
-			// Labellings are canonical per version, so recording this one
-			// makes the next run after further insertions incremental.
-			s.store.SaveCC(p.snap.Name, p.snap.Version, labels)
-		}
-	}
-	return RunResponse{
-		Algorithm: p.algo.Name,
-		Spec:      p.key,
-		Cache:     cacheState,
-		Key:       p.fp,
-		Seed:      res.Seed,
-		Threads:   p.threads,
-		Graph: GraphInfo{
-			N:           g.N(),
-			M:           g.M(),
-			Weighted:    g.Weighted(),
-			Symmetric:   g.Symmetric(),
-			ApproxBytes: approxGraphBytes(g),
-		},
-		Result:  res,
-		Sharded: rep,
-	}, nil
-}
-
-// runErrorStatus maps an execution error to a status code: deadline expiry
-// to 504, cancellation (client gone, job canceled, or server shutdown) to
-// 503, anything else — validation errors from the registry, build failures
-// — to 400. Shared by the sync error writer and the job-result replay.
-func runErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// writeRunError writes an execution error with runErrorStatus's mapping.
-func (s *Server) writeRunError(w http.ResponseWriter, p *parsedRun, err error) {
-	switch status := runErrorStatus(err); status {
-	case http.StatusGatewayTimeout:
-		writeError(w, status, "%s: deadline exceeded after %v", p.algo.Name, p.timeout)
-	case http.StatusServiceUnavailable:
-		writeError(w, status, "%s: canceled: %v", p.algo.Name, err)
-	default:
-		writeError(w, status, "%v", err)
-	}
-}
-
-// checkScale enforces Config.MaxSourceScale S via gbbs.SizeHint: the
-// declared vertex count may not exceed 2^S and the declared directed edge
-// count may not exceed 32·2^S (twice the default R-MAT edge factor), so
-// neither a huge n nor a huge edge multiplier (rmat factor, er m, ba/ws k,
-// complete's n²) can slip past the guard. Sources without a size hint
-// (file readers, custom SourceFunc values) are exempt — operators control
-// what is on disk.
-func (s *Server) checkScale(source gbbs.GraphSource) error {
-	if s.cfg.MaxSourceScale <= 0 {
-		return nil
-	}
-	n, m, ok := gbbs.SizeHint(source)
-	if !ok {
-		return nil
-	}
-	scale := min(s.cfg.MaxSourceScale, 57)
-	maxN := int64(1) << uint(scale)
-	maxM := 32 * maxN
-	if n > maxN || m > maxM {
-		return fmt.Errorf("serve: source %s declares n=%d m=%d, exceeding the server's size guard (max 2^%d vertices, %d edges)",
-			source, n, m, s.cfg.MaxSourceScale, maxM)
-	}
-	return nil
 }

@@ -40,14 +40,6 @@ func shardKeyPrefix(graphKey string) string {
 	return graphKey + "|shards="
 }
 
-// storeShardPrefix is the prefix a coordinator cache key carries exactly
-// when its graph is a version of the named stored graph (the key starts
-// with the snapshot ID). The trailing ",version=" makes the name boundary
-// unambiguous, as in storeKeyFragment.
-func storeShardPrefix(name string) string {
-	return "store(name=" + name + ",version="
-}
-
 // newShardCache returns the coordinator cache: the flight instantiation in
 // which every coordinator costs 1 against a budget of maxShardCoordinators,
 // a coordinator leaving the cache is closed, and a split runs on the calling

@@ -16,6 +16,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,6 +24,13 @@ import (
 	"repro/gbbs"
 	"repro/internal/vfs"
 )
+
+// ErrNotFound marks an operation on a graph name the store does not hold;
+// ApplyEdges wraps it.
+var ErrNotFound = errors.New("unknown graph")
+
+// ErrExists marks a Create of a name already in use; Create wraps it.
+var ErrExists = errors.New("already exists")
 
 // Config tunes a Store; the zero value selects the defaults.
 type Config struct {
@@ -193,7 +201,7 @@ func (st *Store) Create(name string, g *gbbs.CSR, spec string) (Snapshot, error)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, dup := st.graphs[name]; dup {
-		return Snapshot{}, fmt.Errorf("store: graph %q already exists", name)
+		return Snapshot{}, fmt.Errorf("store: graph %q %w", name, ErrExists)
 	}
 	e := &entry{name: name, spec: spec, version: 1, snap: g}
 	if st.Persistent() {
@@ -289,7 +297,7 @@ func (st *Store) Remove(name string) bool {
 func (st *Store) ApplyEdges(ctx context.Context, eng *gbbs.Engine, name string, batch *gbbs.UpdateBatch) (Snapshot, int, error) {
 	e, ok := st.lookup(name)
 	if !ok {
-		return Snapshot{}, 0, fmt.Errorf("store: unknown graph %q", name)
+		return Snapshot{}, 0, fmt.Errorf("store: %w %q", ErrNotFound, name)
 	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -80,6 +81,27 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 	if _, _, err := st.ApplyEdges(ctx, e, "g", batch); err == nil {
 		t.Fatal("apply to removed graph accepted")
+	}
+}
+
+// TestStoreSentinelErrors pins the two name errors callers match with
+// errors.Is, and that wrapping them left the messages unchanged.
+func TestStoreSentinelErrors(t *testing.T) {
+	e := gbbs.New(gbbs.WithThreads(1))
+	defer e.Close()
+	st := store.New(store.Config{})
+	g := buildGrid(t, e, 4)
+	if _, err := st.Create("g", g, "grid:4"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := st.Create("g", g, "grid:4")
+	if !errors.Is(err, store.ErrExists) || err.Error() != `store: graph "g" already exists` {
+		t.Fatalf("duplicate create err = %v, want ErrExists", err)
+	}
+	batch := &gbbs.UpdateBatch{N: g.N(), U: []uint32{0}, V: []uint32{5}}
+	_, _, err = st.ApplyEdges(context.Background(), e, "nope", batch)
+	if !errors.Is(err, store.ErrNotFound) || err.Error() != `store: unknown graph "nope"` {
+		t.Fatalf("apply to unknown graph err = %v, want ErrNotFound", err)
 	}
 }
 

@@ -4,7 +4,8 @@
 # deterministic result cache (observable through the response's
 # result_cache field and the /v1/cache counters), with bad parameters
 # rejected as 400; then exercise the async job API (submit, duplicate-join,
-# poll, result), a cross-tenant fairness spot check, and sharded
+# poll, result, cancel, resubmit after cancel), a cross-tenant fairness spot
+# check, and sharded
 # scatter-gather execution (same answer as unsharded, per-K fingerprints,
 # cache hit on repeat, coordinator stats on /healthz); finally SIGKILL the
 # daemon and restart it over the same -data-dir, asserting the stored graph
@@ -195,6 +196,14 @@ curl -sf -X DELETE "http://$ADDR/v1/jobs/$CANCEL_ID" >/dev/null || fail "job can
 retry_until 15 "job $CANCEL_ID to be canceled" job_in_state "$CANCEL_ID" failed
 curl -sf "http://$ADDR/v1/jobs/$CANCEL_ID" | grep -q 'canceled' || fail "canceled job should report a cancellation error"
 
+# A failed job releases its fingerprint: resubmitting the canceled request
+# starts a new job rather than handing back the dead one. Cancel it too.
+RESUBMIT=$(curl -sf -X POST "http://$ADDR/v1/jobs" -d "$CANCEL_BODY") || fail "resubmit after cancel failed"
+RESUBMIT_ID=$(echo "$RESUBMIT" | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"\(j-[0-9]*\)"/\1/')
+[[ "$RESUBMIT_ID" == j-* && "$RESUBMIT_ID" != "$CANCEL_ID" ]] \
+    || fail "resubmitting a canceled request should start a new job, not $CANCEL_ID: $RESUBMIT"
+curl -sf -X DELETE "http://$ADDR/v1/jobs/$RESUBMIT_ID" >/dev/null || fail "resubmitted job cancel failed"
+
 # Cross-tenant fairness spot check: both tenants ran, and the configured
 # weights are live in the limiter (gold=3 surfaces in /healthz once gold
 # holds queued or admitted work; here we assert the weight config parsed by
@@ -205,7 +214,7 @@ if echo "$JOBS_GOLD" | grep -q "\"id\": *\"$CANCEL_ID\""; then
     fail "bronze's job leaked into gold's listing: $JOBS_GOLD"
 fi
 HEALTH_JOBS=$(curl -sf "http://$ADDR/healthz") || fail "healthz after jobs failed"
-echo "$HEALTH_JOBS" | grep -q '"submitted": *2' || fail "healthz should count 2 submissions: $HEALTH_JOBS"
+echo "$HEALTH_JOBS" | grep -q '"submitted": *3' || fail "healthz should count 3 submissions: $HEALTH_JOBS"
 echo "$HEALTH_JOBS" | grep -q '"joined": *1' || fail "healthz should count 1 join: $HEALTH_JOBS"
 
 # Crash safety: SIGKILL the daemon (no graceful shutdown, no final flush)
