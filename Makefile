@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve clean
+.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve loc clean
 
 all: build test
 
@@ -83,6 +83,17 @@ bench-parallel:
 bench-build:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# Product size: non-blank, non-comment lines of non-test Go per package
+# directory, then the total. A line counts as a comment when its first
+# non-blank characters are //. The vendored third_party/ tree and the
+# separate benchmark/ module are left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path './benchmark/*' ! -path './.git/*' -print0 | \
+		xargs -0 awk '{ t = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", t) } \
+			t == "" || substr(t, 1, 2) == "//" { next } \
+			{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d]++; total++ } \
+			END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", total }'
 
 clean:
 	$(GO) clean ./...

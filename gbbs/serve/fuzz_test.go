@@ -63,7 +63,7 @@ func FuzzRunRequestDecode(f *testing.F) {
 		dec.DisallowUnknownFields()
 		var req RunRequest
 		if err := dec.Decode(&req); err != nil {
-			return // handled as a 400 by decodeRun
+			return // decodeBody rejects these, and errorStatus makes that a 400
 		}
 		p, rerr := fuzzServer().parseRunRequest(req)
 		if (p == nil) == (rerr == nil) {

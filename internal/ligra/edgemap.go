@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -64,9 +65,11 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 	// member list: when the frontier is already dense, summing over the
 	// flags avoids materializing the sparse form (a pack allocating and
 	// compacting O(n) words) that the dense direction would then never
-	// read. The sparse ids are produced only once the sparse direction is
-	// actually chosen.
+	// read. A sparse frontier's degrees are read once: the pass that sums
+	// them also stores them, and only the sparse direction goes on to scan
+	// them into the offsets both sparse traversals index by.
 	var ids []uint32
+	var offsets []int
 	var degSum int
 	if frontier.IsDense() {
 		flags := frontier.Dense(s)
@@ -80,20 +83,37 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 			func(a, b int) int { return a + b })
 	} else {
 		ids = frontier.Sparse(s)
-		degSum = prims.MapReduce(s, len(ids), 0,
-			func(i int) int { return g.OutDeg(ids[i]) },
-			func(a, b int) int { return a + b })
+		offsets, degSum = outDegrees(s, g, ids)
 	}
 	if !opt.NoDense && frontier.Size()+degSum > g.M()/threshold {
 		return edgeMapDense(s, g, frontier, update, cond, opt)
 	}
 	if ids == nil {
 		ids = frontier.Sparse(s)
+		offsets, _ = outDegrees(s, g, ids)
 	}
+	// Vertex i's edges are [offsets[i], offsets[i+1]); a vertex's degree is
+	// the difference of adjacent offsets.
+	offsets[len(ids)] = prims.ScanInPlace(s, offsets[:len(ids)])
 	if opt.NoBlocked {
-		return edgeMapSparse(s, g, ids, degSum, update, cond, opt)
+		return edgeMapSparse(s, g, ids, offsets, update, cond, opt)
 	}
-	return edgeMapBlocked(s, g, ids, degSum, update, cond, opt)
+	return edgeMapBlocked(s, g, ids, offsets, update, cond, opt)
+}
+
+// outDegrees returns the out-degrees of ids, in a slice with one spare slot
+// at the end for the sum once the caller scans it into offsets, and their
+// sum.
+func outDegrees(s *parallel.Scheduler, g graph.Graph, ids []uint32) ([]int, int) {
+	degs := make([]int, len(ids)+1)
+	sum := prims.MapReduce(s, len(ids), 0,
+		func(i int) int {
+			d := g.OutDeg(ids[i])
+			degs[i] = d
+			return d
+		},
+		func(a, b int) int { return a + b })
+	return degs, sum
 }
 
 // edgeMapDense is the pull direction: every vertex with cond(v) scans its
@@ -136,15 +156,13 @@ func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, u
 
 // edgeMapSparse is the standard push direction: one output slot per incident
 // edge, filled with the destination when update succeeds, then filtered.
-func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, degSum int, update Update, cond Cond, opt Opts) VertexSubset {
+// offsets are the frontier's degree offsets, with the degree sum last.
+func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets []int, update Update, cond Cond, opt Opts) VertexSubset {
 	n := g.N()
-	offsets := make([]int64, len(ids))
-	prims.Scan(s, degreesOf(s, g, ids), offsets)
-	out := make([]uint32, degSum)
+	out := make([]uint32, offsets[len(ids)])
 	s.For(len(ids), 32, func(i int) {
 		u := ids[i]
 		o := offsets[i]
-		written := int64(0)
 		g.OutNgh(u, func(v uint32, w int32) bool {
 			if cond(v) && update(u, v, w) {
 				out[o] = v
@@ -152,10 +170,9 @@ func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, degSum in
 				out[o] = none
 			}
 			o++
-			written++
 			return true
 		})
-		Traffic.Add(written)
+		Traffic.Add(int64(o - offsets[i]))
 	})
 	if opt.NoOutput {
 		return Empty(n)
@@ -167,42 +184,31 @@ func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, degSum in
 // edgeMapBlocked is Algorithm 15: the edges incident to the frontier are
 // split into fixed-size logical blocks; each block packs its live
 // destinations compactly, so the number of words written is proportional to
-// the output size rather than to the frontier's degree sum.
+// the output size rather than to the frontier's degree sum. offsets are the
+// frontier's degree offsets, with the degree sum last.
 const emBlockSize = 4096
 
-func edgeMapBlocked(s *parallel.Scheduler, g graph.Graph, ids []uint32, degSum int, update Update, cond Cond, opt Opts) VertexSubset {
+func edgeMapBlocked(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets []int, update Update, cond Cond, opt Opts) VertexSubset {
 	n := g.N()
+	degSum := offsets[len(ids)]
 	if degSum == 0 {
 		return Empty(n)
 	}
-	degs := degreesOf(s, g, ids)
-	offsets := make([]int64, len(ids))
-	prims.Scan(s, degs, offsets)
 	nblocks := (degSum + emBlockSize - 1) / emBlockSize
-	// B[b] = index of the frontier vertex containing edge b*emBlockSize.
-	starts := make([]int, nblocks)
-	s.For(nblocks, 64, func(b int) {
-		starts[b] = prims.SearchSorted64(offsets, int64(b*emBlockSize)+1) - 1
-	})
 	inter := make([]uint32, degSum)
-	counts := make([]int, nblocks)
+	// counts[b] is block b's live destinations, then its output offset.
+	counts := make([]int, nblocks+1)
 	s.For(nblocks, 1, func(b int) {
 		edgeLo := b * emBlockSize
-		edgeHi := edgeLo + emBlockSize
-		if edgeHi > degSum {
-			edgeHi = degSum
-		}
+		edgeHi := min(edgeLo+emBlockSize, degSum)
+		// The frontier vertex holding edge edgeLo: the last one whose
+		// offset is at most edgeLo.
+		first, _ := slices.BinarySearch(offsets, edgeLo+1)
 		o := edgeLo
-		for i := starts[b]; i < len(ids) && int(offsets[i]) < edgeHi; i++ {
+		for i := first - 1; offsets[i] < edgeHi; i++ {
 			u := ids[i]
-			vLo := edgeLo - int(offsets[i])
-			if vLo < 0 {
-				vLo = 0
-			}
-			vHi := edgeHi - int(offsets[i])
-			if d := int(degs[i]); vHi > d {
-				vHi = d
-			}
+			vLo := max(edgeLo, offsets[i]) - offsets[i]
+			vHi := min(edgeHi, offsets[i+1]) - offsets[i]
 			g.OutRange(u, vLo, vHi, func(v uint32, w int32) bool {
 				if cond(v) && update(u, v, w) {
 					inter[o] = v
@@ -217,21 +223,10 @@ func edgeMapBlocked(s *parallel.Scheduler, g graph.Graph, ids []uint32, degSum i
 	if opt.NoOutput {
 		return Empty(n)
 	}
-	blockOff := make([]int, nblocks)
-	total := prims.Scan(s, counts, blockOff)
-	result := make([]uint32, total)
+	counts[nblocks] = prims.ScanInPlace(s, counts[:nblocks])
+	result := make([]uint32, counts[nblocks])
 	s.For(nblocks, 64, func(b int) {
-		copy(result[blockOff[b]:blockOff[b]+counts[b]], inter[b*emBlockSize:b*emBlockSize+counts[b]])
+		copy(result[counts[b]:counts[b+1]], inter[b*emBlockSize:])
 	})
 	return FromSparse(n, result)
-}
-
-func degreesOf(s *parallel.Scheduler, g graph.Graph, ids []uint32) []int64 {
-	degs := make([]int64, len(ids))
-	s.ForRange(len(ids), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			degs[i] = int64(g.OutDeg(ids[i]))
-		}
-	})
-	return degs
 }

@@ -3,12 +3,14 @@ package ligra
 import (
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/atomics"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/parallel"
+	"repro/internal/prims"
 )
 
 // sched is the scheduler every test in this package runs on, at the
@@ -18,7 +20,7 @@ var sched = parallel.New(runtime.NumCPU())
 
 func TestVertexSubsetBasics(t *testing.T) {
 	s := Empty(10)
-	if s.Size() != 0 || !s.IsEmpty() {
+	if s.Size() != 0 || len(s.Sparse(sched)) != 0 {
 		t.Fatal("Empty not empty")
 	}
 	s = Single(10, 3)
@@ -56,7 +58,9 @@ func TestVertexMapAndFilter(t *testing.T) {
 			t.Fatalf("vertex %d mapped %d times", v, c)
 		}
 	}
-	f := VertexFilter(sched, s, func(v uint32) bool { return v%10 == 0 })
+	// The paper's vertexFilter: pack the members, rewrap over the same
+	// universe.
+	f := FromSparse(s.N(), prims.Filter(sched, s.Sparse(sched), func(v uint32) bool { return v%10 == 0 }))
 	if f.Size() != 10 {
 		t.Fatalf("filter size = %d", f.Size())
 	}
@@ -192,26 +196,53 @@ func TestEdgeMapCondSkips(t *testing.T) {
 	}
 }
 
+// TestEdgeMapBlockedHighDegreeSplit checks blocked ≡ flat ≡ dense on stars
+// whose frontier degree sum sits on edgeMapBlocked's block boundaries (0,
+// emBlockSize-1, emBlockSize, emBlockSize+1) or spans several blocks. From
+// the centre one vertex is split across blocks; from the leaves each block
+// holds many one-edge vertices, so a block boundary falls between them.
+// With cond always true every mode applies update once per frontier edge,
+// so the call count catches a traversal that reads past a vertex's degree.
 func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
-	// A star with degree far above the block size exercises the multi-block
-	// single-vertex path of edgeMapBlocked.
-	n := 3 * emBlockSize
-	el := gen.Star(n)
-	g := graph.FromEdgeList(sched, n, el, graph.BuildOptions{Symmetrize: true})
-	visited := make([]uint32, n)
-	visited[0] = 1
-	out := EdgeMap(sched, g, Single(n, 0),
-		func(s, d uint32, w int32) bool { return atomics.TestAndSet(&visited[d]) },
-		func(d uint32) bool { return atomics.Load32(&visited[d]) == 0 },
-		Opts{NoDense: true})
-	if out.Size() != n-1 {
-		t.Fatalf("star edgeMap reached %d of %d", out.Size(), n-1)
+	modes := map[string]Opts{
+		"flat":    {NoDense: true, NoBlocked: true},
+		"blocked": {NoDense: true},
+		"dense":   {DenseThreshold: 1 << 30},
 	}
-	got := slices.Clone(out.Sparse(sched))
-	slices.Sort(got)
-	for i, v := range got {
-		if v != uint32(i+1) {
-			t.Fatalf("missing vertex %d", i+1)
+	for _, deg := range []int{0, emBlockSize - 1, emBlockSize, emBlockSize + 1, 3 * emBlockSize} {
+		n := deg + 1
+		g := graph.FromEdgeList(sched, n, gen.Star(n), graph.BuildOptions{Symmetrize: true})
+		leaves := make([]uint32, deg)
+		for i := range leaves {
+			leaves[i] = uint32(i + 1)
+		}
+		for from, c := range map[string]struct{ frontier, want []uint32 }{
+			"centre": {[]uint32{0}, leaves},
+			"leaves": {leaves, []uint32{0}},
+		} {
+			if len(c.frontier) == 0 {
+				continue
+			}
+			for mode, opt := range modes {
+				visited := make([]uint32, n)
+				for _, v := range c.frontier {
+					visited[v] = 1
+				}
+				var calls atomic.Int64
+				out := EdgeMap(sched, g, FromSparse(n, slices.Clone(c.frontier)),
+					func(s, d uint32, w int32) bool {
+						calls.Add(1)
+						return atomics.TestAndSet(&visited[d])
+					},
+					func(d uint32) bool { return true },
+					opt)
+				got := slices.Clone(out.Sparse(sched))
+				slices.Sort(got)
+				if !slices.Equal(got, c.want) || calls.Load() != int64(deg) {
+					t.Fatalf("degree sum %d from the %s, %s: reached %d vertices in %d updates, want %d in %d",
+						deg, from, mode, len(got), calls.Load(), len(c.want), deg)
+				}
+			}
 		}
 	}
 }

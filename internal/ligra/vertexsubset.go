@@ -1,8 +1,8 @@
 // Package ligra implements the Ligra abstractions the paper's algorithms are
 // written in (§3): vertexSubsets representing subsets of vertices with dual
-// sparse/dense representations, vertexMap/vertexFilter, and edgeMap with
-// Ligra's direction optimization plus the cache-friendly edgeMapBlocked
-// sparse traversal from the paper's §B (Algorithm 15).
+// sparse/dense representations, vertexMap, and edgeMap with Ligra's
+// direction optimization plus the cache-friendly edgeMapBlocked sparse
+// traversal from the paper's §B (Algorithm 15).
 //
 // All traversal routines are scheduler-scoped: they take the
 // *parallel.Scheduler to run on as their first argument, so concurrent
@@ -25,9 +25,7 @@ type VertexSubset struct {
 }
 
 // Empty returns the empty subset over n vertices.
-func Empty(n int) VertexSubset {
-	return VertexSubset{n: n, sparse: []uint32{}}
-}
+func Empty(n int) VertexSubset { return FromSparse(n, nil) }
 
 // Single returns the subset {v} over n vertices.
 func Single(n int, v uint32) VertexSubset {
@@ -35,8 +33,12 @@ func Single(n int, v uint32) VertexSubset {
 }
 
 // FromSparse wraps a slice of distinct vertex IDs as a subset. The slice is
-// retained (not copied).
+// retained (not copied). A nil slice is the empty subset, as Empty(n).
 func FromSparse(n int, ids []uint32) VertexSubset {
+	if ids == nil {
+		// A nil sparse form reads as "not yet converted from dense".
+		ids = []uint32{}
+	}
 	return VertexSubset{n: n, sparse: ids, size: len(ids)}
 }
 
@@ -65,9 +67,6 @@ func (vs *VertexSubset) N() int { return vs.n }
 
 // Size returns the number of member vertices.
 func (vs *VertexSubset) Size() int { return vs.size }
-
-// IsEmpty reports whether the subset has no members.
-func (vs *VertexSubset) IsEmpty() bool { return vs.size == 0 }
 
 // IsDense reports whether the subset currently holds a dense representation.
 func (vs *VertexSubset) IsDense() bool { return vs.dense != nil && vs.sparse == nil }
@@ -123,12 +122,4 @@ func (vs *VertexSubset) ForEach(s *parallel.Scheduler, f func(v uint32)) {
 // vertexMap).
 func VertexMap(s *parallel.Scheduler, vs VertexSubset, f func(v uint32)) {
 	vs.ForEach(s, f)
-}
-
-// VertexFilter returns the members of vs satisfying pred (the paper's
-// vertexFilter).
-func VertexFilter(s *parallel.Scheduler, vs VertexSubset, pred func(v uint32) bool) VertexSubset {
-	ids := vs.Sparse(s)
-	out := prims.Filter(s, ids, pred)
-	return FromSparse(vs.n, out)
 }

@@ -3,6 +3,9 @@ package ligra
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/prims"
 )
 
 func TestSparseConversionIsCached(t *testing.T) {
@@ -36,9 +39,12 @@ func TestContainsBothRepresentations(t *testing.T) {
 	}
 }
 
+// TestVertexFilterPreservesUniverse filters a dense subset the way callers
+// do (prims.Filter over its members, rewrapped with FromSparse) and checks
+// the result keeps the original universe.
 func TestVertexFilterPreservesUniverse(t *testing.T) {
 	s := All(sched, 20)
-	f := VertexFilter(sched, s, func(v uint32) bool { return v >= 15 })
+	f := FromSparse(s.N(), prims.Filter(sched, s.Sparse(sched), func(v uint32) bool { return v >= 15 }))
 	if f.N() != 20 || f.Size() != 5 {
 		t.Fatalf("N=%d Size=%d", f.N(), f.Size())
 	}
@@ -51,10 +57,32 @@ func TestVertexFilterPreservesUniverse(t *testing.T) {
 
 func TestFromDenseZeroSize(t *testing.T) {
 	s := FromDense(sched, make([]bool, 5), -1)
-	if !s.IsEmpty() || s.Size() != 0 {
+	if s.Size() != 0 {
 		t.Fatal("all-false dense subset not empty")
 	}
 	if len(s.Sparse(sched)) != 0 {
 		t.Fatal("sparse of empty dense not empty")
+	}
+}
+
+// TestFromSparseNilIsEmpty: a nil member list is the empty subset. The flat
+// sparse traversal from a frontier with no out-edges filters an empty slot
+// array, gets nil back, and wraps it with FromSparse; reading that result
+// must not mistake it for a subset still waiting for its dense-to-sparse
+// conversion.
+func TestFromSparseNilIsEmpty(t *testing.T) {
+	s := FromSparse(5, nil)
+	if s.Size() != 0 || len(s.Sparse(sched)) != 0 || s.Contains(0) {
+		t.Fatal("FromSparse(n, nil) is not the empty subset")
+	}
+	// Vertices 1 and 2 are isolated.
+	g := graph.FromEdgeList(sched, 4, &graph.EdgeList{N: 4, U: []uint32{0}, V: []uint32{3}}, graph.BuildOptions{})
+	out := EdgeMap(sched, g, FromSparse(4, []uint32{1, 2}),
+		func(s, d uint32, w int32) bool { return true },
+		func(d uint32) bool { return true },
+		Opts{NoDense: true, NoBlocked: true})
+	out.ForEach(sched, func(v uint32) { t.Errorf("empty result has member %d", v) })
+	if out.Size() != 0 {
+		t.Fatalf("result size = %d, want 0", out.Size())
 	}
 }

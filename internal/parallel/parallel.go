@@ -306,12 +306,18 @@ func (s *Scheduler) DoN(fs ...func()) {
 	s.runTask(&task{blocks: int64(len(fs)), funcs: fs}, helpers)
 }
 
-// Blocks returns the block boundaries ForRange would use for n items with
-// the given grain: a slice of block start offsets plus the terminal n. It
-// lets two-pass algorithms (count then scatter) agree on the partition.
+// Blocks returns the block boundaries for n items with the given grain: a
+// slice of block start offsets plus the terminal n. It lets two-pass
+// algorithms (count then scatter) agree on the partition. On a one-worker
+// scheduler it is always the single block [0, n), whatever the grain — the
+// same rule ForRange follows — so a caller's one-block branch is its
+// one-worker path.
 func (s *Scheduler) Blocks(n, grain int) []int {
 	if n <= 0 {
 		return []int{0}
+	}
+	if s.workers == 1 {
+		return []int{0, n}
 	}
 	grain = s.grainOf(n, grain, s.workers)
 	nb := (n + grain - 1) / grain

@@ -112,6 +112,20 @@ func TestBlocksPartition(t *testing.T) {
 	}
 }
 
+// TestBlocksSingleWorkerIsOneBlock pins the one-worker rule: like ForRange,
+// Blocks on a one-worker scheduler is the single block [0, n) whatever the
+// grain, so a primitive's one-block branch is its one-worker path.
+func TestBlocksSingleWorkerIsOneBlock(t *testing.T) {
+	s := New(1)
+	for _, n := range []int{1, 5, 511, 512, 513, 4097, 1 << 15, 1<<20 + 3} {
+		for _, grain := range []int{0, 1, 7, 512, 4096} {
+			if b := s.Blocks(n, grain); len(b) != 2 || b[0] != 0 || b[1] != n {
+				t.Fatalf("New(1).Blocks(%d, %d) = %d bounds, want the single block [0, %d)", n, grain, len(b), n)
+			}
+		}
+	}
+}
+
 func TestNestedParallelism(t *testing.T) {
 	// A parallel loop spawning parallel loops must not deadlock and must
 	// cover the full 2-D space.

@@ -47,59 +47,3 @@ func Histogram(s *parallel.Scheduler, keys []uint32, keyBits int) (ids []uint32,
 	})
 	return ids, counts
 }
-
-// HistogramApply computes the histogram of keys and invokes fn(key, count)
-// once per distinct key, in parallel. It is the paper's HistogramFilter
-// shape: fn typically updates per-vertex state and decides whether the
-// vertex's bucket changed, saving a write per filtered-out pair.
-func HistogramApply(s *parallel.Scheduler, keys []uint32, keyBits int, fn func(key, count uint32)) {
-	ids, counts := Histogram(s, keys, keyBits)
-	s.ForRange(len(ids), 512, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			fn(ids[j], counts[j])
-		}
-	})
-}
-
-// HistogramSum aggregates weighted pairs: for every (keys[i], vals[i]) it
-// sums vals per distinct key. Used where the generalized (K,T) histogram of
-// the paper is needed rather than pure counting.
-func HistogramSum(s *parallel.Scheduler, keys []uint32, vals []uint32, keyBits int) (ids []uint32, sums []uint64) {
-	n := len(keys)
-	if n == 0 {
-		return nil, nil
-	}
-	if len(vals) != n {
-		panic("prims: HistogramSum length mismatch")
-	}
-	packed := make([]uint64, n)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			packed[i] = uint64(keys[i])<<32 | uint64(vals[i])
-		}
-	})
-	// Sorting by the high 32 bits groups equal keys; the payload rides along.
-	RadixSortU64(s, packed, keyBits+32)
-	starts := PackIndex(s, n, func(i int) bool {
-		return i == 0 || packed[i]>>32 != packed[i-1]>>32
-	})
-	k := len(starts)
-	ids = make([]uint32, k)
-	sums = make([]uint64, k)
-	s.ForRange(k, 0, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			start := int(starts[j])
-			end := n
-			if j+1 < k {
-				end = int(starts[j+1])
-			}
-			var s uint64
-			for i := start; i < end; i++ {
-				s += packed[i] & 0xffffffff
-			}
-			ids[j] = uint32(packed[start] >> 32)
-			sums[j] = s
-		}
-	})
-	return ids, sums
-}

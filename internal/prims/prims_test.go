@@ -1,6 +1,7 @@
 package prims
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -46,15 +47,6 @@ func TestScanInPlace(t *testing.T) {
 	}
 }
 
-func TestScanInclusive(t *testing.T) {
-	a := []uint32{1, 2, 3, 4}
-	out := make([]uint32, 4)
-	total := ScanInclusive(sched, a, out)
-	if total != 10 || !slices.Equal(out, []uint32{1, 3, 6, 10}) {
-		t.Fatalf("got %v total %d", out, total)
-	}
-}
-
 func TestScanQuickProperty(t *testing.T) {
 	err := quick.Check(func(a []int32) bool {
 		in := make([]int64, len(a))
@@ -87,9 +79,6 @@ func TestReduceAndSum(t *testing.T) {
 	}
 	if got := Max(sched, a); got != 99999 {
 		t.Fatalf("Max = %d", got)
-	}
-	if got := Min(sched, a); got != 0 {
-		t.Fatalf("Min = %d", got)
 	}
 	if got := Reduce(sched, []int{}, -1, func(x, y int) int { return x + y }); got != -1 {
 		t.Fatalf("Reduce empty = %d", got)
@@ -192,20 +181,6 @@ func TestRadixSortU64PartialBitsIsStable(t *testing.T) {
 	}
 }
 
-func TestRadixSortU32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := make([]uint32, 30000)
-	for i := range a {
-		a[i] = rng.Uint32()
-	}
-	want := slices.Clone(a)
-	slices.Sort(want)
-	RadixSortU32(sched, a, 32)
-	if !slices.Equal(a, want) {
-		t.Fatal("RadixSortU32 mismatch")
-	}
-}
-
 func TestRadixSortPairsCarriesPayload(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 50000
@@ -217,7 +192,7 @@ func TestRadixSortPairsCarriesPayload(t *testing.T) {
 	}
 	orig := slices.Clone(keys)
 	RadixSortPairs(sched, keys, vals, BitsFor(1000))
-	if !IsSortedU64(keys) {
+	if !slices.IsSorted(keys) {
 		t.Fatal("keys not sorted")
 	}
 	for i := range keys {
@@ -350,15 +325,6 @@ func dedupSorted(xs []uint16) []uint32 {
 	return slices.Compact(out)
 }
 
-func TestSearchSorted(t *testing.T) {
-	a := []uint32{2, 4, 4, 8}
-	for _, c := range []struct{ v, want uint32 }{{1, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 3}, {9, 4}} {
-		if got := SearchSorted(a, c.v); got != int(c.want) {
-			t.Fatalf("SearchSorted(%d) = %d want %d", c.v, got, c.want)
-		}
-	}
-}
-
 func TestHistogramMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 100, 100000} {
@@ -382,24 +348,6 @@ func TestHistogramMatchesMap(t *testing.T) {
 				t.Fatalf("ids not sorted at %d", i)
 			}
 		}
-	}
-}
-
-func TestHistogramApply(t *testing.T) {
-	keys := []uint32{3, 3, 3, 1, 2, 2}
-	got := map[uint32]uint32{}
-	HistogramApply(sched, keys, 2, func(k, c uint32) { got[k] = c })
-	if got[3] != 3 || got[2] != 2 || got[1] != 1 || len(got) != 3 {
-		t.Fatalf("HistogramApply = %v", got)
-	}
-}
-
-func TestHistogramSum(t *testing.T) {
-	keys := []uint32{5, 1, 5, 1, 5}
-	vals := []uint32{10, 1, 20, 2, 30}
-	ids, sums := HistogramSum(sched, keys, vals, 3)
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 5 || sums[0] != 3 || sums[1] != 60 {
-		t.Fatalf("HistogramSum ids=%v sums=%v", ids, sums)
 	}
 }
 
@@ -453,6 +401,118 @@ func TestPrimsUnderSingleWorker(t *testing.T) {
 	for i, v := range p {
 		if v != uint32(i) {
 			t.Fatal("permutation wrong with 1 worker")
+		}
+	}
+}
+
+// affine is x ↦ mul·x + add over wrapping uint64 arithmetic. Composition is
+// associative but not commutative, so a reduction over affine maps checks
+// that blocked reductions combine their partials in index order.
+type affine struct{ mul, add uint64 }
+
+func then(f, g affine) affine { return affine{g.mul * f.mul, g.mul*f.add + g.add} }
+
+// TestPrimsMatchSequentialAtEveryWidth runs every pack, scan, reduce and
+// radix entry point at 1, 2 and NumCPU workers, on sizes around the default
+// grain (512), the insertion-sort cut-off (256) and the parallel radix
+// cut-off (16384), and compares each result with a sequential reference.
+func TestPrimsMatchSequentialAtEveryWidth(t *testing.T) {
+	for _, p := range []int{1, 2, runtime.NumCPU()} {
+		s := parallel.New(p)
+		defer s.Close()
+		for _, n := range []int{0, 1, 255, 511, 512, 513, 8*512 + 1, 1<<15 + 3} {
+			check := func(what string, ok bool) {
+				t.Helper()
+				if !ok {
+					t.Errorf("p=%d n=%d: %s differs from the sequential reference", p, n, what)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() >> 24
+			}
+
+			wantScan := make([]uint64, n)
+			var total uint64
+			for i, v := range a {
+				wantScan[i] = total
+				total += v
+			}
+			got := make([]uint64, n)
+			check("Scan", Scan(s, a, got) == total && slices.Equal(got, wantScan))
+			got = slices.Clone(a)
+			check("ScanInPlace", ScanInPlace(s, got) == total && slices.Equal(got, wantScan))
+			check("Sum", Sum(s, a) == total)
+			if n > 0 {
+				check("Max", Max(s, a) == slices.Max(a))
+			}
+
+			maps := make([]affine, n)
+			wantMap := affine{1, 0}
+			for i, v := range a {
+				maps[i] = affine{v | 1, v >> 3}
+				wantMap = then(wantMap, maps[i])
+			}
+			check("Reduce", Reduce(s, maps, affine{1, 0}, then) == wantMap)
+			check("MapReduce", MapReduce(s, n, affine{1, 0}, func(i int) affine { return maps[i] }, then) == wantMap)
+
+			pred := func(v uint64) bool { return v%3 == 0 }
+			keep := func(i int) bool { return pred(a[i]) }
+			var wantKept, wantMapped []uint64
+			var wantIdx []uint32
+			for i, v := range a {
+				if pred(v) {
+					wantKept = append(wantKept, v)
+					wantIdx = append(wantIdx, uint32(i))
+					wantMapped = append(wantMapped, 2*v+1)
+				}
+			}
+			check("Filter", slices.Equal(Filter(s, a, pred), wantKept))
+			into := make([]uint64, n)
+			k := FilterInto(s, a, into, pred)
+			check("FilterInto", k == len(wantKept) && slices.Equal(into[:k], wantKept))
+			check("PackIndex", slices.Equal(PackIndex(s, n, keep), wantIdx))
+			check("MapFilter", slices.Equal(MapFilter(s, n, keep, func(i int) uint64 { return 2*a[i] + 1 }), wantMapped))
+			check("Count", Count(s, n, keep) == len(wantKept))
+
+			got = slices.Clone(a)
+			RadixSortU64(s, got, 40)
+			check("RadixSortU64 (full key)", slices.IsSorted(got) && slices.Equal(got, slices.Sorted(slices.Values(a))))
+			// Sorting by the low 16 bits only must be stable: the reference
+			// is a stable sort of the indices by those bits.
+			order := make([]uint32, n)
+			for i := range order {
+				order[i] = uint32(i)
+			}
+			slices.SortStableFunc(order, func(x, y uint32) int { return cmp.Compare(a[x]&0xffff, a[y]&0xffff) })
+			got = slices.Clone(a)
+			RadixSortU64(s, got, 16)
+			keys, vals := slices.Clone(a), slices.Clone(order)
+			slices.Sort(vals) // the identity payload
+			RadixSortPairs(s, keys, vals, 16)
+			okLow, okPairs := true, slices.Equal(vals, order)
+			for i, j := range order {
+				okLow = okLow && got[i] == a[j]
+				okPairs = okPairs && keys[i] == a[j]
+			}
+			check("RadixSortU64 (low bits)", okLow)
+			check("RadixSortPairs", okPairs)
+
+			keys32 := make([]uint32, n)
+			for i, v := range a {
+				keys32[i] = uint32(v % 1000)
+			}
+			var wantIDs, wantCounts []uint32
+			for _, v := range slices.Sorted(slices.Values(keys32)) {
+				if last := len(wantIDs) - 1; last >= 0 && wantIDs[last] == v {
+					wantCounts[last]++
+				} else {
+					wantIDs, wantCounts = append(wantIDs, v), append(wantCounts, 1)
+				}
+			}
+			ids, counts := Histogram(s, keys32, BitsFor(999))
+			check("Histogram", slices.Equal(ids, wantIDs) && slices.Equal(counts, wantCounts))
 		}
 	}
 }

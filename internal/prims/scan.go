@@ -1,10 +1,21 @@
 // Package prims implements the work-efficient parallel primitives of the
-// paper's §3 (scan, reduce, filter, pack) plus the sorting, histogramming,
-// selection and permutation routines the algorithm implementations rely on.
-// Every primitive has O(n) (or O(n log n) for sorting) work and low depth.
-// Primitives are scheduler-scoped: each takes the scheduler it should run
-// on as its first argument and degrades to a plain sequential loop on a
-// one-worker scheduler.
+// paper's §3 (scan, reduce, filter/pack, histogram) plus the sorting,
+// selection, intersection and permutation routines the algorithm
+// implementations rely on. Every primitive has O(n) work (O(n) per radix
+// pass for sorting) and low depth, and takes the scheduler it should run on
+// as its first argument.
+//
+// The blocked primitives share one shape: the scheduler's Blocks partitions
+// the input, a per-block pass runs in parallel, and a short sequential step
+// combines the per-block results. The pack-shaped ones (Filter, FilterInto,
+// PackIndex, MapFilter, Count) are one count→scan→write skeleton, Reduce and
+// MapReduce one block-reduce skeleton, and both radix sorts one counting
+// pass. The pack and reduce skeletons take the caller's per-block loop, so
+// an element costs one call of the caller's function, not a wrapper's too.
+// Blocks returns a single block on a one-worker scheduler, as it does for
+// input below one grain, and each primitive's single-block branch is a
+// plain sequential loop with no per-block partials: that branch is the
+// one-worker path.
 package prims
 
 import "repro/internal/parallel"
@@ -38,12 +49,7 @@ func Scan[T Number](s *parallel.Scheduler, a, out []T) T {
 		}
 		sums[b] = s
 	})
-	var total T
-	for b := 0; b < nb; b++ {
-		s := sums[b]
-		sums[b] = total
-		total += s
-	}
+	total := scanSeq(sums, sums, 0)
 	s.ForBlocks(bounds, func(b, lo, hi int) {
 		scanSeq(a[lo:hi], out[lo:hi], sums[b])
 	})
@@ -55,48 +61,6 @@ func scanSeq[T Number](a, out []T, carry T) T {
 	for i, v := range a {
 		out[i] = s
 		s += v
-	}
-	return s
-}
-
-// ScanInclusive writes inclusive prefix sums into out and returns the total.
-// Like Scan, a single-block input (sub-grain n or a one-worker scheduler)
-// takes a plain sequential pass with no block machinery.
-func ScanInclusive[T Number](s *parallel.Scheduler, a, out []T) T {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	bounds := s.Blocks(n, 0)
-	nb := len(bounds) - 1
-	if nb == 1 {
-		return scanInclSeq(a, out, 0)
-	}
-	sums := make([]T, nb)
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		var s T
-		for i := lo; i < hi; i++ {
-			s += a[i]
-		}
-		sums[b] = s
-	})
-	var total T
-	for b := 0; b < nb; b++ {
-		s := sums[b]
-		sums[b] = total
-		total += s
-	}
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		scanInclSeq(a[lo:hi], out[lo:hi], sums[b])
-	})
-	return total
-}
-
-func scanInclSeq[T Number](a, out []T, carry T) T {
-	s := carry
-	for i, v := range a {
-		s += v
-		out[i] = s
 	}
 	return s
 }

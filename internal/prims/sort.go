@@ -18,7 +18,22 @@ const radixBuckets = 1 << radixBits
 // RadixSortU64 sorts a in place by its low `bitsWanted` bits (pass 64 for a
 // full sort). Stable across passes, deterministic, parallel.
 func RadixSortU64(s *parallel.Scheduler, a []uint64, bitsWanted int) {
-	n := len(a)
+	radixSort(s, a, nil, bitsWanted)
+}
+
+// RadixSortPairs sorts keys (by low bitsWanted bits) and applies the same
+// permutation to vals. Stable.
+func RadixSortPairs(s *parallel.Scheduler, keys []uint64, vals []uint32, bitsWanted int) {
+	if len(keys) != len(vals) {
+		panic("prims: RadixSortPairs length mismatch")
+	}
+	radixSort(s, keys, vals, bitsWanted)
+}
+
+// radixSort is both sorts: it sorts keys by their low bitsWanted bits and,
+// when vals is non-nil, applies the same permutation to vals.
+func radixSort(s *parallel.Scheduler, keys []uint64, vals []uint32, bitsWanted int) {
+	n := len(keys)
 	if n <= 1 {
 		return
 	}
@@ -26,76 +41,51 @@ func RadixSortU64(s *parallel.Scheduler, a []uint64, bitsWanted int) {
 		bitsWanted = 64
 	}
 	if n < 256 {
-		insertionSortMasked(a, bitsWanted)
+		insertionSortMasked(keys, vals, bitsWanted)
 		return
 	}
+	// Mid-size inputs sort as one block: a counting-sort pass is ~4n memory
+	// ops and parallel dispatch would dominate (round-based algorithms like
+	// k-core sort one small batch per round).
+	bounds := []int{0, n}
+	if n >= 16384 {
+		bounds = s.Blocks(n, 4096)
+	}
+	counts := make([]int, (len(bounds)-1)*radixBuckets)
 	passes := (bitsWanted + radixBits - 1) / radixBits
-	buf := make([]uint64, n)
-	src, dst := a, buf
-	if n < 16384 {
-		// Mid-size inputs sort sequentially: a counting-sort pass is ~4n
-		// memory ops and parallel dispatch would dominate (round-based
-		// algorithms like k-core sort one small batch per round).
-		for p := 0; p < passes; p++ {
-			radixPassSeq(src, dst, uint(p*radixBits))
-			src, dst = dst, src
-		}
-	} else {
-		for p := 0; p < passes; p++ {
-			radixPassU64(s, src, dst, uint(p*radixBits))
-			src, dst = dst, src
-		}
+	kbuf := make([]uint64, n)
+	var vbuf []uint32
+	if vals != nil {
+		vbuf = make([]uint32, n)
+	}
+	ks, kd, vs, vd := keys, kbuf, vals, vbuf
+	for p := 0; p < passes; p++ {
+		radixPass(s, bounds, counts, ks, kd, vs, vd, uint(p*radixBits))
+		ks, kd, vs, vd = kd, ks, vd, vs
 	}
 	if passes%2 == 1 {
-		copy(a, buf)
+		copy(keys, kbuf)
+		copy(vals, vbuf)
 	}
 }
 
-func radixPassSeq(src, dst []uint64, shift uint) {
-	var counts [radixBuckets]int
-	for _, v := range src {
-		counts[(v>>shift)&(radixBuckets-1)]++
-	}
-	total := 0
-	for r := 0; r < radixBuckets; r++ {
-		c := counts[r]
-		counts[r] = total
-		total += c
-	}
-	for _, v := range src {
-		r := (v >> shift) & (radixBuckets - 1)
-		dst[counts[r]] = v
-		counts[r]++
-	}
-}
-
-func insertionSortMasked(a []uint64, bitsWanted int) {
-	mask := ^uint64(0)
-	if bitsWanted < 64 {
-		mask = (uint64(1) << uint(bitsWanted)) - 1
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		k := v & mask
-		j := i - 1
-		for j >= 0 && a[j]&mask > k {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
-func radixPassU64(s *parallel.Scheduler, src, dst []uint64, shift uint) {
-	n := len(src)
-	bounds := s.Blocks(n, 4096)
+// radixPass is one stable counting-sort pass on the digit at shift: per-block
+// digit counts into counts (radixBuckets per block), a digit-major scan, and
+// a scatter of ksrc into kdst that carries vsrc into vdst when vsrc is
+// non-nil. Over the single block [0, n) it is the sequential pass: the same
+// block loops called directly, with the scan a plain prefix sum.
+func radixPass(s *parallel.Scheduler, bounds, counts []int, ksrc, kdst []uint64, vsrc, vdst []uint32, shift uint) {
+	clear(counts)
 	nb := len(bounds) - 1
-	counts := make([]int, nb*radixBuckets)
+	if nb == 1 {
+		c := (*[radixBuckets]int)(counts)
+		radixCount(c, ksrc, shift)
+		scanSeq(counts, counts, 0)
+		radixScatter(c, ksrc, kdst, vsrc, vdst, 0, len(ksrc), shift)
+		return
+	}
 	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			c[(src[i]>>shift)&(radixBuckets-1)]++
-		}
+		radixCount((*[radixBuckets]int)(counts[b*radixBuckets:]), ksrc[lo:hi], shift)
 	})
 	// Digit-major scan: offsets for digit r precede digit r+1; within a
 	// digit, earlier blocks precede later blocks, preserving stability.
@@ -108,96 +98,61 @@ func radixPassU64(s *parallel.Scheduler, src, dst []uint64, shift uint) {
 		}
 	}
 	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			r := (src[i] >> shift) & (radixBuckets - 1)
-			dst[c[r]] = src[i]
+		radixScatter((*[radixBuckets]int)(counts[b*radixBuckets:]), ksrc, kdst, vsrc, vdst, lo, hi, shift)
+	})
+}
+
+// radixCount adds the digit counts of keys into c. c is an array pointer so
+// indexing it by a masked digit needs no bounds check.
+func radixCount(c *[radixBuckets]int, keys []uint64, shift uint) {
+	for _, k := range keys {
+		c[(k>>shift)&(radixBuckets-1)]++
+	}
+}
+
+// radixScatter moves block [lo, hi) of ksrc (and of vsrc, when non-nil) to
+// the output offsets in c, advancing them.
+func radixScatter(c *[radixBuckets]int, ksrc, kdst []uint64, vsrc, vdst []uint32, lo, hi int, shift uint) {
+	// The keys-only scatter gets its own loop so keys-only sorts (Histogram,
+	// RandomPermutation) pay no per-element payload check.
+	if vsrc == nil {
+		for _, k := range ksrc[lo:hi] {
+			r := (k >> shift) & (radixBuckets - 1)
+			kdst[c[r]] = k
 			c[r]++
 		}
-	})
-}
-
-// RadixSortU32 sorts a in place by its low bitsWanted bits.
-func RadixSortU32(s *parallel.Scheduler, a []uint32, bitsWanted int) {
-	n := len(a)
-	if n <= 1 {
 		return
 	}
-	if bitsWanted <= 0 || bitsWanted > 32 {
-		bitsWanted = 32
-	}
-	wide := make([]uint64, n)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			wide[i] = uint64(a[i])
-		}
-	})
-	RadixSortU64(s, wide, bitsWanted)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] = uint32(wide[i])
-		}
-	})
-}
-
-// RadixSortPairs sorts keys (by low bitsWanted bits) and applies the same
-// permutation to vals. Stable.
-func RadixSortPairs(s *parallel.Scheduler, keys []uint64, vals []uint32, bitsWanted int) {
-	n := len(keys)
-	if n != len(vals) {
-		panic("prims: RadixSortPairs length mismatch")
-	}
-	if n <= 1 {
-		return
-	}
-	if bitsWanted <= 0 || bitsWanted > 64 {
-		bitsWanted = 64
-	}
-	passes := (bitsWanted + radixBits - 1) / radixBits
-	kbuf := make([]uint64, n)
-	vbuf := make([]uint32, n)
-	ks, kd := keys, kbuf
-	vs, vd := vals, vbuf
-	for p := 0; p < passes; p++ {
-		radixPassPairs(s, ks, kd, vs, vd, uint(p*radixBits))
-		ks, kd = kd, ks
-		vs, vd = vd, vs
-	}
-	if passes%2 == 1 {
-		copy(keys, kbuf)
-		copy(vals, vbuf)
+	for i := lo; i < hi; i++ {
+		r := (ksrc[i] >> shift) & (radixBuckets - 1)
+		o := c[r]
+		kdst[o] = ksrc[i]
+		vdst[o] = vsrc[i]
+		c[r]++
 	}
 }
 
-func radixPassPairs(s *parallel.Scheduler, ksrc, kdst []uint64, vsrc, vdst []uint32, shift uint) {
-	n := len(ksrc)
-	bounds := s.Blocks(n, 4096)
-	nb := len(bounds) - 1
-	counts := make([]int, nb*radixBuckets)
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			c[(ksrc[i]>>shift)&(radixBuckets-1)]++
+// insertionSortMasked stably sorts keys by their low bitsWanted bits,
+// carrying vals along when it is non-nil.
+func insertionSortMasked(keys []uint64, vals []uint32, bitsWanted int) {
+	mask := ^uint64(0)
+	if bitsWanted < 64 {
+		mask = (uint64(1) << uint(bitsWanted)) - 1
+	}
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i - 1
+		for j >= 0 && keys[j]&mask > k&mask {
+			j--
 		}
-	})
-	total := 0
-	for r := 0; r < radixBuckets; r++ {
-		for b := 0; b < nb; b++ {
-			c := counts[b*radixBuckets+r]
-			counts[b*radixBuckets+r] = total
-			total += c
+		copy(keys[j+2:i+1], keys[j+1:i])
+		keys[j+1] = k
+		if vals != nil {
+			v := vals[i]
+			copy(vals[j+2:i+1], vals[j+1:i])
+			vals[j+1] = v
 		}
 	}
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		c := counts[b*radixBuckets : (b+1)*radixBuckets]
-		for i := lo; i < hi; i++ {
-			r := (ksrc[i] >> shift) & (radixBuckets - 1)
-			o := c[r]
-			kdst[o] = ksrc[i]
-			vdst[o] = vsrc[i]
-			c[r]++
-		}
-	})
 }
 
 // BitsFor returns the number of bits needed to represent values in [0, n].
@@ -206,14 +161,4 @@ func BitsFor(n uint64) int {
 		return 1
 	}
 	return bits.Len64(n)
-}
-
-// IsSortedU64 reports whether a is non-decreasing.
-func IsSortedU64(a []uint64) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i-1] > a[i] {
-			return false
-		}
-	}
-	return true
 }
