@@ -16,9 +16,10 @@ race:
 	$(GO) test -race ./...
 
 # Double-run the race-prone packages (server concurrency: limiter fairness,
-# async jobs, singleflight caches; scheduler internals; the shard
-# coordinator's parallel scatter-gather) under the race detector — -count=2
-# shakes out ordering-dependent races a single pass can miss.
+# async jobs, singleflight caches; scheduler internals; the benchmark's
+# sharded-connectivity probe) under the race detector — -count=2 shakes out
+# ordering-dependent races a single pass can miss. The serve and shard test
+# binaries also fail when their tests leave goroutines running.
 race-serve:
 	$(GO) test -race -count=2 ./gbbs/serve/... ./gbbs/shard/... ./internal/parallel/...
 
@@ -35,7 +36,6 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./gbbs -fuzz '^FuzzParseSource$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs -fuzz '^FuzzParseTransforms$$' -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./gbbs -fuzz '^FuzzParsePartition$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 
@@ -44,9 +44,9 @@ serve:
 	$(GO) run ./cmd/gbbs-serve
 
 # Boot the daemon and drive it end to end over HTTP: /v1/run miss then
-# result-cache hit, schema rejection, stored graphs and edge batches,
-# sharded runs, async jobs (join, cancel, resubmit after cancel), then a
-# SIGKILL and restart over the same -data-dir. Mirrors the CI smoke step.
+# result-cache hit, schema rejection, stored graphs and edge batches, async
+# jobs (join, cancel, resubmit after cancel), then a SIGKILL and restart over
+# the same -data-dir. Mirrors the CI smoke step.
 smoke-serve:
 	./scripts/smoke-serve.sh
 

@@ -26,15 +26,6 @@
 //	gbbs-run -algo scc -gen rmat -sym=false -opt beta=1.5 -opt trimrounds=5
 //	gbbs-run -algo cc -gen rmat -scale 18 -threads 4 -timeout 30s
 //	gbbs-run -algo incrcc -gen rmat -scale 16 -update "0-9,4-7" -update "1-5"
-//	gbbs-run -algo cc -gen rmat -scale 16 -shards 4
-//
-// -shards executes a mergeable algorithm (cc, incrcc, bfs, tc, mm,
-// spanforest) by scatter-gather across that many per-shard engines
-// (gbbs/shard): the graph is partitioned, each shard runs locally in
-// parallel, and the shard results are merged — printing per-shard and merge
-// timings alongside the merged result, which matches the single-engine run
-// (byte-identical for cc/incrcc/bfs/tc). With -server, the spec is passed
-// through as the RunRequest's "shards" field.
 //
 // -update inserts a batch of edges into the built graph before the run
 // (Engine.ApplyEdges): the algorithm executes on the updated snapshot, which
@@ -71,7 +62,6 @@ import (
 
 	"repro/gbbs"
 	"repro/gbbs/serve"
-	"repro/gbbs/shard"
 )
 
 func main() {
@@ -106,7 +96,6 @@ func main() {
 	threads := flag.Int("threads", 0, "worker threads (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "abort the build+run after this long (0 = no limit)")
 	compressed := flag.Bool("compressed", false, "run on the parallel-byte compressed representation")
-	shardsSpec := flag.String("shards", "", `partition spec for sharded scatter-gather execution, e.g. "4" or "shards=4,by=range" (mergeable algorithms only)`)
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the same encoding the serve API returns)")
 	server := flag.String("server", "", "execute on a gbbs-serve daemon at this base URL instead of in process (requires -source)")
 	async := flag.Bool("async", false, "with -server: submit as an async job and poll until it finishes")
@@ -147,7 +136,6 @@ func main() {
 			Opts:         opts,
 			Tenant:       *tenant,
 			IncludeValue: *jsonOut,
-			Shards:       *shardsSpec,
 		}
 		if *transformSpec != "" {
 			req.Transforms = []string{*transformSpec}
@@ -229,24 +217,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *shardsSpec != "" {
-		part, err := gbbs.ParsePartition(*shardsSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !shard.Mergeable(a.Name) {
-			log.Fatalf("-shards: algorithm %q has no sharded merge step (mergeable: %v)", a.Name, shard.MergeableAlgorithms())
-		}
-		if *compressed {
-			log.Fatal("-shards needs the uncompressed CSR (drop -compressed)")
-		}
-		if len(updateSpecs) > 0 {
-			log.Fatal("-shards and -update are mutually exclusive")
-		}
-		runSharded(ctx, eng, a, source, transforms, part, *threads, uint32(*src), seed, opts, *jsonOut)
-		return
-	}
-
 	req := gbbs.Request{
 		Input:  &gbbs.InputSpec{Source: source, Transforms: transforms},
 		Source: uint32(*src),
@@ -295,74 +265,6 @@ func main() {
 	}
 	if detail, ok := res.Value.(fmt.Stringer); ok {
 		fmt.Println(detail)
-	}
-	fmt.Printf("%s: %s in %v\n", a.Name, res.Summary, res.Elapsed.Round(time.Microsecond))
-}
-
-// runSharded executes the algorithm through a shard coordinator: build the
-// CSR, split it under the partition, scatter the run across per-shard
-// engines and merge — printing per-shard timings alongside the merged
-// result. -threads divides across shards (each shard engine gets an equal
-// slice, at least 1).
-func runSharded(ctx context.Context, eng *gbbs.Engine, a gbbs.Algorithm, source gbbs.GraphSource,
-	transforms []gbbs.Transform, part gbbs.Partition, threads int, src uint32, seed *uint64,
-	opts map[string]any, jsonOut bool) {
-	buildStart := time.Now()
-	g, err := eng.BuildCSR(ctx, source, transforms...)
-	if err != nil {
-		log.Fatalf("build: %v", err)
-	}
-	buildElapsed := time.Since(buildStart)
-	coOpts := []shard.Option{shard.WithSeed(*seed)}
-	if threads > 0 {
-		per := threads / part.Shards
-		if per < 1 {
-			per = 1
-		}
-		coOpts = append(coOpts, shard.WithShardThreads(per))
-	}
-	splitStart := time.Now()
-	co, err := shard.NewCoordinator(ctx, eng, g, part, coOpts...)
-	if err != nil {
-		log.Fatalf("split: %v", err)
-	}
-	defer co.Close()
-	splitElapsed := time.Since(splitStart)
-
-	res, rep, err := co.Run(ctx, a.Name, gbbs.Request{Source: src, Seed: seed, Opts: opts})
-	if err != nil {
-		log.Fatalf("%s: %v", a.Name, err)
-	}
-	fmt.Fprintf(os.Stderr, "graph: %s n=%d m=%d weighted=%v symmetric=%v built in %v\n",
-		source, g.N(), g.M(), g.Weighted(), g.Symmetric(), buildElapsed.Round(time.Microsecond))
-	fmt.Fprintf(os.Stderr, "partition: %s split in %v\n", part, splitElapsed.Round(time.Microsecond))
-	for i, st := range co.Stats() {
-		sr := rep.Shards[i]
-		fmt.Fprintf(os.Stderr, "  shard %d: owned=%d internal=%d boundary=%d local=%v",
-			st.Shard, st.Owned, st.InternalEdges, st.BoundaryEdges, sr.Elapsed.Round(time.Microsecond))
-		if sr.Summary != "" {
-			fmt.Fprintf(os.Stderr, "  (%s)", sr.Summary)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	fmt.Fprintf(os.Stderr, "merge: %v", rep.MergeElapsed.Round(time.Microsecond))
-	if rep.Rounds > 0 {
-		fmt.Fprintf(os.Stderr, " over %d rounds", rep.Rounds)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	if jsonOut {
-		out := struct {
-			Algorithm string        `json:"algorithm"`
-			Result    gbbs.Result   `json:"result"`
-			Sharded   *shard.Report `json:"sharded"`
-		}{Algorithm: a.Name, Result: res, Sharded: rep}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatalf("encoding result: %v", err)
-		}
-		return
 	}
 	fmt.Printf("%s: %s in %v\n", a.Name, res.Summary, res.Elapsed.Round(time.Microsecond))
 }

@@ -39,12 +39,6 @@
 // Unlisted tenants (and requests without a tenant) weigh 1. Async jobs are
 // retained for -job-ttl after they finish; -max-jobs bounds the job table.
 //
-// -shards K enables sharded scatter-gather execution: a request (or stored
-// graph) carrying a "shards" partition spec up to K runs mergeable
-// algorithms across per-shard engines (gbbs/shard), with the partition
-// folded into result-cache fingerprints and the resident decompositions
-// reported on /healthz.
-//
 // Example:
 //
 //	curl -s localhost:8080/v1/run -d '{"source":"rmat:16",
@@ -94,7 +88,6 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (unlisted tenants weigh 1)")
 	jobTTL := flag.Duration("job-ttl", 15*time.Minute, "retention of finished async jobs before their results are evicted")
 	maxJobs := flag.Int("max-jobs", 1024, "async job table bound (submissions beyond it get 503)")
-	maxShards := flag.Int("shards", 0, "enable sharded scatter-gather execution and cap the shard count a request may ask for (0 disables)")
 	flag.Parse()
 
 	weights, err := parseTenantWeights(*tenantWeights)
@@ -121,7 +114,6 @@ func main() {
 		JobTTL:           *jobTTL,
 		MaxJobs:          *maxJobs,
 		DataDir:          *dataDir,
-		MaxShards:        *maxShards,
 	})
 	if *dataDir != "" {
 		report, err := srv.RecoverGraphs(context.Background())

@@ -2,199 +2,60 @@ package gbbs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
 
-// This file defines the partition spec — the declarative description of how
-// a graph is split across shard engines. Like the source and transform specs
-// it has a textual form parsed by the CLI drivers and the serving layer
-// ("shards=4,by=hash"), and a canonical String rendering that Request.Key
-// folds into result-cache fingerprints so runs at different shard counts
-// never collide. The execution side (splitting a CSR, the scatter-gather
-// coordinator) lives in gbbs/shard; only the spec lives here so the
-// fingerprint machinery and the spec fuzzers can reach it without importing
-// the coordinator.
+// This file defines the partition spec — how a graph is split across shard
+// engines — and the split itself. The scatter-gather coordinator that uses
+// them lives in gbbs/shard, which remains only as the benchmark's
+// connectivity probe: sharding is not part of any product path.
 
-// Partition strategies: the accepted values of Partition.By.
-const (
-	// ByHash assigns vertices to shards by a multiplicative hash of the
-	// vertex ID — the default, which spreads the hubs of skewed graphs
-	// evenly across shards.
-	ByHash = "hash"
-	// ByRange assigns contiguous vertex ranges of equal size to shards,
-	// preserving the locality of ID-ordered inputs (meshes, grids,
-	// degree-relabelled graphs).
-	ByRange = "range"
-	// ByBlock assigns fixed-size vertex blocks round-robin to shards, a
-	// middle ground that keeps local runs of IDs together while still
-	// striping hot regions across shards.
-	ByBlock = "block"
-)
+// ByHash is the one partition strategy, the accepted value of Partition.By:
+// vertices are assigned to shards by a multiplicative hash of the vertex ID,
+// which spreads the hubs of skewed graphs evenly across shards.
+const ByHash = "hash"
 
-// MaxShards bounds Partition.Shards. The coordinator runs every shard in one
-// process, so a shard count beyond the largest plausible core count is a
-// spec error, not a scaling request.
-const MaxShards = 256
-
-// blockSize is the vertex-block length of the ByBlock strategy.
-const blockSize = 1024
+// maxShards bounds Partition.Shards. Every shard runs in one process, so a
+// shard count beyond the largest plausible core count is a spec error, not a
+// scaling request.
+const maxShards = 256
 
 // Partition declares how a graph is split across shards: the shard count and
-// the vertex-assignment strategy. The zero value is not valid; construct
-// through ParsePartition or set both fields and call Validate. Partition is
-// a value type: copying it is cheap and two equal values describe the same
-// split.
+// the vertex-assignment strategy. The zero value is not valid; set both
+// fields and call Validate.
 type Partition struct {
-	// Shards is the number of shards K, in [1, MaxShards].
+	// Shards is the number of shards K, in [1, 256].
 	Shards int
-	// By selects the vertex-assignment strategy: ByHash (default), ByRange
-	// or ByBlock.
+	// By selects the vertex-assignment strategy; ByHash is the only one.
 	By string
 }
 
-// partitionArgKeys is the argument allowlist of ParsePartition, mirroring
-// sourceArgKeys/transformArgKeys.
-var partitionArgKeys = []string{"shards", "by"}
-
-// ParsePartition parses a partition spec. Accepted forms:
-//
-//	4                   positional shorthand for shards=4
-//	shards=4            hash partitioning (the default strategy)
-//	shards=4,by=range   explicit strategy: hash, range or block
-//
-// The returned value is validated (1 <= Shards <= MaxShards, known
-// strategy) and its String method renders the spec canonically with every
-// argument spelled out ("4" → "shards=4,by=hash"); the canonical form parses
-// back to the same value, which the partition-spec fuzzer checks.
-func ParsePartition(spec string) (Partition, error) {
-	var p Partition
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, fmt.Errorf("gbbs: empty partition spec")
-	}
-	args := specArgs{}
-	for i, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		k = strings.TrimSpace(k)
-		if !ok {
-			// One bare value is positional shorthand for the primary
-			// argument, as in the source specs ("rmat:18").
-			if i != 0 {
-				return p, fmt.Errorf("gbbs: partition argument %q is not key=value", kv)
-			}
-			args["shards"] = strings.TrimSpace(kv)
-			continue
-		}
-		if k == "" {
-			return p, fmt.Errorf("gbbs: partition argument %q is not key=value", kv)
-		}
-		if _, dup := args[k]; dup {
-			return p, fmt.Errorf("gbbs: partition argument %q given twice", k)
-		}
-		args[k] = strings.TrimSpace(v)
-	}
-	if err := args.only("partition", partitionArgKeys...); err != nil {
-		return p, err
-	}
-	shards, err := args.int("shards", 0)
-	if err != nil {
-		return p, err
-	}
-	if _, ok := args["shards"]; !ok {
-		return p, fmt.Errorf("gbbs: partition spec %q needs shards=", spec)
-	}
-	p.Shards = shards
-	if by, ok := args["by"]; ok {
-		p.By = by // empty values fail Validate rather than silently defaulting
-	} else {
-		p.By = ByHash
-	}
-	if err := p.Validate(); err != nil {
-		return Partition{}, err
-	}
-	return p, nil
-}
-
-// Validate checks that the partition is well-formed: Shards in
-// [1, MaxShards] and a known strategy (an empty By is rejected; ParsePartition
-// applies the ByHash default, programmatic callers spell it out).
+// Validate checks that the partition is well-formed: Shards in [1, 256] and
+// By == ByHash.
 func (p Partition) Validate() error {
-	if p.Shards < 1 || p.Shards > MaxShards {
-		return fmt.Errorf("gbbs: partition shards=%d out of range [1, %d]", p.Shards, MaxShards)
+	if p.Shards < 1 || p.Shards > maxShards {
+		return fmt.Errorf("gbbs: partition shards=%d out of range [1, %d]", p.Shards, maxShards)
 	}
-	switch p.By {
-	case ByHash, ByRange, ByBlock:
-		return nil
-	default:
-		return fmt.Errorf("gbbs: unknown partition strategy %q (known: %s, %s, %s)", p.By, ByHash, ByRange, ByBlock)
+	if p.By != ByHash {
+		return fmt.Errorf("gbbs: unknown partition strategy %q (known: %s)", p.By, ByHash)
 	}
-}
-
-// String renders the partition canonically with every argument spelled out,
-// e.g. "shards=4,by=hash". The canonical form re-parses to an equal value,
-// and it is the exact fragment Request.Key folds into fingerprints — two
-// requests differing only in shard count or strategy therefore never share a
-// result-cache entry.
-func (p Partition) String() string {
-	return fmt.Sprintf("shards=%d,by=%s", p.Shards, p.By)
-}
-
-// MarshalJSON renders the partition as its canonical spec string — the same
-// form requests carry on the wire and Request.Key folds into fingerprints —
-// so JSON consumers see one spelling of a split everywhere.
-func (p Partition) MarshalJSON() ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(p.String())
-}
-
-// UnmarshalJSON parses a partition spec string (any form ParsePartition
-// accepts), inverting MarshalJSON.
-func (p *Partition) UnmarshalJSON(data []byte) error {
-	var spec string
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("gbbs: partition must be a spec string: %w", err)
-	}
-	parsed, err := ParsePartition(spec)
-	if err != nil {
-		return err
-	}
-	*p = parsed
 	return nil
 }
 
 // Owners returns the shard assignment of every vertex in [0, n) under the
 // partition: Owners()[v] is the shard in [0, Shards) that owns vertex v. The
-// assignment is a pure function of (n, Shards, By) — deterministic across
-// processes, which is what lets a follow-on deployment route vertices to
-// out-of-process shards by recomputing it.
+// assignment is a pure function of (n, Shards).
 func (p Partition) Owners(n int) []uint32 {
 	k := uint32(p.Shards)
 	owner := make([]uint32, n)
 	if k <= 1 {
 		return owner
 	}
-	switch p.By {
-	case ByRange:
-		// ceil(n/k)-sized contiguous ranges; the last shard may run short.
-		span := (n + int(k) - 1) / int(k)
-		for v := range owner {
-			owner[v] = uint32(v / span)
-		}
-	case ByBlock:
-		for v := range owner {
-			owner[v] = uint32(v/blockSize) % k
-		}
-	default: // ByHash
-		for v := range owner {
-			owner[v] = hashOwner(uint32(v), k)
-		}
+	for v := range owner {
+		owner[v] = hashOwner(uint32(v), k)
 	}
 	return owner
 }
@@ -204,9 +65,7 @@ func (p Partition) Owners(n int) []uint32 {
 // the returned subs[i] holds the internal edges (both endpoints owned by i)
 // and cuts[i] the boundary edges from the owning side, all over the global
 // vertex ID space. Rows keep g's adjacency order and every stored edge lands
-// in exactly one returned graph; see the gbbs/shard package, whose
-// Partitioner drives this and documents the invariants the coordinator's
-// merge steps rely on.
+// in exactly one returned graph.
 func (e *Engine) SplitCSR(ctx context.Context, g *CSR, owner []uint32, k int) (subs, cuts []*CSR, err error) {
 	if len(owner) != g.N() {
 		return nil, nil, fmt.Errorf("gbbs: SplitCSR: owner has %d entries for %d vertices", len(owner), g.N())
@@ -218,9 +77,8 @@ func (e *Engine) SplitCSR(ctx context.Context, g *CSR, owner []uint32, k int) (s
 	return subs, cuts, nil
 }
 
-// hashOwner maps vertex v to a shard by a 32-bit Fibonacci-style mix — cheap
-// enough to recompute anywhere (a remote router needs no table), and
-// well-spread so consecutive IDs land on different shards.
+// hashOwner maps vertex v to a shard by a 32-bit Fibonacci-style mix, so
+// consecutive IDs land on different shards.
 func hashOwner(v, k uint32) uint32 {
 	x := v * 0x9e3779b9
 	x ^= x >> 16

@@ -1,134 +1,39 @@
 package gbbs
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParsePartitionForms(t *testing.T) {
-	cases := []struct {
-		spec string
-		want Partition
-	}{
-		{"4", Partition{Shards: 4, By: ByHash}},
-		{"shards=4", Partition{Shards: 4, By: ByHash}},
-		{"shards=2,by=range", Partition{Shards: 2, By: ByRange}},
-		{"by=block,shards=8", Partition{Shards: 8, By: ByBlock}},
-		{" shards=1 , by=hash ", Partition{Shards: 1, By: ByHash}},
-		{"256", Partition{Shards: 256, By: ByHash}},
-	}
-	for _, c := range cases {
-		got, err := ParsePartition(c.spec)
-		if err != nil {
-			t.Fatalf("ParsePartition(%q): %v", c.spec, err)
-		}
-		if got != c.want {
-			t.Fatalf("ParsePartition(%q) = %+v, want %+v", c.spec, got, c.want)
-		}
-	}
-}
-
-func TestParsePartitionErrors(t *testing.T) {
-	for _, spec := range []string{
-		"", "0", "-1", "257", "shards=0", "shards=abc", "by=hash",
-		"shards=4,by=modulo", "shards=4,shards=4", "shards=4,scale=2",
-		"4,8", "shards=4,", "=4", "shards=4,by=",
-	} {
-		if _, err := ParsePartition(spec); err == nil {
-			t.Errorf("ParsePartition(%q) accepted, want error", spec)
-		}
-	}
-}
-
-func TestPartitionStringRoundTrips(t *testing.T) {
-	for _, spec := range []string{"1", "4", "shards=3,by=range", "shards=7,by=block", "shards=256"} {
-		p, err := ParsePartition(spec)
-		if err != nil {
-			t.Fatalf("ParsePartition(%q): %v", spec, err)
-		}
-		back, err := ParsePartition(p.String())
-		if err != nil {
-			t.Fatalf("canonical %q does not re-parse: %v", p.String(), err)
-		}
-		if back != p {
-			t.Fatalf("round trip %q -> %+v -> %q -> %+v", spec, p, p.String(), back)
-		}
-	}
-}
+import "testing"
 
 func TestPartitionOwners(t *testing.T) {
 	const n = 1000
-	for _, by := range []string{ByHash, ByRange, ByBlock} {
-		for _, k := range []int{1, 2, 3, 8} {
-			p := Partition{Shards: k, By: by}
-			owner := p.Owners(n)
-			if len(owner) != n {
-				t.Fatalf("%s k=%d: %d owners", by, k, len(owner))
+	for _, k := range []int{1, 2, 3, 8} {
+		p := Partition{Shards: k, By: ByHash}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		owner := p.Owners(n)
+		if len(owner) != n {
+			t.Fatalf("k=%d: %d owners", k, len(owner))
+		}
+		seen := make([]int, k)
+		for v, o := range owner {
+			if int(o) >= k {
+				t.Fatalf("k=%d: vertex %d owned by out-of-range shard %d", k, v, o)
 			}
-			seen := make([]int, k)
-			for v, o := range owner {
-				if int(o) >= k {
-					t.Fatalf("%s k=%d: vertex %d owned by out-of-range shard %d", by, k, v, o)
-				}
-				seen[o]++
-			}
-			if k == 1 && seen[0] != n {
-				t.Fatalf("single shard must own everything")
-			}
-			// Deterministic: same inputs, same assignment.
-			again := p.Owners(n)
-			for v := range owner {
-				if owner[v] != again[v] {
-					t.Fatalf("%s k=%d: owner of %d not deterministic", by, k, v)
-				}
+			seen[o]++
+		}
+		if k == 1 && seen[0] != n {
+			t.Fatalf("single shard must own everything")
+		}
+		// Deterministic: same inputs, same assignment.
+		again := p.Owners(n)
+		for v := range owner {
+			if owner[v] != again[v] {
+				t.Fatalf("k=%d: owner of %d not deterministic", k, v)
 			}
 		}
 	}
-	// Range keeps contiguity; block keeps blockSize-runs.
-	owner := Partition{Shards: 4, By: ByRange}.Owners(n)
-	for v := 1; v < n; v++ {
-		if owner[v] < owner[v-1] {
-			t.Fatalf("range owners not monotone at %d", v)
+	for _, bad := range []Partition{{Shards: 0, By: ByHash}, {Shards: 257, By: ByHash}, {Shards: 2, By: "range"}, {Shards: 2}} {
+		if bad.Validate() == nil {
+			t.Errorf("Validate(%+v) accepted, want error", bad)
 		}
-	}
-}
-
-func TestRequestKeyFoldsPartition(t *testing.T) {
-	a, ok := Lookup("incrcc")
-	if !ok {
-		t.Fatal("incrcc not registered")
-	}
-	base := Request{Input: &InputSpec{Source: RMAT(10, 16, 1), Transforms: []Transform{Symmetrize()}}}
-	plain, err := base.Key(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := map[string]string{"": plain}
-	for _, spec := range []string{"shards=2,by=hash", "shards=4,by=hash", "shards=4,by=range"} {
-		p, err := ParsePartition(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := base
-		req.Partition = &p
-		k, err := req.Key(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasSuffix(k, "|"+p.String()) {
-			t.Fatalf("key %q does not fold canonical partition %q", k, p.String())
-		}
-		for other, ok := range keys {
-			if ok == k {
-				t.Fatalf("partition %q collides with %q: %q", spec, other, k)
-			}
-		}
-		keys[spec] = k
-	}
-	// An invalid partition fails fingerprinting instead of silently keying.
-	req := base
-	req.Partition = &Partition{Shards: 0, By: ByHash}
-	if _, err := req.Key(a); err == nil {
-		t.Fatal("invalid partition fingerprinted without error")
 	}
 }

@@ -53,13 +53,6 @@ type Request struct {
 	// settings). JSON-decoded numbers (always float64) and Go-composed ints
 	// normalize to the same values.
 	Opts map[string]any
-	// Partition, when non-nil, declares that the run executes sharded under
-	// the given partition (through a shard.Coordinator rather than a single
-	// engine). Engine.Run ignores it — single-engine dispatch is unchanged —
-	// but Key folds its canonical form into the fingerprint, so sharded and
-	// unsharded runs (and runs at different shard counts) never share a
-	// result-cache entry even when their merged results happen to be equal.
-	Partition *Partition
 
 	// params is the normalized parameter map ResolveOpts produced, filled by
 	// Engine.Run before dispatch and read by the typed accessors.
@@ -114,9 +107,8 @@ func (r Request) Bool(name string) bool { return r.param(name).(bool) }
 // Key returns the request's canonical fingerprint under algorithm a: the
 // deterministic identity of the run's output, folding the algorithm name,
 // the canonical source and transform spec strings, the source vertex (only
-// for algorithms that read one), the resolved seed, the normalized
-// parameter map (defaults applied, values canonically typed and formatted),
-// and — for sharded runs — the canonical partition spec.
+// for algorithms that read one), the resolved seed, and the normalized
+// parameter map (defaults applied, values canonically typed and formatted).
 // Two requests with equal keys compute identical results — every algorithm
 // is deterministic in (input, seed, params), independent of thread count —
 // which is what lets the serving layer key its result cache on it.
@@ -162,13 +154,6 @@ func (r Request) Key(a Algorithm) (string, error) {
 	if s := canonicalParams(params); s != "" {
 		b.WriteByte('|')
 		b.WriteString(s)
-	}
-	if r.Partition != nil {
-		if err := r.Partition.Validate(); err != nil {
-			return "", err
-		}
-		b.WriteByte('|')
-		b.WriteString(r.Partition.String())
 	}
 	return b.String(), nil
 }

@@ -31,7 +31,7 @@ func NewCache(buildCtx context.Context, budget int64) *Cache {
 	if buildCtx == nil {
 		buildCtx = context.Background()
 	}
-	return &Cache{f: newFlight(budget, approxGraphBytes, nil, buildCtx)}
+	return &Cache{f: newFlight(budget, approxGraphBytes, buildCtx)}
 }
 
 // GetOrBuild returns the graph cached under key, joining an in-flight build

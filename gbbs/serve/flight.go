@@ -12,11 +12,10 @@ import (
 // flight is the serving layer's one cache mechanism: a keyed table with
 // singleflight production (concurrent callers of one key share one run of
 // its producer) and least-recently-used eviction of completed entries once
-// their summed cost exceeds a budget. The graph cache (Cache), the result
-// cache (ResultCache) and the shard-coordinator cache (newShardCache) are
-// its three instantiations; they differ only in what newFlight takes — how
-// a value is costed, whether a value leaving the table must be released,
-// and whether runs are detached from the caller that started them.
+// their summed cost exceeds a budget. The graph cache (Cache) and the result
+// cache (ResultCache) are its two instantiations; they differ only in what
+// newFlight takes — how a value is costed and whether runs are detached
+// from the caller that started them.
 //
 // The invariants every instantiation gets:
 //
@@ -32,19 +31,17 @@ import (
 //     run still publishes to its waiters but its value is not retained, and
 //     a newer entry re-inserted under the key is left alone.
 //
-// The async job table (jobs.go) is deliberately not a fourth instantiation:
+// The async job table (jobs.go) is deliberately not a third instantiation:
 // it is a registry addressed by job ID, retained by TTL rather than cost,
 // with per-tenant queue positions and cancellation — sharing this type
 // would make every method here branch on which caller it serves.
 type flight[V any] struct {
 	cost   func(V) int64
-	drop   func(V)         // nil: values need no release
 	detach context.Context // nil: runs execute on the calling goroutine under its context
 
 	mu      sync.Mutex
 	entries map[string]*flightEntry[V]
 	lru     *list.List // of *flightEntry[V], front = most recently used
-	dropped []V        // values unlinked under mu, released by unlock
 	flightCounters
 }
 
@@ -81,30 +78,16 @@ type flightEntry[V any] struct {
 }
 
 // newFlight returns a table evicting past budget units of cost. cost sizes a
-// successfully produced value. drop, when non-nil, is called exactly once
-// for every such value when it leaves the table (evicted, invalidated, or
-// never retained), outside the lock; callers may still be using the value,
-// so drop must tolerate that. detach, when non-nil, makes every run execute
+// successfully produced value. detach, when non-nil, makes every run execute
 // on its own goroutine under that context instead of under its first
 // caller's, so a caller giving up does not abort the run for the others.
-func newFlight[V any](budget int64, cost func(V) int64, drop func(V), detach context.Context) *flight[V] {
+func newFlight[V any](budget int64, cost func(V) int64, detach context.Context) *flight[V] {
 	return &flight[V]{
 		cost:           cost,
-		drop:           drop,
 		detach:         detach,
 		entries:        make(map[string]*flightEntry[V]),
 		lru:            list.New(),
 		flightCounters: flightCounters{budget: budget},
-	}
-}
-
-// unlock releases mu, then releases the values unlinked while it was held.
-func (f *flight[V]) unlock() {
-	dropped := f.dropped
-	f.dropped = nil
-	f.mu.Unlock()
-	for _, v := range dropped {
-		f.drop(v)
 	}
 }
 
@@ -170,7 +153,7 @@ func (f *flight[V]) produce(ctx context.Context, e *flightEntry[V], run func(ctx
 	}()
 
 	f.mu.Lock()
-	defer f.unlock()
+	defer f.mu.Unlock()
 	e.val, e.err, e.cost, e.took = val, err, cost, time.Since(start)
 	e.running = false
 	close(e.ready)
@@ -182,8 +165,6 @@ func (f *flight[V]) produce(ctx context.Context, e *flightEntry[V], run func(ctx
 		f.evictLocked()
 	case resident:
 		f.removeLocked(e)
-	case err == nil && f.drop != nil:
-		f.dropped = append(f.dropped, val) // invalidated while running
 	}
 }
 
@@ -201,17 +182,14 @@ func (f *flight[V]) evictLocked() {
 	}
 }
 
-// removeLocked unlinks a resident entry, reclaiming its cost and queueing
-// its value for release if it completed successfully.
+// removeLocked unlinks a resident entry, reclaiming its cost if it completed
+// successfully.
 func (f *flight[V]) removeLocked(e *flightEntry[V]) {
 	delete(f.entries, e.key)
 	f.lru.Remove(e.elem)
 	if !e.running && e.err == nil {
 		f.size -= e.cost
 		f.completed--
-		if f.drop != nil {
-			f.dropped = append(f.dropped, e.val)
-		}
 	}
 }
 
@@ -219,7 +197,7 @@ func (f *flight[V]) removeLocked(e *flightEntry[V]) {
 // resident.
 func (f *flight[V]) invalidate(key string) bool {
 	f.mu.Lock()
-	defer f.unlock()
+	defer f.mu.Unlock()
 	e, ok := f.entries[key]
 	if ok {
 		f.removeLocked(e)
@@ -231,7 +209,7 @@ func (f *flight[V]) invalidate(key string) bool {
 // returns how many were removed.
 func (f *flight[V]) invalidateMatching(pred func(key string) bool) int {
 	f.mu.Lock()
-	defer f.unlock()
+	defer f.mu.Unlock()
 	removed := 0
 	for key, e := range f.entries {
 		if pred(key) {
@@ -240,17 +218,6 @@ func (f *flight[V]) invalidateMatching(pred func(key string) bool) int {
 		}
 	}
 	return removed
-}
-
-// peek returns the completed value under key without touching LRU order or
-// counters.
-func (f *flight[V]) peek(key string) (val V, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if e := f.entries[key]; e != nil && !e.running {
-		return e.val, true
-	}
-	return val, false
 }
 
 // counters returns the scalar state without materializing the entries.

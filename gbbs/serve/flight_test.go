@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/gbbs"
-	"repro/gbbs/shard"
 )
 
 // flightCase is one production instantiation of flight as the contract
@@ -23,21 +22,14 @@ type flightCase[V any] struct {
 	val  func() V
 }
 
-// TestFlightContract runs one behavioural suite over the three production
-// instantiations of flight — everything the graph cache, the result cache
-// and the shard-coordinator cache promise in common is checked once, here.
+// TestFlightContract runs one behavioural suite over the two production
+// instantiations of flight — everything the graph cache and the result cache
+// promise in common is checked once, here.
 func TestFlightContract(t *testing.T) {
 	ctx := context.Background()
 	eng := gbbs.New(gbbs.WithThreads(1))
+	defer eng.Close()
 	g, err := eng.BuildCSR(ctx, gbbs.Path(100), gbbs.Symmetrize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := shard.NewPartitioner(gbbs.Partition{Shards: 2, By: gbbs.ByHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := pt.Split(ctx, eng, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +44,6 @@ func TestFlightContract(t *testing.T) {
 		name: "result cache",
 		new:  func(units int64) *flight[RunResponse] { return NewResultCache(units * approxResponseBytes(resp)).f },
 		val:  func() RunResponse { return resp },
-	})
-	runFlightContract(t, flightCase[*shard.Coordinator]{
-		name: "coordinator cache",
-		new: func(units int64) *flight[*shard.Coordinator] {
-			f := newShardCache()
-			f.budget = units
-			return f
-		},
-		val: func() *shard.Coordinator {
-			co, err := shard.NewCoordinatorFrom(pg)
-			if err != nil {
-				t.Error(err)
-			}
-			return co
-		},
 	})
 }
 
@@ -167,12 +144,6 @@ func runFlightContract[V any](t *testing.T, c flightCase[V]) {
 		must(t, f, "k", &runs, true)
 		if runs.Load() != 1 {
 			t.Fatalf("3 sequential identical requests ran %d times, want 1", runs.Load())
-		}
-		if _, ok := f.peek("k"); !ok {
-			t.Fatal("peek missed a completed entry")
-		}
-		if _, ok := f.peek("absent"); ok {
-			t.Fatal("peek found an absent key")
 		}
 	})
 
@@ -344,14 +315,10 @@ func runFlightContract[V any](t *testing.T, c flightCase[V]) {
 
 	// Invalidation and eviction hammered against concurrent runs: the byte
 	// total must come out exact (it went negative when publish and account
-	// were two steps), and every value produced is either still resident or
-	// was released exactly once.
+	// were two steps).
 	t.Run(c.name+"/accounting under concurrent invalidation", func(t *testing.T) {
 		f := c.new(2)
-		var produced, released atomic.Int64
-		if drop := f.drop; drop != nil {
-			f.drop = func(v V) { released.Add(1); drop(v) }
-		}
+		var produced atomic.Int64
 		keys := []string{"a", "b", "c", "d"}
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -375,12 +342,9 @@ func runFlightContract[V any](t *testing.T, c flightCase[V]) {
 			}()
 		}
 		wg.Wait()
-		resident := int64(len(checkAccounting(t, f)))
+		checkAccounting(t, f)
 		if n := f.counters(); n.size > n.budget {
 			t.Fatalf("quiescent size %d over budget %d", n.size, n.budget)
-		}
-		if f.drop != nil && produced.Load() != released.Load()+resident {
-			t.Fatalf("produced %d values, released %d with %d resident", produced.Load(), released.Load(), resident)
 		}
 	})
 }

@@ -41,11 +41,6 @@ type GraphCreateRequest struct {
 	// Transforms are gbbs.ParseTransforms specs applied at build time; runs
 	// against the stored graph cannot add more.
 	Transforms []string `json:"transforms,omitempty"`
-	// Shards is a gbbs.ParsePartition spec recorded as the graph's default
-	// partition: runs against the stored graph that name a mergeable
-	// algorithm and no explicit "shards" of their own execute sharded under
-	// it. Requires the server to enable sharding (Config.MaxShards).
-	Shards string `json:"shards,omitempty"`
 }
 
 // EdgeBatchRequest is the body of POST /v1/graphs/{name}/edges.
@@ -99,16 +94,13 @@ func storeInfo(snap store.Snapshot) store.Info {
 	return info
 }
 
-// dropStored invalidates every result-cache entry and resident shard
-// decomposition computed on any version of the named stored graph, and
-// returns how many results it dropped. Both kinds of key embed the
-// snapshot ID — a run fingerprint after its algorithm name, a coordinator
-// key at its start — and matching it up to the version separator makes the
-// name boundary unambiguous: "wiki" never matches keys of "wiki2".
+// dropStored invalidates every result-cache entry computed on any version
+// of the named stored graph and returns how many it dropped. A run
+// fingerprint embeds the snapshot ID after its algorithm name, and matching
+// it up to the version separator makes the name boundary unambiguous:
+// "wiki" never matches keys of "wiki2".
 func (s *Server) dropStored(name string) int {
-	id := "store(name=" + name + ",version="
-	frag := "|" + id
-	s.shards.invalidateMatching(func(key string) bool { return strings.HasPrefix(key, id) })
+	frag := "|store(name=" + name + ",version="
 	return s.results.InvalidateMatching(func(key string) bool { return strings.Contains(key, frag) })
 }
 
@@ -125,18 +117,7 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", name)
 		return
 	}
-	info := storeInfo(snap)
-	if part, ok := s.shardDefault(name); ok {
-		info.Shards = part.Shards
-		// Report per-shard sizes when the current version's decomposition is
-		// resident; a describe never forces a split.
-		if co, ok := s.shards.peek(shardKey(snap.ID(), part)); ok {
-			for _, st := range co.Stats() {
-				info.ShardBytes = append(info.ShardBytes, st.ApproxBytes)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, storeInfo(snap))
 }
 
 // handleGraphDelete implements DELETE /v1/graphs/{name}: the graph is
@@ -150,7 +131,6 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dropStored(name)
-	s.setShardDefault(name, gbbs.Partition{}, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -173,11 +153,6 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	part, rerr := s.parseShards(req.Shards, "")
-	if rerr != nil {
-		writeErr(w, rerr)
-		return
-	}
 	if _, dup := s.store.Get(name); dup {
 		writeError(w, http.StatusConflict, "graph %q already exists (DELETE it first; versions are not reused)", name)
 		return
@@ -195,12 +170,7 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	info := storeInfo(snap)
-	if part != nil {
-		s.setShardDefault(name, *part, true)
-		info.Shards = part.Shards
-	}
-	writeJSON(w, http.StatusCreated, info)
+	writeJSON(w, http.StatusCreated, storeInfo(snap))
 }
 
 // handleGraphEdges implements POST /v1/graphs/{name}/edges: decode the
@@ -246,8 +216,7 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 	invalidated := 0
 	if added > 0 {
 		// The new version's fingerprints differ, so every retained entry for
-		// this graph is for a superseded version: drop them all, along with
-		// any resident shard decompositions of those versions.
+		// this graph is for a superseded version: drop them all.
 		invalidated = s.dropStored(name)
 	}
 	writeJSON(w, http.StatusOK, EdgeBatchResponse{
@@ -261,19 +230,13 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheInvalidate implements DELETE /v1/cache?key=K: drop the entry
 // stored under exactly K from whichever cache holds it (specs key the graph
-// cache, run fingerprints the result cache). 404 when neither does. Shard
-// decompositions of graph K go with it: an operator invalidates a spec
-// because its source changed (a file: input rewritten on disk), and a
-// coordinator left resident would keep executing sharded runs on the old
-// split.
+// cache, run fingerprints the result cache). 404 when neither does.
 func (s *Server) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "missing \"key\" query parameter")
 		return
 	}
-	prefix := shardKeyPrefix(key)
-	s.shards.invalidateMatching(func(k string) bool { return strings.HasPrefix(k, prefix) })
 	resp := CacheInvalidateResponse{
 		Key:           key,
 		GraphRemoved:  s.cache.Invalidate(key),

@@ -37,7 +37,7 @@ type ResultCache struct {
 // bytes. budget <= 0 disables retention entirely except for singleflight
 // sharing of in-flight executions.
 func NewResultCache(budget int64) *ResultCache {
-	return &ResultCache{f: newFlight(budget, approxResponseBytes, nil, nil)}
+	return &ResultCache{f: newFlight(budget, approxResponseBytes, nil)}
 }
 
 // GetOrRun returns the response cached under key, joining an in-flight

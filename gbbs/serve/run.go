@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/gbbs"
-	"repro/gbbs/shard"
 	"repro/gbbs/store"
 )
 
@@ -27,13 +26,12 @@ type parsedRun struct {
 	algo       gbbs.Algorithm
 	source     gbbs.GraphSource
 	transforms []gbbs.Transform
-	snap       store.Snapshot  // store-backed runs: the resolved snapshot
-	useStore   bool            // request addressed a stored graph
-	part       *gbbs.Partition // sharded runs: the resolved partition; nil otherwise
-	key        string          // graph-cache key, or the snapshot ID for store runs
-	fp         string          // result-cache key: gbbs.Request.Key fingerprint
-	seed       uint64          // resolved seed (request seed or gbbs.DefaultSeed)
-	tenant     string          // resolved tenant (request tenant or DefaultTenant)
+	snap       store.Snapshot // store-backed runs: the resolved snapshot
+	useStore   bool           // request addressed a stored graph
+	key        string         // graph-cache key, or the snapshot ID for store runs
+	fp         string         // result-cache key: gbbs.Request.Key fingerprint
+	seed       uint64         // resolved seed (request seed or gbbs.DefaultSeed)
+	tenant     string         // resolved tenant (request tenant or DefaultTenant)
 	threads    int
 	timeout    time.Duration
 	progress   func(JobState) // async jobs: lifecycle transition hook; nil for /v1/run
@@ -97,10 +95,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 	if !validTenant(p.tenant) {
 		return fail(http.StatusBadRequest, "bad tenant %q: want at most 64 bytes of [A-Za-z0-9._-]", req.Tenant)
 	}
-	var rerr *requestError
-	if p.part, rerr = s.parseShards(req.Shards, req.Algorithm); rerr != nil {
-		return nil, rerr
-	}
 
 	fpReq := gbbs.Request{Source: req.Src, Opts: req.Opts}
 	if p.useStore {
@@ -115,14 +109,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		// a result computed on a superseded version can never be returned.
 		p.key = p.snap.ID()
 		fpReq.GraphID = p.key
-		if p.part == nil && req.Shards == "" {
-			// A graph stored with a default partition runs sharded when the
-			// algorithm is mergeable; others fall back to a single engine
-			// (the default is advisory, unlike an explicit "shards").
-			if def, ok := s.shardDefault(req.Graph); ok && shard.Mergeable(req.Algorithm) {
-				p.part = &def
-			}
-		}
 	} else {
 		var err error
 		if p.source, p.transforms, p.key, err = s.parseInput(req.Source, req.Transforms); err != nil {
@@ -140,7 +126,6 @@ func (s *Server) parseRunRequest(req RunRequest) (*parsedRun, *requestError) {
 		p.seed = *req.Seed
 	}
 	fpReq.Seed = &p.seed
-	fpReq.Partition = p.part
 	var err error
 	if p.fp, err = fpReq.Key(a); err != nil {
 		return fail(http.StatusBadRequest, "%v", err)
@@ -315,23 +300,7 @@ func (s *Server) execute(ctx context.Context, p *parsedRun) (RunResponse, error)
 	if p.progress != nil {
 		p.progress(JobRunning)
 	}
-	var (
-		rep *shard.Report
-		res gbbs.Result
-		err error
-	)
-	if p.part != nil {
-		// Sharded execution: fetch (or split and cache) the coordinator for
-		// this (graph, partition), then scatter-gather through it. The
-		// coordinator's engines are its own; eng only serves the split.
-		co, _, cerr := s.coordinatorFor(ctx, p, eng, g)
-		if cerr != nil {
-			return RunResponse{}, cerr
-		}
-		res, rep, err = co.Run(ctx, p.algo.Name, gbbs.Request{Source: p.req.Src, Seed: &p.seed, Opts: p.req.Opts})
-	} else {
-		res, err = eng.Run(ctx, p.algo.Name, runReq)
-	}
+	res, err := eng.Run(ctx, p.algo.Name, runReq)
 	if err != nil {
 		return RunResponse{}, err
 	}
@@ -357,7 +326,6 @@ func (s *Server) execute(ctx context.Context, p *parsedRun) (RunResponse, error)
 			Symmetric:   g.Symmetric(),
 			ApproxBytes: approxGraphBytes(g),
 		},
-		Result:  res,
-		Sharded: rep,
+		Result: res,
 	}, nil
 }

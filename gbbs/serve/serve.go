@@ -19,14 +19,13 @@
 // fingerprint (gbbs.Request.Key: algorithm, canonical input spec, source
 // vertex, resolved seed, normalized params) — every algorithm is
 // deterministic in that tuple, so a repeated identical request is answered
-// from memory without executing anything. Both, and the cache of shard
-// coordinators behind sharded runs, are instantiations of one unexported
-// mechanism (flight: lookup-or-join, run, publish and account under one
-// lock, evict completed entries LRU past a budget, invalidate); they differ
-// only in how a value is costed, whether it is released on leaving, and
-// whether its production is detached from the request that started it. The
-// async job table is a separate structure on purpose — an ID-addressed
-// registry with TTL retention and queue positions, not a cache.
+// from memory without executing anything. Both are instantiations of one
+// unexported mechanism (flight: lookup-or-join, run, publish and account
+// under one lock, evict completed entries LRU past a budget, invalidate);
+// they differ only in how a value is costed and whether its production is
+// detached from the request that started it. The async job table is a
+// separate structure on purpose — an ID-addressed registry with TTL
+// retention and queue positions, not a cache.
 //
 // A third layer is the versioned graph store (gbbs/store): graphs built
 // once via PUT /v1/graphs/{name} and addressed by name in RunRequest.Graph,
@@ -80,11 +79,9 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/gbbs"
-	"repro/gbbs/shard"
 	"repro/gbbs/store"
 	"repro/internal/vfs"
 )
@@ -150,10 +147,6 @@ type Config struct {
 	// with 503 while that many jobs are active; finished jobs beyond it are
 	// evicted oldest-first ahead of their TTL. 0 selects 1024.
 	MaxJobs int
-	// MaxShards enables sharded execution (gbbs-serve -shards) and caps the
-	// shard count a request may ask for. 0 (the default) disables sharding:
-	// requests carrying a "shards" spec are rejected with 400.
-	MaxShards int
 }
 
 // Server runs declarative graph requests over HTTP. Create it with New,
@@ -167,13 +160,9 @@ type Server struct {
 	engines *EnginePool
 	store   *store.Store
 	jobs    *jobTable
-	shards  *flight[*shard.Coordinator]
 	mux     *http.ServeMux
 	started time.Time
 	threads int // default engine width: the CPU count, capped at MaxThreads
-
-	shardDefaultsMu sync.Mutex
-	shardDefaults   map[string]gbbs.Partition // stored-graph name -> default partition
 
 	buildCtx  context.Context
 	stopBuild context.CancelFunc
@@ -208,20 +197,18 @@ func New(cfg Config) *Server {
 	}
 	buildCtx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:           cfg,
-		cache:         NewCache(buildCtx, cfg.CacheBytes),
-		results:       NewResultCache(cfg.ResultCacheBytes),
-		limiter:       NewLimiter(cfg.MaxThreads, cfg.TenantWeights),
-		engines:       NewEnginePool(cfg.MaxThreads),
-		store:         store.New(cfg.StoreConfig),
-		jobs:          newJobTable(cfg.JobTTL, cfg.MaxJobs),
-		shards:        newShardCache(),
-		mux:           http.NewServeMux(),
-		started:       time.Now(),
-		threads:       min(runtime.NumCPU(), cfg.MaxThreads),
-		shardDefaults: make(map[string]gbbs.Partition),
-		buildCtx:      buildCtx,
-		stopBuild:     stop,
+		cfg:       cfg,
+		cache:     NewCache(buildCtx, cfg.CacheBytes),
+		results:   NewResultCache(cfg.ResultCacheBytes),
+		limiter:   NewLimiter(cfg.MaxThreads, cfg.TenantWeights),
+		engines:   NewEnginePool(cfg.MaxThreads),
+		store:     store.New(cfg.StoreConfig),
+		jobs:      newJobTable(cfg.JobTTL, cfg.MaxJobs),
+		mux:       http.NewServeMux(),
+		started:   time.Now(),
+		threads:   min(runtime.NumCPU(), cfg.MaxThreads),
+		buildCtx:  buildCtx,
+		stopBuild: stop,
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -264,7 +251,6 @@ func (s *Server) Store() *store.Store { return s.store }
 // error; call it after the http.Server has drained.
 func (s *Server) Close() {
 	s.stopBuild()
-	s.shards.invalidateMatching(func(string) bool { return true })
 	s.engines.Close()
 }
 
@@ -314,15 +300,6 @@ type RunRequest struct {
 	// IncludeValue returns the algorithm's full output value (which is
 	// O(n) numbers for most algorithms) instead of only the summary.
 	IncludeValue bool `json:"include_value,omitempty"`
-	// Shards is a gbbs.ParsePartition spec ("4", "shards=4,by=range"); when
-	// set, a mergeable algorithm executes by scatter-gather across that many
-	// per-shard engines (gbbs/shard). The canonical partition is folded into
-	// the result-cache fingerprint, so runs at different shard counts never
-	// share a cached result. Requires the server to enable sharding
-	// (Config.MaxShards); non-mergeable algorithms are rejected with 400.
-	// Empty selects the stored graph's default partition when one was set at
-	// creation time, unsharded execution otherwise.
-	Shards string `json:"shards,omitempty"`
 }
 
 // GraphInfo describes the graph a run executed on.
@@ -369,10 +346,6 @@ type RunResponse struct {
 	// Result is the algorithm's result in gbbs.Result's JSON form (value
 	// omitted unless the request set include_value).
 	Result gbbs.Result `json:"result"`
-	// Sharded reports how a sharded run executed — the partition, per-shard
-	// local timings and summaries, merge time and (for BFS) frontier-exchange
-	// rounds. Absent for unsharded runs.
-	Sharded *shard.Report `json:"sharded,omitempty"`
 }
 
 // ErrorResponse is the wire form of any non-2xx response.
@@ -438,11 +411,6 @@ type HealthResponse struct {
 	// size, degraded flag, recovery stats); only present on persistent
 	// stores.
 	Durability []store.GraphDurability `json:"durability,omitempty"`
-	// MaxShards echoes the server's sharding cap (0: sharding disabled).
-	MaxShards int `json:"max_shards,omitempty"`
-	// ShardCoordinators lists the resident shard decompositions with
-	// per-shard stats (owned vertices, edge split, approximate bytes).
-	ShardCoordinators []ShardCoordinatorInfo `json:"shard_coordinators,omitempty"`
 }
 
 // writeJSON writes v with the given status.
@@ -556,8 +524,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Jobs:               s.jobs.stats(),
 		Persistent:         s.store.Persistent(),
 		Durability:         s.store.Durability(),
-		MaxShards:          s.cfg.MaxShards,
-		ShardCoordinators:  s.shardStats(),
 	})
 }
 

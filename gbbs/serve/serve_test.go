@@ -360,6 +360,29 @@ func TestRunBadSpecs(t *testing.T) {
 	}
 }
 
+// TestRunShardsValidation checks that sharding is not part of the request
+// API: a run or graph create carrying "shards" is an unknown field and
+// gets 400, whatever its value or algorithm.
+func TestRunShardsValidation(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	for name, body := range map[string]string{
+		"count":         `{"source":"rmat:8","transforms":["symmetrize"],"algorithm":"cc","shards":"2"}`,
+		"bad spec":      `{"source":"rmat:8","transforms":["symmetrize"],"algorithm":"cc","shards":"zero"}`,
+		"non-mergeable": `{"source":"rmat:8","transforms":["symmetrize"],"algorithm":"kcore","shards":"2"}`,
+	} {
+		var e serve.ErrorResponse
+		if status := postRun(t, ts, body, &e); status != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, status)
+		} else if e.Error == "" {
+			t.Errorf("%s: missing error body", name)
+		}
+	}
+	var e serve.ErrorResponse
+	if status := doJSON(t, ts, http.MethodPut, "/v1/graphs/wiki", `{"source":"rmat:8","transforms":["symmetrize"],"shards":"4"}`, &e); status != http.StatusBadRequest {
+		t.Fatalf("graph create with shards: status = %d, want 400", status)
+	}
+}
+
 func TestRunBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	big := fmt.Sprintf(`{"source":"path:10","algorithm":"bfs","opts":{"x":"%s"}}`,

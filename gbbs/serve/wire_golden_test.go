@@ -45,12 +45,12 @@ func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
 
 // TestWireShapeGolden replays a fixed sequential session — graph-cache miss,
 // hit and eviction; result-cache miss, hit and invalidation; a stored graph
-// run sharded before and after an edge batch — and compares the raw
+// run before and after an edge batch — and compares the raw
 // /v1/cache and /healthz bodies with a committed record, so the field
 // names, their order and every counter the caches feed into the wire format
 // are pinned byte for byte. Run with -update to rewrite the record.
 func TestWireShapeGolden(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{MaxThreads: 2, CacheBytes: 40_000, MaxShards: 4})
+	_, ts := newTestServer(t, serve.Config{MaxThreads: 2, CacheBytes: 40_000})
 	run := func(body string) serve.RunResponse {
 		t.Helper()
 		var resp serve.RunResponse
@@ -69,13 +69,12 @@ func TestWireShapeGolden(t *testing.T) {
 		t.Fatalf("invalidate result: status %d", status)
 	}
 
-	createGraph(t, ts, "g", `{"source":"path:64","transforms":["symmetrize"],"shards":"2"}`)
+	createGraph(t, ts, "g", `{"source":"path:64","transforms":["symmetrize"]}`)
 	run(`{"graph":"g","algorithm":"cc"}`)
 	if status := doJSON(t, ts, http.MethodPost, "/v1/graphs/g/edges", `{"edges":[[0,63]]}`, nil); status != http.StatusOK {
 		t.Fatalf("edge batch: status %d", status)
 	}
 	run(`{"graph":"g","algorithm":"cc"}`)
-	run(`{"graph":"g","algorithm":"cc","shards":"shards=3,by=range"}`)
 
 	got := bytes.Join([][]byte{
 		[]byte("GET /v1/cache"), getBody(t, ts, "/v1/cache"),

@@ -1,153 +1,219 @@
-// Package shard executes algorithms over a partitioned graph by
-// scatter-gather: a Partitioner splits one CSR into K per-shard subgraphs
-// with explicit boundary-edge sets, and a Coordinator owns K per-shard
-// gbbs.Engine instances (each with its own scheduler and thread budget),
-// runs the shard-local phase on all of them in parallel, and merges the
-// per-shard outputs into a result equal to (or, where documented, a valid
-// counterpart of) the single-engine run.
+// Package shard runs connectivity over a hash-partitioned graph by
+// scatter-gather: a Coordinator splits one CSR into K per-shard subgraphs,
+// labels each shard's internal subgraph with union-find on its own
+// gbbs.Engine, and merges the labellings by uniting the boundary edges.
 //
-// # Partitioning invariants
-//
-// Every shard graph lives in the global vertex ID space [0, n). For shard i,
-// Sub holds the internal edges (both endpoints owned by i; symmetric when
-// the input is) and Cut holds the boundary edges stored from the owning side
-// — so each stored edge of the input lands in exactly one Sub or Cut, and in
-// a symmetric graph each undirected boundary edge appears in exactly two Cut
-// graphs, once per side. Ownership is a pure function of
-// (n, Partition.Shards, Partition.By), recomputable anywhere — the property
-// a follow-on out-of-process deployment needs to route vertices (and
-// consistent-hash Request.Key fingerprints) without a directory service.
-//
-// # Merge contract
-//
-// Each mergeable algorithm declares how shard-local outputs combine:
-// connectivity merges union-find forests over the boundary edges (the
-// incrcc machinery), BFS exchanges frontiers between shards round by round,
-// triangle counting sums per-ownership counts, matching and spanning-forest
-// extend the disjoint shard-local solutions across the boundary. The
-// coordinator scatters work as ordinary gbbs.Request values dispatched
-// through each shard engine's registry — the same serialized request shape
-// (and Request.Key fingerprint) the serving layer speaks, so moving shards
-// out of process changes transport, not algorithm code.
+// It remains only as the benchmark's shard.cc_k2 probe. Sharding was
+// measured against one engine running the same union-find and lost before
+// the split was even counted, so no product path shards (ARCHITECTURE.md,
+// "Sharding").
 package shard
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"time"
 
 	"repro/gbbs"
 )
 
-// Partitioner computes vertex ownership for a validated gbbs.Partition and
-// splits graphs accordingly. It is stateless apart from the partition value;
-// one Partitioner may split any number of graphs.
-type Partitioner struct {
-	part gbbs.Partition
+// Coordinator runs connectivity over a partitioned graph. It owns one
+// gbbs.Engine per shard (each with a private scheduler and thread budget), a
+// K-wide control engine that launches the shard-local phases in parallel,
+// and a merge engine for the gather step. Run may be called concurrently;
+// Close releases the engines.
+type Coordinator struct {
+	owner    []uint32
+	subs     []*gbbs.CSR
+	boundary *gbbs.UpdateBatch // every boundary edge, once per stored direction
+	engines  []*gbbs.Engine
+	// control fans the K shard-local phases out with grain 1 (the default
+	// grain heuristic would serialize a K-wide loop); merge runs the
+	// data-parallel gather step on the full thread budget.
+	control *gbbs.Engine
+	merge   *gbbs.Engine
+	seed    uint64
 }
 
-// NewPartitioner returns a Partitioner for the given partition spec,
-// rejecting invalid specs (shard count out of range, unknown strategy).
-func NewPartitioner(p gbbs.Partition) (*Partitioner, error) {
-	if err := p.Validate(); err != nil {
+// Option configures a Coordinator under construction; see WithShardThreads
+// and WithSeed.
+type Option func(*coordConfig)
+
+type coordConfig struct {
+	shardThreads int
+	seed         uint64
+}
+
+// WithShardThreads sets the worker count of every per-shard engine. The
+// default divides runtime.NumCPU() evenly across shards (at least 1 per
+// shard).
+func WithShardThreads(p int) Option { return func(c *coordConfig) { c.shardThreads = p } }
+
+// WithSeed sets the seed used when a request leaves Request.Seed nil,
+// mirroring gbbs.WithSeed. The default is gbbs.DefaultSeed.
+func WithSeed(seed uint64) Option { return func(c *coordConfig) { c.seed = seed } }
+
+// NewCoordinator splits g under part on eng's scheduler and returns a
+// Coordinator over the decomposition. eng is only used for the split; the
+// coordinator creates and owns its shard, control and merge engines.
+func NewCoordinator(ctx context.Context, eng *gbbs.Engine, g *gbbs.CSR, part gbbs.Partition, opts ...Option) (*Coordinator, error) {
+	if err := part.Validate(); err != nil {
 		return nil, err
 	}
-	return &Partitioner{part: p}, nil
-}
-
-// Partition returns the spec the partitioner was built from.
-func (pt *Partitioner) Partition() gbbs.Partition { return pt.part }
-
-// Owners returns the shard assignment of every vertex in [0, n):
-// Owners(n)[v] is the shard owning v. Deterministic in (n, partition).
-func (pt *Partitioner) Owners(n int) []uint32 { return pt.part.Owners(n) }
-
-// PartitionedGraph is the output of Partitioner.Split: the full graph plus
-// its per-shard decomposition. The full graph stays reachable because some
-// scatter phases (triangle counting) read remote adjacency through it — the
-// in-process stand-in for the halo fetches an out-of-process deployment
-// would serve over the wire.
-type PartitionedGraph struct {
-	// Graph is the full input graph.
-	Graph *gbbs.CSR
-	// Part is the partition the split was computed under.
-	Part gbbs.Partition
-	// Owner maps each vertex to its owning shard.
-	Owner []uint32
-	// Subs holds each shard's internal edges (rows of owned vertices
-	// restricted to owned neighbors), over the global ID space.
-	Subs []*gbbs.CSR
-	// Cuts holds each shard's boundary edges (rows of owned vertices
-	// restricted to foreign neighbors), stored from the owning side only.
-	Cuts []*gbbs.CSR
-	// Owned lists each shard's owned vertices in increasing order.
-	Owned [][]uint32
-	// Boundary is every boundary edge as one list, in deterministic order
-	// (shards in order, then rows in vertex order, then adjacency order).
-	// For symmetric graphs each undirected boundary edge appears twice,
-	// once per direction; merge steps that need each edge once filter
-	// U < V.
-	Boundary *gbbs.UpdateBatch
-}
-
-// Split partitions g under the partitioner's spec on eng's scheduler and
-// returns the decomposition. The split is deterministic: equal inputs
-// produce byte-identical shard graphs at any thread count.
-func (pt *Partitioner) Split(ctx context.Context, eng *gbbs.Engine, g *gbbs.CSR) (*PartitionedGraph, error) {
-	k := pt.part.Shards
-	owner := pt.Owners(g.N())
+	k := part.Shards
+	owner := part.Owners(g.N())
 	subs, cuts, err := eng.SplitCSR(ctx, g, owner, k)
 	if err != nil {
 		return nil, err
 	}
-	pg := &PartitionedGraph{
-		Graph: g,
-		Part:  pt.part,
-		Owner: owner,
-		Subs:  subs,
-		Cuts:  cuts,
-		Owned: make([][]uint32, k),
+	m := 0
+	for _, cut := range cuts {
+		m += cut.M()
 	}
+	boundary := &gbbs.UpdateBatch{N: g.N(), U: make([]uint32, 0, m), V: make([]uint32, 0, m)}
 	for v, o := range owner {
-		pg.Owned[o] = append(pg.Owned[o], uint32(v))
-	}
-	boundary := 0
-	for _, c := range cuts {
-		boundary += c.M()
-	}
-	el := &gbbs.UpdateBatch{N: g.N()}
-	el.U = make([]uint32, 0, boundary)
-	el.V = make([]uint32, 0, boundary)
-	if g.Weighted() {
-		el.W = make([]int32, 0, boundary)
-	}
-	for i := 0; i < k; i++ {
-		for _, v := range pg.Owned[i] {
-			ws := cuts[i].OutWeightSlice(v)
-			for j, u := range cuts[i].OutNghSlice(v) {
-				el.U = append(el.U, v)
-				el.V = append(el.V, u)
-				if el.W != nil {
-					el.W = append(el.W, ws[j])
-				}
-			}
+		for _, u := range cuts[o].OutNghSlice(uint32(v)) {
+			boundary.U = append(boundary.U, uint32(v))
+			boundary.V = append(boundary.V, u)
 		}
 	}
-	pg.Boundary = el
-	return pg, nil
+	c := coordConfig{seed: gbbs.DefaultSeed}
+	for _, o := range opts {
+		o(&c)
+	}
+	if c.shardThreads < 1 {
+		c.shardThreads = max(1, runtime.NumCPU()/k)
+	}
+	co := &Coordinator{
+		owner:    owner,
+		subs:     subs,
+		boundary: boundary,
+		engines:  make([]*gbbs.Engine, k),
+		control:  gbbs.New(gbbs.WithThreads(k), gbbs.WithGrain(1), gbbs.WithSeed(c.seed)),
+		merge:    gbbs.New(gbbs.WithSeed(c.seed)),
+		seed:     c.seed,
+	}
+	for i := range co.engines {
+		co.engines[i] = gbbs.New(gbbs.WithThreads(c.shardThreads), gbbs.WithSeed(c.seed))
+	}
+	return co, nil
 }
 
-// BuildSharded materializes src (with transforms) through eng and wraps the
-// result in a ready-to-run Coordinator under the given partition — the
-// sharded counterpart of Engine.Build. The build must produce an
-// uncompressed CSR; compressed graphs cannot be split and are rejected.
-func BuildSharded(ctx context.Context, eng *gbbs.Engine, part gbbs.Partition, src gbbs.GraphSource, tfs ...gbbs.Transform) (*Coordinator, error) {
-	g, err := eng.Build(ctx, src, tfs...)
+// Close releases every engine the coordinator owns. Like Engine.Close it is
+// idempotent and non-blocking; in-flight runs finish correctly, just without
+// parallel speedup.
+func (c *Coordinator) Close() {
+	for _, e := range c.engines {
+		e.Close()
+	}
+	c.control.Close()
+	c.merge.Close()
+}
+
+// Report describes how a sharded run executed.
+type Report struct {
+	// MergeElapsed is the wall-clock time of the gather/merge step.
+	MergeElapsed time.Duration
+}
+
+// Run executes connectivity ("cc" or "incrcc") over the partitioned graph
+// and returns the merged result plus an execution report. Each shard labels
+// its internal subgraph with canonical union-find ("incrcc"); the merge
+// stitches the per-shard labellings together and unites the boundary edges
+// through the incremental-connectivity machinery. Union-find with monotone
+// minimum hooking is insensitive to edge order, so the merged labelling is
+// byte-identical to a single-engine "incrcc" run for either name — and, for
+// "cc", partition-equivalent to the LDD labelling with the same summary.
+// The request's graph fields are ignored; a nil Seed resolves to the
+// coordinator's default, recorded in Result.Seed. The merge step — combining
+// the shard labellings and uniting the boundary — is Report.MergeElapsed.
+func (c *Coordinator) Run(ctx context.Context, name string, req gbbs.Request) (gbbs.Result, *Report, error) {
+	a, ok := gbbs.Lookup(name)
+	if !ok {
+		return gbbs.Result{}, nil, fmt.Errorf("shard: unknown algorithm %q", name)
+	}
+	if name != "cc" && name != "incrcc" {
+		return gbbs.Result{}, nil, fmt.Errorf("shard: algorithm %q has no sharded merge step (mergeable: cc, incrcc)", name)
+	}
+	if _, err := a.ResolveOpts(req.Opts); err != nil {
+		return gbbs.Result{}, nil, err
+	}
+	seed := c.seed
+	if req.Seed != nil {
+		seed = *req.Seed
+	}
+	start := time.Now()
+	results, err := c.scatter(ctx, seed)
+	if err != nil {
+		return gbbs.Result{}, nil, err
+	}
+	mergeStart := time.Now()
+	labels := make([]uint32, len(c.owner))
+	err = c.merge.Exec(ctx, func(b *gbbs.Builder) {
+		shardLabels := make([][]uint32, len(results))
+		for i, r := range results {
+			shardLabels[i] = r.Value.([]uint32)
+		}
+		b.Parallel(len(labels), func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				labels[v] = shardLabels[c.owner[v]][v]
+			}
+		})
+	})
+	if err != nil {
+		return gbbs.Result{}, nil, err
+	}
+	if labels, err = c.merge.IncrementalConnectivity(ctx, labels, []*gbbs.UpdateBatch{c.boundary}); err != nil {
+		return gbbs.Result{}, nil, err
+	}
+	num, largest := componentSummary(labels)
+	rep := &Report{MergeElapsed: time.Since(mergeStart)}
+	return gbbs.Result{
+		Summary: fmt.Sprintf("%d components, largest %d", num, largest),
+		Value:   labels,
+		Elapsed: time.Since(start),
+		Seed:    seed,
+	}, rep, nil
+}
+
+// scatter runs "incrcc" on every shard's internal subgraph in parallel,
+// labelling each vertex with the minimum vertex of its shard-internal
+// component, and returns the per-shard results in shard order.
+func (c *Coordinator) scatter(ctx context.Context, seed uint64) ([]gbbs.Result, error) {
+	k := len(c.engines)
+	results := make([]gbbs.Result, k)
+	errs := make([]error, k)
+	err := c.control.Exec(ctx, func(b *gbbs.Builder) {
+		b.Parallel(k, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				results[i], errs[i] = c.engines[i].Run(ctx, "incrcc", gbbs.Request{Graph: c.subs[i], Seed: &seed})
+			}
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	csr, ok := g.(*gbbs.CSR)
-	if !ok {
-		return nil, fmt.Errorf("shard: sharded execution requires an uncompressed CSR graph, got %T (drop the compress transform)", g)
+	for i, e := range errs {
+		if e != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, e)
+		}
 	}
-	return NewCoordinator(ctx, eng, csr, part)
+	return results, nil
+}
+
+// componentSummary counts the components of a canonical (minimum-vertex)
+// labelling and the size of the largest, matching core.ComponentCount.
+func componentSummary(labels []uint32) (num int, largest int64) {
+	counts := make([]int64, len(labels))
+	for _, l := range labels {
+		counts[l]++
+	}
+	for _, cnt := range counts {
+		if cnt > 0 {
+			num++
+			largest = max(largest, cnt)
+		}
+	}
+	return num, largest
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -35,15 +34,15 @@ func singleRun(t testing.TB, g *gbbs.CSR, name string, req gbbs.Request) gbbs.Re
 	return res
 }
 
-// coord builds a coordinator over g with the given shard count, strategy
-// and per-shard thread budget.
-func coord(t testing.TB, g *gbbs.CSR, k int, by string, threads int) *Coordinator {
+// coord builds a hash-partitioned coordinator over g with the given shard
+// count and per-shard thread budget.
+func coord(t testing.TB, g *gbbs.CSR, k int, threads int) *Coordinator {
 	t.Helper()
 	eng := gbbs.New()
 	defer eng.Close()
-	co, err := NewCoordinator(context.Background(), eng, g, gbbs.Partition{Shards: k, By: by}, WithShardThreads(threads))
+	co, err := NewCoordinator(context.Background(), eng, g, gbbs.Partition{Shards: k, By: gbbs.ByHash}, WithShardThreads(threads))
 	if err != nil {
-		t.Fatalf("NewCoordinator(k=%d, by=%s): %v", k, by, err)
+		t.Fatalf("NewCoordinator(k=%d): %v", k, err)
 	}
 	return co
 }
@@ -60,193 +59,53 @@ func equalU32(a, b []uint32) bool {
 	return true
 }
 
-// TestShardedDeterminismGrid is the satellite determinism matrix: at 1/2/4/8
-// shards and 1/4/NumCPU threads per shard, the merged connectivity, BFS and
-// triangle-count results are byte-identical to the single-engine run, and
-// every strategy agrees.
+// TestShardedDeterminismGrid is the benchmark probe's correctness check: at
+// 1/2/4/8 shards and 1/4/NumCPU threads per shard, merged cc and incrcc
+// labels are byte-identical to the single-engine canonical incrcc run.
 func TestShardedDeterminismGrid(t *testing.T) {
 	g := buildSym(t, 12)
 	ctx := context.Background()
-	wantCC := singleRun(t, g, "incrcc", gbbs.Request{})
-	wantBFS := singleRun(t, g, "bfs", gbbs.Request{Source: 1})
-	wantTC := singleRun(t, g, "tc", gbbs.Request{})
-	threadCases := []int{1, 4, runtime.NumCPU()}
+	want := singleRun(t, g, "incrcc", gbbs.Request{})
 	for _, k := range []int{1, 2, 4, 8} {
-		for _, by := range []string{gbbs.ByHash, gbbs.ByRange, gbbs.ByBlock} {
-			for _, threads := range threadCases {
-				name := fmt.Sprintf("k=%d/by=%s/threads=%d", k, by, threads)
-				co := coord(t, g, k, by, threads)
-				res, rep, err := co.Run(ctx, "incrcc", gbbs.Request{})
+		for _, threads := range []int{1, 4, runtime.NumCPU()} {
+			co := coord(t, g, k, threads)
+			for _, name := range []string{"incrcc", "cc"} {
+				res, rep, err := co.Run(ctx, name, gbbs.Request{})
 				if err != nil {
-					t.Fatalf("%s incrcc: %v", name, err)
-				}
-				if res.Summary != wantCC.Summary || !equalU32(res.Value.([]uint32), wantCC.Value.([]uint32)) {
-					t.Fatalf("%s: sharded incrcc diverged: %q vs %q", name, res.Summary, wantCC.Summary)
-				}
-				if len(rep.Shards) != k {
-					t.Fatalf("%s: report has %d shard entries", name, len(rep.Shards))
-				}
-				if res, _, err = co.Run(ctx, "cc", gbbs.Request{}); err != nil {
-					t.Fatalf("%s cc: %v", name, err)
+					t.Fatalf("k=%d/threads=%d %s: %v", k, threads, name, err)
 				}
 				// cc merges to the canonical labelling: summary identical to
 				// the single-engine cc run, labels identical to incrcc's.
-				if res.Summary != wantCC.Summary || !equalU32(res.Value.([]uint32), wantCC.Value.([]uint32)) {
-					t.Fatalf("%s: sharded cc diverged from canonical labelling", name)
+				if res.Summary != want.Summary || !equalU32(res.Value.([]uint32), want.Value.([]uint32)) {
+					t.Fatalf("k=%d/threads=%d: sharded %s diverged: %q vs %q", k, threads, name, res.Summary, want.Summary)
 				}
-				if res, _, err = co.Run(ctx, "bfs", gbbs.Request{Source: 1}); err != nil {
-					t.Fatalf("%s bfs: %v", name, err)
-				} else if res.Summary != wantBFS.Summary || !equalU32(res.Value.([]uint32), wantBFS.Value.([]uint32)) {
-					t.Fatalf("%s: sharded bfs diverged: %q vs %q", name, res.Summary, wantBFS.Summary)
+				if rep.MergeElapsed <= 0 {
+					t.Fatalf("k=%d/threads=%d %s: merge elapsed not recorded", k, threads, name)
 				}
-				if res, _, err = co.Run(ctx, "tc", gbbs.Request{}); err != nil {
-					t.Fatalf("%s tc: %v", name, err)
-				} else if res.Summary != wantTC.Summary || res.Value.(int64) != wantTC.Value.(int64) {
-					t.Fatalf("%s: sharded tc diverged: %q vs %q", name, res.Summary, wantTC.Summary)
-				}
-				co.Close()
 			}
+			co.Close()
 		}
 	}
 }
 
-// TestAcceptanceRMAT16Connectivity is the issue's acceptance criterion: on
-// an rmat:16 symmetric graph, merged component labels at K in {2,4,8} are
-// exactly equal to the single-engine run, and the shard count produces
-// distinct fingerprints.
+// TestAcceptanceRMAT16Connectivity: on an rmat:16 symmetric graph, merged
+// component labels at K in {2,4,8} are exactly equal to the single-engine
+// run.
 func TestAcceptanceRMAT16Connectivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rmat:16 build in -short mode")
 	}
 	g := buildSym(t, 16)
 	want := singleRun(t, g, "incrcc", gbbs.Request{})
-	keys := map[string]int{}
 	for _, k := range []int{2, 4, 8} {
-		co := coord(t, g, k, gbbs.ByHash, 0)
-		res, rep, err := co.Run(context.Background(), "incrcc", gbbs.Request{})
+		co := coord(t, g, k, 0)
+		res, _, err := co.Run(context.Background(), "incrcc", gbbs.Request{})
+		co.Close()
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if !equalU32(res.Value.([]uint32), want.Value.([]uint32)) {
+		if res.Summary != want.Summary || !equalU32(res.Value.([]uint32), want.Value.([]uint32)) {
 			t.Fatalf("k=%d: merged labels differ from single-engine run", k)
-		}
-		if res.Summary != want.Summary {
-			t.Fatalf("k=%d: summary %q, want %q", k, res.Summary, want.Summary)
-		}
-		if rep.MergeElapsed <= 0 {
-			t.Errorf("k=%d: merge elapsed not recorded", k)
-		}
-		key, err := co.Key("incrcc", gbbs.Request{GraphID: "store(name=x,version=1)"})
-		if err != nil {
-			t.Fatalf("k=%d key: %v", k, err)
-		}
-		keys[key] = k
-		co.Close()
-	}
-	if len(keys) != 3 {
-		t.Fatalf("shard counts share fingerprints: %v", keys)
-	}
-}
-
-// TestShardedMaximalMatching checks the mm merge contract: a valid maximal
-// matching of the full graph, deterministic at fixed partition and seed.
-func TestShardedMaximalMatching(t *testing.T) {
-	g := buildSym(t, 11)
-	ctx := context.Background()
-	var first []gbbs.WEdge
-	for _, threads := range []int{1, 4} {
-		co := coord(t, g, 4, gbbs.ByHash, threads)
-		res, _, err := co.Run(ctx, "mm", gbbs.Request{})
-		co.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		match := res.Value.([]gbbs.WEdge)
-		if res.Summary != fmt.Sprintf("%d matched edges", len(match)) {
-			t.Fatalf("summary %q does not match %d edges", res.Summary, len(match))
-		}
-		matched := make([]bool, g.N())
-		for _, e := range match {
-			if e.U == e.V {
-				t.Fatalf("self-loop in matching: %v", e)
-			}
-			if matched[e.U] || matched[e.V] {
-				t.Fatalf("vertex matched twice: %v", e)
-			}
-			if !hasEdge(g, e.U, e.V) {
-				t.Fatalf("matched pair (%d,%d) is not an edge", e.U, e.V)
-			}
-			matched[e.U], matched[e.V] = true, true
-		}
-		// Maximality: no remaining edge with both endpoints free.
-		for v := uint32(0); int(v) < g.N(); v++ {
-			if matched[v] {
-				continue
-			}
-			for _, u := range g.OutNghSlice(v) {
-				if u != v && !matched[u] {
-					t.Fatalf("matching not maximal: edge (%d,%d) free", v, u)
-				}
-			}
-		}
-		if first == nil {
-			first = match
-		} else if len(first) != len(match) {
-			t.Fatalf("matching not deterministic across thread counts: %d vs %d edges", len(first), len(match))
-		} else {
-			for i := range match {
-				if match[i] != first[i] {
-					t.Fatalf("matching not deterministic at edge %d: %v vs %v", i, match[i], first[i])
-				}
-			}
-		}
-	}
-}
-
-func hasEdge(g *gbbs.CSR, u, v uint32) bool {
-	for _, x := range g.OutNghSlice(u) {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// TestShardedSpanningForest checks the spanforest merge contract: the
-// summary is byte-identical to the single-engine run and the parent array
-// is a valid rooted spanning forest of the full graph.
-func TestShardedSpanningForest(t *testing.T) {
-	g := buildSym(t, 11)
-	want := singleRun(t, g, "spanforest", gbbs.Request{})
-	co := coord(t, g, 4, gbbs.ByHash, 0)
-	defer co.Close()
-	res, _, err := co.Run(context.Background(), "spanforest", gbbs.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary != want.Summary {
-		t.Fatalf("summary %q, want %q", res.Summary, want.Summary)
-	}
-	parent := res.Value.([]uint32)
-	n := g.N()
-	if len(parent) != n {
-		t.Fatalf("parent has %d entries for %d vertices", len(parent), n)
-	}
-	for v := 0; v < n; v++ {
-		p := parent[v]
-		if p == uint32(v) {
-			continue
-		}
-		if !hasEdge(g, uint32(v), p) {
-			t.Fatalf("forest edge (%d,%d) is not a graph edge", v, p)
-		}
-		// Walking to the root must terminate (no cycles).
-		x, steps := uint32(v), 0
-		for parent[x] != x {
-			x = parent[x]
-			if steps++; steps > n {
-				t.Fatalf("cycle in forest at vertex %d", v)
-			}
 		}
 	}
 }
@@ -254,82 +113,22 @@ func TestShardedSpanningForest(t *testing.T) {
 // TestRunRejections covers the coordinator's input validation.
 func TestRunRejections(t *testing.T) {
 	g := buildSym(t, 10)
-	co := coord(t, g, 2, gbbs.ByHash, 1)
+	co := coord(t, g, 2, 1)
 	defer co.Close()
 	ctx := context.Background()
 	if _, _, err := co.Run(ctx, "nosuch", gbbs.Request{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, _, err := co.Run(ctx, "kcore", gbbs.Request{}); err == nil {
+	if _, _, err := co.Run(ctx, "bfs", gbbs.Request{}); err == nil {
 		t.Error("non-mergeable algorithm accepted")
-	}
-	if _, _, err := co.Run(ctx, "bfs", gbbs.Request{Source: uint32(g.N())}); err == nil {
-		t.Error("out-of-range source accepted")
 	}
 	if _, _, err := co.Run(ctx, "cc", gbbs.Request{Opts: map[string]any{"nope": 1}}); err == nil {
 		t.Error("invalid opts accepted")
 	}
-	if !Mergeable("bfs") || Mergeable("kcore") {
-		t.Error("Mergeable misreports")
-	}
-	if got := MergeableAlgorithms(); len(got) != len(mergers) {
-		t.Errorf("MergeableAlgorithms returned %v", got)
-	}
-}
-
-// TestStatsCoverDecomposition checks the operator stats: owned counts
-// partition the vertex set and edge counts partition the stored edges.
-func TestStatsCoverDecomposition(t *testing.T) {
-	g := buildSym(t, 11)
-	co := coord(t, g, 4, gbbs.ByBlock, 1)
-	defer co.Close()
-	stats := co.Stats()
-	if len(stats) != 4 {
-		t.Fatalf("%d stats entries", len(stats))
-	}
-	owned, edges := 0, 0
-	for i, st := range stats {
-		if st.Shard != i {
-			t.Fatalf("stat %d labelled shard %d", i, st.Shard)
-		}
-		if st.ApproxBytes <= 0 {
-			t.Fatalf("shard %d: non-positive byte estimate", i)
-		}
-		owned += st.Owned
-		edges += st.InternalEdges + st.BoundaryEdges
-	}
-	if owned != g.N() {
-		t.Fatalf("owned vertices sum to %d, want %d", owned, g.N())
-	}
-	if edges != g.M() {
-		t.Fatalf("shard edges sum to %d, want %d", edges, g.M())
-	}
-}
-
-// TestBuildSharded exercises the declarative construction path and the
-// compressed-graph rejection.
-func TestBuildSharded(t *testing.T) {
-	eng := gbbs.New()
+	eng := gbbs.New(gbbs.WithThreads(1))
 	defer eng.Close()
-	ctx := context.Background()
-	co, err := BuildSharded(ctx, eng, gbbs.Partition{Shards: 3, By: gbbs.ByHash}, gbbs.RMAT(10, 16, 1), gbbs.Symmetrize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	res, _, err := co.Run(ctx, "incrcc", gbbs.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := singleRun(t, co.Graph(), "incrcc", gbbs.Request{})
-	if res.Summary != want.Summary {
-		t.Fatalf("summary %q, want %q", res.Summary, want.Summary)
-	}
-	if _, err := BuildSharded(ctx, eng, gbbs.Partition{Shards: 2, By: gbbs.ByHash}, gbbs.RMAT(10, 16, 1), gbbs.Symmetrize(), gbbs.EncodeCompressed(0)); err == nil {
-		t.Fatal("compressed build accepted for sharding")
-	}
-	if _, err := BuildSharded(ctx, eng, gbbs.Partition{Shards: 0, By: gbbs.ByHash}, gbbs.RMAT(10, 16, 1)); err == nil {
-		t.Fatal("invalid partition accepted")
+	if _, err := NewCoordinator(ctx, eng, g, gbbs.Partition{Shards: 0, By: gbbs.ByHash}); err == nil {
+		t.Error("invalid partition accepted")
 	}
 }
 
@@ -337,7 +136,7 @@ func TestBuildSharded(t *testing.T) {
 // the context error.
 func TestRunHonorsCancellation(t *testing.T) {
 	g := buildSym(t, 11)
-	co := coord(t, g, 2, gbbs.ByHash, 1)
+	co := coord(t, g, 2, 1)
 	defer co.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

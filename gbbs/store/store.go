@@ -152,14 +152,6 @@ type Info struct {
 	Weighted bool `json:"weighted"`
 	// Symmetric reports whether the graph is stored symmetrically.
 	Symmetric bool `json:"symmetric"`
-	// Shards is the graph's default partition's shard count, when the
-	// serving layer recorded one at creation time; 0 otherwise. The store
-	// itself does not shard — the serving layer fills this for listings.
-	Shards int `json:"shards,omitempty"`
-	// ShardBytes is the approximate resident bytes of each shard of the
-	// graph's decomposition, in shard order; only present while a shard
-	// coordinator for the current version is resident in the serving layer.
-	ShardBytes []int64 `json:"shard_bytes,omitempty"`
 }
 
 // New creates an empty Store with the given configuration.

@@ -23,7 +23,6 @@ import (
 var scope = lintutil.NewPackageList(
 	"repro/gbbs",
 	"repro/gbbs/serve",
-	"repro/gbbs/shard",
 	"repro/gbbs/store",
 	"repro/internal/vfs",
 )

@@ -12,17 +12,19 @@ import (
 // "Work-Efficient Parallel Union-Find with Applications to Incremental
 // Graph Connectivity") whose output is deterministic at any thread count.
 //
-// Determinism argument. Every parent write is a WriteMin32: hooks write
-// min(ru, rv) into parent[max(ru, rv)], and path halving writes a vertex's
-// grandparent, which is never larger than its current parent. So parent
-// values only decrease, every intermediate forest respects parent[v] <= v,
-// and the minimum vertex m of a component never has parent[m] written (any
-// hook targets the larger of two roots, and every root in m's component is
-// >= m). After all unions complete, flattening therefore labels each vertex
-// with its component's minimum vertex id — a canonical value independent of
-// how the concurrent hooks interleaved. Monotone decrease also bounds the
-// retry loops: each failed hook means another thread already wrote a
-// smaller parent, so total work is finite.
+// Determinism argument. A hook is a CAS of parent[hi] from hi to lo, where
+// hi > lo are two roots: it succeeds only while hi is still a root, so a
+// hook never overwrites an existing link (a WriteMin here would, cutting hi's
+// subtree off a tree it had already joined). Path halving writes a vertex's
+// grandparent with WriteMin32; the grandparent is in the same tree and never
+// larger than the current parent. So parent values only decrease, every
+// intermediate forest respects parent[v] <= v, trees only ever merge, and
+// each root is its tree's minimum vertex. After all unions complete,
+// flattening therefore labels each vertex with its component's minimum
+// vertex id — a canonical value independent of how the concurrent hooks
+// interleaved. Monotone decrease also bounds the retry loops: each failed
+// hook means another thread already linked hi below a smaller vertex, so
+// total work is finite.
 
 // ufFind returns the root of x's tree, halving the path as it walks: each
 // visited vertex is pointed at its grandparent (via WriteMin32, so a
@@ -49,11 +51,11 @@ func ufUnite(parent []uint32, u, v uint32) {
 			return
 		}
 		lo, hi := min(ru, rv), max(ru, rv)
-		if atomics.WriteMin32(&parent[hi], lo) {
+		if atomics.CAS32(&parent[hi], hi, lo) {
 			return
 		}
-		// Lost the race: parent[hi] already points somewhere smaller, so
-		// hi's component grew under us. Re-find and retry.
+		// Lost the race: hi was hooked under a smaller vertex after we
+		// found it, so it is no longer a root. Re-find and retry.
 	}
 }
 

@@ -4,13 +4,11 @@
 # deterministic result cache (observable through the response's
 # result_cache field and the /v1/cache counters), with bad parameters
 # rejected as 400; then exercise the async job API (submit, duplicate-join,
-# poll, result, cancel, resubmit after cancel), a cross-tenant fairness spot
-# check, and sharded
-# scatter-gather execution (same answer as unsharded, per-K fingerprints,
-# cache hit on repeat, coordinator stats on /healthz); finally SIGKILL the
-# daemon and restart it over the same -data-dir, asserting the stored graph
-# recovers to its pre-crash version and answer. All waits are
-# retry-with-deadline, never fixed sleeps. Used by `make smoke-serve` and CI.
+# poll, result, cancel, resubmit after cancel) and a cross-tenant fairness
+# spot check; finally SIGKILL the daemon and restart it over the same
+# -data-dir, asserting the stored graph recovers to its pre-crash version and
+# answer. All waits are retry-with-deadline, never fixed sleeps. Used by
+# `make smoke-serve` and CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -63,8 +61,7 @@ go build -o "$BIN" ./cmd/gbbs-serve
 
 DATA_DIR="$TMPDIR_SMOKE/data"
 SERVE_FLAGS=(-addr "$ADDR" -threads 4 -cache-mb 256 -timeout 60s
-    -tenant-weights 'gold=3,bronze=1' -job-ttl 10m -data-dir "$DATA_DIR"
-    -shards 8)
+    -tenant-weights 'gold=3,bronze=1' -job-ttl 10m -data-dir "$DATA_DIR")
 
 "$BIN" "${SERVE_FLAGS[@]}" >"$LOG" 2>&1 &
 SERVER_PID=$!
@@ -129,44 +126,6 @@ echo "$EDGES" | grep -q '"added": *2' || fail "symmetric insert should add 2 dir
 STORE_AFTER=$(curl -sf -X POST "http://$ADDR/v1/run" -d "$STORE_BODY") || fail "post-update run failed"
 echo "$STORE_AFTER" | grep -q '"result_cache": *"miss"' || fail "run after edge update must be a result-cache miss: $STORE_AFTER"
 echo "$STORE_AFTER" | grep -q 'store(name=smoke,version=2)' || fail "post-update fingerprint missing version 2: $STORE_AFTER"
-
-# Sharded execution: the same stored-graph connectivity run split across 4
-# shards must return the unsharded answer with a distinct fingerprint (a
-# fresh result-cache miss), the identical sharded request must hit, a
-# different shard count must miss again under yet another fingerprint, and
-# the resident coordinator must surface per-shard stats on /healthz.
-# (These checks use herestrings, not echo|grep pipelines: grep -q exits at
-# the first match, and under pipefail a still-writing echo would turn that
-# early exit into a spurious SIGPIPE failure on these larger responses.)
-SHARD_BODY='{"graph":"smoke","algorithm":"cc","shards":"4","timeout_ms":30000}'
-SHARD_FIRST=$(curl -sf -X POST "http://$ADDR/v1/run" -d "$SHARD_BODY") || fail "sharded run failed"
-grep -q '"result_cache": *"miss"' <<<"$SHARD_FIRST" || fail "first sharded run should miss: $SHARD_FIRST"
-grep -q '"sharded"' <<<"$SHARD_FIRST" || fail "sharded run carries no shard report: $SHARD_FIRST"
-grep -q '"partition": *"shards=4,by=hash"' <<<"$SHARD_FIRST" || fail "shard report has wrong partition: $SHARD_FIRST"
-UNSHARDED_SUMMARY=$(grep -o '"summary": *"[^"]*"' <<<"$STORE_AFTER")
-grep -qF "$UNSHARDED_SUMMARY" <<<"$SHARD_FIRST" || fail "sharded answer differs from unsharded: want $UNSHARDED_SUMMARY in $SHARD_FIRST"
-STORE_AFTER_KEY=$(grep -o '"key": *"[^"]*"' <<<"$STORE_AFTER")
-if grep -qF "$STORE_AFTER_KEY" <<<"$SHARD_FIRST"; then
-    fail "sharded fingerprint collides with unsharded: $SHARD_FIRST"
-fi
-
-SHARD_SECOND=$(curl -sf -X POST "http://$ADDR/v1/run" -d "$SHARD_BODY") || fail "sharded rerun failed"
-grep -q '"result_cache": *"hit"' <<<"$SHARD_SECOND" || fail "identical sharded rerun should hit: $SHARD_SECOND"
-
-SHARD_K2=$(curl -sf -X POST "http://$ADDR/v1/run" -d '{"graph":"smoke","algorithm":"cc","shards":"2","timeout_ms":30000}') \
-    || fail "k=2 sharded run failed"
-grep -q '"result_cache": *"miss"' <<<"$SHARD_K2" || fail "new shard count should miss the result cache: $SHARD_K2"
-grep -qF "$UNSHARDED_SUMMARY" <<<"$SHARD_K2" || fail "k=2 answer differs from unsharded: $SHARD_K2"
-
-HEALTH_SHARDS=$(curl -sf "http://$ADDR/healthz") || fail "healthz after sharded runs failed"
-grep -q '"max_shards": *8' <<<"$HEALTH_SHARDS" || fail "healthz missing shard cap: $HEALTH_SHARDS"
-grep -q '"shard_coordinators"' <<<"$HEALTH_SHARDS" || fail "healthz missing resident coordinators: $HEALTH_SHARDS"
-grep -q '"boundary_edges"' <<<"$HEALTH_SHARDS" || fail "healthz coordinator stats missing per-shard detail: $HEALTH_SHARDS"
-
-# A shard count above the -shards cap is rejected before any work.
-SHARD_OVER=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/run" \
-    -d '{"graph":"smoke","algorithm":"cc","shards":"16"}')
-[[ "$SHARD_OVER" == "400" ]] || fail "over-cap shard count returned $SHARD_OVER, want 400"
 
 # Async jobs: submit a long run, observe it through the job API, and join a
 # duplicate submission to the same job ID.
