@@ -18,8 +18,8 @@ race:
 # Double-run the race-prone packages (server concurrency: limiter fairness,
 # async jobs, singleflight caches; scheduler internals; the benchmark's
 # sharded-connectivity probe) under the race detector — -count=2 shakes out
-# ordering-dependent races a single pass can miss. The serve and shard test
-# binaries also fail when their tests leave goroutines running.
+# ordering-dependent races a single pass can miss. The serve, shard and
+# parallel test binaries also fail when their tests leave goroutines running.
 race-serve:
 	$(GO) test -race -count=2 ./gbbs/serve/... ./gbbs/shard/... ./internal/parallel/...
 
@@ -53,12 +53,12 @@ smoke-serve:
 vet:
 	$(GO) vet ./...
 
-# Run the repository's invariant analyzers (internal/analysis) over the whole
-# tree through go vet's -vettool protocol. See ARCHITECTURE.md, "Enforced
-# invariants", for what each analyzer checks.
+# Run the repository's invariant analyzers (internal/analysis) over every
+# package of the module, benchmark/ included: one in-process test that fails
+# on any finding. See ARCHITECTURE.md, "Enforced invariants", for what each
+# analyzer checks.
 lint:
-	$(GO) build -o bin/gbbs-lint ./cmd/gbbs-lint
-	$(GO) vet -vettool=bin/gbbs-lint ./...
+	$(GO) test ./internal/analysis -run '^TestRepoHasNoFindings$$'
 
 fmt:
 	gofmt -w .
@@ -86,10 +86,9 @@ bench-build:
 
 # Product size: non-blank, non-comment lines of non-test Go per package
 # directory, then the total. A line counts as a comment when its first
-# non-blank characters are //. The vendored third_party/ tree and the
-# separate benchmark/ module are left out.
+# non-blank characters are //. The separate benchmark/ module is left out.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path './benchmark/*' ! -path './.git/*' -print0 | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' -print0 | \
 		xargs -0 awk '{ t = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", t) } \
 			t == "" || substr(t, 1, 2) == "//" { next } \
 			{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d]++; total++ } \

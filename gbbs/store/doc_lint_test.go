@@ -9,8 +9,8 @@ import (
 
 // TestExportedIdentifiersDocumented enforces the documentation bar on the
 // store: every exported identifier must carry a godoc comment. It is a thin
-// wrapper over the exporteddoc analyzer, the same check gbbs-lint runs in
-// CI.
+// wrapper over the exporteddoc analyzer, the same check `make lint` runs
+// over the whole tree.
 func TestExportedIdentifiersDocumented(t *testing.T) {
 	l := analyzertest.RepoLoader("../..", "repro")
 	for _, d := range analyzertest.SyntaxDiagnostics(t, l, exporteddoc.Analyzer, "repro/gbbs/store") {

@@ -1,34 +1,29 @@
-// Package analyzertest is the repository's analysistest: it loads fixture
-// or real packages from source, runs invariant analyzers over them
-// (including their Requires graph and cross-package facts), and compares
-// diagnostics against `// want` comments in fixture files.
-//
-// The stock golang.org/x/tools/go/analysis/analysistest cannot be used
-// here: the build environment has no module proxy, and the GOROOT-vendored
-// x/tools subset (see third_party/) ships the analysis core and the
-// unitchecker driver but not analysistest or go/packages. This package
-// reimplements the small part the repo needs on top of go/types'
-// source importer:
+// Package analyzertest is the repository's only analysis driver: it loads
+// fixture or real packages from source, runs the invariant analyzers
+// (internal/analysis/...) over them dependencies first so each analyzer's
+// cross-package facts flow, and compares diagnostics against `// want`
+// comments in fixture files. Everything runs in process under go test:
 //
 //   - fixture packages live under internal/analysis/testdata/src, laid out
 //     GOPATH-style (the directory path below src is the import path), so a
 //     fixture can impersonate a scoped package such as repro/internal/core
 //     and exercise the analyzers' package allowlists;
 //   - real repository packages load through [RepoLoader], which maps the
-//     module path onto the checkout — this is how the doc_lint_test.go
-//     files in gbbs, gbbs/serve and gbbs/store run exporteddoc over the
-//     actual packages in-process;
-//   - standard-library imports are typechecked from GOROOT source, so the
-//     whole harness works offline.
+//     module path onto the checkout — this is how the whole-tree test in
+//     internal/analysis (what `make lint` runs) and the doc_lint_test.go
+//     files in gbbs, gbbs/serve and gbbs/store analyze the actual packages;
+//   - only non-test .go files are loaded, so no analyzer sees a test;
+//   - standard-library imports come from the toolchain's export data (the
+//     "gc" importer), so even net/http costs no typechecking.
 //
 // Expected diagnostics are written at the end of the offending line as
 //
 //	code() // want `regexp`
 //
-// exactly like analysistest; several backquoted patterns may follow one
-// `want`. [Check] may run several analyzers over one fixture package, with
-// the wants describing their combined output — used where two invariants
-// are demonstrated in the same impersonated package.
+// several backquoted patterns may follow one `want`. [Check] may run
+// several analyzers over one fixture package, with the wants describing
+// their combined output — used where two invariants are demonstrated in the
+// same impersonated package.
 package analyzertest
 
 import (
@@ -40,14 +35,12 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/analysis/lintutil"
 )
 
 // A Package is a loaded, typechecked package ready for analysis.
@@ -58,30 +51,30 @@ type Package struct {
 	Files []*ast.File
 	Info  *types.Info
 	// deps are the loader-resolved (non-stdlib) imports, in load order;
-	// analyzers with facts run over them first.
+	// the runner analyzes them first.
 	deps []*Package
 }
 
 // A Loader typechecks packages from source, resolving non-stdlib import
 // paths through a directory-mapping function and everything else through
-// GOROOT source.
+// the standard library's export data.
 type Loader struct {
 	Fset *token.FileSet
 	// Resolve maps an import path to the directory holding its sources.
-	// Returning false delegates the path to the stdlib source importer.
+	// Returning false delegates the path to the stdlib importer.
 	Resolve func(importPath string) (dir string, ok bool)
 
 	std  types.ImporterFrom
 	pkgs map[string]*Package
 }
 
-// NewLoader returns a Loader resolving import paths through resolve.
-func NewLoader(resolve func(string) (string, bool)) *Loader {
+// newLoader returns a Loader resolving import paths through resolve.
+func newLoader(resolve func(string) (string, bool)) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:    fset,
 		Resolve: resolve,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		pkgs:    map[string]*Package{},
 	}
 }
@@ -89,7 +82,7 @@ func NewLoader(resolve func(string) (string, bool)) *Loader {
 // FixtureLoader returns a Loader rooted at a GOPATH-style fixture tree:
 // the import path p resolves to dir/p.
 func FixtureLoader(dir string) *Loader {
-	return NewLoader(func(path string) (string, bool) {
+	return newLoader(func(path string) (string, bool) {
 		d := filepath.Join(dir, filepath.FromSlash(path))
 		if st, err := os.Stat(d); err == nil && st.IsDir() {
 			return d, true
@@ -101,7 +94,7 @@ func FixtureLoader(dir string) *Loader {
 // RepoLoader returns a Loader resolving import paths below the module path
 // modpath to directories of the checkout rooted at root.
 func RepoLoader(root, modpath string) *Loader {
-	return NewLoader(func(path string) (string, bool) {
+	return newLoader(func(path string) (string, bool) {
 		if path == modpath {
 			return root, true
 		}
@@ -122,28 +115,13 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("analyzertest: cannot resolve %q to a directory", path)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
 	p := &Package{Path: path, Dir: dir}
 	// Reserve the slot so mutually-importing fixtures fail loudly instead
 	// of recursing forever.
 	l.pkgs[path] = p
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analyzertest: no Go files in %s", dir)
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -159,7 +137,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzertest: typechecking %s: %w", path, err)
 	}
-	// Record loader-resolved deps for fact propagation.
+	// Record loader-resolved deps so the runner analyzes them first.
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			ipath := strings.Trim(imp.Path.Value, `"`)
@@ -174,9 +152,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 
 // LoadSyntax parses the package at path without typechecking it. Only
 // valid for purely syntactic analyzers (exporteddoc): the resulting
-// Package has an empty types.Info, but loading is instant even for
-// packages whose imports (net/http, ...) would be slow to typecheck from
-// source.
+// Package has an empty types.Info, but loading takes milliseconds where
+// a typed load must first typecheck every repository package it imports.
 func (l *Loader) LoadSyntax(path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -185,6 +162,23 @@ func (l *Loader) LoadSyntax(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("analyzertest: cannot resolve %q to a directory", path)
 	}
+	files, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p := &Package{
+		Path:  path,
+		Dir:   dir,
+		Pkg:   types.NewPackage(path, files[0].Name.Name),
+		Files: files,
+		Info:  &types.Info{},
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// parseDir parses the non-test .go files of dir.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -204,15 +198,7 @@ func (l *Loader) LoadSyntax(path string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analyzertest: no Go files in %s", dir)
 	}
-	p := &Package{
-		Path:  path,
-		Dir:   dir,
-		Pkg:   types.NewPackage(path, files[0].Name.Name),
-		Files: files,
-		Info:  &types.Info{},
-	}
-	l.pkgs[path] = p
-	return p, nil
+	return files, nil
 }
 
 // loaderImporter adapts a Loader into the types.ImporterFrom the
@@ -238,116 +224,54 @@ func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	return l.std.ImportFrom(path, dir, mode)
 }
 
-// factStore is the harness's in-memory replacement for the driver's
-// serialized fact files. Object identity works across packages because all
-// packages in one Loader share one typechecker universe.
-type factStore struct {
-	objs map[factKey]analysis.Fact
-	pkgs map[pkgFactKey]analysis.Fact
-}
-
-type factKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	typ reflect.Type
-}
-
-func newFactStore() *factStore {
-	return &factStore{objs: map[factKey]analysis.Fact{}, pkgs: map[pkgFactKey]analysis.Fact{}}
-}
-
-func copyFact(dst, src analysis.Fact) {
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
-}
-
-// Runner executes analyzers over packages of one Loader, carrying facts
-// and memoized Requires results between runs.
+// Runner executes analyzers over packages of one Loader, dependencies
+// first, keeping each analyzer's facts and each run's diagnostics. Object
+// identity holds across packages because all packages of one Loader share
+// one typechecker universe.
 type Runner struct {
-	loader  *Loader
-	facts   *factStore
-	results map[runKey]interface{}
-	ran     map[runKey]bool
+	loader *Loader
+	facts  map[*lintutil.Analyzer]map[types.Object]bool
+	diags  map[runKey][]lintutil.Diagnostic
 }
 
 type runKey struct {
-	a   *analysis.Analyzer
+	a   *lintutil.Analyzer
 	pkg *Package
 }
 
 // NewRunner returns a Runner over the given loader.
 func NewRunner(l *Loader) *Runner {
-	return &Runner{loader: l, facts: newFactStore(), results: map[runKey]interface{}{}, ran: map[runKey]bool{}}
+	return &Runner{
+		loader: l,
+		facts:  map[*lintutil.Analyzer]map[types.Object]bool{},
+		diags:  map[runKey][]lintutil.Diagnostic{},
+	}
 }
 
-// Analyze runs the analyzer (and, first, its Requires graph on the same
-// package, and the analyzer itself on the package's loader-resolved
-// dependencies so facts flow) and returns the diagnostics it reported on
-// this package.
-func (r *Runner) Analyze(a *analysis.Analyzer, pkg *Package) ([]analysis.Diagnostic, error) {
-	// Facts flow bottom-up: analyze loader-resolved deps first.
-	if len(a.FactTypes) > 0 {
-		for _, dep := range pkg.deps {
-			if _, err := r.Analyze(a, dep); err != nil {
-				return nil, err
-			}
-		}
-	}
+// Analyze runs the analyzer over the package's loader-resolved
+// dependencies and then the package itself, each at most once, and returns
+// the diagnostics it reported on this package.
+func (r *Runner) Analyze(a *lintutil.Analyzer, pkg *Package) []lintutil.Diagnostic {
 	key := runKey{a, pkg}
-	if r.ran[key] {
-		return nil, nil // already analyzed (as someone's dependency)
+	if d, ok := r.diags[key]; ok {
+		return d
 	}
-	r.ran[key] = true
-	resultOf := map[*analysis.Analyzer]interface{}{}
-	for _, req := range a.Requires {
-		if _, err := r.Analyze(req, pkg); err != nil {
-			return nil, err
-		}
-		resultOf[req] = r.results[runKey{req, pkg}]
+	for _, dep := range pkg.deps {
+		r.Analyze(a, dep)
 	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       r.loader.Fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Pkg,
-		TypesInfo:  pkg.Info,
-		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-		ResultOf:   resultOf,
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-		ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
-			if stored, ok := r.facts.objs[factKey{obj, reflect.TypeOf(fact)}]; ok {
-				copyFact(fact, stored)
-				return true
-			}
-			return false
-		},
-		ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
-			r.facts.objs[factKey{obj, reflect.TypeOf(fact)}] = fact
-		},
-		ImportPackageFact: func(p *types.Package, fact analysis.Fact) bool {
-			if stored, ok := r.facts.pkgs[pkgFactKey{p, reflect.TypeOf(fact)}]; ok {
-				copyFact(fact, stored)
-				return true
-			}
-			return false
-		},
-		ExportPackageFact: func(fact analysis.Fact) {
-			r.facts.pkgs[pkgFactKey{pkg.Pkg, reflect.TypeOf(fact)}] = fact
-		},
-		AllObjectFacts:  func() []analysis.ObjectFact { return nil },
-		AllPackageFacts: func() []analysis.PackageFact { return nil },
+	if r.facts[a] == nil {
+		r.facts[a] = map[types.Object]bool{}
 	}
-	res, err := a.Run(pass)
-	if err != nil {
-		return nil, fmt.Errorf("analyzertest: %s on %s: %w", a.Name, pkg.Path, err)
+	pass := &lintutil.Pass{
+		Fset:      r.loader.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Pkg,
+		TypesInfo: pkg.Info,
+		Facts:     r.facts[a],
 	}
-	r.results[key] = res
-	return diags, nil
+	a.Run(pass)
+	r.diags[key] = pass.Diagnostics
+	return pass.Diagnostics
 }
 
 // want is one expected diagnostic.
@@ -396,20 +320,16 @@ func (l *Loader) wantsIn(pkg *Package) ([]want, error) {
 // Check loads the fixture package at path with the loader, runs each
 // analyzer over it, and reports any mismatch between the combined
 // diagnostics and the package's `// want` expectations.
-func Check(t *testing.T, l *Loader, analyzers []*analysis.Analyzer, path string) {
+func Check(t *testing.T, l *Loader, analyzers []*lintutil.Analyzer, path string) {
 	t.Helper()
 	pkg, err := l.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(l)
-	var diags []analysis.Diagnostic
+	var diags []lintutil.Diagnostic
 	for _, a := range analyzers {
-		d, err := r.Analyze(a, pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags = append(diags, d...)
+		diags = append(diags, r.Analyze(a, pkg)...)
 	}
 	wants, err := l.wantsIn(pkg)
 	if err != nil {
@@ -441,18 +361,14 @@ func Check(t *testing.T, l *Loader, analyzers []*analysis.Analyzer, path string)
 // wrapper tests in gbbs, gbbs/serve and gbbs/store stay fast, and returns a
 // purely syntactic analyzer's findings as "file:line: message" strings
 // sorted by position.
-func SyntaxDiagnostics(t *testing.T, l *Loader, a *analysis.Analyzer, path string) []string {
+func SyntaxDiagnostics(t *testing.T, l *Loader, a *lintutil.Analyzer, path string) []string {
 	t.Helper()
 	pkg, err := l.LoadSyntax(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := NewRunner(l).Analyze(a, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []string
-	for _, d := range diags {
+	for _, d := range NewRunner(l).Analyze(a, pkg) {
 		pos := l.Fset.Position(d.Pos)
 		out = append(out, fmt.Sprintf("%s:%d: %s", filepath.Base(pos.Filename), pos.Line, d.Message))
 	}

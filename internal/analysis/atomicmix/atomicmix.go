@@ -28,22 +28,17 @@ import (
 	"path/filepath"
 	"sort"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/lintutil"
 )
 
 const name = "atomicmix"
 
 // Analyzer flags struct fields accessed both atomically and plainly.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: name,
 	Doc: "flag struct fields that are accessed through sync/atomic or internal/atomics in one place and read/written plainly in another; " +
 		"every access to such a field must be atomic",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
 // atomicPkgs are the packages whose functions make an &x.f argument an
@@ -53,21 +48,15 @@ var atomicPkgs = map[string]bool{
 	lintutil.AtomicsPkgPath: true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
+func run(pass *lintutil.Pass) {
 	// Pass 1: find every field whose address is taken directly as an
 	// argument to an atomic operation. Remember the selector nodes so pass
 	// 2 does not count them as plain accesses.
 	atomicField := map[*types.Var]token.Pos{}
 	atomicNodes := map[*ast.SelectorExpr]bool{}
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
+	lintutil.Inspect(pass, func(call *ast.CallExpr) {
 		fn := lintutil.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || !atomicPkgs[fn.Pkg().Path()] {
-			return
-		}
-		if lintutil.InTestFile(pass, call.Pos()) {
 			return
 		}
 		for _, arg := range call.Args {
@@ -88,7 +77,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	})
 	if len(atomicField) == 0 {
-		return nil, nil
+		return
 	}
 
 	// Pass 2: every other selector access to one of those fields is a
@@ -100,9 +89,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		field *types.Var
 	}
 	var findings []finding
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
-		if atomicNodes[sel] || lintutil.InTestFile(pass, sel.Pos()) {
+	lintutil.Inspect(pass, func(sel *ast.SelectorExpr) {
+		if atomicNodes[sel] {
 			return
 		}
 		f := fieldOf(pass.TypesInfo, sel)
@@ -123,7 +111,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass.Reportf(f.pos, "plain access to field %s, which is accessed atomically at %s; every access must go through sync/atomic or internal/atomics (or justify with //gbbs:lint-allow atomicmix)",
 			fieldName(f.field), fmt.Sprintf("%s:%d", filepath.Base(at.Filename), at.Line))
 	}
-	return nil, nil
 }
 
 // fieldOf resolves a selector expression to the struct field it selects,

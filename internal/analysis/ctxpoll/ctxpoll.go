@@ -13,8 +13,10 @@
 // function or method whose signature carries a *parallel.Scheduler, or a
 // state struct holding one) but can complete an iteration without reaching
 // a poll. Whether a helper polls is computed transitively within each
-// package and exported as a fact, so a loop that polls via e.g. a wrapper
-// around Poll in another package is recognized without any allowlist.
+// package and kept in the analyzer's facts, which the runner carries from a
+// package's imports to the package itself, so a loop that polls via e.g. a
+// wrapper around Poll in another package is recognized without any
+// allowlist.
 //
 // Bounded three-clause loops, pure spin/chase loops over atomics, and
 // loops that do no scheduler work are out of scope: the invariant is
@@ -26,46 +28,32 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/analysis/lintutil"
 )
 
-// scope lists the packages whose round loops are checked (-packages flag):
-// the Ligra layer and the paper's algorithm suite, where every registered
-// algorithm's driver loop lives. Facts about which helpers poll are
-// computed for every package so the check sees through cross-package
-// helpers.
-var scope = lintutil.NewPackageList(
-	"repro/internal/core",
-	"repro/internal/ligra",
-)
-
-// PollsFact marks a function or method that always reaches a
-// Scheduler.Poll (directly or through its callees) when executed.
-type PollsFact struct{}
-
-// AFact marks PollsFact as an analysis fact.
-func (*PollsFact) AFact() {}
-
-func (*PollsFact) String() string { return "polls" }
+// scope lists the packages whose round loops are checked: the Ligra layer
+// and the paper's algorithm suite, where every registered algorithm's
+// driver loop lives. Facts about which helpers poll are computed for every
+// package so the check sees through cross-package helpers.
+var scope = map[string]bool{
+	"repro/internal/core":  true,
+	"repro/internal/ligra": true,
+}
 
 const name = "ctxpoll"
 
 // Analyzer flags round loops that cannot be interrupted by cancellation.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: name,
 	Doc: "flag while-style round loops in algorithm packages that issue scheduler work but never reach a Scheduler.Poll, " +
 		"so context cancellation cannot interrupt them between rounds",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(PollsFact)},
+	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import paths whose round loops are checked")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+// run marks in pass.Facts every function that always reaches a
+// Scheduler.Poll (directly or through its callees) when executed, then
+// checks the round loops of scoped packages against those marks.
+func run(pass *lintutil.Pass) {
 	// Gather every function declaration and, per declaration, the called
 	// functions (lexically, including inside closures: a poll inside a
 	// ForRange body is still executed every round).
@@ -82,18 +70,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	polls := map[*types.Func]bool{}
 	// pollsCall reports whether a single call expression reaches a poll,
-	// given the current (possibly still-growing) polls set.
+	// given the current (possibly still-growing) set of polling functions:
+	// those of the imports, and this package's found so far.
 	pollsCall := func(call *ast.CallExpr) bool {
 		fn := lintutil.CalleeFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return false
-		}
-		if isSchedulerPoll(fn) || polls[fn] {
-			return true
-		}
-		return pass.ImportObjectFact(fn, new(PollsFact))
+		return fn != nil && (isSchedulerPoll(fn) || pass.Facts[fn])
 	}
 	bodyPolls := func(body ast.Node) bool {
 		found := false
@@ -116,26 +98,20 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for changed := true; changed; {
 		changed = false
 		for fn, fd := range decls {
-			if !polls[fn] && bodyPolls(fd.Body) {
-				polls[fn] = true
+			if !pass.Facts[fn] && bodyPolls(fd.Body) {
+				pass.Facts[fn] = true
 				changed = true
 			}
 		}
 	}
-	for fn := range polls {
-		pass.ExportObjectFact(fn, new(PollsFact))
-	}
 
 	if !scope[pass.Pkg.Path()] {
-		return nil, nil
+		return
 	}
 	for _, fd := range decls {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			loop, ok := n.(*ast.ForStmt)
 			if !ok || loop.Init != nil || loop.Post != nil {
-				return true
-			}
-			if lintutil.InTestFile(pass, loop.Pos()) {
 				return true
 			}
 			if !bodyDoesSchedulerWork(pass, loop.Body) || bodyPolls(loop.Body) {
@@ -148,7 +124,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // isSchedulerPoll reports whether fn is (*parallel.Scheduler).Poll.
@@ -166,7 +141,7 @@ func isSchedulerPoll(fn *types.Func) bool {
 // bodyDoesSchedulerWork reports whether the loop body contains a call that
 // runs on a scheduler: a callee whose receiver or a parameter carries a
 // *parallel.Scheduler.
-func bodyDoesSchedulerWork(pass *analysis.Pass, body ast.Node) bool {
+func bodyDoesSchedulerWork(pass *lintutil.Pass, body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {

@@ -12,48 +12,40 @@ import (
 	"go/ast"
 	"go/token"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/analysis/lintutil"
 )
 
-// scope lists the packages held to the documentation bar (-packages flag):
-// the public, importable surfaces. Internal packages document themselves at
-// whatever density their maintainers find readable.
-var scope = lintutil.NewPackageList(
-	"repro/gbbs",
-	"repro/gbbs/serve",
-	"repro/gbbs/store",
-	"repro/internal/vfs",
-)
+// scope lists the packages held to the documentation bar: the public,
+// importable surfaces. Internal packages document themselves at whatever
+// density their maintainers find readable.
+var scope = map[string]bool{
+	"repro/gbbs":         true,
+	"repro/gbbs/serve":   true,
+	"repro/gbbs/store":   true,
+	"repro/internal/vfs": true,
+}
 
 const name = "exporteddoc"
 
 // Analyzer flags undocumented exported identifiers in the public packages.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: name,
 	Doc:  "flag exported identifiers without godoc comments in the public packages",
 	Run:  run,
 }
 
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import paths held to the documentation bar")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	if !scope[pass.Pkg.Path()] {
-		return nil, nil
+		return
 	}
 	report := func(pos token.Pos, format string, args ...any) {
-		if lintutil.InTestFile(pass, pos) || lintutil.Allowed(pass, pos, name) {
-			return
+		if !lintutil.Allowed(pass, pos, name) {
+			pass.Reportf(pos, "undocumented exported identifier: "+format, args...)
 		}
-		pass.Reportf(pos, "undocumented exported identifier: "+format, args...)
 	}
 	for _, file := range pass.Files {
 		checkFile(file, report)
 	}
-	return nil, nil
 }
 
 type reporter func(pos token.Pos, format string, args ...any)

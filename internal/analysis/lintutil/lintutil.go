@@ -1,8 +1,8 @@
 // Package lintutil holds the pieces shared by the repository's invariant
-// analyzers (internal/analysis/...): the //gbbs:lint-allow suppression
-// directive, recognition of the scheduler types that the concurrency
-// invariants are phrased in terms of, and a comma-separated list flag used
-// by every analyzer's allowlist.
+// analyzers (internal/analysis/...): the small analysis core they are
+// written against (Analyzer, Pass, Diagnostic), the //gbbs:lint-allow
+// suppression directive, and recognition of the scheduler types that the
+// concurrency invariants are phrased in terms of.
 //
 // The directive is the per-site escape hatch documented in ARCHITECTURE.md
 // ("Enforced invariants"): a comment of the form
@@ -15,13 +15,59 @@
 package lintutil
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
+
+// An Analyzer checks one invariant, one typechecked package at a time.
+type Analyzer struct {
+	Name string // short identifier, also the //gbbs:lint-allow key
+	Doc  string // the invariant, in one paragraph
+	Run  func(*Pass)
+}
+
+// A Pass is one analyzer's view of one package. The runner hands out
+// packages dependencies first, so Facts already holds what the analyzer
+// recorded while analyzing the package's imports.
+type Pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File // the package's non-test files
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	// Facts is the analyzer's cross-package memory: objects it has marked,
+	// shared by every package of one run. ctxpoll marks the functions that
+	// always reach a poll.
+	Facts map[types.Object]bool
+	// Diagnostics collects what Reportf reports.
+	Diagnostics []Diagnostic
+}
+
+// A Diagnostic is one finding.
+type Diagnostic struct {
+	Pos     token.Pos
+	Message string
+}
+
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Diagnostics = append(p.Diagnostics, Diagnostic{pos, fmt.Sprintf(format, args...)})
+}
+
+// Inspect calls visit on every node of type N in the package's files, in
+// source order.
+func Inspect[N ast.Node](pass *Pass, visit func(N)) {
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if x, ok := n.(N); ok {
+				visit(x)
+			}
+			return true
+		})
+	}
+}
 
 // SchedulerPkgPath is the import path of the fork-join runtime every
 // concurrency invariant is phrased in terms of.
@@ -38,7 +84,7 @@ const directivePrefix = "//gbbs:lint-allow"
 // the line immediately above. A directive whose analyzer name matches but
 // that carries no justification text is reported as a diagnostic itself and
 // does not suppress anything.
-func Allowed(pass *analysis.Pass, pos token.Pos, name string) bool {
+func Allowed(pass *Pass, pos token.Pos, name string) bool {
 	file := fileFor(pass, pos)
 	if file == nil {
 		return false
@@ -69,20 +115,13 @@ func Allowed(pass *analysis.Pass, pos token.Pos, name string) bool {
 }
 
 // fileFor returns the *ast.File of pass.Files containing pos, or nil.
-func fileFor(pass *analysis.Pass, pos token.Pos) *ast.File {
+func fileFor(pass *Pass, pos token.Pos) *ast.File {
 	for _, f := range pass.Files {
 		if f.FileStart <= pos && pos < f.FileEnd {
 			return f
 		}
 	}
 	return nil
-}
-
-// InTestFile reports whether pos lies in a _test.go file. The invariants
-// govern production code; tests routinely spawn goroutines, poke at fields
-// single-threaded after a join, and use the process-global scheduler.
-func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
 // IsSchedulerType reports whether t is parallel.Scheduler or
@@ -153,48 +192,4 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// PackageList is a flag.Value holding a comma-separated set of import
-// paths. Every analyzer's scope or allowlist is one of these, so the sets
-// stay overridable from the gbbs-lint command line.
-type PackageList map[string]bool
-
-// NewPackageList builds a PackageList from its members.
-func NewPackageList(paths ...string) PackageList {
-	m := make(PackageList, len(paths))
-	for _, p := range paths {
-		m[p] = true
-	}
-	return m
-}
-
-// String returns the comma-separated form.
-func (l PackageList) String() string {
-	var paths []string
-	for p := range l {
-		paths = append(paths, p)
-	}
-	// Deterministic flag printing; the set is tiny.
-	for i := 0; i < len(paths); i++ {
-		for j := i + 1; j < len(paths); j++ {
-			if paths[j] < paths[i] {
-				paths[i], paths[j] = paths[j], paths[i]
-			}
-		}
-	}
-	return strings.Join(paths, ",")
-}
-
-// Set replaces the list with the comma-separated paths in s.
-func (l PackageList) Set(s string) error {
-	for p := range l {
-		delete(l, p)
-	}
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			l[p] = true
-		}
-	}
-	return nil
 }

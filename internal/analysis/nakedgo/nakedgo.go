@@ -12,16 +12,12 @@ import (
 	"go/ast"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/lintutil"
 )
 
-// allowFiles lists the files (matched by path suffix, -allowfiles flag)
-// permitted to contain bare go statements. Each entry must justify itself
-// here, at the allowlist site:
+// allowFiles lists the files (matched by path suffix) permitted to contain
+// bare go statements. Each entry must justify itself here, at the allowlist
+// site:
 //
 //   - internal/parallel/pool.go: the worker pool IS the scheduler's spawn
 //     site; every other goroutine in the process is meant to descend from
@@ -34,36 +30,27 @@ import (
 //   - cmd/gbbs-serve/main.go: process-lifecycle goroutine waiting for
 //     SIGINT/SIGTERM to drain the HTTP server; it manages the daemon, not
 //     algorithm work, so no scheduler is in scope.
-var allowFiles = lintutil.NewPackageList(
+var allowFiles = []string{
 	"internal/parallel/pool.go",
 	"gbbs/serve/flight.go",
 	"cmd/gbbs-serve/main.go",
-)
+}
 
 const name = "nakedgo"
 
 // Analyzer flags bare go statements outside the allowlisted spawn sites.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: name,
 	Doc: "flag bare go statements outside the scheduler's worker pool and the allowlisted detach sites; " +
 		"all other concurrency must go through a parallel.Scheduler",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(allowFiles, "allowfiles", "comma-separated file path suffixes allowed to contain bare go statements")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
-		pos := n.Pos()
-		if lintutil.InTestFile(pass, pos) {
-			return
-		}
+func run(pass *lintutil.Pass) {
+	lintutil.Inspect(pass, func(g *ast.GoStmt) {
+		pos := g.Pos()
 		fname := pass.Fset.Position(pos).Filename
-		for suffix := range allowFiles {
+		for _, suffix := range allowFiles {
 			if strings.HasSuffix(fname, suffix) {
 				return
 			}
@@ -73,5 +60,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		pass.Reportf(pos, "bare go statement; concurrency must run on a parallel.Scheduler so it is counted, cancellable, and closed with its engine (or allowlist the file in nakedgo with a justification)")
 	})
-	return nil, nil
 }

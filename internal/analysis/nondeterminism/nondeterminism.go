@@ -27,14 +27,10 @@ import (
 	"strconv"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/analysis/lintutil"
 )
 
-// scope lists the deterministic build/algorithm packages (-packages flag).
+// scope lists the deterministic build/algorithm packages.
 // Everything that must be byte-reproducible for a fixed seed is here. The
 // deliberate omissions, justified at this allowlist site:
 //
@@ -47,20 +43,20 @@ import (
 //     inherently wall-clock;
 //   - repro/internal/parallel: uses time only for the worker pool's idle
 //     timeout, which affects goroutine lifetime, never algorithm output.
-var scope = lintutil.NewPackageList(
-	"repro/internal/atomics",
-	"repro/internal/bucket",
-	"repro/internal/compress",
-	"repro/internal/core",
-	"repro/internal/gen",
-	"repro/internal/graph",
-	"repro/internal/hashtable",
-	"repro/internal/ligra",
-	"repro/internal/prims",
-	"repro/internal/seqref",
-	"repro/internal/stats",
-	"repro/internal/xrand",
-)
+var scope = map[string]bool{
+	"repro/internal/atomics":   true,
+	"repro/internal/bucket":    true,
+	"repro/internal/compress":  true,
+	"repro/internal/core":      true,
+	"repro/internal/gen":       true,
+	"repro/internal/graph":     true,
+	"repro/internal/hashtable": true,
+	"repro/internal/ligra":     true,
+	"repro/internal/prims":     true,
+	"repro/internal/seqref":    true,
+	"repro/internal/stats":     true,
+	"repro/internal/xrand":     true,
+}
 
 // wallClock is the set of time-package functions that read the clock or
 // create timers; any of them makes output timing-dependent.
@@ -73,27 +69,18 @@ const name = "nondeterminism"
 
 // Analyzer flags sources of run-to-run nondeterminism in the deterministic
 // build/algorithm packages.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &lintutil.Analyzer{
 	Name: name,
 	Doc: "flag wall-clock reads, math/rand, and map-iteration-order-dependent output in the deterministic build/algorithm packages; " +
 		"for a fixed seed their results must be byte-identical across runs and worker counts",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(scope, "packages", "comma-separated import paths held to the determinism contract")
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	if !scope[pass.Pkg.Path()] {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.ImportSpec)(nil), (*ast.CallExpr)(nil), (*ast.RangeStmt)(nil)}, func(n ast.Node) {
-		if lintutil.InTestFile(pass, n.Pos()) {
-			return
-		}
+	lintutil.Inspect(pass, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.ImportSpec:
 			path, _ := strconv.Unquote(n.Path.Value)
@@ -114,12 +101,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkMapRange(pass, n)
 		}
 	})
-	return nil, nil
 }
 
 // checkMapRange flags a range over a map whose body feeds an
 // order-sensitive sink.
-func checkMapRange(pass *analysis.Pass, loop *ast.RangeStmt) {
+func checkMapRange(pass *lintutil.Pass, loop *ast.RangeStmt) {
 	t := pass.TypesInfo.TypeOf(loop.X)
 	if t == nil {
 		return

@@ -3,12 +3,11 @@ package analysis_test
 import (
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-
 	"repro/internal/analysis/analyzertest"
 	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/ctxpoll"
 	"repro/internal/analysis/exporteddoc"
+	"repro/internal/analysis/lintutil"
 	"repro/internal/analysis/nakedgo"
 	"repro/internal/analysis/nondeterminism"
 )
@@ -19,24 +18,24 @@ import (
 func TestAnalyzers(t *testing.T) {
 	cases := []struct {
 		name      string
-		analyzers []*analysis.Analyzer
+		analyzers []*lintutil.Analyzer
 		path      string
 	}{
 		// The facade is held to the documentation bar.
-		{"facade", []*analysis.Analyzer{exporteddoc.Analyzer}, "repro/gbbs"},
+		{"facade", []*lintutil.Analyzer{exporteddoc.Analyzer}, "repro/gbbs"},
 		// Round loops (direct poll, cross-package fact, intra-package
 		// fixpoint, infinite loops, bounded loops) plus a bare go statement.
-		{"core", []*analysis.Analyzer{ctxpoll.Analyzer, nakedgo.Analyzer}, "repro/internal/core"},
+		{"core", []*lintutil.Analyzer{ctxpoll.Analyzer, nakedgo.Analyzer}, "repro/internal/core"},
 		// The helper package itself is in scope and stays clean.
-		{"ligra", []*analysis.Analyzer{ctxpoll.Analyzer}, "repro/internal/ligra"},
-		{"atomicmix", []*analysis.Analyzer{atomicmix.Analyzer}, "atomicmix/a"},
-		{"atomicmix-clean", []*analysis.Analyzer{atomicmix.Analyzer}, "atomicmix/clean"},
-		{"nondeterminism", []*analysis.Analyzer{nondeterminism.Analyzer}, "repro/internal/gen"},
+		{"ligra", []*lintutil.Analyzer{ctxpoll.Analyzer}, "repro/internal/ligra"},
+		{"atomicmix", []*lintutil.Analyzer{atomicmix.Analyzer}, "atomicmix/a"},
+		{"atomicmix-clean", []*lintutil.Analyzer{atomicmix.Analyzer}, "atomicmix/clean"},
+		{"nondeterminism", []*lintutil.Analyzer{nondeterminism.Analyzer}, "repro/internal/gen"},
 		// Out-of-scope packages may read clocks and range over maps freely.
-		{"nondeterminism-clean", []*analysis.Analyzer{nondeterminism.Analyzer}, "nondet/clean"},
-		{"nakedgo-clean", []*analysis.Analyzer{nakedgo.Analyzer}, "nakedgo/clean"},
+		{"nondeterminism-clean", []*lintutil.Analyzer{nondeterminism.Analyzer}, "nondet/clean"},
+		{"nakedgo-clean", []*lintutil.Analyzer{nakedgo.Analyzer}, "nakedgo/clean"},
 		// Out-of-scope packages may leave exports undocumented.
-		{"exporteddoc-clean", []*analysis.Analyzer{exporteddoc.Analyzer}, "exporteddoc/clean"},
+		{"exporteddoc-clean", []*lintutil.Analyzer{exporteddoc.Analyzer}, "exporteddoc/clean"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,9 +23,9 @@ func RoundLoopDirectPoll(s *parallel.Scheduler, n int) {
 	}
 }
 
-// RoundLoopHelperPolls polls through a helper in another package; the
-// PollsFact exported when ctxpoll analyzed the ligra fixture makes this
-// clean without any allowlist.
+// RoundLoopHelperPolls polls through a helper in another package; the fact
+// ctxpoll recorded when it analyzed the ligra fixture makes this clean
+// without any allowlist.
 func RoundLoopHelperPolls(s *parallel.Scheduler, n int) {
 	for n > 0 {
 		n = ligra.EdgeMapPoll(s, n)
