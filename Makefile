@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs -fuzz '^FuzzParseTransforms$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/graph -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Run the HTTP serving daemon (see cmd/gbbs-serve -h for flags).
 serve:

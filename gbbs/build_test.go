@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -405,5 +406,44 @@ func TestSourceFuncCustomSource(t *testing.T) {
 	}
 	if g.N() != n || g.M() != 2*n {
 		t.Fatalf("ring: n=%d m=%d, want %d/%d", g.N(), g.M(), n, 2*n)
+	}
+}
+
+// A bin: spec still loads legacy GBBSBIN1 files: both fixtures written by
+// the GBBSBIN1 writer decode to the graphs they were written from.
+func TestBuildBinSpecReadsLegacyFixtures(t *testing.T) {
+	eng := gbbs.New()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		file string
+		want gbbs.GraphSource
+		tfs  []gbbs.Transform
+	}{
+		{
+			"weighted-symmetric.v1.bin",
+			gbbs.Edges(&gbbs.EdgeList{N: 5, U: []uint32{0, 1, 2, 3}, V: []uint32{1, 2, 3, 4}, W: []int32{3, 1, 4, 1}}),
+			[]gbbs.Transform{gbbs.Symmetrize()},
+		},
+		{"directed.v1.bin", gbbs.Edges(&gbbs.EdgeList{N: 4, U: []uint32{0, 0, 1, 2}, V: []uint32{1, 2, 2, 0}}), nil},
+	} {
+		src, err := gbbs.ParseSource("bin:" + filepath.Join("..", "internal", "graph", "testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := eng.Build(ctx, src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		csr, ok := g.(*gbbs.CSR)
+		if !ok {
+			t.Fatalf("%s: built %T, want *gbbs.CSR", tc.file, g)
+		}
+		var got bytes.Buffer
+		if err := gbbs.WriteBinary(&got, csr); err != nil {
+			t.Fatal(err)
+		}
+		if want := buildBytes(t, eng, tc.want, tc.tfs...); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: decoded graph differs from the graph it was written from", tc.file)
+		}
 	}
 }

@@ -127,16 +127,13 @@ const (
 // WriteAdjacency writes the (Weighted)AdjacencyGraph text format.
 func WriteAdjacency(w io.Writer, g *CSR) error { return graph.WriteAdjacency(w, g) }
 
-// WriteBinary writes the compact binary graph format (loads far faster than
-// the text format; use it for large inputs).
-func WriteBinary(w io.Writer, g *CSR) error { return graph.WriteBinary(w, g) }
-
-// WriteBinaryChecked writes the checked binary graph format: the compact
-// binary layout extended with a header CRC and per-section CRC32C
-// checksums, so corruption is detected at load time. This is the snapshot
-// format of the persistent graph store; read it back with
+// WriteBinary writes the compact binary graph format, GBBSBIN2: the CSR
+// arrays behind a header CRC and per-section CRC32C checksums, so
+// corruption is detected at load time. It loads far faster than the text
+// format (use it for large inputs) and is the snapshot format of the
+// persistent graph store. Read it back with Binary, BinaryFile or
 // Engine.ReadBinaryChecked.
-func WriteBinaryChecked(w io.Writer, g *CSR) error { return graph.WriteBinaryChecked(w, g) }
+func WriteBinary(w io.Writer, g *CSR) error { return graph.WriteBinaryChecked(w, g) }
 
 // The three result summaries below are O(n) passes over an algorithm's
 // output. They run sequentially, each on a fresh one-worker scheduler that

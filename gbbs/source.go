@@ -328,7 +328,8 @@ func Adjacency(r io.Reader, symmetric bool) GraphSource {
 	}
 }
 
-// Binary returns a source reading the compact binary graph format from r.
+// Binary returns a source reading the compact binary graph format from r:
+// GBBSBIN2 (what WriteBinary writes), or a legacy unchecked GBBSBIN1 stream.
 func Binary(r io.Reader) GraphSource {
 	return &csrSource{
 		name: "binary",
@@ -353,7 +354,8 @@ func AdjacencyFile(path string, symmetric bool) GraphSource {
 }
 
 // BinaryFile returns a source reading the compact binary graph format from
-// the file at path, opened when the build runs.
+// the file at path, opened when the build runs. Like Binary, it accepts
+// GBBSBIN2 or a legacy GBBSBIN1 file.
 func BinaryFile(path string) GraphSource {
 	return &csrSource{
 		name: fmt.Sprintf("bin(%s)", path),

@@ -24,7 +24,7 @@ import (
 //
 // A snapshot file is a small checksummed store header (magic "GBBSSNP1",
 // version, source spec, CRC32C) followed by the graph in the checked
-// binary format (gbbs.WriteBinaryChecked). Snapshots are written to a
+// binary format GBBSBIN2 (gbbs.WriteBinary). Snapshots are written to a
 // .tmp file, fsync'd, then renamed into place, so a crash never leaves a
 // half-written file under the live name; compaction truncates the WAL
 // only after the new snapshot's rename. Recovery loads the
@@ -159,7 +159,7 @@ func writeSnapshot(fs vfs.FS, dir string, version uint64, spec string, g *gbbs.C
 		if _, err := f.Write(crcBuf[:]); err != nil {
 			return err
 		}
-		if err := gbbs.WriteBinaryChecked(f, g); err != nil {
+		if err := gbbs.WriteBinary(f, g); err != nil {
 			return err
 		}
 		return f.Sync()

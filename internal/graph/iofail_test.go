@@ -38,6 +38,36 @@ func testGraphForIO() *CSR {
 	return FromEdgeList(sched, 100, el, BuildOptions{Symmetrize: true})
 }
 
+// directedPathGraph is a directed, unweighted path: its file has no weights
+// section and its load rebuilds the transpose.
+func directedPathGraph() *CSR {
+	el := &EdgeList{N: 10}
+	for i := 0; i < 9; i++ {
+		el.Add(uint32(i), uint32(i+1), 0)
+	}
+	return FromEdgeList(sched, 10, el, BuildOptions{})
+}
+
+func emptyGraph() *CSR {
+	return FromEdgeList(sched, 7, &EdgeList{N: 7}, BuildOptions{Symmetrize: true})
+}
+
+// ioShapes are the graphs the binary codec's failure tests run over: one
+// per section layout (weighted, unweighted, empty sections).
+func ioShapes() []struct {
+	name string
+	g    *CSR
+} {
+	return []struct {
+		name string
+		g    *CSR
+	}{
+		{"weighted-symmetric", testGraphForIO()},
+		{"directed-unweighted", directedPathGraph()},
+		{"empty", emptyGraph()},
+	}
+}
+
 func TestWriteAdjacencyPropagatesWriteErrors(t *testing.T) {
 	g := testGraphForIO()
 	for _, limit := range []int{0, 5, 50, 500} {
@@ -50,24 +80,14 @@ func TestWriteAdjacencyPropagatesWriteErrors(t *testing.T) {
 func TestWriteBinaryPropagatesWriteErrors(t *testing.T) {
 	g := testGraphForIO()
 	for _, limit := range []int{0, 7, 100, 1000} {
-		if err := WriteBinary(&failWriter{limit: limit}, g); !errors.Is(err, errDisk) {
+		if err := WriteBinaryChecked(&failWriter{limit: limit}, g); !errors.Is(err, errDisk) {
 			t.Fatalf("limit %d: error %v, want disk error", limit, err)
 		}
 	}
 }
 
-// binBytes serializes g in the plain binary format.
+// binBytes serializes g in the binary format.
 func binBytes(t *testing.T, g *CSR) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// checkedBytes serializes g in the checked binary format.
-func checkedBytes(t *testing.T, g *CSR) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteBinaryChecked(&buf, g); err != nil {
@@ -100,7 +120,7 @@ func decodeChecked(b []byte) (*CSR, error) {
 
 func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 	sym := testGraphForIO()
-	g, err := ReadBinaryChecked(sched, bytes.NewReader(checkedBytes(t, sym)))
+	g, err := ReadBinaryChecked(sched, bytes.NewReader(binBytes(t, sym)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +129,8 @@ func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 	}
 
 	// A directed graph exercises the transpose rebuild on load.
-	el := &EdgeList{N: 10}
-	for i := 0; i < 9; i++ {
-		el.Add(uint32(i), uint32(i+1), 0)
-	}
-	dir := FromEdgeList(sched, 10, el, BuildOptions{})
-	g, err = ReadBinaryChecked(sched, bytes.NewReader(checkedBytes(t, dir)))
+	dir := directedPathGraph()
+	g, err = ReadBinaryChecked(sched, bytes.NewReader(binBytes(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,24 +139,30 @@ func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 	}
 }
 
-// Every prefix of a checked binary file must be rejected: truncation can
-// strike any byte and the loader must never return a partial graph.
+// Every prefix of a binary file must be rejected, by either reader:
+// truncation can strike any byte and the loader must never return a
+// partial graph.
 func TestReadBinaryCheckedRejectsTruncation(t *testing.T) {
-	full := checkedBytes(t, testGraphForIO())
-	for n := 0; n < len(full); n++ {
-		mustNotLoad(t, "truncated at "+itoa(n), decodeChecked, full[:n])
+	for _, shape := range ioShapes() {
+		full := binBytes(t, shape.g)
+		for n := 0; n < len(full); n++ {
+			mustNotLoad(t, shape.name+" truncated at "+itoa(n), decodeChecked, full[:n])
+			mustNotLoad(t, shape.name+" truncated at "+itoa(n)+" (plain reader)", decodePlain, full[:n])
+		}
 	}
 }
 
-// Every single-bit flip anywhere in a checked binary file must be detected —
-// this is the whole point of the per-section checksums. (The plain format
-// only catches flips that break a structural invariant.)
+// Every single-bit flip anywhere in a binary file must be detected — this
+// is the whole point of the per-section checksums. (The legacy GBBSBIN1
+// format only catches flips that break a structural invariant.)
 func TestReadBinaryCheckedRejectsBitFlips(t *testing.T) {
-	full := checkedBytes(t, testGraphForIO())
-	for i := range full {
-		mut := append([]byte(nil), full...)
-		mut[i] ^= 0x10
-		mustNotLoad(t, "bit flip at byte "+itoa(i), decodeChecked, mut)
+	for _, shape := range ioShapes() {
+		full := binBytes(t, shape.g)
+		for i := range full {
+			mut := append([]byte(nil), full...)
+			mut[i] ^= 0x10
+			mustNotLoad(t, shape.name+" bit flip at byte "+itoa(i), decodeChecked, mut)
+		}
 	}
 }
 
@@ -166,7 +188,7 @@ func patchCheckedHeader(b []byte, patch func(hdr []byte)) []byte {
 // Field-targeted header corruption with a valid checksum: structural
 // validation must still reject what the CRC cannot.
 func TestReadBinaryCheckedRejectsBadHeaderFields(t *testing.T) {
-	full := checkedBytes(t, testGraphForIO())
+	full := binBytes(t, testGraphForIO())
 	cases := []struct {
 		name  string
 		patch func(hdr []byte)
@@ -182,17 +204,41 @@ func TestReadBinaryCheckedRejectsBadHeaderFields(t *testing.T) {
 		mustNotLoad(t, tc.name, decodeChecked, patchCheckedHeader(full, tc.patch))
 	}
 	mustNotLoad(t, "wrong magic", decodeChecked, append([]byte("GBBSBIN9"), full[8:]...))
-	// The plain format's magic must not load as checked, nor vice versa.
-	mustNotLoad(t, "plain magic on checked reader", decodeChecked, binBytes(t, testGraphForIO()))
-	mustNotLoad(t, "checked magic on plain reader", decodePlain, full)
+	// The legacy format's magic must not load as checked; the checked
+	// format is what the plain reader reads first.
+	mustNotLoad(t, "plain magic on checked reader", decodeChecked, fixture(t, fixtureV1WeightedSymmetric))
+	if g, err := decodePlain(full); err != nil {
+		t.Fatalf("checked magic on plain reader: %v", err)
+	} else if !bytes.Equal(binBytes(t, g), full) {
+		t.Fatal("checked magic on plain reader: decoded graph re-encodes differently")
+	}
 }
 
-// Plain binary header layout: 0..8 magic, 8..12 flags, 12..20 n, 20..28 m.
-// The plain format has no checksums, so only structural corruption is
+// A directed graph's adjacency lists are sorted on load, so a GBBSBIN2 file
+// with an unsorted one would decode to the same graph as the sorted file:
+// both readers refuse it. Equal targets keep their stored order (and
+// weights), so a sorted list with duplicates still loads unchanged.
+func TestReadBinaryRejectsUnsortedDirectedAdjacency(t *testing.T) {
+	unsorted := binBytes(t, &CSR{n: 3, offsets: []int64{0, 2, 2, 2}, edges: []uint32{2, 1}})
+	mustNotLoad(t, "unsorted directed adjacency", decodeChecked, unsorted)
+	mustNotLoad(t, "unsorted directed adjacency (plain reader)", decodePlain, unsorted)
+	dups := binBytes(t, &CSR{n: 3, offsets: []int64{0, 2, 2, 2}, edges: []uint32{1, 1}, weights: []int32{5, 3}})
+	g, err := decodeChecked(dups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(binBytes(t, g), dups) {
+		t.Fatal("directed adjacency with duplicate targets re-encodes differently")
+	}
+}
+
+// Legacy GBBSBIN1 header layout: 0..8 magic, 8..12 flags, 12..20 n, 20..28
+// m. The legacy format has no checksums, so only structural corruption is
 // detectable — this table pins down that every validated field stays
 // validated.
 func TestReadBinaryRejectsBadHeaderFields(t *testing.T) {
-	full := binBytes(t, testGraphForIO())
+	full := fixture(t, fixtureV1WeightedSymmetric)
+	n := weightedSymmetricGraph().N()
 	patch := func(b []byte, off int, put func([]byte)) []byte {
 		mut := append([]byte(nil), b...)
 		put(mut[off:])
@@ -214,12 +260,12 @@ func TestReadBinaryRejectsBadHeaderFields(t *testing.T) {
 	for _, tc := range cases {
 		mustNotLoad(t, tc.name, decodePlain, tc.mut)
 	}
-	for n := 0; n < 36; n++ {
-		mustNotLoad(t, "header truncated at "+itoa(n), decodePlain, full[:n])
+	for k := 0; k < 36; k++ {
+		mustNotLoad(t, "header truncated at "+itoa(k), decodePlain, full[:k])
 	}
 	// Edge target out of range: the first edge word sits right after the
 	// offsets section.
-	edgeOff := 28 + (100+1)*8
+	edgeOff := 28 + (n+1)*8
 	mustNotLoad(t, "edge target out of range", decodePlain,
 		patch(full, edgeOff, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) }))
 }
@@ -240,17 +286,18 @@ func itoa(n int) string {
 }
 
 func TestWriteSucceedsWithExactBudget(t *testing.T) {
-	g := testGraphForIO()
-	// Find the exact size, then verify a writer with exactly that budget
-	// succeeds (no off-by-one in the error paths).
-	probe := &failWriter{limit: 1 << 30}
-	if err := WriteBinary(probe, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&failWriter{limit: probe.n}, g); err != nil {
-		t.Fatalf("exact-budget write failed: %v", err)
-	}
-	if err := WriteBinary(&failWriter{limit: probe.n - 1}, g); !errors.Is(err, errDisk) {
-		t.Fatal("one-byte-short write did not error")
+	for _, shape := range ioShapes() {
+		// Find the exact size, then verify a writer with exactly that budget
+		// succeeds (no off-by-one in the error paths).
+		probe := &failWriter{limit: 1 << 30}
+		if err := WriteBinaryChecked(probe, shape.g); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinaryChecked(&failWriter{limit: probe.n}, shape.g); err != nil {
+			t.Fatalf("%s: exact-budget write failed: %v", shape.name, err)
+		}
+		if err := WriteBinaryChecked(&failWriter{limit: probe.n - 1}, shape.g); !errors.Is(err, errDisk) {
+			t.Fatalf("%s: one-byte-short write did not error", shape.name)
+		}
 	}
 }

@@ -169,14 +169,7 @@ func TestCompactByteIdenticalToFromScratch(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("symmetric=%v weighted=%v: compacted CSR differs from from-scratch build", symmetric, weighted)
 			}
-			var gb, wb bytes.Buffer
-			if err := WriteBinary(&gb, got); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteBinary(&wb, want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			if !bytes.Equal(binBytes(t, got), binBytes(t, want)) {
 				t.Fatalf("symmetric=%v weighted=%v: serialized bytes differ", symmetric, weighted)
 			}
 		}
