@@ -1,15 +1,13 @@
-// gbbs-gen generates synthetic graphs and writes them in the
-// (Weighted)AdjacencyGraph text format the benchmark's I/O specification
-// uses. Generation runs through a gbbs.Engine, so -threads bounds the
-// worker count of the whole build instead of mutating process-global state.
+// gbbs-gen builds a graph from a source spec plus transforms (the spec
+// language of gbbs.ParseSource and gbbs.ParseTransforms) and writes it in
+// the (Weighted)AdjacencyGraph text format the benchmark's I/O
+// specification uses. Generation runs through a gbbs.Engine, so -threads
+// bounds the worker count of the whole build instead of mutating
+// process-global state:
 //
-// Inputs are described either with the legacy per-family flags (-kind,
-// -scale, ...) or declaratively with -source/-transform specs:
-//
-//	gbbs-gen -kind rmat -scale 18 -factor 16 -sym -o graph.adj
-//	gbbs-gen -kind torus -side 64 -weighted -o torus.adj
-//	gbbs-gen -kind er -n 100000 -m 1000000 -o er.adj
-//	gbbs-gen -source "rmat:scale=18,factor=16" -transform "sym;paperweights" -threads 4 -o graph.adj
+//	gbbs-gen -source rmat:18 -transform sym -o graph.adj
+//	gbbs-gen -source torus:64 -transform "sym;paperweights" -o torus.adj
+//	gbbs-gen -source er:n=100000,m=1000000 -threads 4 -o er.adj
 package main
 
 import (
@@ -23,71 +21,25 @@ import (
 )
 
 func main() {
-	kind := flag.String("kind", "rmat", "graph family: rmat | torus | er | ba | ws")
-	scale := flag.Int("scale", 16, "rmat: log2 vertex count")
-	factor := flag.Int("factor", 16, "rmat: edges per vertex; ba/ws: edges per vertex")
-	side := flag.Int("side", 32, "torus: side length (n = side^3)")
-	n := flag.Int("n", 1<<16, "er/ba/ws: vertices")
-	m := flag.Int("m", 1<<20, "er: edges")
-	sym := flag.Bool("sym", false, "symmetrize")
-	weighted := flag.Bool("weighted", false, "attach uniform weights from [1, log n)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	threads := flag.Int("threads", 0, "worker threads for generation and build (0 = all CPUs)")
-	sourceSpec := flag.String("source", "", `declarative source spec, e.g. "rmat:scale=18,factor=16" (overrides -kind)`)
+	sourceSpec := flag.String("source", "", `source spec (required), e.g. "rmat:scale=18,factor=16"`)
 	transformSpec := flag.String("transform", "", `transform spec, e.g. "sym;paperweights:seed=1"`)
+	threads := flag.Int("threads", 0, "worker threads for generation and build (0 = all CPUs)")
 	out := flag.String("o", "", "output path (default stdout)")
 	flag.Parse()
 
-	var source gbbs.GraphSource
-	var transforms []gbbs.Transform
-	if *sourceSpec != "" {
-		var err error
-		source, err = gbbs.ParseSource(*sourceSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The boolean shaping flags compose with declarative sources too.
-		if *sym {
-			transforms = append(transforms, gbbs.Symmetrize())
-		}
-		if *weighted {
-			transforms = append(transforms, gbbs.PaperWeights(*seed))
-		}
-	} else {
-		symmetrize := *sym
-		switch *kind {
-		case "rmat":
-			source = gbbs.RMAT(*scale, *factor, *seed)
-		case "torus":
-			source = gbbs.Torus(*side)
-			symmetrize = true
-		case "er":
-			source = gbbs.Random(*n, *m, *seed)
-		case "ba":
-			source = gbbs.Preferential(*n, *factor, *seed)
-			symmetrize = true
-		case "ws":
-			source = gbbs.SmallWorld(*n, *factor, 0.1, *seed)
-			symmetrize = true
-		default:
-			log.Fatalf("unknown kind %q", *kind)
-		}
-		if symmetrize {
-			transforms = append(transforms, gbbs.Symmetrize())
-		}
-		if *weighted {
-			transforms = append(transforms, gbbs.PaperWeights(*seed))
-		}
+	if *sourceSpec == "" {
+		fmt.Fprintln(os.Stderr, "gbbs-gen: -source is required")
+		os.Exit(2)
 	}
-	if *transformSpec != "" {
-		extra, err := gbbs.ParseTransforms(*transformSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		transforms = append(transforms, extra...)
+	source, err := gbbs.ParseSource(*sourceSpec)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	opts := []gbbs.Option{gbbs.WithSeed(*seed)}
+	transforms, err := gbbs.ParseTransforms(*transformSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var opts []gbbs.Option
 	if *threads > 0 {
 		opts = append(opts, gbbs.WithThreads(*threads))
 	}
@@ -99,14 +51,17 @@ func main() {
 
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		w = f
 	}
-	if err := gbbs.WriteAdjacency(w, g); err != nil {
+	// A full disk can surface only when the file is closed, so its error
+	// counts as much as the write's.
+	err = gbbs.WriteAdjacency(w, g)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: n=%d m=%d weighted=%v symmetric=%v threads=%d\n",

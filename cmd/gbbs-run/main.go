@@ -1,15 +1,15 @@
-// gbbs-run executes one benchmark problem on a graph loaded from an
-// adjacency-graph file or generated on the fly, reporting the result summary
-// and timing — the per-problem driver matching the benchmark's I/O
-// specifications (§4).
+// gbbs-run executes one benchmark problem on a graph described by a
+// source spec plus transforms (the spec language of gbbs.ParseSource and
+// gbbs.ParseTransforms), reporting the result summary and timing — the
+// per-problem driver matching the benchmark's I/O specifications (§4).
 //
 // Algorithms are dispatched through the gbbs registry: there is no
 // per-algorithm switch here, and anything registered with gbbs.Register
 // (including by third-party packages linked into this binary) is runnable
-// by name and enumerable with -list. Inputs are declarative: the flags are
-// translated into a gbbs.GraphSource plus transforms, and the engine builds
-// the graph on its own scheduler — so -threads bounds generation, loading
-// and compression as well as the algorithm, and -timeout covers the build.
+// by name and enumerable with -list. The engine builds the input on its own
+// scheduler, so -threads bounds generation, loading and compression as well
+// as the algorithm, and -timeout covers the build. -seed seeds the
+// algorithm; generator seeds are part of the source spec.
 //
 // Algorithm parameters are typed: each registry entry declares a Param
 // schema (name, kind, default, bounds), printable with -describe and
@@ -20,12 +20,12 @@
 //
 //	gbbs-run -list
 //	gbbs-run -describe scc
-//	gbbs-run -algo bfs -i graph.adj -sym -src 0
-//	gbbs-run -algo kcore -gen rmat -scale 18
-//	gbbs-run -algo cc -source "rmat:scale=18,factor=16" -transform "sym"
-//	gbbs-run -algo scc -gen rmat -sym=false -opt beta=1.5 -opt trimrounds=5
-//	gbbs-run -algo cc -gen rmat -scale 18 -threads 4 -timeout 30s
-//	gbbs-run -algo incrcc -gen rmat -scale 16 -update "0-9,4-7" -update "1-5"
+//	gbbs-run -algo bfs -source file:graph.adj -src 0
+//	gbbs-run -algo kcore -source rmat:18 -transform sym
+//	gbbs-run -algo wbfs -source rmat:16 -transform "sym;paperweights"
+//	gbbs-run -algo scc -source rmat:16 -opt beta=1.5 -opt trimrounds=5
+//	gbbs-run -algo cc -source rmat:18 -transform "sym;compress" -threads 4 -timeout 30s
+//	gbbs-run -algo incrcc -source rmat:16 -transform sym -update "0-9,4-7" -update "1-5"
 //
 // -update inserts a batch of edges into the built graph before the run
 // (Engine.ApplyEdges): the algorithm executes on the updated snapshot, which
@@ -33,15 +33,16 @@
 // self-loops and already-present edges are no-ops.
 //
 // With -server the run executes on a gbbs-serve daemon instead of in
-// process: the flags are serialized into the same RunRequest the HTTP API
-// takes (remote runs require -source, the declarative spec). -async submits
-// the request as a job (POST /v1/jobs), polls its status until it finishes,
-// and fetches the result; -tenant names the fair-share identity the
-// server charges the run to:
+// process: the flags map one to one onto the RunRequest the HTTP API takes,
+// so the same command line describes the same input and run either way.
+// -async submits the request as a job (POST /v1/jobs), polls its status
+// until it finishes, and fetches the result; -tenant names the fair-share
+// identity the server charges the run to. -update is local only (a daemon
+// takes edge batches at POST /v1/graphs/{name}/edges):
 //
-//	gbbs-run -server http://localhost:8080 -algo cc -source "rmat:16"
+//	gbbs-run -server http://localhost:8080 -algo cc -source rmat:16 -transform sym
 //	gbbs-run -server http://localhost:8080 -async -tenant gold \
-//	  -algo bicc -source "rmat:20" -timeout 5m
+//	  -algo bicc -source rmat:20 -transform sym -timeout 5m
 package main
 
 import (
@@ -78,31 +79,21 @@ func main() {
 		return nil
 	})
 	var updateSpecs []string
-	flag.Func("update", `edges to insert before the run, "u-v" or "u-v=w", comma-separated (repeatable)`, func(s string) error {
+	flag.Func("update", `edges to insert before the run, "u-v" or "u-v=w", comma-separated (repeatable; local runs only)`, func(s string) error {
 		updateSpecs = append(updateSpecs, strings.Split(s, ",")...)
 		return nil
 	})
-	input := flag.String("i", "", "input adjacency-graph file (empty = generate)")
-	sourceSpec := flag.String("source", "", `declarative source spec, e.g. "rmat:scale=18,factor=16" (overrides -i/-gen)`)
+	sourceSpec := flag.String("source", "", `source spec (required), e.g. "rmat:scale=18,factor=16" or "file:graph.adj"`)
 	transformSpec := flag.String("transform", "", `transform spec, e.g. "sym;paperweights:seed=1;compress"`)
-	genKind := flag.String("gen", "rmat", "generator when no input file: rmat | torus | er")
-	scale := flag.Int("scale", 16, "generator scale")
-	side := flag.Int("side", 32, "torus side")
-	factor := flag.Int("factor", 16, "rmat edge factor")
-	sym := flag.Bool("sym", true, "treat/build the graph as symmetric")
-	weighted := flag.Bool("weighted", false, "attach weights when generating")
 	src := flag.Uint("src", 0, "source vertex for SSSP/BC problems")
-	seed := flag.Uint64("seed", 1, "random seed")
+	seed := flag.Uint64("seed", gbbs.DefaultSeed, "algorithm seed")
 	threads := flag.Int("threads", 0, "worker threads (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "abort the build+run after this long (0 = no limit)")
-	compressed := flag.Bool("compressed", false, "run on the parallel-byte compressed representation")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the same encoding the serve API returns)")
-	server := flag.String("server", "", "execute on a gbbs-serve daemon at this base URL instead of in process (requires -source)")
+	server := flag.String("server", "", "execute on a gbbs-serve daemon at this base URL instead of in process")
 	async := flag.Bool("async", false, "with -server: submit as an async job and poll until it finishes")
 	tenant := flag.String("tenant", "", "with -server: tenant the run's admission is charged to")
 	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	if *list {
 		printAlgorithms(os.Stdout)
@@ -124,15 +115,22 @@ func main() {
 		printAlgorithms(os.Stderr)
 		os.Exit(2)
 	}
+	switch {
+	case *sourceSpec == "":
+		usageError("-source is required")
+	case *server != "" && len(updateSpecs) > 0:
+		usageError("-update is local only; send edge batches to a daemon with POST /v1/graphs/{name}/edges")
+	case *server == "" && (*async || *tenant != ""):
+		usageError("-async and -tenant need -server")
+	}
 	if *server != "" {
-		if *sourceSpec == "" {
-			log.Fatal("-server requires -source (remote runs take the declarative spec, not -i/-gen)")
-		}
 		req := serve.RunRequest{
 			Source:       *sourceSpec,
 			Algorithm:    a.Name,
 			Src:          uint32(*src),
+			Seed:         seed,
 			Threads:      *threads,
+			TimeoutMS:    timeout.Milliseconds(),
 			Opts:         opts,
 			Tenant:       *tenant,
 			IncludeValue: *jsonOut,
@@ -140,72 +138,19 @@ func main() {
 		if *transformSpec != "" {
 			req.Transforms = []string{*transformSpec}
 		}
-		if explicit["seed"] {
-			req.Seed = seed
-		}
-		if *timeout > 0 {
-			req.TimeoutMS = timeout.Milliseconds()
-		}
 		runRemote(strings.TrimRight(*server, "/"), req, *async)
 		return
 	}
 
-	// Describe the input declaratively; the engine builds it on its own
-	// scheduler, so -threads 1 measures the paper's single-thread
-	// configuration end to end (build included) without any global state.
-	var source gbbs.GraphSource
-	var transforms []gbbs.Transform
-	switch {
-	case *sourceSpec != "":
-		var err error
-		source, err = gbbs.ParseSource(*sourceSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// -source is fully declarative; explicitly-set shaping flags still
-		// compose rather than being silently dropped (-sym defaults true,
-		// so only an explicit -sym counts here).
-		if explicit["sym"] && *sym {
-			transforms = append(transforms, gbbs.Symmetrize())
-		}
-		if *weighted {
-			transforms = append(transforms, gbbs.PaperWeights(*seed))
-		}
-	case *input != "":
-		source = gbbs.AdjacencyFile(*input, *sym)
-	default:
-		needWeights := *weighted || a.NeedsWeights
-		switch *genKind {
-		case "rmat":
-			source = gbbs.RMAT(*scale, *factor, *seed)
-		case "torus":
-			source = gbbs.Torus(*side)
-			*sym = true // the paper's 3D-Torus is always symmetric
-		case "er":
-			n := 1 << uint(*scale)
-			source = gbbs.Random(n, n**factor, *seed)
-		default:
-			log.Fatalf("unknown generator %q", *genKind)
-		}
-		if *sym {
-			transforms = append(transforms, gbbs.Symmetrize())
-		}
-		if needWeights {
-			transforms = append(transforms, gbbs.PaperWeights(*seed))
-		}
+	source, err := gbbs.ParseSource(*sourceSpec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *transformSpec != "" {
-		extra, err := gbbs.ParseTransforms(*transformSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		transforms = append(transforms, extra...)
+	transforms, err := gbbs.ParseTransforms(*transformSpec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *compressed {
-		transforms = append(transforms, gbbs.EncodeCompressed(0))
-	}
-
-	engOpts := []gbbs.Option{gbbs.WithSeed(*seed)}
+	var engOpts []gbbs.Option
 	if *threads > 0 {
 		engOpts = append(engOpts, gbbs.WithThreads(*threads))
 	}
@@ -267,6 +212,13 @@ func main() {
 		fmt.Println(detail)
 	}
 	fmt.Printf("%s: %s in %v\n", a.Name, res.Summary, res.Elapsed.Round(time.Microsecond))
+}
+
+// usageError reports a command-line mistake and exits with status 2, as
+// the flag package does for an unknown flag.
+func usageError(msg string) {
+	fmt.Fprintf(os.Stderr, "gbbs-run: %s\n", msg)
+	os.Exit(2)
 }
 
 // postJSON posts body to url and decodes the JSON response into out,

@@ -323,7 +323,7 @@ func (e *Engine) Run(ctx context.Context, name string, req Request) (Result, err
 		return Result{}, fmt.Errorf("gbbs: %s: Request.Graph and Request.Input are both nil", name)
 	}
 	if a.NeedsWeights && !req.Graph.Weighted() {
-		return Result{}, fmt.Errorf("gbbs: %s requires a weighted graph", name)
+		return Result{}, fmt.Errorf("gbbs: %s requires a weighted graph (add a weights or paperweights transform)", name)
 	}
 	if a.NeedsSource && int64(req.Source) >= int64(req.Graph.N()) {
 		return Result{}, fmt.Errorf("gbbs: %s: source %d out of range [0, %d)", name, req.Source, req.Graph.N())

@@ -198,22 +198,28 @@ func Random(n, m int, seed uint64) GraphSource {
 
 // Preferential returns the Barabási–Albert preferential-attachment
 // generator: n vertices each attaching k edges, power-law tail, single
-// component.
+// component. k is raised to at least 1 and n to at least k+1 before the
+// size hint is computed, so the hint covers what the build allocates.
 func Preferential(n, k int, seed uint64) GraphSource {
+	name := fmt.Sprintf("ba(n=%d,k=%d,seed=%d)", n, k, seed)
+	k = max(k, 1)
+	n = max(n, k+1)
 	return &elSource{
-		name:  fmt.Sprintf("ba(n=%d,k=%d,seed=%d)", n, k, seed),
-		hintN: int64(max(n, 0)),
+		name:  name,
+		hintN: int64(n),
 		hintM: satMul(int64(n), int64(k)),
 		gen:   func(*parallel.Scheduler) *graph.EdgeList { return gen.BarabasiAlbert(n, k, seed) },
 	}
 }
 
 // SmallWorld returns the Watts–Strogatz small-world generator: a ring
-// lattice with k clockwise neighbors per vertex, rewired with probability
-// p.
+// lattice with k clockwise neighbors per vertex (at least 1), rewired with
+// probability p.
 func SmallWorld(n, k int, p float64, seed uint64) GraphSource {
+	name := fmt.Sprintf("ws(n=%d,k=%d,p=%g,seed=%d)", n, k, p, seed)
+	k = max(k, 1)
 	return &elSource{
-		name:  fmt.Sprintf("ws(n=%d,k=%d,p=%g,seed=%d)", n, k, p, seed),
+		name:  name,
 		hintN: int64(max(n, 0)),
 		hintM: satMul(int64(n), int64(k)),
 		gen:   func(s *parallel.Scheduler) *graph.EdgeList { return gen.WattsStrogatz(s, n, k, p, seed) },

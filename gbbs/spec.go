@@ -2,163 +2,184 @@ package gbbs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// This file parses the textual source/transform specs the CLI drivers
-// (cmd/gbbs-run, cmd/gbbs-gen) accept, so inputs can be described
-// declaratively on a command line and built through an engine:
+// This file parses the textual source/transform specs that describe a graph
+// input everywhere outside Go code: the CLI drivers' -source/-transform
+// flags (cmd/gbbs-run, cmd/gbbs-gen), the serving API's RunRequest and the
+// benchmark's workloads all speak it:
 //
 //	-source "rmat:scale=18,factor=16,seed=1" -transform "sym;paperweights;compress"
+//
+// An element is "kind" or "kind:key=val,..."; every argument is optional
+// unless noted and has a default. The first argument may omit its key, in
+// which case it binds to the kind's first key as listed in ParseSource and
+// ParseTransforms: "rmat:18" is "rmat:scale=18", "file:g.adj" is
+// "file:path=g.adj", "compress:64" is "compress:block=64". Kinds without
+// arguments reject a bare value like any other unknown argument.
 
-// specArgs holds the parsed key=value arguments of one spec element.
-type specArgs map[string]string
-
-// only rejects argument keys outside the element's allowlist, so a typo
-// ("scal=18") fails loudly instead of silently building a default-sized
-// graph.
-func (a specArgs) only(kind string, keys ...string) error {
-	for k := range a {
-		ok := false
-		for _, allowed := range keys {
-			if k == allowed {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("gbbs: spec %q does not accept argument %q (allowed: %s)", kind, k, strings.Join(keys, ", "))
-		}
-	}
-	return nil
+// specArgs holds the arguments of one spec element and reads them for the
+// element's parse case, which calls int/uint64/float/bool/str once per key
+// its kind accepts, in a fixed order. That one list of reads is the kind's
+// whole schema: a bare leading value binds to the first key read, an
+// argument no read asked for is rejected, and a malformed value fails the
+// element. A read that fails returns its default and keeps only the first
+// error, which done reports.
+type specArgs struct {
+	kind string
+	bare *string           // a leading value given without a key
+	vals map[string]string // key=value arguments
+	read []string          // keys read so far, in order
+	used int               // entries of vals some read asked for
+	err  error             // first bad value
 }
 
-func (a specArgs) int(key string, def int) (int, error) {
-	v, ok := a[key]
+// parseSpecElement splits "kind:k1=v1,k2=v2" (the args part optional); only
+// the first argument may omit its key.
+func parseSpecElement(spec string) (*specArgs, error) {
+	kind, rest, hasArgs := strings.Cut(spec, ":")
+	a := &specArgs{kind: strings.TrimSpace(kind), vals: map[string]string{}, read: make([]string, 0, 4)}
+	if a.kind == "" {
+		return nil, fmt.Errorf("gbbs: empty spec element %q", spec)
+	}
+	if !hasArgs || strings.TrimSpace(rest) == "" {
+		return a, nil
+	}
+	for i, kv := range strings.Split(rest, ",") {
+		k, v, ok := strings.Cut(kv, "=")
+		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		switch {
+		case !ok && i == 0:
+			a.bare = &k
+		case !ok || k == "":
+			return nil, fmt.Errorf("gbbs: spec argument %q is not key=value", kv)
+		default:
+			if _, dup := a.vals[k]; dup {
+				return nil, fmt.Errorf("gbbs: spec argument %q given twice", k)
+			}
+			a.vals[k] = v
+		}
+	}
+	return a, nil
+}
+
+// get returns key's raw value, binding the bare leading value to the
+// element's first read.
+func (a *specArgs) get(key string) (string, bool) {
+	if len(a.read) == 0 && a.bare != nil {
+		if _, dup := a.vals[key]; dup {
+			a.fail(fmt.Errorf("gbbs: spec argument %q given twice", key))
+		} else {
+			a.vals[key] = *a.bare
+		}
+		a.bare = nil
+	}
+	a.read = append(a.read, key)
+	v, ok := a.vals[key]
+	if ok {
+		a.used++
+	}
+	return v, ok
+}
+
+func (a *specArgs) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
+
+func (a *specArgs) int(key string, def int) int {
+	v, ok := a.get(key)
 	if !ok {
-		return def, nil
+		return def
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("gbbs: spec argument %s=%q is not an integer", key, v)
-	}
+	switch {
+	case err != nil:
+		a.fail(fmt.Errorf("gbbs: spec argument %s=%q is not an integer", key, v))
 	// Every integer spec argument is a size, multiplier or block length: a
 	// negative value is never meaningful, and letting one through hands
 	// make() a negative length deep inside a generator.
-	if n < 0 {
-		return 0, fmt.Errorf("gbbs: spec argument %s=%q must not be negative", key, v)
+	case n < 0:
+		a.fail(fmt.Errorf("gbbs: spec argument %s=%q must not be negative", key, v))
+	default:
+		return n
 	}
-	return n, nil
+	return def
 }
 
-func (a specArgs) uint64(key string, def uint64) (uint64, error) {
-	v, ok := a[key]
+func (a *specArgs) uint64(key string, def uint64) uint64 {
+	v, ok := a.get(key)
 	if !ok {
-		return def, nil
+		return def
 	}
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("gbbs: spec argument %s=%q is not an unsigned integer", key, v)
+		a.fail(fmt.Errorf("gbbs: spec argument %s=%q is not an unsigned integer", key, v))
+		return def
 	}
-	return n, nil
+	return n
 }
 
-func (a specArgs) float(key string, def float64) (float64, error) {
-	v, ok := a[key]
+func (a *specArgs) float(key string, def float64) float64 {
+	v, ok := a.get(key)
 	if !ok {
-		return def, nil
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, fmt.Errorf("gbbs: spec argument %s=%q is not a number", key, v)
+		a.fail(fmt.Errorf("gbbs: spec argument %s=%q is not a number", key, v))
+		return def
 	}
-	return f, nil
+	return f
 }
 
-func (a specArgs) bool(key string, def bool) (bool, error) {
-	v, ok := a[key]
+func (a *specArgs) bool(key string, def bool) bool {
+	v, ok := a.get(key)
 	if !ok {
-		return def, nil
+		return def
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		return false, fmt.Errorf("gbbs: spec argument %s=%q is not a bool", key, v)
+		a.fail(fmt.Errorf("gbbs: spec argument %s=%q is not a bool", key, v))
+		return def
 	}
-	return b, nil
+	return b
 }
 
-// parseSpecElement splits "kind:k1=v1,k2=v2" (the args part optional). One
-// bare argument without "=" is allowed as positional shorthand for the
-// kind's primary argument ("rmat:18" ≡ "rmat:scale=18"): primary maps each
-// kind to the key the bare value binds to; kinds outside the map reject
-// positional arguments.
-func parseSpecElement(spec string, primary map[string]string) (string, specArgs, error) {
-	kind, rest, hasArgs := strings.Cut(spec, ":")
-	kind = strings.TrimSpace(kind)
-	if kind == "" {
-		return "", nil, fmt.Errorf("gbbs: empty spec element %q", spec)
+// str reads a required, non-empty string argument.
+func (a *specArgs) str(key string) string {
+	v, _ := a.get(key)
+	if v == "" {
+		a.fail(fmt.Errorf("gbbs: spec %q needs %s=", a.kind, key))
 	}
-	args := specArgs{}
-	if hasArgs && strings.TrimSpace(rest) != "" {
-		for i, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			k = strings.TrimSpace(k)
-			if !ok {
-				key, allowed := primary[kind]
-				if i != 0 || !allowed {
-					return "", nil, fmt.Errorf("gbbs: spec argument %q is not key=value", kv)
-				}
-				args[key] = strings.TrimSpace(kv)
-				continue
-			}
-			if k == "" {
-				return "", nil, fmt.Errorf("gbbs: spec argument %q is not key=value", kv)
-			}
-			if _, dup := args[k]; dup {
-				return "", nil, fmt.Errorf("gbbs: spec argument %q given twice", k)
-			}
-			args[k] = strings.TrimSpace(v)
+	return v
+}
+
+// done reports the element's first bad value, or else an argument that no
+// read asked for, so a typo ("scal=18") fails loudly instead of silently
+// building a default-sized graph.
+func (a *specArgs) done() error {
+	if a.err != nil || (a.bare == nil && a.used == len(a.vals)) {
+		return a.err
+	}
+	accepts := strings.Join(a.read, ", ")
+	if accepts == "" {
+		accepts = "no arguments"
+	}
+	if a.bare != nil {
+		return fmt.Errorf("gbbs: spec %q does not accept argument %q (accepts %s)", a.kind, *a.bare, accepts)
+	}
+	for _, k := range slices.Sorted(maps.Keys(a.vals)) {
+		if !slices.Contains(a.read, k) {
+			return fmt.Errorf("gbbs: spec %q does not accept argument %q (accepts %s)", a.kind, k, accepts)
 		}
 	}
-	return kind, args, nil
-}
-
-// sourcePrimaryArg maps each source kind to the key a positional argument
-// binds to, so the common case needs no key: "rmat:18" is "rmat:scale=18",
-// "file:g.adj" is "file:path=g.adj".
-var sourcePrimaryArg = map[string]string{
-	"rmat":     "scale",
-	"torus":    "side",
-	"er":       "n",
-	"ba":       "n",
-	"ws":       "n",
-	"grid":     "side",
-	"path":     "n",
-	"cycle":    "n",
-	"star":     "n",
-	"complete": "n",
-	"tree":     "n",
-	"file":     "path",
-	"bin":      "path",
-}
-
-// sourceArgKeys is the per-kind argument allowlist of ParseSource; keys
-// outside it are rejected rather than silently ignored.
-var sourceArgKeys = map[string][]string{
-	"rmat":     {"scale", "factor", "seed"},
-	"torus":    {"side"},
-	"er":       {"n", "m", "seed"},
-	"ba":       {"n", "k", "seed"},
-	"ws":       {"n", "k", "p", "seed"},
-	"grid":     {"side"},
-	"path":     {"n"},
-	"cycle":    {"n"},
-	"star":     {"n"},
-	"complete": {"n"},
-	"tree":     {"n"},
-	"file":     {"path", "sym"},
-	"bin":      {"path"},
+	return nil
 }
 
 // ParseSource parses a source spec of the form "kind:key=val,...". Kinds
@@ -170,140 +191,54 @@ var sourceArgKeys = map[string][]string{
 //	ba:n=65536,k=16,seed=1             Barabási–Albert preferential attachment
 //	ws:n=65536,k=16,p=0.1,seed=1       Watts–Strogatz small world
 //	grid:side=32                       2D grid
-//	path:n=1024  cycle:n=1024  star:n=1024  complete:n=64  tree:n=1023
-//	file:path=g.adj,sym=true           (Weighted)AdjacencyGraph text file
-//	bin:path=g.bin                     compact binary graph file
-//
-// The first argument may be given positionally, without its key, in which
-// case it binds to the kind's primary argument: "rmat:18" is shorthand for
-// "rmat:scale=18", "torus:32" for "torus:side=32", "file:g.adj" for
-// "file:path=g.adj" (the primary key is n for the er/ba/ws and fixed-shape
-// generators).
+//	path:n=1024  cycle:n=1024  star:n=1024  complete:n=1024  tree:n=1024
+//	file:path=g.adj,sym=true           (Weighted)AdjacencyGraph text file (path required)
+//	bin:path=g.bin                     compact binary graph file (path required)
 //
 // The returned source's String method renders the spec canonically with
 // every argument spelled out ("rmat:18" → "rmat(scale=18,factor=16,seed=1)"),
 // which is how the serving layer's graph cache recognizes two differently
 // written specs as the same input.
 func ParseSource(spec string) (GraphSource, error) {
-	kind, args, err := parseSpecElement(spec, sourcePrimaryArg)
+	a, err := parseSpecElement(spec)
 	if err != nil {
 		return nil, err
 	}
-	if keys, ok := sourceArgKeys[kind]; ok {
-		if err := args.only(kind, keys...); err != nil {
-			return nil, err
-		}
-	}
-	fail := func(err error) (GraphSource, error) { return nil, err }
-	switch kind {
+	var src GraphSource
+	switch a.kind {
 	case "rmat":
-		scale, err := args.int("scale", 16)
-		if err != nil {
-			return fail(err)
-		}
-		factor, err := args.int("factor", 16)
-		if err != nil {
-			return fail(err)
-		}
-		seed, err := args.uint64("seed", 1)
-		if err != nil {
-			return fail(err)
-		}
-		return RMAT(scale, factor, seed), nil
+		src = RMAT(a.int("scale", 16), a.int("factor", 16), a.uint64("seed", 1))
 	case "torus":
-		side, err := args.int("side", 32)
-		if err != nil {
-			return fail(err)
-		}
-		return Torus(side), nil
+		src = Torus(a.int("side", 32))
 	case "er":
-		n, err := args.int("n", 1<<16)
-		if err != nil {
-			return fail(err)
-		}
-		m, err := args.int("m", 1<<20)
-		if err != nil {
-			return fail(err)
-		}
-		seed, err := args.uint64("seed", 1)
-		if err != nil {
-			return fail(err)
-		}
-		return Random(n, m, seed), nil
+		src = Random(a.int("n", 1<<16), a.int("m", 1<<20), a.uint64("seed", 1))
 	case "ba":
-		n, err := args.int("n", 1<<16)
-		if err != nil {
-			return fail(err)
-		}
-		k, err := args.int("k", 16)
-		if err != nil {
-			return fail(err)
-		}
-		seed, err := args.uint64("seed", 1)
-		if err != nil {
-			return fail(err)
-		}
-		return Preferential(n, k, seed), nil
+		src = Preferential(a.int("n", 1<<16), a.int("k", 16), a.uint64("seed", 1))
 	case "ws":
-		n, err := args.int("n", 1<<16)
-		if err != nil {
-			return fail(err)
-		}
-		k, err := args.int("k", 16)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := args.float("p", 0.1)
-		if err != nil {
-			return fail(err)
-		}
-		seed, err := args.uint64("seed", 1)
-		if err != nil {
-			return fail(err)
-		}
-		return SmallWorld(n, k, p, seed), nil
+		src = SmallWorld(a.int("n", 1<<16), a.int("k", 16), a.float("p", 0.1), a.uint64("seed", 1))
 	case "grid":
-		side, err := args.int("side", 32)
-		if err != nil {
-			return fail(err)
-		}
-		return Grid(side), nil
-	case "path", "cycle", "star", "complete", "tree":
-		n, err := args.int("n", 1024)
-		if err != nil {
-			return fail(err)
-		}
-		switch kind {
-		case "path":
-			return Path(n), nil
-		case "cycle":
-			return Cycle(n), nil
-		case "star":
-			return Star(n), nil
-		case "complete":
-			return Complete(n), nil
-		default:
-			return Tree(n), nil
-		}
+		src = Grid(a.int("side", 32))
+	case "path":
+		src = Path(a.int("n", 1024))
+	case "cycle":
+		src = Cycle(a.int("n", 1024))
+	case "star":
+		src = Star(a.int("n", 1024))
+	case "complete":
+		src = Complete(a.int("n", 1024))
+	case "tree":
+		src = Tree(a.int("n", 1024))
 	case "file":
-		path := args["path"]
-		if path == "" {
-			return fail(fmt.Errorf("gbbs: source %q needs path=", kind))
-		}
-		sym, err := args.bool("sym", true)
-		if err != nil {
-			return fail(err)
-		}
-		return AdjacencyFile(path, sym), nil
+		src = AdjacencyFile(a.str("path"), a.bool("sym", true))
 	case "bin":
-		path := args["path"]
-		if path == "" {
-			return fail(fmt.Errorf("gbbs: source %q needs path=", kind))
-		}
-		return BinaryFile(path), nil
+		src = BinaryFile(a.str("path"))
 	default:
-		return fail(fmt.Errorf("gbbs: unknown source kind %q", kind))
+		return nil, fmt.Errorf("gbbs: unknown source kind %q", a.kind)
 	}
+	if err := a.done(); err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
 // transformAlias maps accepted long spellings of transform kinds to their
@@ -319,30 +254,6 @@ var transformAlias = map[string]string{
 	"paper-weights":   "paperweights",
 }
 
-// transformPrimaryArg maps transform kinds (including their aliases, which
-// are resolved after argument parsing) to the key a positional argument
-// binds to ("weights:8" is "weights:max=8", "compress:64" is
-// "compress:block=64").
-var transformPrimaryArg = map[string]string{
-	"weights":         "max",
-	"uniform-weights": "max",
-	"paperweights":    "seed",
-	"paper-weights":   "seed",
-	"compress":        "block",
-}
-
-// transformArgKeys is the per-kind argument allowlist of ParseTransforms.
-var transformArgKeys = map[string][]string{
-	"sym":            {},
-	"selfloops":      {},
-	"multi":          {},
-	"notranspose":    {},
-	"weights":        {"max", "seed"},
-	"paperweights":   {"seed"},
-	"degree-relabel": {},
-	"compress":       {"block"},
-}
-
 // ParseTransforms parses a semicolon-separated transform spec; each element
 // is "kind" or "kind:key=val,...":
 //
@@ -356,9 +267,8 @@ var transformArgKeys = map[string][]string{
 //	compress:block=64           EncodeCompressed
 //
 // Long spellings are accepted as aliases ("symmetrize" for "sym",
-// "no-transpose" for "notranspose", "paper-weights" for "paperweights", ...)
-// and the first argument may be positional ("compress:64" for
-// "compress:block=64"). An empty spec returns no transforms.
+// "no-transpose" for "notranspose", "paper-weights" for "paperweights", ...).
+// An empty spec returns no transforms.
 func ParseTransforms(spec string) ([]Transform, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -369,54 +279,38 @@ func ParseTransforms(spec string) ([]Transform, error) {
 		if strings.TrimSpace(elem) == "" {
 			continue
 		}
-		kind, args, err := parseSpecElement(elem, transformPrimaryArg)
+		a, err := parseSpecElement(elem)
 		if err != nil {
 			return nil, err
 		}
-		if canonical, ok := transformAlias[kind]; ok {
-			kind = canonical
+		if canonical, ok := transformAlias[a.kind]; ok {
+			a.kind = canonical
 		}
-		if keys, ok := transformArgKeys[kind]; ok {
-			if err := args.only(kind, keys...); err != nil {
-				return nil, err
-			}
-		}
-		switch kind {
+		var tf Transform
+		switch a.kind {
 		case "sym":
-			out = append(out, Symmetrize())
+			tf = Symmetrize()
 		case "selfloops":
-			out = append(out, KeepSelfLoops())
+			tf = KeepSelfLoops()
 		case "multi":
-			out = append(out, KeepDuplicates())
+			tf = KeepDuplicates()
 		case "notranspose":
-			out = append(out, SkipTranspose())
+			tf = SkipTranspose()
 		case "weights":
-			maxW, err := args.int("max", 8)
-			if err != nil {
-				return nil, err
-			}
-			seed, err := args.uint64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, UniformWeights(int32(maxW), seed))
+			tf = UniformWeights(int32(a.int("max", 8)), a.uint64("seed", 1))
 		case "paperweights":
-			seed, err := args.uint64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, PaperWeights(seed))
+			tf = PaperWeights(a.uint64("seed", 1))
 		case "degree-relabel":
-			out = append(out, RelabelByDegree())
+			tf = RelabelByDegree()
 		case "compress":
-			block, err := args.int("block", 0)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, EncodeCompressed(block))
+			tf = EncodeCompressed(a.int("block", 0))
 		default:
-			return nil, fmt.Errorf("gbbs: unknown transform %q", kind)
+			return nil, fmt.Errorf("gbbs: unknown transform %q", a.kind)
 		}
+		if err := a.done(); err != nil {
+			return nil, err
+		}
+		out = append(out, tf)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package gbbs
 
 import (
+	"context"
 	"testing"
 )
 
@@ -9,8 +10,13 @@ import (
 // never panics; an accepted spec has a stable, non-empty canonical String
 // (the graph-cache key) and a SizeHint that does not panic. The canonical
 // form is deliberately not re-parseable (it renders parenthesized), so no
-// round-trip is asserted.
+// round-trip is asserted. An accepted spec small enough to build cheaply
+// (SizeHint at most 2^12 vertices and 2^14 edges) must build without
+// panicking into exactly the hinted vertex count: a hint that undercounts
+// the build would let the server's size guard admit more than it checked.
 func FuzzParseSource(f *testing.F) {
+	eng := New(WithThreads(2))
+	f.Cleanup(eng.Close)
 	for _, seed := range []string{
 		"rmat:16",
 		"rmat:scale=18,factor=16,seed=1",
@@ -39,6 +45,12 @@ func FuzzParseSource(f *testing.F) {
 		"ws:p=nan",
 		"rmat:\x00",
 		"rmat:scale=16,factor=16,seed=18446744073709551615",
+		"path:0",
+		"star:0",
+		"tree:0",
+		"ba:n=0,k=1048576",
+		"ba:n=1,k=3",
+		"er:0,m=9",
 	} {
 		f.Add(seed)
 	}
@@ -56,7 +68,17 @@ func FuzzParseSource(f *testing.F) {
 		}
 		// SizeHint must be safe on anything the parser accepts (it guards
 		// the server's scale limit).
-		SizeHint(src)
+		n, m, ok := SizeHint(src)
+		if !ok || n > 1<<12 || m > 1<<14 {
+			return
+		}
+		g, err := eng.Build(context.Background(), src)
+		if err != nil {
+			t.Fatalf("Build(%s): %v", src, err)
+		}
+		if int64(g.N()) != n {
+			t.Fatalf("Build(%s): n=%d, SizeHint n=%d", src, g.N(), n)
+		}
 	})
 }
 

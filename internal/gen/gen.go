@@ -109,7 +109,7 @@ func Grid2D(side int) *graph.EdgeList {
 
 // Path returns the n-1 edges of a path over n vertices.
 func Path(n int) *graph.EdgeList {
-	el := graph.NewEdgeList(n, n-1, false)
+	el := graph.NewEdgeList(n, max(n-1, 0), false)
 	for v := 0; v+1 < n; v++ {
 		el.Add(uint32(v), uint32(v+1), 1)
 	}
@@ -127,7 +127,7 @@ func Cycle(n int) *graph.EdgeList {
 
 // Star returns n-1 edges from vertex 0 to every other vertex.
 func Star(n int) *graph.EdgeList {
-	el := graph.NewEdgeList(n, n-1, false)
+	el := graph.NewEdgeList(n, max(n-1, 0), false)
 	for v := 1; v < n; v++ {
 		el.Add(0, uint32(v), 1)
 	}
@@ -148,7 +148,7 @@ func Complete(n int) *graph.EdgeList {
 // BinaryTree returns the edges of a complete binary tree over n vertices
 // (parent i has children 2i+1, 2i+2).
 func BinaryTree(n int) *graph.EdgeList {
-	el := graph.NewEdgeList(n, n-1, false)
+	el := graph.NewEdgeList(n, max(n-1, 0), false)
 	for v := 1; v < n; v++ {
 		el.Add(uint32((v-1)/2), uint32(v), 1)
 	}

@@ -11,14 +11,9 @@ import (
 // standard edge-endpoint-array trick, O(m) sequential generation). The
 // result has a power-law degree tail like the paper's social networks but
 // with a guaranteed single connected component, which makes it a useful
-// contrast to RMAT in tests.
+// contrast to RMAT in tests. Callers want k >= 1 and n >= k+1 (the first
+// k+1 vertices seed the process); gbbs.Preferential enforces both.
 func BarabasiAlbert(n, k int, seed uint64) *graph.EdgeList {
-	if k < 1 {
-		k = 1
-	}
-	if n < k+1 {
-		n = k + 1
-	}
 	el := graph.NewEdgeList(n, n*k, false)
 	// endpoints flattens every generated edge; sampling a uniform element
 	// of it is degree-proportional sampling.
@@ -47,11 +42,9 @@ func BarabasiAlbert(n, k int, seed uint64) *graph.EdgeList {
 // WattsStrogatz generates a small-world graph: a ring lattice where each
 // vertex connects to its k nearest clockwise neighbors, with each edge
 // rewired to a uniform random endpoint with probability p. Deterministic in
-// the seed and generated in parallel on scheduler s.
+// the seed and generated in parallel on scheduler s. gbbs.SmallWorld
+// raises k to at least 1.
 func WattsStrogatz(s *parallel.Scheduler, n, k int, p float64, seed uint64) *graph.EdgeList {
-	if k < 1 {
-		k = 1
-	}
 	el := &graph.EdgeList{N: n}
 	el.U = make([]uint32, n*k)
 	el.V = make([]uint32, n*k)

@@ -20,8 +20,8 @@ import (
 //	[<weight 0> ... <weight m-1>]    (weighted form only)
 //
 // The benchmark's I/O contract in the paper specifies inputs in this format
-// (or its compressed binary variant); cmd/gbbs-gen writes it and cmd/gbbs-run
-// reads it.
+// (or its compressed binary variant); cmd/gbbs-gen writes it, and the
+// "file:" source spec (gbbs.AdjacencyFile) reads it.
 
 const (
 	headerUnweighted = "AdjacencyGraph"
