@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve loc clean
+.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve examples-smoke loc clean
 
 all: build test
 
@@ -50,6 +50,16 @@ serve:
 # the same -data-dir. Mirrors the CI smoke step.
 smoke-serve:
 	./scripts/smoke-serve.sh
+
+# Run the five examples/ programs at small sizes; each must exit 0 in
+# seconds (webgraph exits non-zero when the compressed and uncompressed
+# graphs give different answers). Mirrors the CI examples step.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/roadnetwork -side 8
+	$(GO) run ./examples/socialnetwork -scale 10
+	$(GO) run ./examples/webcrawl -scale 10
+	$(GO) run ./examples/webgraph -scale 10
 
 vet:
 	$(GO) vet ./...

@@ -13,24 +13,25 @@
 // or file reader) plus composable Transforms (Symmetrize, weight
 // assignment, relabelling, parallel-byte compression) are materialized by
 // Engine.Build on the engine's own scheduler, with the context checked
-// between build phases. Every algorithm is an Engine method taking a
-// context.Context, checked between rounds, so a caller can cancel or
-// deadline any build or run:
+// between build phases. Every algorithm runs through one entry point,
+// Engine.Run, which dispatches by name through a registry with uniform
+// Request/Result types (gbbs.Register, gbbs.Algorithms, gbbs.Lookup); the
+// context is checked between rounds, so a caller can cancel or deadline
+// any build or run:
 //
 //	eng := gbbs.New(gbbs.WithThreads(8), gbbs.WithSeed(1))
 //	g, err := eng.Build(ctx, gbbs.RMAT(18, 16, 1), gbbs.Symmetrize())
-//	dist, err := eng.BFS(ctx, g, 0)
+//	res, err := eng.Run(ctx, "bfs", gbbs.Request{Graph: g, Source: 0})
+//	dist := res.Value.([]uint32)
 //
-// Algorithms are also dispatchable by name through a registry with uniform
-// Request/Result types (gbbs.Register, gbbs.Algorithms, gbbs.Lookup,
-// Engine.Run); requests may carry a declarative input (Request.Input, a
-// source plus transforms) that the engine builds before dispatch. Every
-// registered algorithm declares a typed parameter schema
-// (gbbs.Algorithm.Params): Engine.Run validates request options against it
-// — unknown names and out-of-range values are descriptive errors, not
-// silent defaults — and a declarative request has a canonical fingerprint
-// (gbbs.Request.Key) identifying its deterministic result. The CLI driver
-// dispatches exclusively through the registry, so a package that
+// Requests may carry a declarative input (Request.Input, a source plus
+// transforms) that the engine builds before dispatch. Every registered
+// algorithm declares a typed parameter schema (gbbs.Algorithm.Params):
+// Engine.Run validates request options against it — unknown names and
+// out-of-range values are descriptive errors, not silent defaults — and a
+// declarative request has a canonical fingerprint (gbbs.Request.Key)
+// identifying its deterministic result. The CLI driver, the HTTP daemon
+// and the benchmark all run algorithms this way, so a package that
 // registers a new algorithm is immediately runnable from cmd/gbbs-run,
 // listed by `gbbs-run -list`, described by `gbbs-run -describe`, and
 // served by the HTTP daemon.

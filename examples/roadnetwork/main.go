@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"time"
 
 	"repro/gbbs"
@@ -22,29 +23,28 @@ func main() {
 	ctx := context.Background()
 	g, err := eng.BuildCSR(ctx, gbbs.Torus(*side), gbbs.Symmetrize(), gbbs.PaperWeights(9))
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Printf("torus: n=%d m=%d, weights in [1, log n)\n", g.N(), g.M())
 
-	t0 := time.Now()
-	dw, err := eng.WeightedBFS(ctx, g, 0)
-	if err != nil {
-		panic(err)
+	// run dispatches an algorithm by registry name from source vertex 0.
+	run := func(name string) gbbs.Result {
+		res, err := eng.Run(ctx, name, gbbs.Request{Graph: g, Source: 0})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	tw := time.Since(t0)
 
-	t0 = time.Now()
-	db, neg, err := eng.BellmanFord(ctx, g, 0)
-	if err != nil {
-		panic(err)
-	}
-	tb := time.Since(t0)
-	if neg {
-		panic("positive-weight torus reported a negative cycle")
-	}
+	wbfs := run("wbfs")
+	bf := run("bellmanford")
+	dw, db := wbfs.Value.([]uint32), bf.Value.([]int64)
 	for v := range dw {
+		if db[v] == gbbs.NegInfDist {
+			log.Fatal("positive-weight torus reported a negative cycle")
+		}
 		if int64(dw[v]) != db[v] {
-			panic(fmt.Sprintf("wBFS and Bellman-Ford disagree at %d", v))
+			log.Fatalf("wBFS and Bellman-Ford disagree at %d", v)
 		}
 	}
 	var far uint32
@@ -53,30 +53,13 @@ func main() {
 			far = uint32(v)
 		}
 	}
-	fmt.Printf("wBFS:         %-10v (weighted eccentricity %d)\n", tw.Round(time.Millisecond), dw[far])
-	fmt.Printf("Bellman-Ford: %-10v (agrees with wBFS; paper: ~7x slower on torus)\n", tb.Round(time.Millisecond))
-	fmt.Printf("wBFS speedup over Bellman-Ford: %.1fx\n", float64(tb)/float64(tw))
+	fmt.Printf("wBFS:         %-10v (weighted eccentricity %d)\n", wbfs.Elapsed.Round(time.Millisecond), dw[far])
+	fmt.Printf("Bellman-Ford: %-10v (agrees with wBFS; paper: ~7x slower on torus)\n", bf.Elapsed.Round(time.Millisecond))
+	fmt.Printf("wBFS speedup over Bellman-Ford: %.1fx\n", float64(bf.Elapsed)/float64(wbfs.Elapsed))
 
-	t0 = time.Now()
-	forest, weight, err := eng.MSF(ctx, g)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("MSF:          %-10v %d edges, total weight %d\n",
-		time.Since(t0).Round(time.Millisecond), len(forest), weight)
+	msf := run("msf")
+	fmt.Printf("MSF:          %-10v %s\n", msf.Elapsed.Round(time.Millisecond), msf.Summary)
 
-	t0 = time.Now()
-	parent, level, roots, err := eng.SpanningForest(ctx, g)
-	if err != nil {
-		panic(err)
-	}
-	maxLevel := uint32(0)
-	for _, l := range level {
-		if l != gbbs.Inf && l > maxLevel {
-			maxLevel = l
-		}
-	}
-	_ = parent
-	fmt.Printf("BFS forest:   %-10v %d roots, depth %d\n",
-		time.Since(t0).Round(time.Millisecond), len(roots), maxLevel)
+	forest := run("spanforest")
+	fmt.Printf("BFS forest:   %-10v %s\n", forest.Elapsed.Round(time.Millisecond), forest.Summary)
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"sort"
 	"time"
 
@@ -25,16 +26,24 @@ func main() {
 	start := time.Now()
 	g, err := eng.BuildCSR(ctx, gbbs.RMAT(*scale, *factor, 7), gbbs.Symmetrize())
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Printf("network: n=%d m=%d (built in %v)\n", g.N(), g.M(), time.Since(start).Round(time.Millisecond))
 
+	// run dispatches an algorithm by registry name (src is read only by
+	// source-based algorithms such as bc).
+	run := func(name string, src uint32) gbbs.Result {
+		res, err := eng.Run(ctx, name, gbbs.Request{Graph: g, Source: src})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+
 	// 1. Degeneracy ordering: the k-core decomposition finds the densest
 	// community cores.
-	coreness, rho, err := eng.KCore(ctx, g)
-	if err != nil {
-		panic(err)
-	}
+	kcore := run("kcore", 0)
+	coreness := kcore.Value.([]uint32)
 	kmax := gbbs.Degeneracy(coreness)
 	inMax := 0
 	for _, c := range coreness {
@@ -42,7 +51,7 @@ func main() {
 			inMax++
 		}
 	}
-	fmt.Printf("k-core: kmax=%d (%d members), rho=%d peeling rounds\n", kmax, inMax, rho)
+	fmt.Printf("k-core: %s, %d members in the kmax-core\n", kcore.Summary, inMax)
 
 	// 2. Influence: betweenness centrality from the highest-coreness seed.
 	seed := uint32(0)
@@ -51,16 +60,12 @@ func main() {
 			seed = uint32(v)
 		}
 	}
-	bc, err := eng.BC(ctx, g, seed)
-	if err != nil {
-		panic(err)
-	}
 	type vc struct {
 		v uint32
 		c float64
 	}
 	top := make([]vc, 0, g.N())
-	for v, c := range bc {
+	for v, c := range run("bc", seed).Value.([]float64) {
 		top = append(top, vc{uint32(v), c})
 	}
 	sort.Slice(top, func(i, j int) bool { return top[i].c > top[j].c })
@@ -72,10 +77,7 @@ func main() {
 
 	// 3. Cohesion: global clustering coefficient from triangle and wedge
 	// counts.
-	tri, err := eng.TriangleCount(ctx, g)
-	if err != nil {
-		panic(err)
-	}
+	tri := run("tc", 0).Value.(int64)
 	var wedges int64
 	for v := 0; v < g.N(); v++ {
 		d := int64(g.OutDeg(uint32(v)))
@@ -89,23 +91,9 @@ func main() {
 
 	// 4. Scheduling: a proper coloring groups non-adjacent users for
 	// conflict-free batches.
-	colors, err := eng.Coloring(ctx, g)
-	if err != nil {
-		panic(err)
-	}
 	fmt.Printf("coloring: %d conflict-free batches (Δ+1 bound: %d)\n",
-		gbbs.NumColors(colors), g.MaxDegree()+1)
+		gbbs.NumColors(run("coloring", 0).Value.([]uint32)), g.MaxDegree()+1)
 
 	// 5. An independent seed set for influence-maximization heuristics.
-	mis, err := eng.MIS(ctx, g)
-	if err != nil {
-		panic(err)
-	}
-	count := 0
-	for _, in := range mis {
-		if in {
-			count++
-		}
-	}
-	fmt.Printf("MIS: %d mutually non-adjacent seeds\n", count)
+	fmt.Printf("MIS: %s (mutually non-adjacent seeds)\n", run("mis", 0).Summary)
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"time"
 
 	"repro/gbbs"
@@ -22,19 +23,25 @@ func main() {
 	ctx := context.Background()
 	g, err := eng.BuildCSR(ctx, gbbs.RMAT(*scale, 16, 2014)) // directed crawl
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	fmt.Printf("crawl: n=%d directed edges=%d\n", g.N(), g.M())
 
-	// 1. Bow-tie core: the giant SCC.
-	t0 := time.Now()
-	labels, err := eng.SCC(ctx, g, gbbs.SCCOpts{})
-	if err != nil {
-		panic(err)
+	// run dispatches an algorithm by registry name on gr.
+	run := func(name string, gr gbbs.Graph, src uint32) gbbs.Result {
+		res, err := eng.Run(ctx, name, gbbs.Request{Graph: gr, Source: src})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
+
+	// 1. Bow-tie core: the giant SCC.
+	scc := run("scc", g, 0)
+	labels := scc.Value.([]uint32)
 	num, largest := gbbs.ComponentCount(labels)
 	fmt.Printf("SCC:  %d components, giant SCC has %d vertices (%.1f%%) [%v]\n",
-		num, largest, 100*float64(largest)/float64(g.N()), time.Since(t0).Round(time.Millisecond))
+		num, largest, 100*float64(largest)/float64(g.N()), scc.Elapsed.Round(time.Millisecond))
 
 	// 2. IN/OUT sets: forward and backward reachability from a giant-SCC
 	// member splits the crawl into the bow-tie regions.
@@ -55,12 +62,8 @@ func main() {
 			break
 		}
 	}
-	fwd, err := eng.BFS(ctx, g, pivot)
-	if err != nil {
-		panic(err)
-	}
 	reachOut := 0
-	for _, d := range fwd {
+	for _, d := range run("bfs", g, pivot).Value.([]uint32) {
 		if d != gbbs.Inf {
 			reachOut++
 		}
@@ -71,20 +74,10 @@ func main() {
 	// comparison against Slota et al.'s approximate k-core).
 	sg, err := eng.BuildCSR(ctx, gbbs.RMAT(*scale, 16, 2014), gbbs.Symmetrize())
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
-	t0 = time.Now()
-	exact, rho, err := eng.KCore(ctx, sg)
-	if err != nil {
-		panic(err)
-	}
-	te := time.Since(t0)
-	t0 = time.Now()
-	approx, err := eng.ApproxKCore(ctx, sg)
-	if err != nil {
-		panic(err)
-	}
-	ta := time.Since(t0)
+	kcore, approxkcore := run("kcore", sg, 0), run("approxkcore", sg, 0)
+	exact, approx := kcore.Value.([]uint32), approxkcore.Value.([]uint32)
 	worst := 0.0
 	for v := range exact {
 		if exact[v] > 0 {
@@ -94,6 +87,6 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("core: exact kmax=%d rho=%d [%v]; approx [%v], max overestimate %.2fx (bound: 2x)\n",
-		gbbs.Degeneracy(exact), rho, te.Round(time.Millisecond), ta.Round(time.Millisecond), worst)
+	fmt.Printf("core: exact %s [%v]; approx [%v], max overestimate %.2fx (bound: 2x)\n",
+		kcore.Summary, kcore.Elapsed.Round(time.Millisecond), approxkcore.Elapsed.Round(time.Millisecond), worst)
 }

@@ -3,13 +3,16 @@
 // crawl fit in one machine (<1.5 bytes/edge vs 8+ uncompressed). This
 // example builds a web-like graph, compresses it, reports the ratio, and
 // shows the same algorithms producing identical answers on both
-// representations.
+// representations; it exits non-zero if any answer differs.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
+	"os"
+	"reflect"
 	"time"
 
 	"repro/gbbs"
@@ -23,14 +26,14 @@ func main() {
 	ctx := context.Background()
 	g, err := eng.BuildCSR(ctx, gbbs.RMAT(*scale, 16, 2012), gbbs.Symmetrize())
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	// Re-encoding an existing CSR is itself a build pipeline: Prebuilt
 	// wraps it as a source and EncodeCompressed selects the parallel-byte
 	// output representation.
 	built, err := eng.Build(ctx, gbbs.Prebuilt(g), gbbs.EncodeCompressed(0))
 	if err != nil {
-		panic(err)
+		log.Fatal(err)
 	}
 	cg := built.(*gbbs.Compressed)
 
@@ -40,53 +43,26 @@ func main() {
 	fmt.Printf("compressed:   %.1f MB (%.2f B/edge)\n",
 		float64(cg.SizeBytes())/1e6, cg.BytesPerEdge())
 
-	run := func(name string, f func(gbbs.Graph) int) {
-		t0 := time.Now()
-		a := f(g)
-		tu := time.Since(t0)
-		t0 = time.Now()
-		b := f(cg)
-		tc := time.Since(t0)
-		status := "OK"
-		if a != b {
-			status = fmt.Sprintf("MISMATCH (%d vs %d)", a, b)
-		}
-		fmt.Printf("%-14s uncompressed %-10v compressed %-10v agree: %s\n",
-			name, tu.Round(time.Millisecond), tc.Round(time.Millisecond), status)
-	}
-	run("BFS", func(gr gbbs.Graph) int {
-		dist, err := eng.BFS(ctx, gr, 0)
-		if err != nil {
-			panic(err)
-		}
-		reached := 0
-		for _, d := range dist {
-			if d != gbbs.Inf {
-				reached++
+	// Every algorithm is deterministic for a fixed seed, so both
+	// representations must give the identical Result.Value.
+	mismatches := 0
+	for _, name := range []string{"bfs", "cc", "kcore", "tc"} {
+		var res [2]gbbs.Result
+		for i, gr := range []gbbs.Graph{g, cg} {
+			if res[i], err = eng.Run(ctx, name, gbbs.Request{Graph: gr}); err != nil {
+				log.Fatal(err)
 			}
 		}
-		return reached
-	})
-	run("Connectivity", func(gr gbbs.Graph) int {
-		labels, err := eng.Connectivity(ctx, gr)
-		if err != nil {
-			panic(err)
+		status := "OK"
+		if res[0].Summary != res[1].Summary || !reflect.DeepEqual(res[0].Value, res[1].Value) {
+			status = fmt.Sprintf("MISMATCH (%s vs %s)", res[0].Summary, res[1].Summary)
+			mismatches++
 		}
-		num, _ := gbbs.ComponentCount(labels)
-		return num
-	})
-	run("k-core", func(gr gbbs.Graph) int {
-		coreness, _, err := eng.KCore(ctx, gr)
-		if err != nil {
-			panic(err)
-		}
-		return gbbs.Degeneracy(coreness)
-	})
-	run("Triangles", func(gr gbbs.Graph) int {
-		tri, err := eng.TriangleCount(ctx, gr)
-		if err != nil {
-			panic(err)
-		}
-		return int(tri)
-	})
+		fmt.Printf("%-6s uncompressed %-10v compressed %-10v agree: %s (%s)\n", name,
+			res[0].Elapsed.Round(time.Millisecond), res[1].Elapsed.Round(time.Millisecond), status, res[0].Summary)
+	}
+	if mismatches > 0 {
+		fmt.Fprintf(os.Stderr, "webgraph: %d algorithms disagree between representations\n", mismatches)
+		os.Exit(1)
+	}
 }

@@ -10,11 +10,13 @@ import (
 	"repro/internal/stats"
 )
 
-// This file registers the benchmark's built-in algorithms. Each runner
-// executes on the engine's per-call scheduler (via Engine.exec), so registry
-// dispatch has exactly the same isolation and cancellation behavior as the
-// typed Engine methods. PaperRow/PaperOrder mark the 15 problems forming the
-// rows of the paper's Tables 2, 4 and 5 (gbbs.PaperSuite).
+// This file registers the benchmark's built-in algorithms; Engine.Run is
+// the only way to execute them. Each runner executes on the engine's
+// per-call scheduler (via Engine.exec), so it inherits the engine's thread
+// budget and observes the run's context between rounds. The Value each
+// runner returns is listed in Result.Value's comment. PaperRow/PaperOrder
+// mark the 15 problems forming the rows of the paper's Tables 2, 4 and 5
+// (gbbs.PaperSuite).
 //
 // Every registration declares its full Param schema — the defaults are the
 // paper's settings — so Engine.Run rejects unknown or out-of-range Opts and
@@ -46,10 +48,10 @@ func register(a Algorithm, fn func(s *parallel.Scheduler, e *Engine, req Request
 	Register(a)
 }
 
-// statsText renders GraphStats as the paper's table layout for CLI output
+// statsText renders the statistics as the paper's table layout for CLI output
 // (Result.Value implements fmt.Stringer when extra detail is printable).
 type statsText struct {
-	Stats    GraphStats
+	Stats    stats.Graph
 	Directed bool
 }
 
@@ -195,7 +197,7 @@ func init() {
 		if trim == 0 {
 			trim = -1
 		}
-		labels := core.SCC(s, req.Graph, req.seed(e), SCCOpts{Beta: req.Float("beta"), TrimRounds: trim})
+		labels := core.SCC(s, req.Graph, req.seed(e), core.SCCOpts{Beta: req.Float("beta"), TrimRounds: trim})
 		num, largest := core.ComponentCount(s, labels)
 		return Result{Summary: fmt.Sprintf("%d SCCs, largest %d", num, largest), Value: labels}
 	})
@@ -300,7 +302,7 @@ func init() {
 	register(Algorithm{
 		Name: "stats", Description: "undirected-graph statistics suite behind the paper's Tables 3 and 8-13",
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		gs := stats.ComputeSym(s, "input", req.Graph, StatsOptions{Seed: req.seed(e)})
+		gs := stats.ComputeSym(s, "input", req.Graph, stats.Options{Seed: req.seed(e)})
 		return Result{
 			Summary: fmt.Sprintf("n=%d m=%d cc=%d tri=%d kmax=%d", gs.N, gs.M, gs.NumCC, gs.Triangles, gs.KMax),
 			Value:   statsText{Stats: gs},
@@ -311,7 +313,7 @@ func init() {
 		Name: "stats-dir", Description: "directed-graph statistics (SCC structure, directed diameter)",
 		Directed: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		gs := stats.ComputeDir(s, "input", req.Graph, StatsOptions{Seed: req.seed(e)})
+		gs := stats.ComputeDir(s, "input", req.Graph, stats.Options{Seed: req.seed(e)})
 		return Result{
 			Summary: fmt.Sprintf("n=%d m=%d scc=%d largest=%d", gs.N, gs.M, gs.NumSCC, gs.LargestSCC),
 			Value:   statsText{Stats: gs, Directed: true},

@@ -4,9 +4,7 @@ import (
 	"context"
 	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 )
 
 // Engine is an isolated execution scope for the benchmark's algorithms: it
@@ -23,10 +21,13 @@ import (
 // idle workers exit on their own after a short idle timeout, so dropping an
 // engine without Close leaks nothing.
 //
-// Every algorithm method takes a context.Context. The context is checked
-// between algorithm rounds; once it is cancelled or past its deadline the
-// method returns ctx.Err() promptly with a zero result. Passing
-// context.Background() (or nil) disables cancellation checks entirely.
+// Algorithms run only through Run, which dispatches a registered algorithm
+// by name (see Algorithms for the list and Result.Value for each output's
+// type). Run, Build and the update methods take a context.Context, checked
+// between algorithm rounds and build phases; once it is cancelled or past
+// its deadline the call returns ctx.Err() promptly with a zero result.
+// Passing context.Background() (or nil) disables cancellation checks
+// entirely.
 type Engine struct {
 	sched *parallel.Scheduler
 	seed  uint64
@@ -56,10 +57,10 @@ type engineConfig struct {
 // runtime.NumCPU().
 func WithThreads(p int) Option { return func(c *engineConfig) { c.threads = p } }
 
-// WithSeed sets the seed the engine's randomized algorithms (Connectivity,
-// MIS, SCC, ...) use by default. For a fixed seed every algorithm is
-// deterministic, independent of the thread count. The default is
-// DefaultSeed (1).
+// WithSeed sets the seed the engine's randomized algorithms (cc, mis, scc,
+// ...) use when a request leaves Request.Seed nil. For a fixed seed every
+// algorithm is deterministic, independent of the thread count. The default
+// is DefaultSeed (1).
 func WithSeed(seed uint64) Option { return func(c *engineConfig) { c.seed = seed } }
 
 // WithGrain fixes the scheduler's default grain (elements per scheduled
@@ -107,148 +108,4 @@ func (e *Engine) exec(ctx context.Context, f func(s *parallel.Scheduler)) (err e
 // loops, and a cancellation unwinds back into the returned ctx.Err().
 func (e *Engine) Exec(ctx context.Context, f func(b *Builder)) error {
 	return e.exec(ctx, func(s *parallel.Scheduler) { f(&Builder{s: s}) })
-}
-
-// BFS returns hop distances from src; O(m) work, O(diam·log n) depth.
-func (e *Engine) BFS(ctx context.Context, g Graph, src uint32) (dist []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { dist = core.BFS(s, g, src) })
-	return
-}
-
-// WeightedBFS solves integral-weight SSSP (wBFS / Julienne); O(m) expected
-// work. Weights must be >= 1.
-func (e *Engine) WeightedBFS(ctx context.Context, g Graph, src uint32) (dist []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { dist = core.WeightedBFS(s, g, src) })
-	return
-}
-
-// DeltaStepping solves positive-integer-weight SSSP with Meyer-Sanders
-// Δ-stepping. delta <= 0 selects the average edge weight.
-func (e *Engine) DeltaStepping(ctx context.Context, g Graph, src uint32, delta int32) (dist []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { dist = core.DeltaStepping(s, g, src, delta) })
-	return
-}
-
-// BellmanFord solves general-weight SSSP; negCycle reports a reachable
-// negative cycle (whose vertices get NegInfDist distances).
-func (e *Engine) BellmanFord(ctx context.Context, g Graph, src uint32) (dist []int64, negCycle bool, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { dist, negCycle = core.BellmanFord(s, g, src) })
-	return
-}
-
-// BC returns single-source betweenness-centrality dependencies from src.
-func (e *Engine) BC(ctx context.Context, g Graph, src uint32) (dep []float64, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { dep = core.BC(s, g, src) })
-	return
-}
-
-// LDD computes a (2β, O(log n/β)) low-diameter decomposition.
-func (e *Engine) LDD(ctx context.Context, g Graph, beta float64) (labels []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.LDD(s, g, beta, e.seed) })
-	return
-}
-
-// Connectivity labels connected components of a symmetric graph; O(m)
-// expected work, O(log³ n) depth w.h.p.
-func (e *Engine) Connectivity(ctx context.Context, g Graph) (labels []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.Connectivity(s, g, 0.2, e.seed) })
-	return
-}
-
-// SpanningForest returns a rooted spanning forest (parents, levels, roots).
-func (e *Engine) SpanningForest(ctx context.Context, g Graph) (parent, level, roots []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) {
-		parent, level, roots = core.SpanningForest(s, g, 0.2, e.seed)
-	})
-	return
-}
-
-// Biconnectivity computes the Tarjan-Vishkin biconnectivity query structure.
-func (e *Engine) Biconnectivity(ctx context.Context, g Graph) (b *Bicc, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { b = core.Biconnectivity(s, g, 0.2, e.seed) })
-	return
-}
-
-// SCC labels strongly connected components of a directed graph.
-func (e *Engine) SCC(ctx context.Context, g Graph, opt SCCOpts) (labels []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.SCC(s, g, e.seed, opt) })
-	return
-}
-
-// MSF computes a minimum spanning forest of a weighted symmetric graph,
-// returning the forest edges and total weight.
-func (e *Engine) MSF(ctx context.Context, g Graph) (forest []WEdge, weight int64, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { forest, weight = core.MSF(s, g) })
-	return
-}
-
-// MIS computes a maximal independent set (the greedy set over a random
-// permutation) with the rootset-based algorithm.
-func (e *Engine) MIS(ctx context.Context, g Graph) (in []bool, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { in = core.MIS(s, g, e.seed) })
-	return
-}
-
-// MISPrefix computes the same maximal independent set with the prefix-based
-// baseline algorithm the paper compares against.
-func (e *Engine) MISPrefix(ctx context.Context, g Graph) (in []bool, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { in = core.MISPrefix(s, g, e.seed) })
-	return
-}
-
-// MaximalMatching computes a maximal matching (the greedy matching over a
-// random edge permutation).
-func (e *Engine) MaximalMatching(ctx context.Context, g Graph) (match []WEdge, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { match = core.MaximalMatching(s, g, e.seed) })
-	return
-}
-
-// Coloring computes a (Δ+1)-coloring with Jones-Plassmann LLF.
-func (e *Engine) Coloring(ctx context.Context, g Graph) (colors []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { colors = core.Coloring(s, g, e.seed) })
-	return
-}
-
-// ColoringLF is Jones-Plassmann under the largest-degree-first heuristic.
-func (e *Engine) ColoringLF(ctx context.Context, g Graph) (colors []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { colors = core.ColoringLF(s, g, e.seed) })
-	return
-}
-
-// KCore returns the coreness of every vertex and the peeling complexity ρ.
-func (e *Engine) KCore(ctx context.Context, g Graph) (coreness []uint32, rho int, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { coreness, rho = core.KCore(s, g, 0) })
-	return
-}
-
-// ApproxKCore returns corenesses rounded up to powers of two (Slota et al.'s
-// approximate variant, the paper's Table 7 comparator).
-func (e *Engine) ApproxKCore(ctx context.Context, g Graph) (coreness []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { coreness = core.ApproxKCore(s, g) })
-	return
-}
-
-// ApproxSetCover computes an O(log n)-approximate cover of the instance
-// where the set for vertex v covers N(v).
-func (e *Engine) ApproxSetCover(ctx context.Context, g Graph, eps float64) (cover []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { cover = core.ApproxSetCover(s, g, eps, e.seed) })
-	return
-}
-
-// TriangleCount returns the number of triangles of a symmetric graph.
-func (e *Engine) TriangleCount(ctx context.Context, g Graph) (count int64, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { count = core.TriangleCount(s, g) })
-	return
-}
-
-// StatsSym computes undirected-graph statistics (Tables 3, 8-13).
-func (e *Engine) StatsSym(ctx context.Context, name string, g Graph, opt StatsOptions) (gs GraphStats, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { gs = stats.ComputeSym(s, name, g, opt) })
-	return
-}
-
-// StatsDir computes directed-graph statistics (SCCs, directed diameter).
-func (e *Engine) StatsDir(ctx context.Context, name string, g Graph, opt StatsOptions) (gs GraphStats, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { gs = stats.ComputeDir(s, name, g, opt) })
-	return
 }

@@ -16,18 +16,18 @@ func TestEngineCloseIsIdempotentAndKeepsWorking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	before, err := eng.BFS(ctx, g, 0)
+	before, err := eng.Run(ctx, "bfs", Request{Graph: g})
 	if err != nil {
-		t.Fatalf("BFS before Close: %v", err)
+		t.Fatalf("bfs before Close: %v", err)
 	}
 	eng.Close()
 	eng.Close()
-	after, err := eng.BFS(ctx, g, 0)
+	after, err := eng.Run(ctx, "bfs", Request{Graph: g})
 	if err != nil {
-		t.Fatalf("BFS after Close: %v", err)
+		t.Fatalf("bfs after Close: %v", err)
 	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("BFS result changed after Close")
+	if !reflect.DeepEqual(before.Value, after.Value) {
+		t.Fatal("bfs result changed after Close")
 	}
 	if _, err := eng.Build(ctx, RMAT(8, 8, 1)); err != nil {
 		t.Fatalf("Build after Close: %v", err)

@@ -3,6 +3,8 @@ package gbbs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -30,16 +32,19 @@ func TestEngineIsolationConcurrent(t *testing.T) {
 	g := testGraphOnce()
 	ctx := context.Background()
 
-	seq := New(WithThreads(1), WithSeed(3))
-	wantCC, err := seq.Connectivity(ctx, g)
-	if err != nil {
-		t.Fatal(err)
+	// runAll runs cc, mis and bfs on e, returning their Values in order.
+	runAll := func(e *Engine) ([]any, error) {
+		var out []any
+		for _, name := range []string{"cc", "mis", "bfs"} {
+			res, err := e.Run(ctx, name, Request{Graph: g})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res.Value)
+		}
+		return out, nil
 	}
-	wantMIS, err := seq.MIS(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBFS, err := seq.BFS(ctx, g, 0)
+	want, err := runAll(New(WithThreads(1), WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,31 +56,18 @@ func TestEngineIsolationConcurrent(t *testing.T) {
 		New(WithThreads(8), WithSeed(3), WithGrain(256)),
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, len(engines)*3)
+	errs := make(chan error, len(engines))
 	for _, e := range engines {
 		wg.Add(1)
 		go func(e *Engine) {
 			defer wg.Done()
-			cc, err := e.Connectivity(ctx, g)
+			got, err := runAll(e)
 			if err != nil {
 				errs <- err
 				return
 			}
-			mis, err := e.MIS(ctx, g)
-			if err != nil {
-				errs <- err
-				return
-			}
-			bfs, err := e.BFS(ctx, g, 0)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for v := range cc {
-				if cc[v] != wantCC[v] || mis[v] != wantMIS[v] || bfs[v] != wantBFS[v] {
-					errs <- errors.New("engine with p threads disagrees with sequential run")
-					return
-				}
+			if !reflect.DeepEqual(got, want) {
+				errs <- fmt.Errorf("engine with %d threads disagrees with sequential run", e.Threads())
 			}
 		}(e)
 	}
@@ -108,7 +100,7 @@ func TestEngineCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := e.BC(ctx, g, 0)
+	_, err := e.Run(ctx, "bc", Request{Graph: g})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -125,9 +117,6 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 	e := New(WithThreads(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Connectivity(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
 	res, err := e.Run(ctx, "cc", Request{Graph: g})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v (res %+v), want context.Canceled", err, res)
@@ -136,17 +125,18 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 
 // TestEngineDeadline checks deadline expiry surfaces as DeadlineExceeded.
 func TestEngineDeadline(t *testing.T) {
-	g := gen.BuildRMAT(sched, 15, 16, true, false, 13)
+	g := gen.BuildRMAT(sched, 15, 16, false, false, 13)
 	e := New(WithThreads(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := e.SCC(ctx, gen.BuildRMAT(sched, 15, 16, false, false, 13), SCCOpts{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := e.Run(ctx, "scc", Request{Graph: g}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	_ = g
 }
 
-// TestEngineRunDispatch exercises registry dispatch end to end.
+// TestEngineRunDispatch exercises registry dispatch end to end: Value and
+// Summary shapes, and the request checks Run applies before dispatch.
+// TestRunMatchesAcrossThreadsAndForms checks the values themselves.
 func TestEngineRunDispatch(t *testing.T) {
 	g := testGraphOnce()
 	e := New(WithThreads(2), WithSeed(3))
@@ -159,18 +149,8 @@ func TestEngineRunDispatch(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Fatalf("Elapsed = %v, want > 0", res.Elapsed)
 	}
-	labels, ok := res.Value.([]uint32)
-	if !ok {
-		t.Fatalf("cc Value has type %T, want []uint32", res.Value)
-	}
-	want, err := e.Connectivity(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if labels[v] != want[v] {
-			t.Fatal("registry cc result differs from Engine.Connectivity")
-		}
+	if labels, ok := res.Value.([]uint32); !ok || len(labels) != g.N() {
+		t.Fatalf("cc Value has type %T (len %d), want []uint32 of length %d", res.Value, len(labels), g.N())
 	}
 	if !strings.Contains(res.Summary, "components") {
 		t.Fatalf("cc summary %q", res.Summary)

@@ -27,50 +27,47 @@ func pentagonGraph(eng *gbbs.Engine) gbbs.Graph {
 	return build(eng, gbbs.Edges(el), gbbs.Symmetrize())
 }
 
-func ExampleEngine_BFS() {
-	eng := gbbs.New()
-	dist, err := eng.BFS(context.Background(), pentagonGraph(eng), 0)
+// run dispatches the named algorithm on g through eng, exiting on error.
+func run(eng *gbbs.Engine, name string, g gbbs.Graph) gbbs.Result {
+	res, err := eng.Run(context.Background(), name, gbbs.Request{Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(dist)
+	return res
+}
+
+func ExampleEngine_Run_bfs() {
+	eng := gbbs.New()
+	res := run(eng, "bfs", pentagonGraph(eng)) // Request.Source defaults to 0
+	fmt.Println(res.Value)
 	// Output: [0 1 2 1 2]
 }
 
-func ExampleEngine_Connectivity() {
+func ExampleEngine_Run_cc() {
 	eng := gbbs.New()
-	labels, err := eng.Connectivity(context.Background(), pentagonGraph(eng))
-	if err != nil {
-		log.Fatal(err)
-	}
+	labels := run(eng, "cc", pentagonGraph(eng)).Value.([]uint32)
 	num, largest := gbbs.ComponentCount(labels)
 	fmt.Println(num, largest)
 	// Output: 1 5
 }
 
-func ExampleEngine_KCore() {
+func ExampleEngine_Run_kcore() {
 	eng := gbbs.New()
-	coreness, _, err := eng.KCore(context.Background(), pentagonGraph(eng))
-	if err != nil {
-		log.Fatal(err)
-	}
+	coreness := run(eng, "kcore", pentagonGraph(eng)).Value.([]uint32)
 	fmt.Println(coreness, gbbs.Degeneracy(coreness))
 	// Output: [2 2 2 2 1] 2
 }
 
-func ExampleEngine_TriangleCount() {
+func ExampleEngine_Run_tc() {
 	// A triangle plus a dangling edge.
 	eng := gbbs.New()
 	el := &gbbs.EdgeList{N: 4, U: []uint32{0, 1, 2, 2}, V: []uint32{1, 2, 0, 3}}
-	tc, err := eng.TriangleCount(context.Background(), build(eng, gbbs.Edges(el), gbbs.Symmetrize()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tc)
+	res := run(eng, "tc", build(eng, gbbs.Edges(el), gbbs.Symmetrize()))
+	fmt.Println(res.Value)
 	// Output: 1
 }
 
-func ExampleEngine_WeightedBFS() {
+func ExampleEngine_Run_wbfs() {
 	// 0 -> 1 (5), 0 -> 2 (1), 2 -> 1 (1): the shortest path to 1 goes
 	// through 2.
 	eng := gbbs.New()
@@ -80,15 +77,12 @@ func ExampleEngine_WeightedBFS() {
 		V: []uint32{1, 2, 1},
 		W: []int32{5, 1, 1},
 	}
-	dist, err := eng.WeightedBFS(context.Background(), build(eng, gbbs.Edges(el), gbbs.Symmetrize()), 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(dist)
+	res := run(eng, "wbfs", build(eng, gbbs.Edges(el), gbbs.Symmetrize()))
+	fmt.Println(res.Value)
 	// Output: [0 2 1]
 }
 
-func ExampleEngine_MSF() {
+func ExampleEngine_Run_msf() {
 	// Triangle with weights 1, 2, 3: the MSF takes the two lightest edges.
 	eng := gbbs.New()
 	el := &gbbs.EdgeList{
@@ -97,22 +91,20 @@ func ExampleEngine_MSF() {
 		V: []uint32{1, 2, 2},
 		W: []int32{1, 2, 3},
 	}
-	forest, total, err := eng.MSF(context.Background(), build(eng, gbbs.Edges(el), gbbs.Symmetrize()))
-	if err != nil {
-		log.Fatal(err)
+	forest := run(eng, "msf", build(eng, gbbs.Edges(el), gbbs.Symmetrize())).Value.([]gbbs.WEdge)
+	total := 0
+	for _, e := range forest {
+		total += int(e.W)
 	}
 	fmt.Println(len(forest), total)
 	// Output: 2 3
 }
 
-func ExampleEngine_SCC() {
+func ExampleEngine_Run_scc() {
 	// Directed: 0 -> 1 -> 2 -> 0 is one SCC; 3 hangs off it.
 	eng := gbbs.New()
 	el := &gbbs.EdgeList{N: 4, U: []uint32{0, 1, 2, 2}, V: []uint32{1, 2, 0, 3}}
-	labels, err := eng.SCC(context.Background(), build(eng, gbbs.Edges(el)), gbbs.SCCOpts{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	labels := run(eng, "scc", build(eng, gbbs.Edges(el))).Value.([]uint32)
 	num, largest := gbbs.ComponentCount(labels)
 	fmt.Println(num, largest)
 	// Output: 2 3
@@ -123,15 +115,8 @@ func ExampleEncodeCompressed() {
 	g := build(eng, gbbs.Torus(4), gbbs.Symmetrize())
 	cg := build(eng, gbbs.Torus(4), gbbs.Symmetrize(), gbbs.EncodeCompressed(0))
 	// Same algorithms, same answers, on the compressed representation.
-	ctx := context.Background()
-	a, err := eng.BFS(ctx, g, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := eng.BFS(ctx, cg, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	a := run(eng, "bfs", g).Value.([]uint32)
+	b := run(eng, "bfs", cg).Value.([]uint32)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -142,13 +127,10 @@ func ExampleEncodeCompressed() {
 	// Output: true true
 }
 
-func ExampleEngine_Coloring() {
+func ExampleEngine_Run_coloring() {
 	eng := gbbs.New()
 	g := pentagonGraph(eng)
-	colors, err := eng.Coloring(context.Background(), g)
-	if err != nil {
-		log.Fatal(err)
-	}
+	colors := run(eng, "coloring", g).Value.([]uint32)
 	// A cycle plus pendant is 2-colorable... but greedy may use 3 on odd
 	// structures; assert validity instead of exact colors.
 	ok := true

@@ -15,18 +15,18 @@
 //     parallel-byte compression), and Engine.Build materializes the
 //     pipeline;
 //   - the benchmark's 15 theoretically-efficient parallel algorithms with
-//     the work/depth bounds of the paper's Table 1, as methods on Engine;
-//   - a registry (Register, Algorithms, Lookup) for dispatching algorithms
-//     by name with uniform Request/Result types, including declarative
-//     inputs (Request.Input) built through the engine, typed parameter
-//     schemas (Algorithm.Params, validated by Engine.Run with descriptive
-//     errors for unknown or out-of-range options), canonical request
-//     fingerprints (Request.Key) identifying deterministic results, and a
-//     stable JSON encoding of Result shared by the CLI and the HTTP
-//     serving layer;
+//     the work/depth bounds of the paper's Table 1, plus their variants
+//     and the statistics suite behind the paper's Tables 3 and 8–13, all
+//     registered by name (Register, Algorithms, Lookup) and run through
+//     one entry point, Engine.Run, with uniform Request/Result types:
+//     declarative inputs (Request.Input) built through the engine, typed
+//     parameter schemas (Algorithm.Params, validated by Engine.Run with
+//     descriptive errors for unknown or out-of-range options), canonical
+//     request fingerprints (Request.Key) identifying deterministic
+//     results, and a stable JSON encoding of Result shared by the CLI and
+//     the HTTP serving layer;
 //   - a textual spec language (ParseSource, ParseTransforms) describing
-//     sources and transforms on command lines and over the wire;
-//   - the statistics suite behind the paper's Tables 3 and 8–13.
+//     sources and transforms on command lines and over the wire.
 //
 // The HTTP serving layer in the repro/gbbs/serve subpackage builds on all
 // of this: it accepts whole tenant requests — input spec, algorithm name,
@@ -40,23 +40,25 @@
 // An Engine owns an isolated scheduler, so concurrent engines never share
 // parallelism state — one process can serve many requests, each with its own
 // thread budget, seed and context. Both graph construction and algorithm
-// execution run on that private scheduler:
+// execution run on that private scheduler. Every algorithm runs through
+// Engine.Run, which dispatches by registry name with either a prebuilt
+// graph or a declarative input, and returns the output as Result.Value
+// (whose type per algorithm Result documents):
 //
 //	eng := gbbs.New(gbbs.WithThreads(8), gbbs.WithSeed(1))
 //	g, err := eng.Build(ctx, gbbs.RMAT(18, 16, 1), gbbs.Symmetrize())
-//	dist, err := eng.BFS(ctx, g, 0)
-//	labels, err := eng.Connectivity(ctx, g)
-//
-// Engine methods take a context.Context, check it between algorithm rounds
-// (and between build phases), and return ctx.Err() promptly after
-// cancellation or deadline expiry. Name-based dispatch goes through the
-// registry, with either a prebuilt graph or a declarative input:
-//
 //	res, err := eng.Run(ctx, "bfs", gbbs.Request{Graph: g, Source: 0})
-//	res, err := eng.Run(ctx, "cc", gbbs.Request{Input: &gbbs.InputSpec{
+//	dist := res.Value.([]uint32)
+//	res, err = eng.Run(ctx, "cc", gbbs.Request{Input: &gbbs.InputSpec{
 //		Source:     gbbs.RMAT(18, 16, 1),
 //		Transforms: []gbbs.Transform{gbbs.Symmetrize()},
 //	}})
+//
+// Run checks the request against the algorithm before executing it: the
+// source vertex must be in range, weighted algorithms need a weighted
+// graph, and Opts must match the parameter schema. Build and Run take a
+// context.Context, check it between build phases and algorithm rounds, and
+// return ctx.Err() promptly after cancellation or deadline expiry.
 //
 // All algorithms accept any Graph (uncompressed CSR or compressed); both
 // algorithms and builds are deterministic for a fixed seed, independent of
@@ -83,7 +85,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 )
 
 // Graph is the access interface shared by compressed and uncompressed
@@ -104,15 +105,6 @@ type WEdge = core.WEdge
 
 // Bicc is the biconnectivity query structure (per-vertex labels + forest).
 type Bicc = core.Bicc
-
-// SCCOpts tunes the SCC algorithm (batch growth rate, trimming).
-type SCCOpts = core.SCCOpts
-
-// GraphStats bundles the per-graph statistics of the paper's Tables 8-13.
-type GraphStats = stats.Graph
-
-// StatsOptions tunes statistics computation.
-type StatsOptions = stats.Options
 
 // Inf marks unreachable distances and unassigned labels.
 const Inf = core.Inf
@@ -147,6 +139,3 @@ func NumColors(colors []uint32) int { return core.NumColors(parallel.New(1), col
 
 // ComponentCount returns the number of distinct labels and largest class.
 func ComponentCount(labels []uint32) (int, int) { return core.ComponentCount(parallel.New(1), labels) }
-
-// WriteStats prints a statistics table in the paper's Tables 8-13 layout.
-func WriteStats(w io.Writer, s GraphStats, directed bool) { stats.WriteTable(w, s, directed) }

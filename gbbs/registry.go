@@ -169,9 +169,26 @@ type Result struct {
 	// Summary is a one-line human-readable account of the output (matching
 	// the figures the paper's driver prints).
 	Summary string `json:"summary"`
-	// Value is the algorithm's raw output (e.g. []uint32 distances for bfs,
-	// []WEdge for msf, GraphStats for stats). Its dynamic type is documented
-	// per algorithm.
+	// Value is the algorithm's raw output. Its dynamic type per built-in
+	// algorithm:
+	//
+	//	[]uint32     bfs, wbfs, deltastepping: distances (Inf = unreachable)
+	//	             ldd, cc, incrcc, scc: cluster or component labels
+	//	             spanforest: each vertex's parent
+	//	             coloring, coloring-lf: colors
+	//	             kcore, kcore-faa, approxkcore: corenesses
+	//	             setcover: the vertices whose sets form the cover
+	//	[]int64      bellmanford: distances (InfDist, NegInfDist sentinels)
+	//	[]float64    bc: dependency scores
+	//	[]bool       mis, misprefix: set membership
+	//	[]WEdge      msf: forest edges; mm: matched edges
+	//	*Bicc        bicc
+	//	int64        tc: the triangle count
+	//	fmt.Stringer stats, stats-dir: the paper's statistics table
+	//
+	// A few figures exist only in Summary: kcore's peeling rounds ρ,
+	// spanforest's tree count, bellmanford's negative-cycle flag and msf's
+	// total weight.
 	Value any `json:"value,omitempty"`
 	// Elapsed is the wall-clock running time of the algorithm itself
 	// (excluding graph loading), filled in by Engine.Run.

@@ -55,11 +55,10 @@ func TestEnginePoolBudgetCapsRetention(t *testing.T) {
 	p.Put(b)
 	// The evicted engine was closed but must stay usable (sequentially):
 	// a racing request holding it cannot be corrupted.
-	var dist []uint32
 	g := buildTestGraph(t)
-	dist, err := a.BFS(context.Background(), g, 0)
-	if err != nil || len(dist) != g.N() {
-		t.Fatalf("evicted engine BFS: err=%v len=%d", err, len(dist))
+	res, err := a.Run(context.Background(), "bfs", gbbs.Request{Graph: g})
+	if dist, _ := res.Value.([]uint32); err != nil || len(dist) != g.N() {
+		t.Fatalf("evicted engine bfs: err=%v len=%d", err, len(dist))
 	}
 }
 

@@ -283,7 +283,7 @@ func TestDegradedModeOnWALFailure(t *testing.T) {
 		t.Fatalf("degraded mode did not stick: %v", err)
 	}
 	// Reads still serve the last good version.
-	if _, err := eng.UnionFindConnectivity(ctx, snap.Graph); err != nil {
+	if _, err := ccLabels(ctx, eng, snap.Graph); err != nil {
 		t.Fatal(err)
 	}
 	dur := st.Durability()

@@ -145,6 +145,16 @@ func TestStoreCompaction(t *testing.T) {
 	}
 }
 
+// ccLabels runs "incrcc" on g from scratch (no Request.Incr), giving the
+// canonical labelling a CCState carries.
+func ccLabels(ctx context.Context, e *gbbs.Engine, g gbbs.Graph) ([]uint32, error) {
+	res, err := e.Run(ctx, "incrcc", gbbs.Request{Graph: g})
+	if err != nil {
+		return nil, err
+	}
+	return res.Value.([]uint32), nil
+}
+
 func TestStoreCCStateRoundTrip(t *testing.T) {
 	e := gbbs.New(gbbs.WithThreads(2))
 	defer e.Close()
@@ -157,7 +167,7 @@ func TestStoreCCStateRoundTrip(t *testing.T) {
 	if st.CCState("g", 1) != nil {
 		t.Fatal("state before any save")
 	}
-	labels1, err := e.UnionFindConnectivity(ctx, g)
+	labels1, err := ccLabels(ctx, e, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestStoreCCStateRoundTrip(t *testing.T) {
 	}
 	// A newer save trims the log; stale saves are ignored.
 	snap, _ := st.Get("g")
-	labels3, err := e.UnionFindConnectivity(ctx, snap.Graph)
+	labels3, err := ccLabels(ctx, e, snap.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,7 @@ func TestStoreLogOverflowDropsState(t *testing.T) {
 	if _, err := st.Create("g", g, "grid:8"); err != nil {
 		t.Fatal(err)
 	}
-	labels, err := e.UnionFindConnectivity(ctx, g)
+	labels, err := ccLabels(ctx, e, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +238,7 @@ func TestStoreLogOverflowDropsState(t *testing.T) {
 	// And the incremental chain cannot silently resume from the stale
 	// labelling: a save for the current version re-seeds it.
 	snap, _ := st.Get("g")
-	labels3, err := e.UnionFindConnectivity(ctx, snap.Graph)
+	labels3, err := ccLabels(ctx, e, snap.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +281,7 @@ func TestStoreConcurrentApplyAndRead(t *testing.T) {
 				}
 				// Run connectivity on whatever version we got; the
 				// snapshot must stay coherent while updates land.
-				if _, err := e.UnionFindConnectivity(ctx, snap.Graph); err != nil {
+				if _, err := ccLabels(ctx, e, snap.Graph); err != nil {
 					t.Error(err)
 					return
 				}

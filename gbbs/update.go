@@ -12,8 +12,8 @@ import (
 
 // This file is the public face of the update subsystem: batch edge
 // insertion producing versioned snapshots (Engine.ApplyEdges, Overlay,
-// Engine.Compact) and connectivity over the resulting edge stream
-// (Engine.UnionFindConnectivity, Engine.IncrementalConnectivity, CCState).
+// Engine.Compact) and connectivity over the resulting edge stream (the
+// "incrcc" algorithm, Engine.IncrementalConnectivity, CCState).
 // The gbbs/store package composes these into a named, versioned graph
 // store; the serving layer exposes that store over HTTP.
 
@@ -108,10 +108,10 @@ func (e *Engine) ReadBinaryChecked(ctx context.Context, r io.Reader) (*CSR, erro
 
 // CCState carries connectivity knowledge forward across edge insertions:
 // Labels is the canonical labelling of some earlier snapshot (as produced
-// by the "incrcc" algorithm or Engine.UnionFindConnectivity) and Batches
-// holds every batch inserted since that snapshot, in application order.
-// Attached to Request.Incr it lets the incrcc runner answer in time
-// proportional to the insertions instead of the graph.
+// by the "incrcc" algorithm) and Batches holds every batch inserted since
+// that snapshot, in application order. Attached to Request.Incr it lets the
+// incrcc runner answer in time proportional to the insertions instead of
+// the graph.
 type CCState struct {
 	// Labels maps each vertex to the minimum vertex id of its component in
 	// the snapshot the state was captured on.
@@ -121,21 +121,10 @@ type CCState struct {
 	Batches []*UpdateBatch
 }
 
-// UnionFindConnectivity labels connected components with the concurrent
-// min-hooking union-find (Simsiri et al.), treating directed edges as
-// undirected. Unlike Connectivity the labelling is canonical — each vertex
-// gets the minimum vertex id of its component, independent of seed and
-// thread count — and is a valid CCState.Labels for later incremental
-// updates.
-func (e *Engine) UnionFindConnectivity(ctx context.Context, g Graph) (labels []uint32, err error) {
-	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.UnionFindCC(s, g) })
-	return
-}
-
 // IncrementalConnectivity updates a canonical labelling after edge
 // insertions, uniting only the batch edges — O(b·α(n)) expected work for b
-// inserted edges, independent of graph size. The result equals
-// UnionFindConnectivity on the post-insertion snapshot exactly, so callers
+// inserted edges, independent of graph size. The result equals the
+// "incrcc" algorithm on the post-insertion snapshot exactly, so callers
 // may hand it out (and cache it) interchangeably. prev is not modified.
 func (e *Engine) IncrementalConnectivity(ctx context.Context, prev []uint32, batches []*UpdateBatch) (labels []uint32, err error) {
 	err = e.exec(ctx, func(s *parallel.Scheduler) { labels = core.IncrementalCC(s, prev, batches) })
