@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve examples-smoke loc clean
+.PHONY: all build test race allocs race-serve test-crash fuzz-smoke vet lint fmt fmt-check bench-parallel bench-build serve smoke-serve examples-smoke loc clean
 
 all: build test
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation budgets: a call's heap allocations on a one-worker scheduler
+# must not grow with the graph (a visit closure per block, never per
+# vertex). testing.AllocsPerRun is not reliable under the race detector, so
+# these tests skip there and run here without it.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/ligra ./internal/core ./internal/graph ./internal/compress
 
 # Double-run the race-prone packages (server concurrency: limiter fairness,
 # async jobs, singleflight caches; scheduler internals; the benchmark's

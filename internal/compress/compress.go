@@ -61,31 +61,26 @@ func FromCSR(s *parallel.Scheduler, g *graph.CSR, blockSize int) *Graph {
 	return out
 }
 
-// FromFunc builds a compressed graph directly from neighbor-emitting
-// callbacks, without materializing a CSR first — the paper's §B uses this
-// shape to create triangle counting's degree-ordered directed graph
-// "encoded in the parallel-byte format in O(m) work". deg must match the
-// number of neighbors emit produces; neighbors must be emitted in sorted
-// order. emit is called twice per vertex (measuring pass, encoding pass).
-func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, deg func(v uint32) int, emit func(v uint32, add func(u uint32, w int32))) *Graph {
+// FromFunc builds a compressed, unweighted graph from the out-edges (v, u)
+// of src for which keep(v, u) holds, without materializing a CSR first —
+// the paper's §B uses this shape to create triangle counting's
+// degree-ordered directed graph "encoded in the parallel-byte format in O(m)
+// work". src's adjacency must be sorted; its order is preserved. keep is
+// called twice per edge (measuring pass, encoding pass) and must give the
+// same answer both times.
+func FromFunc(s *parallel.Scheduler, src graph.Graph, symmetric bool, blockSize int, keep func(v, u uint32) bool) *Graph {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	collect := func(v uint32, buf []uint32) []uint32 {
-		buf = buf[:0]
-		emit(v, func(u uint32, _ int32) { buf = append(buf, u) })
-		return buf
-	}
+	n := src.N()
 	g := &Graph{n: n, weighted: false, blockSize: blockSize, symmetric: symmetric}
 	g.degrees = make([]int32, n)
 	sizes := make([]int64, n)
 	s.ForRange(n, 64, func(lo, hi int) {
-		var buf []uint32
-		for v := lo; v < hi; v++ {
-			buf = collect(uint32(v), buf)
-			g.degrees[v] = int32(len(buf))
-			sizes[v] = int64(encodedSize(uint32(v), buf, nil, blockSize))
-		}
+		eachKept(src, lo, hi, keep, func(v uint32, ns []uint32) {
+			g.degrees[v] = int32(len(ns))
+			sizes[v] = int64(encodedSize(v, ns, nil, blockSize))
+		})
 	})
 	g.offsets = make([]int64, n+1)
 	total := prims.Scan(s, sizes, g.offsets[:n])
@@ -94,19 +89,37 @@ func FromFunc(s *parallel.Scheduler, n int, symmetric bool, blockSize int, deg f
 	m := 0
 	s.Poll()
 	s.ForRange(n, 64, func(lo, hi int) {
-		var buf []uint32
-		for v := lo; v < hi; v++ {
-			buf = collect(uint32(v), buf)
-			if len(buf) > 0 {
-				encodeVertex(g.data[g.offsets[v]:g.offsets[v]:g.offsets[v+1]], uint32(v), buf, nil, blockSize)
+		eachKept(src, lo, hi, keep, func(v uint32, ns []uint32) {
+			if len(ns) > 0 {
+				encodeVertex(g.data[g.offsets[v]:g.offsets[v]:g.offsets[v+1]], v, ns, nil, blockSize)
 			}
-		}
+		})
 	})
 	for v := 0; v < n; v++ {
 		m += int(g.degrees[v])
 	}
 	g.m = m
 	return g
+}
+
+// eachKept calls body(v, ns) for each v in [lo, hi), where ns holds the
+// out-neighbors u of v in src with keep(v, u), in adjacency order. ns is
+// reused from one call to the next, and one visit closure serves the whole
+// range.
+func eachKept(src graph.Graph, lo, hi int, keep func(v, u uint32) bool, body func(v uint32, ns []uint32)) {
+	var v uint32
+	var buf []uint32
+	collect := func(u uint32, _ int32) bool {
+		if keep(v, u) {
+			buf = append(buf, u)
+		}
+		return true
+	}
+	for i := lo; i < hi; i++ {
+		v, buf = uint32(i), buf[:0]
+		src.OutNgh(v, collect)
+		body(v, buf)
+	}
 }
 
 // encodeDirection builds one direction of the compressed graph with a

@@ -188,11 +188,7 @@ func TestCompressionRatio(t *testing.T) {
 func TestFromFuncMatchesFromCSR(t *testing.T) {
 	csr := gen.BuildRMAT(sched, 9, 8, true, false, 13)
 	direct := FromCSR(sched, csr, 16)
-	viaFunc := FromFunc(sched, csr.N(), true, 16,
-		func(v uint32) int { return csr.OutDeg(v) },
-		func(v uint32, add func(u uint32, w int32)) {
-			csr.OutNgh(v, func(u uint32, w int32) bool { add(u, w); return true })
-		})
+	viaFunc := FromFunc(sched, csr, true, 16, func(v, u uint32) bool { return true })
 	if viaFunc.M() != direct.M() || viaFunc.N() != direct.N() {
 		t.Fatalf("sizes: %d/%d vs %d/%d", viaFunc.N(), viaFunc.M(), direct.N(), direct.M())
 	}
@@ -214,27 +210,16 @@ func TestFromFuncFiltered(t *testing.T) {
 		}
 		return v < u
 	}
-	dg := FromFunc(sched, csr.N(), false, 0,
-		func(v uint32) int {
-			d := 0
-			csr.OutNgh(v, func(u uint32, _ int32) bool {
-				if keep(v, u) {
-					d++
-				}
-				return true
-			})
-			return d
-		},
-		func(v uint32, add func(u uint32, w int32)) {
-			csr.OutNgh(v, func(u uint32, w int32) bool {
-				if keep(v, u) {
-					add(u, w)
-				}
-				return true
-			})
-		})
+	dg := FromFunc(sched, csr, false, 0, keep)
 	if dg.M()*2 != csr.M() {
 		t.Fatalf("directed M=%d, want half of %d", dg.M(), csr.M())
+	}
+	// The CSR builder over the same predicate keeps the same edges.
+	ref := graph.FromAdjacency(sched, csr, false, keep)
+	for v := uint32(0); int(v) < csr.N(); v++ {
+		if !slices.Equal(dg.DecodeOut(v, nil), ref.OutNghSlice(v)) {
+			t.Fatalf("FromFunc and FromAdjacency disagree at %d", v)
+		}
 	}
 }
 

@@ -1,0 +1,70 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/parallel"
+)
+
+// The per-vertex edge passes build their visit closures once per block, so
+// on a one-worker scheduler (one block per loop) their allocations per call
+// do not grow with the graph, on the CSR and on the compressed form.
+func TestPerVertexPassAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := parallel.New(1)
+	defer s.Close()
+	// Each pass prepares its inputs outside the measured call, which it
+	// returns.
+	passes := map[string]func(g graph.Graph) func(){
+		"contractEdges": func(g graph.Graph) func() {
+			labels := make([]uint32, g.N())
+			for v := range labels {
+				labels[v] = uint32(v / 4)
+			}
+			k := (g.N() + 3) / 4
+			return func() { contractEdges(s, g, labels, k) }
+		},
+		"extractEdges": func(g graph.Graph) func() {
+			return func() { extractEdges(s, g, false) }
+		},
+		"NumBiccLabels": func(g graph.Graph) func() {
+			b := Biconnectivity(s, g, 0.2, 1)
+			return func() { NumBiccLabels(s, g, b) }
+		},
+		"gatherNeighbors": func(g graph.Graph) func() {
+			ids := make([]uint32, g.N())
+			offsets := make([]int64, g.N())
+			total := int64(0)
+			for v := range ids {
+				ids[v] = uint32(v)
+				offsets[v] = total
+				total += int64(g.OutDeg(uint32(v)))
+			}
+			dst := make([]uint32, total)
+			return func() { gatherNeighbors(s, g, ids, offsets, dst) }
+		},
+	}
+	sides := [2]int{32, 128}
+	for name, prepare := range passes {
+		for _, compressed := range []bool{false, true} {
+			var allocs [2]float64
+			for i, side := range sides {
+				csr := graph.FromEdgeList(s, side*side, gen.Grid2D(side), graph.BuildOptions{Symmetrize: true})
+				var g graph.Graph = csr
+				if compressed {
+					g = compress.FromCSR(s, csr, 0)
+				}
+				allocs[i] = testing.AllocsPerRun(10, prepare(g))
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("%s (compressed=%v): %v allocs per call at side %d, %v at side %d; want equal",
+					name, compressed, allocs[0], sides[0], allocs[1], sides[1])
+			}
+		}
+	}
+}

@@ -43,13 +43,16 @@ func ApproxKCore(s *parallel.Scheduler, g graph.Graph) []uint32 {
 					core[peel[i]] = t
 				}
 			})
-			s.For(len(peel), 32, func(i int) {
-				g.OutNgh(peel[i], func(u uint32, _ int32) bool {
+			s.ForRange(len(peel), 32, func(lo, hi int) {
+				decrement := func(u uint32, _ int32) bool {
 					if !removed[u] {
 						atomic.AddUint32(&deg[u], ^uint32(0))
 					}
 					return true
-				})
+				}
+				for i := lo; i < hi; i++ {
+					g.OutNgh(peel[i], decrement)
+				}
 			})
 		}
 		if t == 0 {

@@ -151,20 +151,22 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 		s.Poll()
 		ls := levelSlice(li)
 		s.ForRange(len(ls), 64, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := uint32(ls[i])
-				lv, hv := pn[v], pn[v]
-				g.OutNgh(v, func(u uint32, _ int32) bool {
-					if parent[u] != v && parent[v] != u {
-						if pn[u] < lv {
-							lv = pn[u]
-						}
-						if pn[u] > hv {
-							hv = pn[u]
-						}
+			var v, lv, hv uint32
+			reach := func(u uint32, _ int32) bool {
+				if parent[u] != v && parent[v] != u {
+					if pn[u] < lv {
+						lv = pn[u]
 					}
-					return true
-				})
+					if pn[u] > hv {
+						hv = pn[u]
+					}
+				}
+				return true
+			}
+			for i := lo; i < hi; i++ {
+				v = uint32(ls[i])
+				lv, hv = pn[v], pn[v]
+				g.OutNgh(v, reach)
 				for _, c := range children(v) {
 					if low[c] < lv {
 						lv = low[c]
@@ -194,25 +196,9 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 
 	// Connectivity of G with critical edges removed yields the per-vertex
 	// labels of the query structure.
-	filtered := graph.FromAdjacency(s, n, true,
-		func(v uint32) int {
-			d := 0
-			g.OutNgh(v, func(u uint32, _ int32) bool {
-				if !isCritical(critical, parent, v, u) {
-					d++
-				}
-				return true
-			})
-			return d
-		},
-		func(v uint32, add func(u uint32, w int32)) {
-			g.OutNgh(v, func(u uint32, w int32) bool {
-				if !isCritical(critical, parent, v, u) {
-					add(u, w)
-				}
-				return true
-			})
-		})
+	filtered := graph.FromAdjacency(s, g, true, func(v, u uint32) bool {
+		return !isCritical(critical, parent, v, u)
+	})
 	labels := Connectivity(s, filtered, beta, seed^0x5ca1ab1e)
 	return &Bicc{Parent: parent, Level: level, Labels: labels}
 }
@@ -262,13 +248,16 @@ func NumBiccLabels(s *parallel.Scheduler, g graph.Graph, b *Bicc) int {
 		}
 	})
 	s.ForRange(n, 64, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if u > uint32(v) {
-					atomics.Store32(&seen[b.EdgeLabel(uint32(v), u)], 1)
-				}
-				return true
-			})
+		var v uint32
+		mark := func(u uint32, _ int32) bool {
+			if u > v {
+				atomics.Store32(&seen[b.EdgeLabel(v, u)], 1)
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			v = uint32(i)
+			g.OutNgh(v, mark)
 		}
 	})
 	return prims.Count(s, n, func(i int) bool { return seen[i] == 1 })

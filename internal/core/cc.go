@@ -49,15 +49,17 @@ func contractEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32, k int)
 	// then fill.
 	counts := make([]int64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
+		var lv uint32
+		var c int64
+		count := func(u uint32, _ int32) bool {
+			if labels[u] > lv {
+				c++
+			}
+			return true
+		}
 		for v := lo; v < hi; v++ {
-			lv := labels[v]
-			c := int64(0)
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if labels[u] > lv {
-					c++
-				}
-				return true
-			})
+			lv, c = labels[v], 0
+			g.OutNgh(uint32(v), count)
 			counts[v] = c
 		}
 	})
@@ -66,17 +68,21 @@ func contractEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32, k int)
 	el := &graph.EdgeList{N: k}
 	el.U = make([]uint32, total)
 	el.V = make([]uint32, total)
-	s.For(n, 64, func(v int) {
-		lv := labels[v]
-		i := offsets[v]
-		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
+	s.ForRange(n, 64, func(lo, hi int) {
+		var lv uint32
+		var i int64
+		fill := func(u uint32, _ int32) bool {
 			if labels[u] > lv {
 				el.U[i] = lv
 				el.V[i] = labels[u]
 				i++
 			}
 			return true
-		})
+		}
+		for v := lo; v < hi; v++ {
+			lv, i = labels[v], offsets[v]
+			g.OutNgh(uint32(v), fill)
+		}
 	})
 	return el
 }

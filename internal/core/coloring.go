@@ -54,15 +54,17 @@ func coloring(s *parallel.Scheduler, g graph.Graph, seed uint64, llf bool) []uin
 	}
 	priority := make([]uint32, n)
 	s.ForRange(n, 64, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			c := uint32(0)
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if precedes(u, uint32(v)) {
-					c++
-				}
-				return true
-			})
-			priority[v] = c
+		var v, c uint32
+		count := func(u uint32, _ int32) bool {
+			if precedes(u, v) {
+				c++
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			v, c = uint32(i), 0
+			g.OutNgh(v, count)
+			priority[i] = c
 		}
 	})
 	colors := make([]uint32, n)
@@ -76,12 +78,19 @@ func coloring(s *parallel.Scheduler, g graph.Graph, seed uint64, llf bool) []uin
 	assignAll := func(ids []uint32) {
 		s.ForRange(len(ids), 64, func(lo, hi int) {
 			var used []bool
+			var d int
+			mark := func(u uint32, _ int32) bool {
+				if c := atomic.LoadUint32(&colors[u]); c != Inf && int(c) < d {
+					used[c] = true
+				}
+				return true
+			}
 			for i := lo; i < hi; i++ {
 				v := ids[i]
 				// Smallest color not used by colored neighbors; at most
 				// deg(v) neighbors, so a color in [0, deg(v)] is always
 				// free.
-				d := g.OutDeg(v) + 1
+				d = g.OutDeg(v) + 1
 				if cap(used) < d {
 					used = make([]bool, d)
 				}
@@ -89,12 +98,7 @@ func coloring(s *parallel.Scheduler, g graph.Graph, seed uint64, llf bool) []uin
 				for c := range used {
 					used[c] = false
 				}
-				g.OutNgh(v, func(u uint32, _ int32) bool {
-					if c := atomic.LoadUint32(&colors[u]); c != Inf && int(c) < d {
-						used[c] = true
-					}
-					return true
-				})
+				g.OutNgh(v, mark)
 				for c := range used {
 					if !used[c] {
 						atomic.StoreUint32(&colors[v], uint32(c))

@@ -55,10 +55,9 @@ func DeltaStepping(s *parallel.Scheduler, g graph.Graph, src uint32, delta int32
 		moved := make([]uint32, 0, len(frontier))
 		var cnt atomic.Int64
 		out := make([]uint32, upperDeg(s, g, frontier))
-		s.For(len(frontier), 16, func(i int) {
-			u := frontier[i]
-			du := atomics.Load32(&dist[u])
-			g.OutNgh(u, func(v uint32, w int32) bool {
+		s.ForRange(len(frontier), 16, func(lo, hi int) {
+			var du uint32
+			visit := func(v uint32, w int32) bool {
 				if (uint32(w) <= width) != light {
 					return true
 				}
@@ -68,7 +67,11 @@ func DeltaStepping(s *parallel.Scheduler, g graph.Graph, src uint32, delta int32
 					}
 				}
 				return true
-			})
+			}
+			for i := lo; i < hi; i++ {
+				du = atomics.Load32(&dist[frontier[i]])
+				g.OutNgh(frontier[i], visit)
+			}
 		})
 		moved = append(moved, out[:cnt.Load()]...)
 		for _, v := range moved {

@@ -23,14 +23,17 @@ func extractEdges(s *parallel.Scheduler, g graph.Graph, weighted bool) (eu, ev [
 	n := g.N()
 	counts := make([]int64, n)
 	s.ForRange(n, 64, func(lo, hi int) {
+		var src uint32
+		var c int64
+		count := func(u uint32, _ int32) bool {
+			if u > src {
+				c++
+			}
+			return true
+		}
 		for v := lo; v < hi; v++ {
-			c := int64(0)
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if u > uint32(v) {
-					c++
-				}
-				return true
-			})
+			src, c = uint32(v), 0
+			g.OutNgh(src, count)
 			counts[v] = c
 		}
 	})
@@ -41,11 +44,12 @@ func extractEdges(s *parallel.Scheduler, g graph.Graph, weighted bool) (eu, ev [
 	if weighted {
 		ew = make([]int32, total)
 	}
-	s.For(n, 64, func(v int) {
-		i := offsets[v]
-		g.OutNgh(uint32(v), func(u uint32, w int32) bool {
-			if u > uint32(v) {
-				eu[i] = uint32(v)
+	s.ForRange(n, 64, func(lo, hi int) {
+		var src uint32
+		var i int64
+		fill := func(u uint32, w int32) bool {
+			if u > src {
+				eu[i] = src
 				ev[i] = u
 				if ew != nil {
 					ew[i] = w
@@ -53,7 +57,11 @@ func extractEdges(s *parallel.Scheduler, g graph.Graph, weighted bool) (eu, ev [
 				i++
 			}
 			return true
-		})
+		}
+		for v := lo; v < hi; v++ {
+			src, i = uint32(v), offsets[v]
+			g.OutNgh(src, fill)
+		}
 	})
 	return eu, ev, ew
 }

@@ -96,14 +96,19 @@ func UnionFindCC(s *parallel.Scheduler, g graph.Graph) []uint32 {
 	})
 	s.Poll()
 	sym := g.Symmetric()
-	s.For(n, 32, func(v int) {
-		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
+	s.ForRange(n, 32, func(lo, hi int) {
+		var v uint32
+		unite := func(u uint32, _ int32) bool {
 			// A symmetric graph stores both directions; uniting one suffices.
-			if !sym || u > uint32(v) {
-				ufUnite(parent, uint32(v), u)
+			if !sym || u > v {
+				ufUnite(parent, v, u)
 			}
 			return true
-		})
+		}
+		for i := lo; i < hi; i++ {
+			v = uint32(i)
+			g.OutNgh(v, unite)
+		}
 	})
 	ufFlatten(s, parent)
 	return parent

@@ -84,14 +84,7 @@ func kcore(s *parallel.Scheduler, g graph.Graph, useHistogram bool) ([]uint32, i
 		})
 		total := prims.Scan(s, degs[:len(ids)], offsets[:len(ids)])
 		removedNghs = growU32(removedNghs, int(total))
-		s.For(len(ids), 16, func(i int) {
-			o := offsets[i]
-			g.OutNgh(ids[i], func(u uint32, _ int32) bool {
-				removedNghs[o] = u
-				o++
-				return true
-			})
-		})
+		gatherNeighbors(s, g, ids, offsets, removedNghs)
 		aliveBuf = growU32(aliveBuf, int(total))
 		nAlive := prims.FilterInto(s, removedNghs[:total], aliveBuf, func(u uint32) bool { return !finishedFlag[u] })
 		alive := aliveBuf[:nAlive]
@@ -154,6 +147,24 @@ func growU32(buf []uint32, n int) []uint32 {
 		return make([]uint32, n)
 	}
 	return buf[:n]
+}
+
+// gatherNeighbors writes the out-neighbors of each ids[i], in adjacency
+// order, into dst from offsets[i] on (offsets is the exclusive scan of the
+// ids' degrees).
+func gatherNeighbors(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets []int64, dst []uint32) {
+	s.ForRange(len(ids), 16, func(lo, hi int) {
+		var o int64
+		gather := func(u uint32, _ int32) bool {
+			dst[o] = u
+			o++
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			o = offsets[i]
+			g.OutNgh(ids[i], gather)
+		}
+	})
 }
 
 // decrementCoreness applies Algorithm 13's DecrementCoreness: reduce v's

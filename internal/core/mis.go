@@ -26,14 +26,16 @@ func MIS(s *parallel.Scheduler, g graph.Graph, seed uint64) []bool {
 	// priority[v] = number of neighbors that precede v in the random order.
 	priority := make([]uint32, n)
 	s.ForRange(n, 64, func(lo, hi int) {
+		var rv, c uint32
+		count := func(u uint32, _ int32) bool {
+			if rank[u] < rv {
+				c++
+			}
+			return true
+		}
 		for v := lo; v < hi; v++ {
-			c := uint32(0)
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if rank[u] < rank[uint32(v)] {
-					c++
-				}
-				return true
-			})
+			rv, c = rank[v], 0
+			g.OutNgh(uint32(v), count)
 			priority[v] = c
 		}
 	})

@@ -49,8 +49,28 @@ func MISPrefix(s *parallel.Scheduler, g graph.Graph, seed uint64) []bool {
 			s.Poll()
 			decided := make([]uint32, len(pending))
 			s.ForRange(len(pending), 128, func(lo, hiB int) {
+				// A vertex's state is decided by its earlier-rank
+				// neighbors: Out when one is in the set, In when every
+				// one is decided out, undecided otherwise.
+				var rv, result uint32
+				decide := func(u uint32, _ int32) bool {
+					if rank[u] >= rv {
+						return true
+					}
+					switch status[u] {
+					case misIn:
+						result = misOut
+						return false
+					case misUndecided:
+						result = misUndecided
+					}
+					return true
+				}
 				for i := lo; i < hiB; i++ {
-					decided[i] = decide(g, rank, status, pending[i])
+					v := pending[i]
+					rv, result = rank[v], misIn
+					g.OutNgh(v, decide)
+					decided[i] = result
 				}
 			})
 			// Commit decisions after the scan so one iteration's decisions
@@ -73,25 +93,4 @@ func MISPrefix(s *parallel.Scheduler, g graph.Graph, seed uint64) []bool {
 		}
 	})
 	return out
-}
-
-// decide returns v's state if determined by its earlier-rank neighbors:
-// Out when an earlier neighbor is in the set, In when every earlier neighbor
-// is decided out, undecided otherwise.
-func decide(g graph.Graph, rank, status []uint32, v uint32) uint32 {
-	result := misIn
-	g.OutNgh(v, func(u uint32, _ int32) bool {
-		if rank[u] >= rank[v] {
-			return true
-		}
-		switch status[u] {
-		case misIn:
-			result = misOut
-			return false
-		case misUndecided:
-			result = misUndecided
-		}
-		return true
-	})
-	return result
 }

@@ -156,32 +156,33 @@ func SCC(s *parallel.Scheduler, g graph.Graph, seed uint64, opt SCCOpts) []uint3
 // forms a singleton SCC labeled n+v (distinct from all center ranks).
 func trim(s *parallel.Scheduler, g graph.Graph, labels []uint32, done []uint32, rounds int) {
 	n := g.N()
+	drop := make([]bool, n)
 	for r := 0; r < rounds; r++ {
-		trimmed := prims.PackIndex(s, n, func(v int) bool {
-			if atomics.Bit(done, v) {
-				return false
-			}
-			hasOut := false
-			g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-				if !atomics.Bit(done, int(u)) && u != uint32(v) {
-					hasOut = true
+		s.ForRange(n, 0, func(lo, hi int) {
+			var v uint32
+			var found bool
+			active := func(u uint32, _ int32) bool {
+				if !atomics.Bit(done, int(u)) && u != v {
+					found = true
 					return false
 				}
 				return true
-			})
-			if !hasOut {
-				return true
 			}
-			hasIn := false
-			g.InNgh(uint32(v), func(u uint32, _ int32) bool {
-				if !atomics.Bit(done, int(u)) && u != uint32(v) {
-					hasIn = true
-					return false
+			for i := lo; i < hi; i++ {
+				if atomics.Bit(done, i) {
+					drop[i] = false
+					continue
 				}
-				return true
-			})
-			return !hasIn
+				v, found = uint32(i), false
+				g.OutNgh(v, active)
+				if found {
+					found = false
+					g.InNgh(v, active)
+				}
+				drop[i] = !found
+			}
 		})
+		trimmed := prims.PackIndex(s, n, func(v int) bool { return drop[v] })
 		if len(trimmed) == 0 {
 			return
 		}
@@ -252,15 +253,14 @@ func markReachable(s *parallel.Scheduler, g graph.Graph, perm []uint32, centerRa
 		table.Reserve(bound)
 		next := make([]uint32, bound)
 		var cnt atomic.Int64
-		s.For(len(frontier), 16, func(i int) {
-			u := frontier[i]
+		s.ForRange(len(frontier), 16, func(lo, hi int) {
 			var labs [16]uint32
 			labels := labs[:0]
-			table.ForEachOf(u, func(cr uint32) bool {
+			collect := func(cr uint32) bool {
 				labels = append(labels, cr)
 				return true
-			})
-			g.OutNgh(u, func(v uint32, _ int32) bool {
+			}
+			visit := func(v uint32, _ int32) bool {
 				if atomics.Bit(done, int(v)) {
 					return true
 				}
@@ -280,7 +280,13 @@ func markReachable(s *parallel.Scheduler, g graph.Graph, perm []uint32, centerRa
 					}
 				}
 				return true
-			})
+			}
+			for i := lo; i < hi; i++ {
+				u := frontier[i]
+				labels = labels[:0]
+				table.ForEachOf(u, collect)
+				g.OutNgh(u, visit)
+			}
 		})
 		frontier = next[:cnt.Load()]
 		s.ForRange(len(frontier), 0, func(lo, hi int) {

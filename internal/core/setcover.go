@@ -51,13 +51,17 @@ func ApproxSetCover(s *parallel.Scheduler, g graph.Graph, eps float64, seed uint
 	total := prims.Scan(s, dtmp, off[:n])
 	off[n] = total
 	adj := make([]uint32, total)
-	s.For(n, 64, func(v int) {
-		i := off[v]
-		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
+	s.ForRange(n, 64, func(lo, hi int) {
+		var i int64
+		copyNgh := func(u uint32, _ int32) bool {
 			adj[i] = u
 			i++
 			return true
-		})
+		}
+		for v := lo; v < hi; v++ {
+			i = off[v]
+			g.OutNgh(uint32(v), copyNgh)
+		}
 	})
 	maxDeg := 0
 	for v := 0; v < n; v++ {

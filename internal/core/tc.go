@@ -28,29 +28,11 @@ func TriangleCount(s *parallel.Scheduler, g graph.Graph) int64 {
 	// is compressed, the directed graph is built in the parallel-byte
 	// format too, as in the paper's §B ("this step creates a directed graph
 	// encoded in the parallel-byte format in O(m) work").
-	dgDeg := func(v uint32) int {
-		d := 0
-		g.OutNgh(v, func(u uint32, _ int32) bool {
-			if rankLess(v, u) {
-				d++
-			}
-			return true
-		})
-		return d
-	}
-	dgEmit := func(v uint32, add func(u uint32, w int32)) {
-		g.OutNgh(v, func(u uint32, w int32) bool {
-			if rankLess(v, u) {
-				add(u, w)
-			}
-			return true
-		})
-	}
 	var dg graph.Graph
 	if _, isCompressed := g.(*compress.Graph); isCompressed {
-		dg = compress.FromFunc(s, n, false, 0, dgDeg, dgEmit)
+		dg = compress.FromFunc(s, g, false, 0, rankLess)
 	} else {
-		dg = graph.FromAdjacency(s, n, false, dgDeg, dgEmit)
+		dg = graph.FromAdjacency(s, g, false, rankLess)
 	}
 	// Sum |N+(u) ∩ N+(v)| over directed edges (u, v).
 	bounds := s.Blocks(n, 0)

@@ -176,17 +176,29 @@ func fillOffsets(s *parallel.Scheduler, n int, srcs []uint32, m int) []int64 {
 	return offsets
 }
 
-// FromAdjacency builds a CSR graph directly from per-vertex neighbor
-// functions on scheduler s, used by code that transforms one graph into
-// another (e.g. triangle counting's degree-ordered direction step). deg must
-// match the number of neighbors emit produces for each vertex; neighbors
-// must be emitted in sorted order for algorithms relying on sorted
-// adjacency.
-func FromAdjacency(s *parallel.Scheduler, n int, symmetric bool, deg func(v uint32) int, emit func(v uint32, add func(u uint32, w int32))) *CSR {
+// FromAdjacency builds an unweighted CSR graph on scheduler s from the
+// out-edges (v, u) of src for which keep(v, u) holds, used by code that
+// transforms one graph into another (triangle counting's degree-ordered
+// direction step, biconnectivity's critical-edge filter). Adjacency order is
+// preserved, so sorted input gives sorted output. keep is called twice per
+// edge (counting pass, filling pass) and must give the same answer both
+// times.
+func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric bool, keep func(v, u uint32) bool) *CSR {
+	n := src.N()
 	degs := make([]int64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			degs[v] = int64(deg(uint32(v)))
+		var v uint32
+		var d int64
+		count := func(u uint32, _ int32) bool {
+			if keep(v, u) {
+				d++
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			v, d = uint32(i), 0
+			src.OutNgh(v, count)
+			degs[i] = d
 		}
 	})
 	offsets := make([]int64, n+1)
@@ -194,12 +206,20 @@ func FromAdjacency(s *parallel.Scheduler, n int, symmetric bool, deg func(v uint
 	offsets[n] = total
 	edges := make([]uint32, total)
 	s.Poll()
-	s.For(n, 64, func(v int) {
-		i := offsets[v]
-		emit(uint32(v), func(u uint32, _ int32) {
-			edges[i] = u
-			i++
-		})
+	s.ForRange(n, 64, func(lo, hi int) {
+		var v uint32
+		var j int64
+		add := func(u uint32, _ int32) bool {
+			if keep(v, u) {
+				edges[j] = u
+				j++
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			v, j = uint32(i), offsets[i]
+			src.OutNgh(v, add)
+		}
 	})
 	return &CSR{n: n, offsets: offsets, edges: edges, symmetric: symmetric}
 }

@@ -31,7 +31,9 @@ type Graph interface {
 	InDeg(v uint32) int
 	// OutNgh calls f for each out-neighbor u of v, in adjacency order, with
 	// the edge weight (1 if unweighted). Iteration stops early when f
-	// returns false.
+	// returns false. f escapes through this interface call, so a loop over
+	// vertices builds one f per ForRange block and reuses it, never one per
+	// vertex.
 	OutNgh(v uint32, f func(u uint32, w int32) bool)
 	// InNgh is OutNgh over in-edges.
 	InNgh(v uint32, f func(u uint32, w int32) bool)

@@ -171,10 +171,7 @@ func TestMaxDegreeAndDegrees(t *testing.T) {
 func TestFromAdjacency(t *testing.T) {
 	// Rebuild the small directed graph through FromAdjacency.
 	g := smallDirected()
-	h := FromAdjacency(sched, g.N(), false, func(v uint32) int { return g.OutDeg(v) },
-		func(v uint32, add func(u uint32, w int32)) {
-			g.OutNgh(v, func(u uint32, w int32) bool { add(u, w); return true })
-		})
+	h := FromAdjacency(sched, g, false, func(v, u uint32) bool { return true })
 	if h.M() != g.M() {
 		t.Fatalf("M mismatch %d vs %d", h.M(), g.M())
 	}

@@ -130,21 +130,25 @@ func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, u
 	}
 	var added atomic.Int64
 	s.ForRange(n, 256, func(lo, hi int) {
+		// One visit closure per block: a closure built per vertex escapes
+		// through the interface call and costs one allocation each.
 		local := int64(0)
+		var d uint32
+		visit := func(u uint32, w int32) bool {
+			if inFlags[u] && update(u, d, w) {
+				if outFlags != nil && !outFlags[d] {
+					outFlags[d] = true
+					local++
+				}
+			}
+			return cond(d)
+		}
 		for v := lo; v < hi; v++ {
-			d := uint32(v)
+			d = uint32(v)
 			if !cond(d) {
 				continue
 			}
-			g.InNgh(d, func(u uint32, w int32) bool {
-				if inFlags[u] && update(u, d, w) {
-					if outFlags != nil && !outFlags[d] {
-						outFlags[d] = true
-						local++
-					}
-				}
-				return cond(d)
-			})
+			g.InNgh(d, visit)
 		}
 		added.Add(local)
 	})
@@ -160,10 +164,10 @@ func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, u
 func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets []int, update Update, cond Cond, opt Opts) VertexSubset {
 	n := g.N()
 	out := make([]uint32, offsets[len(ids)])
-	s.For(len(ids), 32, func(i int) {
-		u := ids[i]
-		o := offsets[i]
-		g.OutNgh(u, func(v uint32, w int32) bool {
+	s.ForRange(len(ids), 32, func(lo, hi int) {
+		var u uint32
+		var o int
+		visit := func(v uint32, w int32) bool {
 			if cond(v) && update(u, v, w) {
 				out[o] = v
 			} else {
@@ -171,8 +175,12 @@ func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets [
 			}
 			o++
 			return true
-		})
-		Traffic.Add(int64(o - offsets[i]))
+		}
+		for i := lo; i < hi; i++ {
+			u, o = ids[i], offsets[i]
+			g.OutNgh(u, visit)
+		}
+		Traffic.Add(int64(offsets[hi] - offsets[lo]))
 	})
 	if opt.NoOutput {
 		return Empty(n)
@@ -205,17 +213,19 @@ func edgeMapBlocked(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets 
 		// offset is at most edgeLo.
 		first, _ := slices.BinarySearch(offsets, edgeLo+1)
 		o := edgeLo
+		var u uint32
+		visit := func(v uint32, w int32) bool {
+			if cond(v) && update(u, v, w) {
+				inter[o] = v
+				o++
+			}
+			return true
+		}
 		for i := first - 1; offsets[i] < edgeHi; i++ {
-			u := ids[i]
+			u = ids[i]
 			vLo := max(edgeLo, offsets[i]) - offsets[i]
 			vHi := min(edgeHi, offsets[i+1]) - offsets[i]
-			g.OutRange(u, vLo, vHi, func(v uint32, w int32) bool {
-				if cond(v) && update(u, v, w) {
-					inter[o] = v
-					o++
-				}
-				return true
-			})
+			g.OutRange(u, vLo, vHi, visit)
 		}
 		counts[b] = o - edgeLo
 		Traffic.Add(int64(counts[b]))
