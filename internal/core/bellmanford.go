@@ -42,13 +42,12 @@ func BellmanFord(s *parallel.Scheduler, g graph.Graph, src uint32) ([]int64, boo
 		}
 		return false
 	}
-	cond := func(uint32) bool { return true }
 	for round := 0; round < n; round++ {
 		s.Poll()
 		if frontier.Size() == 0 {
 			return dist, false
 		}
-		frontier = ligra.EdgeMap(s, g, frontier, update, cond, ligra.Opts{})
+		frontier = ligra.EdgeMap(s, g, frontier, update, nil, ligra.Opts{})
 		ligra.VertexMap(s, frontier, func(v uint32) { atomics.Store32(&flags[v], 0) })
 	}
 	if frontier.Size() == 0 {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/seqref"
 )
@@ -26,10 +28,13 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	g := symGraphs()["rmat"]
 	wg := symWeightedGraphs()["rmat-w"]
 	dg := dirGraphs()["rmat-dir"]
+	dwg := dirWeightedGraphs()
 
 	type result struct {
 		bfs      []uint32
 		wbfs     []uint32
+		bf       [][]int64
+		bfNeg    []bool
 		coreness []uint32
 		colors   []uint32
 		mis      []bool
@@ -44,6 +49,11 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		var r result
 		r.bfs = BFS(s, g, 0)
 		r.wbfs = WeightedBFS(s, wg, 0)
+		for _, bg := range []*graph.CSR{wg, dwg["rmat-dir-w"], dwg["neg-cycle"]} {
+			dist, neg := BellmanFord(s, bg, 0)
+			r.bf = append(r.bf, dist)
+			r.bfNeg = append(r.bfNeg, neg)
+		}
 		r.coreness, _ = KCore(s, g, 0)
 		r.colors = Coloring(s, g, 3)
 		r.mis = MIS(s, g, 3)
@@ -75,6 +85,12 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			}
 			if got.mis[v] != base.mis[v] {
 				t.Fatalf("p=%d: MIS differs at %d", p, v)
+			}
+		}
+		for i := range base.bf {
+			if !slices.Equal(got.bf[i], base.bf[i]) || got.bfNeg[i] != base.bfNeg[i] {
+				t.Fatalf("p=%d: Bellman-Ford differs on graph %d (negative cycle %v vs %v)",
+					p, i, got.bfNeg[i], base.bfNeg[i])
 			}
 		}
 		if got.msfW != base.msfW {

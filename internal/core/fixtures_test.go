@@ -66,3 +66,29 @@ func dirGraphs() map[string]*graph.CSR {
 		"dag":        graph.FromEdgeList(sched, 6, dag, graph.BuildOptions{}),
 	}
 }
+
+// dirWeightedGraphs returns directed weighted fixtures for Bellman-Ford,
+// whose dense rounds push over out-edges where a pull reads in-edges.
+// rmat-dir-w is large enough that its rounds go dense. dag-neg keeps only
+// RMAT edges from lower to higher ID, so it has no cycle, and shifts the
+// weights to [-4, 5]; neg-cycle adds a negative 3-cycle reachable from 0.
+func dirWeightedGraphs() map[string]*graph.CSR {
+	dag := gen.WithRandomWeights(sched, gen.RMAT(sched, 10, 8, 47), 10, 47)
+	forward := graph.NewEdgeList(dag.N, dag.Len(), true)
+	for i := range dag.U {
+		if dag.U[i] < dag.V[i] {
+			forward.Add(dag.U[i], dag.V[i], dag.W[i]-5)
+		}
+	}
+	cyc := gen.WithRandomWeights(sched, gen.ErdosRenyi(sched, 1000, 4000, 48), 9, 48)
+	cyc.Add(0, 500, 1)
+	cyc.Add(500, 501, -3)
+	cyc.Add(501, 502, 1)
+	cyc.Add(502, 500, 1)
+	return map[string]*graph.CSR{
+		"rmat-dir-w": gen.BuildRMAT(sched, 10, 8, false, true, 46),
+		"er-dir-w":   gen.BuildErdosRenyi(sched, 1000, 4000, false, true, 46),
+		"dag-neg":    graph.FromEdgeList(sched, forward.N, forward, graph.BuildOptions{}),
+		"neg-cycle":  graph.FromEdgeList(sched, cyc.N, cyc, graph.BuildOptions{}),
+	}
+}

@@ -99,7 +99,11 @@ func TestWeightedBFSUnblockedAgrees(t *testing.T) {
 }
 
 func TestBellmanFordMatchesSequential(t *testing.T) {
+	graphs := dirWeightedGraphs()
 	for name, g := range symWeightedGraphs() {
+		graphs[name] = g
+	}
+	for name, g := range graphs {
 		want, wneg := seqref.BellmanFord(g, 0)
 		got, gneg := BellmanFord(sched, g, 0)
 		if wneg != gneg {

@@ -40,16 +40,17 @@ func weightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32, opt ligra.Opt
 		}
 		return false
 	}
-	cond := func(uint32) bool { return true }
 	for {
 		s.Poll()
 		bkt, ids := b.NextBucket()
 		if bkt == bucket.Nil {
 			break
 		}
-		moved := ligra.EdgeMap(s, g, ligra.FromSparse(n, ids), update, cond, opt)
-		ligra.VertexMap(s, moved, func(v uint32) { atomics.Store32(&flags[v], 0) })
+		moved := ligra.EdgeMap(s, g, ligra.FromSparse(n, ids), update, nil, opt)
+		// Packing moved once, before the reset, lets VertexMap walk the
+		// packed members instead of a dense output's n flags.
 		b.Update(moved.Sparse(s))
+		ligra.VertexMap(s, moved, func(v uint32) { atomics.Store32(&flags[v], 0) })
 	}
 	return dist
 }

@@ -1,6 +1,7 @@
 package ligra
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
@@ -42,16 +43,20 @@ func TestEdgeMapAllocsIndependentOfN(t *testing.T) {
 	}
 	s := parallel.New(1)
 	defer s.Close()
-	update := func(u, v uint32, _ int32) bool { return u < v }
-	cond := func(uint32) bool { return true }
+	// At most one edge into each destination returns true, as the
+	// filter-free traversals require.
+	update := func(u, v uint32, _ int32) bool { return u+1 == v }
+	always := func(uint32) bool { return true }
 	traversals := []struct {
 		name  string
 		dense bool
+		cond  Cond
 		opt   Opts
 	}{
-		{"dense", true, Opts{}},
-		{"blocked", false, Opts{NoDense: true}},
-		{"flat", false, Opts{NoDense: true, NoBlocked: true}},
+		{"dense", true, always, Opts{}},
+		{"forward", true, nil, Opts{}},
+		{"blocked", false, always, Opts{NoDense: true}},
+		{"flat", false, always, Opts{NoDense: true, NoBlocked: true}},
 	}
 	for _, compressed := range []bool{false, true} {
 		for _, tr := range traversals {
@@ -71,7 +76,7 @@ func TestEdgeMapAllocsIndependentOfN(t *testing.T) {
 					frontier = FromDense(s, all, len(all))
 				}
 				allocs[i] = testing.AllocsPerRun(10, func() {
-					EdgeMap(s, g, frontier, update, cond, tr.opt)
+					EdgeMap(s, g, frontier, update, tr.cond, tr.opt)
 				})
 			}
 			if allocs[0] != allocs[1] {
@@ -79,5 +84,43 @@ func TestEdgeMapAllocsIndependentOfN(t *testing.T) {
 					tr.name, compressed, allocs[0], budgetSides[0], allocs[1], budgetSides[1])
 			}
 		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun over allocated bytes rather than
+// objects: a form packed from n flags is one object whose size grows with n.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestVertexMapDenseAllocsIndependentOfN checks that VertexMap walks a
+// dense-only subset's flags: packing the sparse form would allocate four
+// bytes per member.
+func TestVertexMapDenseAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := parallel.New(1)
+	defer s.Close()
+	var bytes [2]uint64
+	for i, side := range budgetSides {
+		flags := make([]bool, side*side)
+		for v := range flags {
+			flags[v] = v%2 == 0
+		}
+		vs := FromDense(s, flags, -1)
+		bytes[i] = bytesPerRun(10, func() { VertexMap(s, vs, func(uint32) {}) })
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("%d bytes per VertexMap at side %d, %d at side %d; want equal",
+			bytes[0], budgetSides[0], bytes[1], budgetSides[1])
 	}
 }

@@ -10,16 +10,20 @@ import (
 )
 
 // Update is edgeMap's F: applied to edge (s, d) with weight w; returning true
-// adds d to the output subset. When the sparse direction is used, Update may
-// be invoked concurrently for the same destination, so implementations must
-// both side-effect atomically and guarantee that at most one invocation per
+// adds d to the output subset. When the sparse direction, or the dense
+// direction of a call with a nil Cond, is used, Update may be invoked
+// concurrently for the same destination, so implementations must both
+// side-effect atomically and guarantee that at most one invocation per
 // destination returns true (all of the paper's algorithms do this with a
 // test-and-set on a per-vertex flag).
 type Update func(s, d uint32, w int32) bool
 
 // Cond is edgeMap's C: destinations with Cond(d) == false are skipped, and
-// the dense direction stops examining d's in-edges once Cond(d) turns false
-// (the paper's sequential early-exit dense optimization).
+// the dense pull stops examining d's in-edges once Cond(d) turns false
+// (the paper's sequential early-exit dense optimization). A nil Cond means
+// no destination filter: every edge out of the frontier is applied, and
+// the dense direction pushes over the frontier's out-edges instead of
+// pulling over every vertex's in-edges, which could never stop early.
 type Cond func(d uint32) bool
 
 // Opts tunes an EdgeMap call.
@@ -49,9 +53,12 @@ const none = ^uint32(0)
 var Traffic atomic.Int64
 
 // EdgeMap is Ligra's edgeMap (§3): it applies update to every edge (u, v)
-// with u in frontier and cond(v) true, and returns the subset of
-// destinations for which update returned true. The direction (sparse push
-// vs. dense pull over in-edges) is chosen by frontier size as in Ligra.
+// with u in frontier and cond(v) true (every edge if cond is nil), and
+// returns the subset of destinations for which update returned true. The
+// direction is chosen by frontier size as in Ligra: a small frontier
+// pushes over its out-edges (sparse), a large one goes dense, which pulls
+// over in-edges when cond is set and pushes from the dense frontier's
+// flags when cond is nil.
 func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update Update, cond Cond, opt Opts) VertexSubset {
 	n := g.N()
 	if frontier.Size() == 0 {
@@ -72,20 +79,15 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 	var offsets []int
 	var degSum int
 	if frontier.IsDense() {
-		flags := frontier.Dense(s)
-		degSum = prims.MapReduce(s, n, 0,
-			func(i int) int {
-				if flags[i] {
-					return g.OutDeg(uint32(i))
-				}
-				return 0
-			},
-			func(a, b int) int { return a + b })
+		degSum = denseOutDegrees(s, g, frontier.Dense(s))
 	} else {
 		ids = frontier.Sparse(s)
 		offsets, degSum = outDegrees(s, g, ids)
 	}
 	if !opt.NoDense && frontier.Size()+degSum > g.M()/threshold {
+		if cond == nil {
+			return edgeMapDenseForward(s, g, frontier, update, opt)
+		}
 		return edgeMapDense(s, g, frontier, update, cond, opt)
 	}
 	if ids == nil {
@@ -114,6 +116,22 @@ func outDegrees(s *parallel.Scheduler, g graph.Graph, ids []uint32) ([]int, int)
 		},
 		func(a, b int) int { return a + b })
 	return degs, sum
+}
+
+// denseOutDegrees returns the degree sum of the members of a dense frontier,
+// one block loop over the flags.
+func denseOutDegrees(s *parallel.Scheduler, g graph.Graph, flags []bool) int {
+	var sum atomic.Int64
+	s.ForRange(len(flags), 0, func(lo, hi int) {
+		local := 0
+		for i := lo; i < hi; i++ {
+			if flags[i] {
+				local += g.OutDeg(uint32(i))
+			}
+		}
+		sum.Add(int64(local))
+	})
+	return int(sum.Load())
 }
 
 // edgeMapDense is the pull direction: every vertex with cond(v) scans its
@@ -158,6 +176,45 @@ func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, u
 	return FromDense(s, outFlags, int(added.Load()))
 }
 
+// edgeMapDenseForward is Ligra's dense-forward direction, taken for a dense
+// frontier when the call has no destination filter: every member applies
+// update over its out-edges, as the sparse push does, but the members come
+// from the frontier's flags and the output is dense. It reads the n flags
+// plus the frontier's degree sum, where the pull would read all m in-edges
+// with no chance of stopping early. Update runs concurrently for one
+// destination, so its at-most-once contract keeps the output flags exact.
+func edgeMapDenseForward(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update Update, opt Opts) VertexSubset {
+	n := g.N()
+	inFlags := frontier.Dense(s)
+	var outFlags []bool
+	if !opt.NoOutput {
+		outFlags = make([]bool, n)
+	}
+	var added atomic.Int64
+	s.ForRange(n, 0, func(lo, hi int) {
+		local := int64(0)
+		var u uint32
+		visit := func(v uint32, w int32) bool {
+			if update(u, v, w) && outFlags != nil {
+				outFlags[v] = true
+				local++
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			if inFlags[i] {
+				u = uint32(i)
+				g.OutNgh(u, visit)
+			}
+		}
+		added.Add(local)
+	})
+	if opt.NoOutput {
+		return Empty(n)
+	}
+	return FromDense(s, outFlags, int(added.Load()))
+}
+
 // edgeMapSparse is the standard push direction: one output slot per incident
 // edge, filled with the destination when update succeeds, then filtered.
 // offsets are the frontier's degree offsets, with the degree sum last.
@@ -168,7 +225,7 @@ func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets [
 		var u uint32
 		var o int
 		visit := func(v uint32, w int32) bool {
-			if cond(v) && update(u, v, w) {
+			if (cond == nil || cond(v)) && update(u, v, w) {
 				out[o] = v
 			} else {
 				out[o] = none
@@ -215,7 +272,7 @@ func edgeMapBlocked(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets 
 		o := edgeLo
 		var u uint32
 		visit := func(v uint32, w int32) bool {
-			if cond(v) && update(u, v, w) {
+			if (cond == nil || cond(v)) && update(u, v, w) {
 				inter[o] = v
 				o++
 			}

@@ -196,18 +196,24 @@ func TestEdgeMapCondSkips(t *testing.T) {
 	}
 }
 
-// TestEdgeMapBlockedHighDegreeSplit checks blocked ≡ flat ≡ dense on stars
-// whose frontier degree sum sits on edgeMapBlocked's block boundaries (0,
-// emBlockSize-1, emBlockSize, emBlockSize+1) or spans several blocks. From
-// the centre one vertex is split across blocks; from the leaves each block
-// holds many one-edge vertices, so a block boundary falls between them.
-// With cond always true every mode applies update once per frontier edge,
-// so the call count catches a traversal that reads past a vertex's degree.
+// TestEdgeMapBlockedHighDegreeSplit checks blocked ≡ flat ≡ dense ≡ forward
+// on stars whose frontier degree sum sits on edgeMapBlocked's block
+// boundaries (0, emBlockSize-1, emBlockSize, emBlockSize+1) or spans several
+// blocks. From the centre one vertex is split across blocks; from the leaves
+// each block holds many one-edge vertices, so a block boundary falls between
+// them. With cond always true or nil every mode applies update once per
+// frontier edge, so the call count catches a traversal that reads past a
+// vertex's degree.
 func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
-	modes := map[string]Opts{
-		"flat":    {NoDense: true, NoBlocked: true},
-		"blocked": {NoDense: true},
-		"dense":   {DenseThreshold: 1 << 30},
+	always := func(uint32) bool { return true }
+	modes := map[string]struct {
+		cond Cond
+		opt  Opts
+	}{
+		"flat":    {always, Opts{NoDense: true, NoBlocked: true}},
+		"blocked": {always, Opts{NoDense: true}},
+		"dense":   {always, Opts{DenseThreshold: 1 << 30}},
+		"forward": {nil, Opts{DenseThreshold: 1 << 30}},
 	}
 	for _, deg := range []int{0, emBlockSize - 1, emBlockSize, emBlockSize + 1, 3 * emBlockSize} {
 		n := deg + 1
@@ -223,7 +229,7 @@ func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 			if len(c.frontier) == 0 {
 				continue
 			}
-			for mode, opt := range modes {
+			for mode, m := range modes {
 				visited := make([]uint32, n)
 				for _, v := range c.frontier {
 					visited[v] = 1
@@ -234,8 +240,7 @@ func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 						calls.Add(1)
 						return atomics.TestAndSet(&visited[d])
 					},
-					func(d uint32) bool { return true },
-					opt)
+					m.cond, m.opt)
 				got := slices.Clone(out.Sparse(sched))
 				slices.Sort(got)
 				if !slices.Equal(got, c.want) || calls.Load() != int64(deg) {

@@ -1,8 +1,13 @@
 // Package ligra implements the Ligra abstractions the paper's algorithms are
 // written in (§3): vertexSubsets representing subsets of vertices with dual
 // sparse/dense representations, vertexMap, and edgeMap with Ligra's
-// direction optimization plus the cache-friendly edgeMapBlocked sparse
-// traversal from the paper's §B (Algorithm 15).
+// direction optimization over four traversals. A frontier whose size plus
+// degree sum is at most m/20 is sparse and pushes over its out-edges, with
+// the cache-friendly edgeMapBlocked from the paper's §B (Algorithm 15) or
+// the flat traversal it is tested against. A larger frontier is dense: with
+// a Cond it pulls over in-edges, stopping early once Cond turns false; with
+// a nil Cond (no destination filter) it pushes from the frontier's flags,
+// Ligra's dense-forward mode, since a pull could never stop early.
 //
 // All traversal routines are scheduler-scoped: they take the
 // *parallel.Scheduler to run on as their first argument, so concurrent
@@ -108,18 +113,26 @@ func (vs *VertexSubset) Contains(v uint32) bool {
 	return false
 }
 
-// ForEach applies f to every member in parallel.
-func (vs *VertexSubset) ForEach(s *parallel.Scheduler, f func(v uint32)) {
-	ids := vs.Sparse(s)
+// VertexMap applies f to every member of vs in parallel (the paper's
+// vertexMap). A subset held only densely is walked over its flags, so the
+// call builds no sparse form: vs is taken by value, and a form packed here
+// would be dropped on return and packed again by the next caller.
+func VertexMap(s *parallel.Scheduler, vs VertexSubset, f func(v uint32)) {
+	if vs.IsDense() {
+		flags := vs.dense
+		s.ForRange(len(flags), 0, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if flags[i] {
+					f(uint32(i))
+				}
+			}
+		})
+		return
+	}
+	ids := vs.sparse
 	s.ForRange(len(ids), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(ids[i])
 		}
 	})
-}
-
-// VertexMap applies f to every member of vs in parallel (the paper's
-// vertexMap).
-func VertexMap(s *parallel.Scheduler, vs VertexSubset, f func(v uint32)) {
-	vs.ForEach(s, f)
 }

@@ -1,10 +1,13 @@
 package ligra
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
+	"repro/internal/atomics"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/prims"
 )
 
@@ -81,8 +84,35 @@ func TestFromSparseNilIsEmpty(t *testing.T) {
 		func(s, d uint32, w int32) bool { return true },
 		func(d uint32) bool { return true },
 		Opts{NoDense: true, NoBlocked: true})
-	out.ForEach(sched, func(v uint32) { t.Errorf("empty result has member %d", v) })
+	VertexMap(sched, out, func(v uint32) { t.Errorf("empty result has member %d", v) })
 	if out.Size() != 0 {
 		t.Fatalf("result size = %d, want 0", out.Size())
+	}
+}
+
+// TestVertexMapDenseVisitsEachMemberOnce maps over a subset held only as
+// flags, at several widths: every member is visited once and no other
+// vertex is.
+func TestVertexMapDenseVisitsEachMemberOnce(t *testing.T) {
+	const n = 10000
+	flags := make([]bool, n)
+	for v := range flags {
+		flags[v] = v%3 == 0
+	}
+	for _, p := range []int{1, 2, runtime.NumCPU()} {
+		s := parallel.New(p)
+		vs := FromDense(s, flags, -1)
+		counts := make([]uint32, n)
+		VertexMap(s, vs, func(v uint32) { atomics.FetchAndAdd32(&counts[v], 1) })
+		s.Close()
+		for v, c := range counts {
+			want := uint32(0)
+			if flags[v] {
+				want = 1
+			}
+			if c != want {
+				t.Fatalf("p=%d: vertex %d visited %d times, want %d", p, v, c, want)
+			}
+		}
 	}
 }
