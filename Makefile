@@ -104,9 +104,10 @@ bench-build:
 
 # Product size: non-blank, non-comment lines of non-test Go per package
 # directory, then the total. A line counts as a comment when its first
-# non-blank characters are //. The separate benchmark/ module is left out.
+# non-blank characters are //. The separate benchmark/ module and testdata/
+# directories (analyzer fixtures, which are test inputs) are left out.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' -print0 | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' ! -path '*/testdata/*' -print0 | \
 		xargs -0 awk '{ t = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", t) } \
 			t == "" || substr(t, 1, 2) == "//" { next } \
 			{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d]++; total++ } \

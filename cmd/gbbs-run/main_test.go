@@ -98,10 +98,12 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"update on a daemon", []string{"-algo", "cc", "-source", "rmat:8", "-server", "http://127.0.0.1:1", "-update", "0-1"}, 2, "-update"},
 		{"async without a daemon", []string{"-algo", "cc", "-source", "rmat:8", "-async"}, 2, "-server"},
 		{"unweighted input to wbfs", []string{"-algo", "wbfs", "-source", "rmat:8", "-transform", "sym"}, 1, "paperweights"},
+		{"removed notranspose transform", []string{"-algo", "bfs", "-source", "rmat:10", "-transform", "notranspose"}, 1, "unknown transform"},
+		{"removed no-transpose alias", []string{"-algo", "scc", "-source", "rmat:10", "-transform", "no-transpose"}, 1, "unknown transform"},
 	}
 	for _, c := range cases {
 		_, stderr, code := gbbsRun(t, c.args...)
-		if code != c.code || !strings.Contains(stderr, c.want) {
+		if code != c.code || !strings.Contains(stderr, c.want) || strings.Contains(stderr, "panic:") {
 			t.Errorf("%s: exit %d, stderr %q (want exit %d mentioning %q)", c.name, code, stderr, c.code, c.want)
 		}
 	}

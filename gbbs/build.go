@@ -135,7 +135,7 @@ func runBuild(s *parallel.Scheduler, src GraphSource, plan *buildPlan) (Graph, e
 		// The CSR's content is already filtered; rebuild preserving it.
 		// Symmetric graphs store both directions, so Symmetrize + dedup
 		// reproduces exactly the stored edge set under the new names.
-		opt := graph.BuildOptions{KeepSelfLoops: true, SkipInEdges: plan.opt.SkipInEdges}
+		opt := graph.BuildOptions{KeepSelfLoops: true}
 		if csr.Symmetric() {
 			opt.Symmetrize = true
 		} else {

@@ -166,7 +166,7 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "spanforest", Description: "rooted spanning forest (parents, levels, roots) from connectivity's contraction tree",
+		Name: "spanforest", Description: "rooted spanning forest (parents): LDD connectivity, then a multi-source BFS from each component's minimum vertex",
 		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		parent, _, roots := core.SpanningForest(s, req.Graph, req.Float("beta"), req.seed(e))
@@ -190,14 +190,7 @@ func init() {
 			IntParam("trimrounds", 3, "zero-degree trimming iterations before the main loop; 0 or -1 disables trimming").Bounded(-1, 1024),
 		},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		// core.SCC treats TrimRounds == 0 as "use the default (3)"; a
-		// request asking for zero rounds means no trimming, which core
-		// spells as a negative value.
-		trim := req.Int("trimrounds")
-		if trim == 0 {
-			trim = -1
-		}
-		labels := core.SCC(s, req.Graph, req.seed(e), core.SCCOpts{Beta: req.Float("beta"), TrimRounds: trim})
+		labels := core.SCC(s, req.Graph, req.seed(e), core.SCCOpts{Beta: req.Float("beta"), TrimRounds: req.Int("trimrounds")})
 		num, largest := core.ComponentCount(s, labels)
 		return Result{Summary: fmt.Sprintf("%d SCCs, largest %d", num, largest), Value: labels}
 	})
@@ -264,7 +257,7 @@ func init() {
 		Name: "kcore", Description: "exact coreness of every vertex via work-efficient bucketed peeling; O(m+n) expected work",
 		PaperRow: "k-core", PaperOrder: 13,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		coreness, rho := core.KCore(s, req.Graph, 0)
+		coreness, rho := core.KCore(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("kmax=%d rho=%d", core.Degeneracy(s, coreness), rho), Value: coreness}
 	})
 

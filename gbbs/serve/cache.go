@@ -105,7 +105,7 @@ func (c *Cache) Invalidate(key string) bool { return c.f.invalidate(key) }
 // approxGraphBytes estimates a graph's resident size from its shape: for an
 // uncompressed CSR, offsets (8B per vertex) plus neighbor IDs (4B per
 // stored edge) plus weights (4B per edge when weighted), doubled for the
-// CSC transpose of directed graphs; for the parallel-byte representation,
+// transpose of directed graphs; for the parallel-byte representation,
 // the encoded payload plus the per-vertex degree and offset tables. It is
 // an eviction heuristic, not an accounting guarantee.
 func approxGraphBytes(g gbbs.Graph) int64 {

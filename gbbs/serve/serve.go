@@ -120,18 +120,13 @@ type Config struct {
 	// routes keep their own 1 MiB cap regardless. Oversize bodies are
 	// rejected with 413.
 	MaxBodyBytes int64
-	// StoreConfig tunes the versioned graph store (compaction threshold,
-	// incremental-state log budget); the zero value selects the store's
-	// defaults.
-	StoreConfig store.Config
 	// DataDir, when nonempty, makes the graph store persistent: graphs
 	// survive daemon restarts as checksummed snapshots plus a write-ahead
 	// log (gbbs-serve -data-dir). Call RecoverGraphs at boot to load them.
-	// Overrides StoreConfig.DataDir.
 	DataDir string
 	// StoreFS is the filesystem the persistence layer runs on; nil selects
 	// the real one. Tests inject fault-modeling filesystems here. Ignored
-	// when DataDir is empty. Overrides StoreConfig.FS.
+	// when DataDir is empty.
 	StoreFS vfs.FS
 	// TenantWeights sets per-tenant fair-share weights for admission
 	// (gbbs-serve -tenant-weights). Tenants absent from the map — including
@@ -191,10 +186,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
-	if cfg.DataDir != "" {
-		cfg.StoreConfig.DataDir = cfg.DataDir
-		cfg.StoreConfig.FS = cfg.StoreFS
-	}
 	buildCtx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
@@ -202,7 +193,7 @@ func New(cfg Config) *Server {
 		results:   NewResultCache(cfg.ResultCacheBytes),
 		limiter:   NewLimiter(cfg.MaxThreads, cfg.TenantWeights),
 		engines:   NewEnginePool(cfg.MaxThreads),
-		store:     store.New(cfg.StoreConfig),
+		store:     store.New(store.Config{DataDir: cfg.DataDir, FS: cfg.StoreFS}),
 		jobs:      newJobTable(cfg.JobTTL, cfg.MaxJobs),
 		mux:       http.NewServeMux(),
 		started:   time.Now(),

@@ -226,8 +226,9 @@ func TestRunOptsAreForwarded(t *testing.T) {
 }
 
 // TestRunBadParams checks schema validation at the HTTP boundary: unknown
-// parameter names, out-of-range values and fractional values for integer
-// parameters are all 400s with descriptive bodies, before any execution.
+// parameter names, out-of-range values, fractional values for integer
+// parameters and unknown transforms are all 400s with descriptive bodies,
+// before any execution.
 func TestRunBadParams(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{MaxThreads: 2})
 	cases := []struct {
@@ -240,12 +241,14 @@ func TestRunBadParams(t *testing.T) {
 		{`{"source":"rmat:10","transforms":["sym"],"algorithm":"setcover","opts":{"eps":2.5}}`, "above maximum"},
 		{`{"source":"rmat:10","algorithm":"scc","opts":{"trimrounds":1.5}}`, "wants an integer"},
 		{`{"source":"rmat:10","algorithm":"scc","opts":{"beta":true}}`, "wants float"},
+		{`{"source":"rmat:10","transforms":["notranspose"],"algorithm":"bfs"}`, "unknown transform"},
+		{`{"source":"rmat:10","transforms":["no-transpose"],"algorithm":"scc"}`, "unknown transform"},
 	}
 	for _, c := range cases {
 		var e serve.ErrorResponse
 		if status := postRun(t, ts, c.body, &e); status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", c.body, status)
-		} else if !strings.Contains(e.Error, c.want) {
+		} else if !strings.Contains(e.Error, c.want) || strings.Contains(e.Error, "panic") {
 			t.Errorf("%s: error %q does not mention %q", c.body, e.Error, c.want)
 		}
 	}

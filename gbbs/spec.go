@@ -248,26 +248,23 @@ var transformAlias = map[string]string{
 	"symmetrize":      "sym",
 	"self-loops":      "selfloops",
 	"multi-edges":     "multi",
-	"no-transpose":    "notranspose",
 	"relabel":         "degree-relabel",
 	"uniform-weights": "weights",
 	"paper-weights":   "paperweights",
 }
 
 // ParseTransforms parses a semicolon-separated transform spec; each element
-// is "kind" or "kind:key=val,...":
+// is "kind" or "kind:key=val,...". Kinds, their defaults and their accepted
+// long spellings:
 //
-//	sym                         Symmetrize
-//	selfloops                   KeepSelfLoops
-//	multi                       KeepDuplicates
-//	notranspose                 SkipTranspose
-//	weights:max=8,seed=1        UniformWeights
-//	paperweights:seed=1         PaperWeights
-//	degree-relabel              RelabelByDegree
-//	compress:block=64           EncodeCompressed
+//	sym                    symmetrize        Symmetrize
+//	selfloops              self-loops        KeepSelfLoops
+//	multi                  multi-edges       KeepDuplicates
+//	weights:max=8,seed=1   uniform-weights   UniformWeights
+//	paperweights:seed=1    paper-weights     PaperWeights
+//	degree-relabel         relabel           RelabelByDegree
+//	compress:block=0       (0 selects 64)    EncodeCompressed
 //
-// Long spellings are accepted as aliases ("symmetrize" for "sym",
-// "no-transpose" for "notranspose", "paper-weights" for "paperweights", ...).
 // An empty spec returns no transforms.
 func ParseTransforms(spec string) ([]Transform, error) {
 	spec = strings.TrimSpace(spec)
@@ -294,8 +291,6 @@ func ParseTransforms(spec string) ([]Transform, error) {
 			tf = KeepSelfLoops()
 		case "multi":
 			tf = KeepDuplicates()
-		case "notranspose":
-			tf = SkipTranspose()
 		case "weights":
 			tf = UniformWeights(int32(a.int("max", 8)), a.uint64("seed", 1))
 		case "paperweights":

@@ -182,6 +182,12 @@ func TestParseTransforms(t *testing.T) {
 			t.Errorf("ParseTransforms(%q) should fail", spec)
 		}
 	}
+	// Every directed graph carries its transpose, so no transform skips it.
+	for _, spec := range []string{"notranspose", "no-transpose", "sym;notranspose"} {
+		if _, err := gbbs.ParseTransforms(spec); err == nil || !strings.Contains(err.Error(), "unknown transform") {
+			t.Errorf("ParseTransforms(%q) = %v, want an unknown-transform error", spec, err)
+		}
+	}
 }
 
 func TestSizeHint(t *testing.T) {

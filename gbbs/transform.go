@@ -8,7 +8,7 @@ import (
 
 // Transform is one composable step of the build pipeline Engine.Build runs
 // after materializing a GraphSource: shaping options (Symmetrize,
-// KeepSelfLoops, KeepDuplicates, SkipTranspose), edge-level rewrites
+// KeepSelfLoops, KeepDuplicates), edge-level rewrites
 // (UniformWeights, PaperWeights, Relabel, RelabelByDegree) and the output
 // representation (EncodeCompressed). Transforms are inert descriptions, like
 // sources; Engine.Build applies them in a fixed pipeline order (weights →
@@ -64,13 +64,6 @@ func KeepSelfLoops() Transform {
 // KeepDuplicates retains parallel edges instead of deduplicating.
 func KeepDuplicates() Transform {
 	return &transform{"multi", func(p *buildPlan) error { p.opt.KeepDuplicates = true; return nil }}
-}
-
-// SkipTranspose skips building the in-edge (CSC) side of a directed graph.
-// Algorithms needing in-edges (dense edgeMap, SCC, BC) cannot run on the
-// result.
-func SkipTranspose() Transform {
-	return &transform{"notranspose", func(p *buildPlan) error { p.opt.SkipInEdges = true; return nil }}
 }
 
 // UniformWeights assigns uniform random integer weights in [1, maxW] drawn

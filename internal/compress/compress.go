@@ -12,8 +12,8 @@ import (
 const DefaultBlockSize = 64
 
 // Graph is a parallel-byte compressed graph. The out-direction is always
-// present; directed graphs also hold the in-direction so the Graph interface
-// (dense edgeMap, SCC, BC) works unmodified.
+// present; a directed graph from FromCSR also holds the in-direction as its
+// linked transpose, which dense edgeMap, SCC and BC read through Transpose.
 //
 // Per-vertex layout in data (for degree d > 0, nb = ceil(d/blockSize)
 // blocks): (nb-1) little-endian uint32 byte-offsets of blocks 1..nb-1
@@ -31,7 +31,7 @@ type Graph struct {
 	degrees   []int32
 	offsets   []int64 // byte offset of each vertex's region in data
 	data      []byte
-	inG       *Graph // transpose for directed graphs; nil when symmetric
+	inG       *Graph // transpose of a directed graph; nil when symmetric or out-only
 }
 
 // FromCSR compresses a CSR graph on scheduler s. blockSize <= 0 selects
@@ -67,7 +67,9 @@ func FromCSR(s *parallel.Scheduler, g *graph.CSR, blockSize int) *Graph {
 // degree-ordered directed graph "encoded in the parallel-byte format in O(m)
 // work". src's adjacency must be sorted; its order is preserved. keep is
 // called twice per edge (measuring pass, encoding pass) and must give the
-// same answer both times.
+// same answer both times. With symmetric false the result is out-only: it
+// serves triangle counting's single pass over out-edges and has no
+// Transpose.
 func FromFunc(s *parallel.Scheduler, src graph.Graph, symmetric bool, blockSize int, keep func(v, u uint32) bool) *Graph {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -234,14 +236,6 @@ func (g *Graph) Symmetric() bool { return g.symmetric }
 // OutDeg returns the out-degree of v.
 func (g *Graph) OutDeg(v uint32) int { return int(g.degrees[v]) }
 
-// InDeg returns the in-degree of v.
-func (g *Graph) InDeg(v uint32) int {
-	if g.inG == nil {
-		return g.OutDeg(v)
-	}
-	return g.inG.OutDeg(v)
-}
-
 // SizeBytes returns the byte size of this direction's encoded adjacency
 // data (the quantity behind the paper's "1.5 bytes per edge").
 func (g *Graph) SizeBytes() int64 { return int64(len(g.data)) }
@@ -312,15 +306,6 @@ func (g *Graph) OutNgh(v uint32, f func(u uint32, w int32) bool) {
 	}
 }
 
-// InNgh iterates v's in-neighbors.
-func (g *Graph) InNgh(v uint32, f func(u uint32, w int32) bool) {
-	if g.inG == nil {
-		g.OutNgh(v, f)
-		return
-	}
-	g.inG.OutNgh(v, f)
-}
-
 // OutRange iterates the out-neighbors at adjacency positions [lo, hi),
 // skipping directly to the containing block (this positional access is what
 // edgeMapBlocked needs; it is why the parallel-byte format stores per-block
@@ -362,9 +347,10 @@ func (g *Graph) DecodeOut(v uint32, buf []uint32) []uint32 {
 	return buf
 }
 
-// Transpose returns the reversed-direction view (itself when symmetric).
+// Transpose returns the reversed-direction view: itself when symmetric,
+// otherwise the linked transpose (nil for an out-only graph).
 func (g *Graph) Transpose() graph.Graph {
-	if g.inG == nil {
+	if g.symmetric {
 		return g
 	}
 	return g.inG

@@ -64,8 +64,9 @@ func equalGraphs(t *testing.T, name string, csr *graph.CSR, cg *Graph) {
 	if cg.N() != csr.N() || cg.M() != csr.M() || cg.Weighted() != csr.Weighted() || cg.Symmetric() != csr.Symmetric() {
 		t.Fatalf("%s: header mismatch", name)
 	}
+	ct, gt := csr.Transposed(), cg.Transpose()
 	for v := uint32(0); int(v) < csr.N(); v++ {
-		if cg.OutDeg(v) != csr.OutDeg(v) || cg.InDeg(v) != csr.InDeg(v) {
+		if cg.OutDeg(v) != csr.OutDeg(v) || gt.OutDeg(v) != ct.OutDeg(v) {
 			t.Fatalf("%s: degree mismatch at %d", name, v)
 		}
 		var gotN []uint32
@@ -85,12 +86,17 @@ func equalGraphs(t *testing.T, name string, csr *graph.CSR, cg *Graph) {
 			t.Fatalf("%s: DecodeOut(%d) mismatch", name, v)
 		}
 		var gotIn []uint32
-		cg.InNgh(v, func(u uint32, _ int32) bool {
+		var gotInW []int32
+		gt.OutNgh(v, func(u uint32, w int32) bool {
 			gotIn = append(gotIn, u)
+			gotInW = append(gotInW, w)
 			return true
 		})
-		if !slices.Equal(gotIn, csr.InNghSlice(v)) {
+		if !slices.Equal(gotIn, ct.OutNghSlice(v)) {
 			t.Fatalf("%s: in(%d) mismatch", name, v)
+		}
+		if csr.Weighted() && !slices.Equal(gotInW, ct.OutWeightSlice(v)) {
+			t.Fatalf("%s: in-weights(%d) mismatch", name, v)
 		}
 	}
 }
@@ -161,7 +167,7 @@ func TestTransposeDirected(t *testing.T) {
 	for v := uint32(0); int(v) < csr.N(); v++ {
 		var got []uint32
 		tr.OutNgh(v, func(u uint32, _ int32) bool { got = append(got, u); return true })
-		if !slices.Equal(got, csr.InNghSlice(v)) {
+		if !slices.Equal(got, csr.Transposed().OutNghSlice(v)) {
 			t.Fatalf("transpose out(%d) mismatch", v)
 		}
 	}

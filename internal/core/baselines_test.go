@@ -103,7 +103,7 @@ func TestColoringLFvsLLFBothProper(t *testing.T) {
 func TestApproxKCoreRoundsUpExact(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete", "tree", "empty"} {
 		g := symGraphs()[name]
-		exact, _ := KCore(sched, g, 0)
+		exact, _ := KCore(sched, g)
 		approx := ApproxKCore(sched, g)
 		for v := range exact {
 			if want := NextPow2AtLeast(exact[v]); approx[v] != want {

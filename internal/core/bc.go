@@ -15,7 +15,7 @@ import (
 // with fetch-and-add.
 //
 // For directed graphs the backward phase traverses the transpose, so g must
-// have in-edges available.
+// carry one.
 func BC(s *parallel.Scheduler, g graph.Graph, src uint32) []float64 {
 	n := g.N()
 	// numPaths and dependencies are float64 accumulated via CAS on bits.

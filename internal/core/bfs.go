@@ -41,22 +41,11 @@ func BFS(s *parallel.Scheduler, g graph.Graph, src uint32) []uint32 {
 	return dist
 }
 
-// BFSTree is BFS additionally recording the search forest: parent[v] is the
-// frontier vertex that acquired v (parent[src] = src; Inf if unreached).
-// Biconnectivity's spanning forest uses the multi-source variant below.
-func BFSTree(s *parallel.Scheduler, g graph.Graph, src uint32) (dist, parent []uint32) {
-	dist, parent = multiBFS(s, g, []uint32{src})
-	return dist, parent
-}
-
 // MultiBFS runs a breadth-first search simultaneously from all roots,
-// returning hop distances and the BFS forest (parent[root] = root). The
+// returning hop distances and the BFS forest: parent[v] is the frontier
+// vertex that acquired v (parent[root] = root; Inf if unreached). The
 // frontier logic is identical to BFS; the roots simply seed round zero.
 func MultiBFS(s *parallel.Scheduler, g graph.Graph, roots []uint32) (dist, parent []uint32) {
-	return multiBFS(s, g, roots)
-}
-
-func multiBFS(s *parallel.Scheduler, g graph.Graph, roots []uint32) (dist, parent []uint32) {
 	n := g.N()
 	dist = make([]uint32, n)
 	parent = make([]uint32, n)

@@ -23,8 +23,8 @@ func TestAlgorithmsAgreeOnCompressedSymmetric(t *testing.T) {
 	if a, b := Connectivity(sched, csr, 0.2, 1), Connectivity(sched, cg, 0.2, 1); !seqref.SamePartition(a, b) {
 		t.Fatal("connectivity differs on compressed")
 	}
-	ac, arho := KCore(sched, csr, 0)
-	bc, brho := KCore(sched, cg, 0)
+	ac, arho := KCore(sched, csr)
+	bc, brho := KCore(sched, cg)
 	if arho != brho || !equalU32(ac, bc) {
 		t.Fatal("k-core differs on compressed")
 	}
@@ -93,8 +93,8 @@ func TestAlgorithmsAgreeOnCompressedWeighted(t *testing.T) {
 func TestAlgorithmsAgreeOnCompressedDirected(t *testing.T) {
 	csr := gen.BuildErdosRenyi(sched, 800, 3000, false, false, 79)
 	cg := compress.FromCSR(sched, csr, 0)
-	a := SCC(sched, csr, 3, SCCOpts{})
-	b := SCC(sched, cg, 3, SCCOpts{})
+	a := SCC(sched, csr, 3, SCCOpts{Beta: 2.0, TrimRounds: 3})
+	b := SCC(sched, cg, 3, SCCOpts{Beta: 2.0, TrimRounds: 3})
 	if !seqref.SamePartition(a, b) {
 		t.Fatal("SCC differs on compressed")
 	}

@@ -54,13 +54,13 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 			r.bf = append(r.bf, dist)
 			r.bfNeg = append(r.bfNeg, neg)
 		}
-		r.coreness, _ = KCore(s, g, 0)
+		r.coreness, _ = KCore(s, g)
 		r.colors = Coloring(s, g, 3)
 		r.mis = MIS(s, g, 3)
 		_, r.msfW = MSF(s, wg)
 		r.mmLen = len(MaximalMatching(s, g, 3))
 		r.ccPart = Connectivity(s, g, 0.2, 3)
-		r.sccPart = SCC(s, dg, 3, SCCOpts{})
+		r.sccPart = SCC(s, dg, 3, SCCOpts{Beta: 2.0, TrimRounds: 3})
 		r.tc = TriangleCount(s, g)
 		r.coverLen = len(ApproxSetCover(s, g, 0.01, 3))
 		return r

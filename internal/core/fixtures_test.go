@@ -53,8 +53,8 @@ func symWeightedGraphs() map[string]*graph.CSR {
 	}
 }
 
-// dirGraphs returns directed fixtures (with in-edges) for SCC, directed BFS
-// and Bellman-Ford.
+// dirGraphs returns directed fixtures (each with its transpose) for SCC,
+// directed BFS and Bellman-Ford.
 func dirGraphs() map[string]*graph.CSR {
 	cycle3 := &graph.EdgeList{N: 7, U: []uint32{0, 1, 2, 3, 4, 5}, V: []uint32{1, 2, 0, 4, 5, 3}}
 	dag := &graph.EdgeList{N: 6, U: []uint32{0, 0, 1, 2, 3, 4}, V: []uint32{1, 2, 3, 3, 4, 5}}

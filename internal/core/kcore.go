@@ -20,7 +20,7 @@ import (
 // rounds, reported in Table 3).
 //
 // g must be symmetric.
-func KCore(s *parallel.Scheduler, g graph.Graph, seedUnused uint64) (coreness []uint32, rho int) {
+func KCore(s *parallel.Scheduler, g graph.Graph) (coreness []uint32, rho int) {
 	return kcore(s, g, true)
 }
 

@@ -10,7 +10,7 @@ import (
 func TestKCoreMatchesMatulaBeck(t *testing.T) {
 	for name, g := range symGraphs() {
 		want := seqref.Coreness(g)
-		got, rho := KCore(sched, g, 0)
+		got, rho := KCore(sched, g)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: coreness[%d] = %d want %d", name, v, got[v], want[v])
@@ -25,7 +25,7 @@ func TestKCoreMatchesMatulaBeck(t *testing.T) {
 func TestKCoreFetchAndAddAgrees(t *testing.T) {
 	for _, name := range []string{"rmat", "er", "torus", "complete"} {
 		g := symGraphs()[name]
-		a, rhoA := KCore(sched, g, 0)
+		a, rhoA := KCore(sched, g)
 		b, rhoB := KCoreFetchAndAdd(sched, g)
 		if rhoA != rhoB {
 			t.Fatalf("%s: rho differs: %d vs %d", name, rhoA, rhoB)
@@ -41,7 +41,7 @@ func TestKCoreFetchAndAddAgrees(t *testing.T) {
 func TestKCoreKnownValues(t *testing.T) {
 	// Complete graph on k vertices: all corenesses k-1, one peeling round.
 	g := symGraphs()["complete"]
-	core, rho := KCore(sched, g, 0)
+	core, rho := KCore(sched, g)
 	for v, c := range core {
 		if c != uint32(g.N()-1) {
 			t.Fatalf("K%d coreness[%d] = %d", g.N(), v, c)
@@ -56,7 +56,7 @@ func TestKCoreKnownValues(t *testing.T) {
 	// Torus: 6-regular, all coreness 6, one round (the paper notes 3D-Torus
 	// peels in a single round).
 	tg := symGraphs()["torus"]
-	tcore, trho := KCore(sched, tg, 0)
+	tcore, trho := KCore(sched, tg)
 	for v, c := range tcore {
 		if c != 6 {
 			t.Fatalf("torus coreness[%d] = %d want 6", v, c)

@@ -63,7 +63,7 @@ func TestQuickKCoreAgainstOracle(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
 		want := seqref.Coreness(g)
-		got, _ := KCore(sched, g, 0)
+		got, _ := KCore(sched, g)
 		for v := range want {
 			if got[v] != want[v] {
 				return false
@@ -168,7 +168,7 @@ func TestQuickSCCAgainstTarjan(t *testing.T) {
 			el.Add(uint32(raw[i])%n, uint32(raw[i+1])%n, 1)
 		}
 		g := graph.FromEdgeList(sched, n, el, graph.BuildOptions{})
-		return seqref.SamePartition(seqref.SCC(g), SCC(sched, g, seed, SCCOpts{Beta: 1.5}))
+		return seqref.SamePartition(seqref.SCC(g), SCC(sched, g, seed, SCCOpts{Beta: 1.5, TrimRounds: 3}))
 	}, quickCfg())
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,15 @@ import (
 	"repro/internal/prims"
 )
 
-// SCCOpts tunes SCC; zero values select the paper's defaults.
+// SCCOpts tunes SCC. The paper's defaults (β = 2.0, 3 trimming rounds)
+// live in the scc registry schema; zero values are taken as given.
 type SCCOpts struct {
 	// Beta is the exponential growth rate of the per-phase center batch
-	// size; the paper uses values in [1.1, 2.0]. 0 selects 2.0.
+	// size; the paper uses values in [1.1, 2.0]. With Beta <= 1 the batch
+	// never grows, and it never drops below one center per phase.
 	Beta float64
 	// TrimRounds bounds the zero-degree trimming iterations (the paper's
-	// optimization); 0 selects 3; negative disables trimming.
+	// optimization); 0 or less means no trimming.
 	TrimRounds int
 }
 
@@ -32,15 +34,9 @@ type SCCOpts struct {
 // one direction move to a refined subproblem.
 //
 // Returns a label per vertex; two vertices get equal labels iff they are in
-// the same SCC. g must be directed with in-edges available.
+// the same SCC. g must be directed with its transpose available.
 func SCC(s *parallel.Scheduler, g graph.Graph, seed uint64, opt SCCOpts) []uint32 {
 	n := g.N()
-	if opt.Beta <= 1 {
-		opt.Beta = 2.0
-	}
-	if opt.TrimRounds == 0 {
-		opt.TrimRounds = 3
-	}
 	labels := make([]uint32, n)
 	sub := make([]uint32, n) // subproblem of each vertex
 	done := make([]uint32, (n+31)/32)
@@ -52,7 +48,7 @@ func SCC(s *parallel.Scheduler, g graph.Graph, seed uint64, opt SCCOpts) []uint3
 	perm := prims.RandomPermutation(s, n, seed)
 	gt := g.Transpose()
 
-	trim(s, g, labels, done, opt.TrimRounds)
+	trim(s, g, gt, labels, done, opt.TrimRounds)
 
 	// First-phase optimization: two plain BFSs from a single pivot using
 	// bit-vectors instead of hash tables (the giant-SCC heuristic).
@@ -95,10 +91,7 @@ func SCC(s *parallel.Scheduler, g graph.Graph, seed uint64, opt SCCOpts) []uint3
 	batch := 2.0
 	for offset < n {
 		s.Poll()
-		size := int(batch)
-		if offset+size > n {
-			size = n - offset
-		}
+		size := min(max(int(batch), 1), n-offset)
 		batch *= opt.Beta
 		centers := prims.MapFilter(s, size,
 			func(i int) bool { return !atomics.Bit(done, int(perm[offset+i])) },
@@ -152,9 +145,10 @@ func SCC(s *parallel.Scheduler, g graph.Graph, seed uint64, opt SCCOpts) []uint3
 	return labels
 }
 
-// trim repeatedly removes vertices with zero active in- or out-degree; each
-// forms a singleton SCC labeled n+v (distinct from all center ranks).
-func trim(s *parallel.Scheduler, g graph.Graph, labels []uint32, done []uint32, rounds int) {
+// trim repeatedly removes vertices with zero active in- or out-degree (out-
+// edges in g, in-edges read as out-edges of its transpose gt); each forms a
+// singleton SCC labeled n+v (distinct from all center ranks).
+func trim(s *parallel.Scheduler, g, gt graph.Graph, labels []uint32, done []uint32, rounds int) {
 	n := g.N()
 	drop := make([]bool, n)
 	for r := 0; r < rounds; r++ {
@@ -177,7 +171,7 @@ func trim(s *parallel.Scheduler, g graph.Graph, labels []uint32, done []uint32, 
 				g.OutNgh(v, active)
 				if found {
 					found = false
-					g.InNgh(v, active)
+					gt.OutNgh(v, active)
 				}
 				drop[i] = !found
 			}
@@ -296,10 +290,4 @@ func markReachable(s *parallel.Scheduler, g graph.Graph, perm []uint32, centerRa
 		})
 	}
 	return table, visited
-}
-
-// NumSCCs returns the number of distinct SCC labels and the largest class
-// size (for Tables 3, 8-13).
-func NumSCCs(s *parallel.Scheduler, labels []uint32) (int, int) {
-	return ComponentCount(s, labels)
 }

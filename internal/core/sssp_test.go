@@ -36,7 +36,7 @@ func TestBFSDirected(t *testing.T) {
 
 func TestBFSTreeIsValid(t *testing.T) {
 	for name, g := range symGraphs() {
-		dist, parent := BFSTree(sched, g, 0)
+		dist, parent := MultiBFS(sched, g, []uint32{0})
 		for v := range dist {
 			switch {
 			case dist[v] == Inf:

@@ -98,37 +98,37 @@ func (o *Overlay) Compact(s *parallel.Scheduler) *CSR { return MergeCSR(s, o.bas
 // sorted adjacency. Because the inputs are disjoint and sorted, the output
 // is exactly what FromEdgeList would build from the concatenated edge
 // lists: offsets are the sums of the inputs' offsets and each vertex's
-// adjacency is a two-way merge.
+// adjacency is a two-way merge. The transposes merge the same way; an
+// out-only a (a SplitCSR shard under an overlay) merges to an out-only CSR.
 func MergeCSR(s *parallel.Scheduler, a, b *CSR) *CSR {
-	g := &CSR{n: a.n, symmetric: a.symmetric}
-	g.offsets, g.edges, g.weights = mergeAdj(s, a.n,
-		a.offsets, a.edges, a.weights, b.offsets, b.edges, b.weights)
-	if !a.symmetric && a.inOffsets != nil {
+	g := mergeAdj(s, a, b)
+	if a.t != nil {
 		s.Poll()
-		g.inOffsets, g.inEdges, g.inWeights = mergeAdj(s, a.n,
-			a.inOffsets, a.inEdges, a.inWeights, b.inOffsets, b.inEdges, b.inWeights)
+		t := mergeAdj(s, a.t, b.t)
+		g.t, t.t = t, g
 	}
 	return g
 }
 
-// mergeAdj merges one adjacency direction of two disjoint CSRs.
-func mergeAdj(s *parallel.Scheduler, n int,
-	aOff []int64, aEdges []uint32, aW []int32,
-	bOff []int64, bEdges []uint32, bW []int32) ([]int64, []uint32, []int32) {
+// mergeAdj merges one adjacency direction of two disjoint CSRs into a fresh
+// CSR with no transpose linked.
+func mergeAdj(s *parallel.Scheduler, a, b *CSR) *CSR {
+	n, aOff, bOff := a.n, a.offsets, b.offsets
 	offsets := make([]int64, n+1)
 	s.ForRange(n+1, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			offsets[i] = aOff[i] + bOff[i]
 		}
 	})
-	edges := make([]uint32, len(aEdges)+len(bEdges))
+	edges := make([]uint32, len(a.edges)+len(b.edges))
 	var weights []int32
-	if aW != nil {
+	if a.weights != nil {
 		weights = make([]int32, len(edges))
 	}
+	aW, bW := a.weights, b.weights
 	s.Poll()
 	s.For(n, 64, func(v int) {
-		an, bn := aEdges[aOff[v]:aOff[v+1]], bEdges[bOff[v]:bOff[v+1]]
+		an, bn := a.edges[aOff[v]:aOff[v+1]], b.edges[bOff[v]:bOff[v+1]]
 		out := offsets[v]
 		i, j := 0, 0
 		for i < len(an) && j < len(bn) {
@@ -162,5 +162,5 @@ func mergeAdj(s *parallel.Scheduler, n int,
 			out++
 		}
 	})
-	return offsets, edges, weights
+	return &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: a.symmetric}
 }

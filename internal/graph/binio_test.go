@@ -73,11 +73,12 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 	if h.Symmetric() {
 		t.Fatal("directedness lost")
 	}
+	ht, gt := h.Transposed(), g.Transposed()
 	for v := uint32(0); int(v) < g.N(); v++ {
 		if !slices.Equal(h.OutNghSlice(v), g.OutNghSlice(v)) {
 			t.Fatalf("out mismatch at %d", v)
 		}
-		if !slices.Equal(h.InNghSlice(v), g.InNghSlice(v)) {
+		if !slices.Equal(ht.OutNghSlice(v), gt.OutNghSlice(v)) || !slices.Equal(ht.OutWeightSlice(v), gt.OutWeightSlice(v)) {
 			t.Fatalf("in mismatch at %d (transpose rebuild)", v)
 		}
 	}
@@ -105,8 +106,9 @@ func TestReadBinaryDecodesLegacyFixtures(t *testing.T) {
 		if !bytes.Equal(binBytes(t, g), binBytes(t, tc.want)) {
 			t.Fatalf("%s: decoded graph differs from the graph it was written from", tc.file)
 		}
+		gt, wt := g.Transposed(), tc.want.Transposed()
 		for v := uint32(0); int(v) < g.N(); v++ {
-			if !slices.Equal(g.InNghSlice(v), tc.want.InNghSlice(v)) {
+			if !slices.Equal(gt.OutNghSlice(v), wt.OutNghSlice(v)) || !slices.Equal(gt.OutWeightSlice(v), wt.OutWeightSlice(v)) {
 				t.Fatalf("%s: in-neighbours differ at %d", tc.file, v)
 			}
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // BuildOptions controls FromEdgeList. The zero value gives the paper's input
-// contract: no self-loops, no duplicate edges, sorted adjacency lists, and
-// the transpose built for directed graphs.
+// contract: no self-loops, no duplicate edges and sorted adjacency lists.
+// A directed graph always carries its transpose.
 type BuildOptions struct {
 	// Symmetrize adds the reverse of every input edge, producing a
 	// symmetric (undirected) graph. Duplicates created by symmetrizing an
@@ -18,9 +18,6 @@ type BuildOptions struct {
 	// KeepDuplicates retains parallel edges instead of deduplicating. For
 	// weighted graphs deduplication keeps the minimum weight per edge.
 	KeepDuplicates bool
-	// SkipInEdges skips building the transpose of a directed graph.
-	// Algorithms needing in-edges (dense edgeMap, SCC, BC) require it.
-	SkipInEdges bool
 }
 
 // FromEdgeList builds a CSR graph over n vertices from el on scheduler s. It
@@ -64,7 +61,7 @@ func FromEdgeList(s *parallel.Scheduler, n int, el *EdgeList, opt BuildOptions) 
 		weights:   weights,
 		symmetric: opt.Symmetrize,
 	}
-	if !g.symmetric && !opt.SkipInEdges {
+	if !g.symmetric {
 		// Transpose the kept edges: swap endpoint halves and rebuild.
 		s.Poll()
 		mk := len(edges)
@@ -83,10 +80,10 @@ func FromEdgeList(s *parallel.Scheduler, n int, el *EdgeList, opt BuildOptions) 
 			}
 		})
 		// The forward pass already deduplicated, so keep everything here.
-		topt := opt
-		topt.KeepDuplicates = true
-		topt.KeepSelfLoops = true
-		g.inOffsets, g.inEdges, g.inWeights = buildAdj(s, n, tkeys, twts, sortBits, topt)
+		t := &CSR{n: n, t: g}
+		t.offsets, t.edges, t.weights = buildAdj(s, n, tkeys, twts, sortBits,
+			BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
+		g.t = t
 	}
 	return g
 }
@@ -182,7 +179,8 @@ func fillOffsets(s *parallel.Scheduler, n int, srcs []uint32, m int) []int64 {
 // direction step, biconnectivity's critical-edge filter). Adjacency order is
 // preserved, so sorted input gives sorted output. keep is called twice per
 // edge (counting pass, filling pass) and must give the same answer both
-// times.
+// times. With symmetric false the result is out-only: it serves triangle
+// counting's single pass over out-edges and has no Transpose.
 func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric bool, keep func(v, u uint32) bool) *CSR {
 	n := src.N()
 	degs := make([]int64, n)

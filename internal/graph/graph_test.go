@@ -31,14 +31,15 @@ func TestFromEdgeListDirected(t *testing.T) {
 	if !slices.Equal(g.OutNghSlice(0), []uint32{1, 2}) {
 		t.Fatalf("out(0) = %v", g.OutNghSlice(0))
 	}
-	if !slices.Equal(g.InNghSlice(2), []uint32{0, 1}) {
-		t.Fatalf("in(2) = %v", g.InNghSlice(2))
+	tr := g.Transposed()
+	if !slices.Equal(tr.OutNghSlice(2), []uint32{0, 1}) {
+		t.Fatalf("in(2) = %v", tr.OutNghSlice(2))
 	}
-	if g.OutDeg(3) != 0 || g.InDeg(3) != 0 {
+	if g.OutDeg(3) != 0 || tr.OutDeg(3) != 0 {
 		t.Fatal("isolated vertex has edges")
 	}
-	if g.InDeg(0) != 1 || g.OutDeg(2) != 1 {
-		t.Fatalf("degree mismatch in(0)=%d out(2)=%d", g.InDeg(0), g.OutDeg(2))
+	if tr.OutDeg(0) != 1 || g.OutDeg(2) != 1 {
+		t.Fatalf("degree mismatch in(0)=%d out(2)=%d", tr.OutDeg(0), g.OutDeg(2))
 	}
 }
 
@@ -51,8 +52,8 @@ func TestFromEdgeListSymmetrize(t *testing.T) {
 	if !slices.Equal(g.OutNghSlice(1), []uint32{0, 2}) {
 		t.Fatalf("out(1) = %v", g.OutNghSlice(1))
 	}
-	if !slices.Equal(g.InNghSlice(1), []uint32{0, 2}) {
-		t.Fatalf("in(1) = %v", g.InNghSlice(1))
+	if !slices.Equal(g.Transposed().OutNghSlice(1), []uint32{0, 2}) {
+		t.Fatalf("in(1) = %v", g.Transposed().OutNghSlice(1))
 	}
 }
 
@@ -118,11 +119,12 @@ func TestOutRange(t *testing.T) {
 func TestTransposed(t *testing.T) {
 	g := smallDirected()
 	tr := g.Transposed()
-	if !slices.Equal(tr.OutNghSlice(2), g.InNghSlice(2)) {
-		t.Fatal("transpose out != original in")
+	if !slices.Equal(tr.OutNghSlice(2), []uint32{0, 1}) {
+		t.Fatalf("transpose out(2) = %v, want the in-neighbors [0 1]", tr.OutNghSlice(2))
 	}
-	if !slices.Equal(tr.InNghSlice(0), g.OutNghSlice(0)) {
-		t.Fatal("transpose in != original out")
+	// The transpose is linked both ways and read, not rebuilt, per call.
+	if tr.Transposed() != g || g.Transposed() != tr {
+		t.Fatal("transpose of the transpose is not the original")
 	}
 	// Symmetric graphs transpose to themselves.
 	el := &EdgeList{N: 2, U: []uint32{0}, V: []uint32{1}}
@@ -148,23 +150,22 @@ func TestWeightsRideAlong(t *testing.T) {
 	if !slices.Equal(g.OutNghSlice(0), []uint32{1, 2}) || !slices.Equal(ws, []int32{10, 20}) {
 		t.Fatalf("out(0) = %v weights %v", g.OutNghSlice(0), ws)
 	}
-	// In-weights must match: in(2) = {0(20), 1(30)}.
+	// In-weights must match: in(2) = {0(20), 1(30)}, read both as slices
+	// and through the Graph interface's Transpose.
+	tr := g.Transposed()
 	var inW []int32
-	g.InNgh(2, func(u uint32, w int32) bool { inW = append(inW, w); return true })
-	if !slices.Equal(g.InNghSlice(2), []uint32{0, 1}) || !slices.Equal(inW, []int32{20, 30}) {
-		t.Fatalf("in(2) = %v weights %v", g.InNghSlice(2), inW)
+	g.Transpose().OutNgh(2, func(u uint32, w int32) bool { inW = append(inW, w); return true })
+	if !slices.Equal(tr.OutNghSlice(2), []uint32{0, 1}) || !slices.Equal(inW, []int32{20, 30}) ||
+		!slices.Equal(tr.OutWeightSlice(2), inW) {
+		t.Fatalf("in(2) = %v weights %v / %v", tr.OutNghSlice(2), inW, tr.OutWeightSlice(2))
 	}
 }
 
-func TestMaxDegreeAndDegrees(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	el := &EdgeList{N: 4, U: []uint32{0, 0, 0, 1}, V: []uint32{1, 2, 3, 2}}
 	g := FromEdgeList(sched, 4, el, BuildOptions{})
 	if g.MaxDegree() != 3 {
 		t.Fatalf("MaxDegree = %d", g.MaxDegree())
-	}
-	d := g.Degrees()
-	if !slices.Equal(d, []int64{3, 1, 0, 0}) {
-		t.Fatalf("Degrees = %v", d)
 	}
 }
 
@@ -183,7 +184,7 @@ func TestFromAdjacency(t *testing.T) {
 }
 
 // Property: for any random edge list, in-degree sum equals out-degree sum
-// equals M, and every stored edge's reverse is findable via InNgh.
+// equals M, and every stored edge's reverse is findable in the transpose.
 func TestBuildDegreesProperty(t *testing.T) {
 	err := quick.Check(func(raw []uint16) bool {
 		n := 64
@@ -193,10 +194,11 @@ func TestBuildDegreesProperty(t *testing.T) {
 			el.V = append(el.V, uint32(raw[i+1])%uint32(n))
 		}
 		g := FromEdgeList(sched, n, el, BuildOptions{})
+		gt := g.Transpose()
 		outSum, inSum := 0, 0
 		for v := uint32(0); int(v) < n; v++ {
 			outSum += g.OutDeg(v)
-			inSum += g.InDeg(v)
+			inSum += gt.OutDeg(v)
 		}
 		if outSum != g.M() || inSum != g.M() {
 			return false
@@ -206,7 +208,7 @@ func TestBuildDegreesProperty(t *testing.T) {
 		for v := uint32(0); int(v) < n; v++ {
 			for _, u := range g.OutNghSlice(v) {
 				found := false
-				g.InNgh(u, func(x uint32, _ int32) bool {
+				gt.OutNgh(u, func(x uint32, _ int32) bool {
 					if x == v {
 						found = true
 						return false

@@ -21,11 +21,12 @@ func TestAdjacencyRoundTripUnweighted(t *testing.T) {
 	if h.N() != g.N() || h.M() != g.M() {
 		t.Fatalf("round trip N=%d M=%d want %d %d", h.N(), h.M(), g.N(), g.M())
 	}
+	ht, gt := h.Transposed(), g.Transposed()
 	for v := uint32(0); int(v) < g.N(); v++ {
 		if !slices.Equal(h.OutNghSlice(v), g.OutNghSlice(v)) {
 			t.Fatalf("adjacency mismatch at %d", v)
 		}
-		if !slices.Equal(h.InNghSlice(v), g.InNghSlice(v)) {
+		if !slices.Equal(ht.OutNghSlice(v), gt.OutNghSlice(v)) || !slices.Equal(ht.OutWeightSlice(v), gt.OutWeightSlice(v)) {
 			t.Fatalf("in-adjacency mismatch at %d", v)
 		}
 	}

@@ -54,9 +54,6 @@ func (o *Overlay) Symmetric() bool { return o.base.symmetric }
 // OutDeg returns the out-degree of v.
 func (o *Overlay) OutDeg(v uint32) int { return o.base.OutDeg(v) + o.delta.OutDeg(v) }
 
-// InDeg returns the in-degree of v.
-func (o *Overlay) InDeg(v uint32) int { return o.base.InDeg(v) + o.delta.InDeg(v) }
-
 // mergeNgh iterates the union of two sorted adjacency runs in sorted order,
 // calling f with each neighbor and weight until f returns false. aw/bw are
 // nil for unweighted graphs (weight 1). The runs are disjoint, so no
@@ -105,17 +102,6 @@ func mergeNgh(an []uint32, aw []int32, bn []uint32, bw []int32, f func(u uint32,
 func (o *Overlay) OutNgh(v uint32, f func(u uint32, w int32) bool) {
 	mergeNgh(o.base.OutNghSlice(v), o.base.OutWeightSlice(v),
 		o.delta.OutNghSlice(v), o.delta.OutWeightSlice(v), f)
-}
-
-// InNgh calls f for each in-neighbor of v in sorted adjacency order until f
-// returns false.
-func (o *Overlay) InNgh(v uint32, f func(u uint32, w int32) bool) {
-	if o.base.symmetric {
-		o.OutNgh(v, f)
-		return
-	}
-	mergeNgh(o.base.InNghSlice(v), o.base.InWeightSlice(v),
-		o.delta.InNghSlice(v), o.delta.InWeightSlice(v), f)
 }
 
 // OutRange iterates the out-neighbors of v with merged adjacency positions

@@ -91,9 +91,12 @@ func TestOverlayMatchesFromScratch(t *testing.T) {
 			if ov.Weighted() != want.Weighted() || ov.Symmetric() != want.Symmetric() {
 				t.Fatal("shape flags diverge")
 			}
+			// In-edges are the out-edges of the transpose: the transposed
+			// overlay must match the transposed from-scratch build.
+			tr, wtr := ov.Transpose(), want.Transpose()
 			var buf []uint32
 			for v := uint32(0); v < n; v++ {
-				if ov.OutDeg(v) != want.OutDeg(v) || ov.InDeg(v) != want.InDeg(v) {
+				if ov.OutDeg(v) != want.OutDeg(v) || tr.OutDeg(v) != wtr.OutDeg(v) {
 					t.Fatalf("degree mismatch at %d", v)
 				}
 				gotN, gotW := collect(func(f func(uint32, int32) bool) { ov.OutNgh(v, f) })
@@ -101,10 +104,10 @@ func TestOverlayMatchesFromScratch(t *testing.T) {
 				if !slices.Equal(gotN, wantN) || !slices.Equal(gotW, wantW) {
 					t.Fatalf("out(%d): got %v/%v want %v/%v", v, gotN, gotW, wantN, wantW)
 				}
-				gotN, gotW = collect(func(f func(uint32, int32) bool) { ov.InNgh(v, f) })
-				wantN, wantW = collect(func(f func(uint32, int32) bool) { want.InNgh(v, f) })
+				gotN, gotW = collect(func(f func(uint32, int32) bool) { tr.OutNgh(v, f) })
+				wantN, wantW = collect(func(f func(uint32, int32) bool) { wtr.OutNgh(v, f) })
 				if !slices.Equal(gotN, wantN) || !slices.Equal(gotW, wantW) {
-					t.Fatalf("in(%d): got %v want %v", v, gotN, wantN)
+					t.Fatalf("in(%d): got %v/%v want %v/%v", v, gotN, gotW, wantN, wantW)
 				}
 				buf = ov.DecodeOut(v, buf)
 				if !slices.Equal(slices.Clone(buf), want.OutNghSlice(v)) {
@@ -122,15 +125,6 @@ func TestOverlayMatchesFromScratch(t *testing.T) {
 				u, v := batch.U[i], batch.V[i]
 				if u != v && !ov.HasEdge(u, v) {
 					t.Fatalf("inserted edge (%d,%d) missing", u, v)
-				}
-			}
-			// Transposed overlay must match the transposed from-scratch build.
-			tr, wtr := ov.Transpose(), want.Transpose()
-			for v := uint32(0); v < n; v++ {
-				gotN, _ := collect(func(f func(uint32, int32) bool) { tr.OutNgh(v, f) })
-				wantN, _ := collect(func(f func(uint32, int32) bool) { wtr.OutNgh(v, f) })
-				if !slices.Equal(gotN, wantN) {
-					t.Fatalf("transpose out(%d): got %v want %v", v, gotN, wantN)
 				}
 			}
 		})
@@ -173,6 +167,23 @@ func TestCompactByteIdenticalToFromScratch(t *testing.T) {
 				t.Fatalf("symmetric=%v weighted=%v: serialized bytes differ", symmetric, weighted)
 			}
 		}
+	}
+}
+
+// A SplitCSR cut graph is out-only; an overlay on one still compacts, to the
+// out-only CSR of the union edge set.
+func TestCompactOutOnlyBase(t *testing.T) {
+	g, owner := splitFixture(t, sched)
+	_, cuts := SplitCSR(sched, g, owner, 3)
+	batch := &EdgeList{N: g.N(), U: []uint32{0, 5}, V: []uint32{2, 8}, W: []int32{1, 1}}
+	snap, added := ApplyEdges(sched, cuts[0], batch)
+	if added != 2 {
+		t.Fatalf("added %d edges, want 2", added)
+	}
+	c := snap.(*Overlay).Compact(sched)
+	want := FromEdgeList(sched, g.N(), unionList(cuts[0].ToEdgeListSeq(), batch), BuildOptions{})
+	if !bytes.Equal(binBytes(t, c), binBytes(t, want)) || c.Transposed() != nil {
+		t.Fatal("compacted out-only overlay differs from the union edge set, or gained a transpose")
 	}
 }
 

@@ -135,12 +135,13 @@ func denseOutDegrees(s *parallel.Scheduler, g graph.Graph, flags []bool) int {
 }
 
 // edgeMapDense is the pull direction: every vertex with cond(v) scans its
-// in-edges sequentially, applying update for in-neighbors on the frontier,
-// and stops early once cond(v) becomes false. O(sum in-degrees examined)
-// work; depth O(max in-degree) for the early-exit variant, as the paper
-// notes.
+// in-edges (its out-edges in g's transpose) sequentially, applying update
+// for in-neighbors on the frontier, and stops early once cond(v) becomes
+// false. O(sum in-degrees examined) work; depth O(max in-degree) for the
+// early-exit variant, as the paper notes.
 func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update Update, cond Cond, opt Opts) VertexSubset {
 	n := g.N()
+	gt := g.Transpose()
 	inFlags := frontier.Dense(s)
 	var outFlags []bool
 	if !opt.NoOutput {
@@ -166,7 +167,7 @@ func edgeMapDense(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, u
 			if !cond(d) {
 				continue
 			}
-			g.InNgh(d, visit)
+			gt.OutNgh(d, visit)
 		}
 		added.Add(local)
 	})

@@ -34,15 +34,20 @@ var relaxModes = []struct {
 }
 
 // relaxFixtures are weighted: symmetric RMAT and torus, directed RMAT (the
-// forward push follows out-edges where the pull reads in-edges) and a
-// compressed graph.
+// forward push follows out-edges where the pull reads in-edges, the out-
+// edges of the transpose), a compressed graph, and a directed overlay whose
+// pull reads the merged transpose of its base and delta.
 func relaxFixtures() map[string]graph.Graph {
 	rmat := gen.BuildRMAT(sched, 10, 8, true, true, 31)
+	rmatDir := gen.BuildRMAT(sched, 10, 8, false, true, 44)
+	batch := gen.WithRandomWeights(sched, gen.ErdosRenyi(sched, rmatDir.N(), 2000, 45), gen.PaperWeight(rmatDir.N()), 45)
+	overlay, _ := graph.ApplyEdges(sched, rmatDir, batch)
 	return map[string]graph.Graph{
-		"rmat":            rmat,
-		"torus":           gen.BuildTorus3D(sched, 7, true, 31),
-		"rmat-dir":        gen.BuildRMAT(sched, 10, 8, false, true, 44),
-		"rmat-compressed": compress.FromCSR(sched, rmat, 16),
+		"rmat":             rmat,
+		"torus":            gen.BuildTorus3D(sched, 7, true, 31),
+		"rmat-dir":         rmatDir,
+		"rmat-compressed":  compress.FromCSR(sched, rmat, 16),
+		"rmat-dir-overlay": overlay,
 	}
 }
 
@@ -81,10 +86,15 @@ func TestEdgeMapForwardMatchesPullAndSparse(t *testing.T) {
 				members = append(members, uint32(v))
 			}
 		}
-		// The reference, sequentially over out-edges.
+		// The reference, sequentially over out-edges; an overlay's over
+		// the compacted graph.
+		ref := g
+		if ov, ok := g.(*graph.Overlay); ok {
+			ref = ov.Compact(sched)
+		}
 		want := slices.Clone(prev)
 		for _, u := range members {
-			g.OutNgh(u, func(v uint32, w int32) bool {
+			ref.OutNgh(u, func(v uint32, w int32) bool {
 				want[v] = min(want[v], prev[u]+int64(w))
 				return true
 			})
@@ -161,10 +171,15 @@ func TestEdgeMapForwardBellmanFordAgrees(t *testing.T) {
 	}
 }
 
-// countingGraph counts the neighbours every traversal visits.
+// countingGraph counts the neighbours every traversal visits, its
+// transpose's included, so a pull over in-edges is counted too.
 type countingGraph struct {
 	graph.Graph
-	visits atomic.Int64
+	visits *atomic.Int64
+}
+
+func (g *countingGraph) Transpose() graph.Graph {
+	return &countingGraph{Graph: g.Graph.Transpose(), visits: g.visits}
 }
 
 func (g *countingGraph) count(f func(u uint32, w int32) bool) func(u uint32, w int32) bool {
@@ -176,10 +191,6 @@ func (g *countingGraph) count(f func(u uint32, w int32) bool) func(u uint32, w i
 
 func (g *countingGraph) OutNgh(v uint32, f func(u uint32, w int32) bool) {
 	g.Graph.OutNgh(v, g.count(f))
-}
-
-func (g *countingGraph) InNgh(v uint32, f func(u uint32, w int32) bool) {
-	g.Graph.InNgh(v, g.count(f))
 }
 
 func (g *countingGraph) OutRange(v uint32, lo, hi int, f func(u uint32, w int32) bool) {
@@ -208,7 +219,7 @@ func TestEdgeMapForwardVisitsFrontierEdgesOnly(t *testing.T) {
 			})
 		}
 	}
-	g := &countingGraph{Graph: csr}
+	g := &countingGraph{Graph: csr, visits: new(atomic.Int64)}
 	visited := make([]uint32, n)
 	out := EdgeMap(sched, g, FromDense(sched, flags, members),
 		func(_, v uint32, _ int32) bool { return atomics.TestAndSet(&visited[v]) },

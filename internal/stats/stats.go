@@ -72,7 +72,7 @@ func ComputeSym(s *parallel.Scheduler, name string, g graph.Graph, opt Options) 
 	}
 	st.MatchingSize = len(core.MaximalMatching(s, g, opt.Seed))
 	st.SetCoverSize = len(core.ApproxSetCover(s, g, 0.01, opt.Seed))
-	coreness, rho := core.KCore(s, g, opt.Seed)
+	coreness, rho := core.KCore(s, g)
 	st.KMax = core.Degeneracy(s, coreness)
 	st.Rho = rho
 	return st
@@ -86,8 +86,8 @@ func ComputeDir(s *parallel.Scheduler, name string, g graph.Graph, opt Options) 
 	}
 	st := Graph{Name: name, N: g.N(), M: g.M()}
 	st.EffectiveDiameter = EffectiveDiameter(s, g, opt.DiameterSamples, opt.Seed)
-	labels := core.SCC(s, g, opt.Seed, core.SCCOpts{})
-	st.NumSCC, st.LargestSCC = core.NumSCCs(s, labels)
+	labels := core.SCC(s, g, opt.Seed, core.SCCOpts{Beta: 2.0, TrimRounds: 3})
+	st.NumSCC, st.LargestSCC = core.ComponentCount(s, labels)
 	return st
 }
 
