@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs/serve -fuzz '^FuzzRunRequestDecode$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/graph -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/graph -fuzz '^FuzzReadAdjacency$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Run the HTTP serving daemon (see cmd/gbbs-serve -h for flags).
 serve:

@@ -339,6 +339,9 @@ func (e *Engine) Run(ctx context.Context, name string, req Request) (Result, err
 	if req.Graph == nil {
 		return Result{}, fmt.Errorf("gbbs: %s: Request.Graph and Request.Input are both nil", name)
 	}
+	if !req.Graph.Symmetric() && req.Graph.Transpose() == nil {
+		return Result{}, fmt.Errorf("gbbs: %s: directed graph has no transpose (an out-only graph, such as a SplitCSR shard or cut graph, is not an algorithm input)", name)
+	}
 	if a.NeedsWeights && !req.Graph.Weighted() {
 		return Result{}, fmt.Errorf("gbbs: %s requires a weighted graph (add a weights or paperweights transform)", name)
 	}

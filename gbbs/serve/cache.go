@@ -104,15 +104,19 @@ func (c *Cache) Invalidate(key string) bool { return c.f.invalidate(key) }
 
 // approxGraphBytes estimates a graph's resident size from its shape: for an
 // uncompressed CSR, offsets (8B per vertex) plus neighbor IDs (4B per
-// stored edge) plus weights (4B per edge when weighted), doubled for the
-// transpose of directed graphs; for the parallel-byte representation,
-// the encoded payload plus the per-vertex degree and offset tables. It is
-// an eviction heuristic, not an accounting guarantee.
+// stored edge) plus weights (4B per edge when weighted); for the
+// parallel-byte representation, the encoded payload plus the per-vertex
+// degree and offset tables. Either way a directed graph is charged for its
+// transpose too. It is an eviction heuristic, not an accounting guarantee.
 func approxGraphBytes(g gbbs.Graph) int64 {
 	n, m := int64(g.N()), int64(g.M())
 	switch cg := g.(type) {
 	case *gbbs.Compressed:
-		return cg.SizeBytes() + 12*n
+		bytes := cg.SizeBytes() + 12*n
+		if tr, ok := cg.Transpose().(*gbbs.Compressed); ok && tr != cg {
+			bytes += tr.SizeBytes() + 12*n
+		}
+		return bytes
 	default:
 		bytes := 8*(n+1) + 4*m
 		if g.Weighted() {

@@ -52,4 +52,14 @@ func TestApproxGraphBytes(t *testing.T) {
 	if got := approxGraphBytes(cg); got <= 0 {
 		t.Fatalf("approxGraphBytes(compressed) = %d", got)
 	}
+	// A directed compressed graph is charged for both encoded directions,
+	// each with its own degree and offset tables.
+	dcg, err := eng.Build(context.Background(), gbbs.RMAT(8, 8, 1), gbbs.EncodeCompressed(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, in := dcg.(*gbbs.Compressed), dcg.Transpose().(*gbbs.Compressed)
+	if want := out.SizeBytes() + in.SizeBytes() + 2*12*int64(dcg.N()); approxGraphBytes(dcg) != want {
+		t.Fatalf("approxGraphBytes(directed compressed) = %d, want %d", approxGraphBytes(dcg), want)
+	}
 }

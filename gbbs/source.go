@@ -325,8 +325,9 @@ func (c *csrSource) load(s *parallel.Scheduler) (*graph.EdgeList, *graph.CSR, er
 
 // Adjacency returns a source reading the (Weighted)AdjacencyGraph text
 // format from r. symmetric declares whether the stream stores a symmetric
-// graph (the format does not record it); directed streams get their
-// transpose rebuilt during the build.
+// graph (the format does not record it). Every adjacency list must be
+// non-decreasing; directed streams get their transpose built and linked
+// during the build.
 func Adjacency(r io.Reader, symmetric bool) GraphSource {
 	return &csrSource{
 		name: fmt.Sprintf("adjacency(symmetric=%v)", symmetric),

@@ -237,12 +237,11 @@ func (st *Store) replayWAL(ctx context.Context, eng *gbbs.Engine, dir string, ba
 		if added == 0 {
 			return nil, 0, fmt.Errorf("replayed batch for version %d added no edges: log disagrees with snapshot", version)
 		}
-		if ov, isOverlay := next.(*gbbs.Overlay); isOverlay && st.cfg.CompactFraction > 0 &&
-			float64(ov.DeltaM()) > st.cfg.CompactFraction*float64(ov.Base().M()) {
-			compacted, err := eng.Compact(ctx, ov)
-			if err != nil {
-				return nil, 0, fmt.Errorf("compact during replay of version %d: %w", version, err)
-			}
+		compacted, err := st.compactIfDue(ctx, eng, next)
+		if err != nil {
+			return nil, 0, fmt.Errorf("compact during replay of version %d: %w", version, err)
+		}
+		if compacted != nil {
 			next = compacted
 		}
 		g = next

@@ -311,13 +311,11 @@ func (st *Store) ApplyEdges(ctx context.Context, eng *gbbs.Engine, name string, 
 	if added == 0 {
 		return Snapshot{Name: name, Version: curVersion, Graph: cur, Spec: e.spec}, 0, nil
 	}
-	var compacted *gbbs.CSR
-	if ov, isOverlay := next.(*gbbs.Overlay); isOverlay && st.cfg.CompactFraction > 0 &&
-		float64(ov.DeltaM()) > st.cfg.CompactFraction*float64(ov.Base().M()) {
-		compacted, err = eng.Compact(ctx, ov)
-		if err != nil {
-			return Snapshot{}, 0, fmt.Errorf("store: compact %s: %w", name, err)
-		}
+	compacted, err := st.compactIfDue(ctx, eng, next)
+	if err != nil {
+		return Snapshot{}, 0, fmt.Errorf("store: compact %s: %w", name, err)
+	}
+	if compacted != nil {
 		next = compacted
 	}
 
@@ -344,6 +342,19 @@ func (st *Store) ApplyEdges(ctx context.Context, eng *gbbs.Engine, name string, 
 	snap := Snapshot{Name: e.name, Version: e.version, Graph: e.snap, Spec: e.spec}
 	e.mu.Unlock()
 	return snap, added, nil
+}
+
+// compactIfDue compacts next when it is an overlay whose delta exceeds the
+// configured fraction of its base, returning the compacted CSR, or nil when
+// no compaction is due. The update path and WAL replay both call it, so a
+// replayed graph compacts at exactly the versions the live one did.
+func (st *Store) compactIfDue(ctx context.Context, eng *gbbs.Engine, next gbbs.Graph) (*gbbs.CSR, error) {
+	ov, isOverlay := next.(*gbbs.Overlay)
+	if !isOverlay || st.cfg.CompactFraction <= 0 ||
+		float64(ov.DeltaM()) <= st.cfg.CompactFraction*float64(ov.Base().M()) {
+		return nil, nil
+	}
+	return eng.Compact(ctx, ov)
 }
 
 // CCState returns the incremental-connectivity state to attach to an

@@ -90,8 +90,9 @@ func (e *Engine) Compact(ctx context.Context, g Graph) (*CSR, error) {
 // ReadBinaryChecked parses the binary graph format written by WriteBinary,
 // accepting only GBBSBIN2: it verifies the header and per-section CRC32C
 // checksums and fails with a descriptive error on any corruption, and it
-// rejects a legacy GBBSBIN1 stream, which carries no checksums. Directed
-// graphs get their transpose rebuilt on the engine's scheduler. The
+// rejects a legacy GBBSBIN1 stream, which carries no checksums. Every
+// adjacency list must be non-decreasing, and directed graphs get their
+// transpose built and linked on the engine's scheduler. The
 // persistent graph store loads its snapshots through this.
 func (e *Engine) ReadBinaryChecked(ctx context.Context, r io.Reader) (*CSR, error) {
 	var g *CSR

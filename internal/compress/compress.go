@@ -348,10 +348,13 @@ func (g *Graph) DecodeOut(v uint32, buf []uint32) []uint32 {
 }
 
 // Transpose returns the reversed-direction view: itself when symmetric,
-// otherwise the linked transpose (nil for an out-only graph).
+// otherwise the linked transpose, or an untyped nil for an out-only graph.
 func (g *Graph) Transpose() graph.Graph {
 	if g.symmetric {
 		return g
+	}
+	if g.inG == nil {
+		return nil
 	}
 	return g.inG
 }

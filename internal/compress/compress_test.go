@@ -221,11 +221,65 @@ func TestFromFuncFiltered(t *testing.T) {
 		t.Fatalf("directed M=%d, want half of %d", dg.M(), csr.M())
 	}
 	// The CSR builder over the same predicate keeps the same edges.
-	ref := graph.FromAdjacency(sched, csr, false, keep)
+	ref := graph.FromAdjacency(sched, csr, false, false, keep)
 	for v := uint32(0); int(v) < csr.N(); v++ {
 		if !slices.Equal(dg.DecodeOut(v, nil), ref.OutNghSlice(v)) {
 			t.Fatalf("FromFunc and FromAdjacency disagree at %d", v)
 		}
+	}
+}
+
+// Property: weighted FromAdjacency over any source representation (CSR,
+// compressed, overlay) and at any worker count lays out exactly the graph
+// FromEdgeList builds from the kept edges, weights included.
+func TestWeightedFromAdjacencyMatchesFromEdgeList(t *testing.T) {
+	const n = 48
+	scheds := []*parallel.Scheduler{parallel.New(1), parallel.New(2), parallel.New(4)}
+	defer func() {
+		for _, s := range scheds {
+			s.Close()
+		}
+	}()
+	err := quick.Check(func(raw []uint16, cut uint8, salt uint32) bool {
+		el := graph.NewEdgeList(n, len(raw)/3, true)
+		for i := 0; i+2 < len(raw); i += 3 {
+			el.Add(uint32(raw[i])%n, uint32(raw[i+1])%n, int32(raw[i+2]%50)+1)
+		}
+		// The overlay's base holds the first edges, its delta the rest.
+		split := el.Len() * int(cut) / 256
+		head := &graph.EdgeList{N: n, U: el.U[:split], V: el.V[:split], W: el.W[:split]}
+		tail := &graph.EdgeList{N: n, U: el.U[split:], V: el.V[split:], W: el.W[split:]}
+		csr := graph.FromEdgeList(sched, n, el, graph.BuildOptions{Symmetrize: true})
+		ov, _ := graph.ApplyEdges(sched, graph.FromEdgeList(sched, n, head, graph.BuildOptions{Symmetrize: true}), tail)
+		keep := func(v, u uint32) bool { return (v*7+u*13+salt)%3 != 0 }
+		for _, src := range []graph.Graph{csr, FromCSR(sched, csr, 4), ov} {
+			kept := graph.NewEdgeList(n, 0, true)
+			for v := uint32(0); v < n; v++ {
+				src.OutNgh(v, func(u uint32, w int32) bool {
+					if keep(v, u) {
+						kept.Add(v, u, w)
+					}
+					return true
+				})
+			}
+			want := graph.FromEdgeList(sched, n, kept, graph.BuildOptions{})
+			for _, s := range scheds {
+				got := graph.FromAdjacency(s, src, false, true, keep)
+				if got.M() != want.M() || !got.Weighted() {
+					return false
+				}
+				for v := uint32(0); v < n; v++ {
+					if !slices.Equal(got.OutNghSlice(v), want.OutNghSlice(v)) ||
+						!slices.Equal(got.OutWeightSlice(v), want.OutWeightSlice(v)) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

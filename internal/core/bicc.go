@@ -74,7 +74,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 			childSrc[i] = uint32(childKeys[i] >> 32)
 		}
 	})
-	childOff := csrOffsets(s, n, childSrc)
+	childOff := graph.FillOffsets(s, n, childSrc)
 	children := func(v uint32) []uint32 { return childArr[childOff[v]:childOff[v+1]] }
 
 	// Group vertices by BFS level for the leaffix/rootfix sweeps.
@@ -196,7 +196,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 
 	// Connectivity of G with critical edges removed yields the per-vertex
 	// labels of the query structure.
-	filtered := graph.FromAdjacency(s, g, true, func(v, u uint32) bool {
+	filtered := graph.FromAdjacency(s, g, true, false, func(v, u uint32) bool {
 		return !isCritical(critical, parent, v, u)
 	})
 	labels := Connectivity(s, filtered, beta, seed^0x5ca1ab1e)
@@ -206,35 +206,6 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 // isCritical reports whether undirected edge (v, u) is a critical tree edge.
 func isCritical(critical []bool, parent []uint32, v, u uint32) bool {
 	return (parent[v] == u && critical[v]) || (parent[u] == v && critical[u])
-}
-
-// csrOffsets computes offsets for a sorted source array over n vertices.
-func csrOffsets(s *parallel.Scheduler, n int, srcs []uint32) []int64 {
-	offsets := make([]int64, n+1)
-	m := len(srcs)
-	if m == 0 {
-		return offsets
-	}
-	s.ForRange(m, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := srcs[i]
-			if i == 0 {
-				for w := uint32(0); w <= u; w++ {
-					offsets[w] = 0
-				}
-				continue
-			}
-			if prev := srcs[i-1]; prev != u {
-				for w := prev + 1; w <= u; w++ {
-					offsets[w] = int64(i)
-				}
-			}
-		}
-	})
-	for w := int(srcs[m-1]) + 1; w <= n; w++ {
-		offsets[w] = int64(m)
-	}
-	return offsets
 }
 
 // NumBiccLabels counts distinct edge labels under the query structure — the

@@ -41,49 +41,13 @@ func Connectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint6
 	return labels
 }
 
-// contractEdges collects the distinct-enough (deduplication happens in the
-// builder) inter-cluster edges of g under the given dense labelling.
+// contractEdges lists the inter-cluster edges of g under the dense
+// labelling, as (labels[v], labels[u]) with labels[u] > labels[v] so one
+// direction per cut edge survives; the builder deduplicates.
 func contractEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32, k int) *graph.EdgeList {
-	n := g.N()
-	// Count cut edges (u < v representative direction) per vertex, scan,
-	// then fill.
-	counts := make([]int64, n)
-	s.ForRange(n, 0, func(lo, hi int) {
-		var lv uint32
-		var c int64
-		count := func(u uint32, _ int32) bool {
-			if labels[u] > lv {
-				c++
-			}
-			return true
-		}
-		for v := lo; v < hi; v++ {
-			lv, c = labels[v], 0
-			g.OutNgh(uint32(v), count)
-			counts[v] = c
-		}
-	})
-	offsets := make([]int64, n)
-	total := prims.Scan(s, counts, offsets)
-	el := &graph.EdgeList{N: k}
-	el.U = make([]uint32, total)
-	el.V = make([]uint32, total)
-	s.ForRange(n, 64, func(lo, hi int) {
-		var lv uint32
-		var i int64
-		fill := func(u uint32, _ int32) bool {
-			if labels[u] > lv {
-				el.U[i] = lv
-				el.V[i] = labels[u]
-				i++
-			}
-			return true
-		}
-		for v := lo; v < hi; v++ {
-			lv, i = labels[v], offsets[v]
-			g.OutNgh(uint32(v), fill)
-		}
-	})
+	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, false, false, func(v, u uint32) bool { return labels[u] > labels[v] }))
+	graph.RelabelEdgeList(s, el, labels)
+	el.N = k
 	return el
 }
 

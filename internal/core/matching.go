@@ -22,6 +22,9 @@ import (
 // g must be symmetric.
 func MaximalMatching(s *parallel.Scheduler, g graph.Graph, seed uint64) []WEdge {
 	n := g.N()
+	// One direction per undirected edge: the memory optimization the paper
+	// applies to make edgelist algorithms fit ("we can pack out the edges
+	// so that each undirected edge is only inspected once").
 	eu, ev, _ := extractEdges(s, g, false)
 	m := len(eu)
 	// Unique random key per edge: (hash, id).

@@ -26,6 +26,9 @@ import (
 // would not fit in memory.
 func MSF(s *parallel.Scheduler, g graph.Graph) ([]WEdge, int64) {
 	n := g.N()
+	// One direction per undirected edge: the memory optimization the paper
+	// applies to make edgelist algorithms fit ("we can pack out the edges
+	// so that each undirected edge is only inspected once").
 	eu, ev, ew := extractEdges(s, g, true)
 	m := len(eu)
 	ids := make([]uint32, m)

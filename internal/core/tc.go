@@ -32,7 +32,7 @@ func TriangleCount(s *parallel.Scheduler, g graph.Graph) int64 {
 	if _, isCompressed := g.(*compress.Graph); isCompressed {
 		dg = compress.FromFunc(s, g, false, 0, rankLess)
 	} else {
-		dg = graph.FromAdjacency(s, g, false, rankLess)
+		dg = graph.FromAdjacency(s, g, false, false, rankLess)
 	}
 	// Sum |N+(u) ∩ N+(v)| over directed edges (u, v).
 	bounds := s.Blocks(n, 0)

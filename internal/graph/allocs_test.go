@@ -23,7 +23,7 @@ func symGrid(s *parallel.Scheduler, side int) *CSR {
 
 // FromAdjacency builds its visit closures once per block, so on a
 // one-worker scheduler (one block per loop) its allocations per call do not
-// grow with the graph.
+// grow with the graph, with or without weights.
 func TestFromAdjacencyAllocsIndependentOfN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -32,13 +32,15 @@ func TestFromAdjacencyAllocsIndependentOfN(t *testing.T) {
 	defer s.Close()
 	keep := func(v, u uint32) bool { return v < u }
 	sides := [2]int{32, 128}
-	var allocs [2]float64
-	for i, side := range sides {
-		g := symGrid(s, side)
-		allocs[i] = testing.AllocsPerRun(10, func() { FromAdjacency(s, g, false, keep) })
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("%v allocs per FromAdjacency at side %d, %v at side %d; want equal",
-			allocs[0], sides[0], allocs[1], sides[1])
+	for _, weighted := range []bool{false, true} {
+		var allocs [2]float64
+		for i, side := range sides {
+			g := symGrid(s, side)
+			allocs[i] = testing.AllocsPerRun(10, func() { FromAdjacency(s, g, false, weighted, keep) })
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("weighted=%v: %v allocs per FromAdjacency at side %d, %v at side %d; want equal",
+				weighted, allocs[0], sides[0], allocs[1], sides[1])
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"repro/internal/parallel"
 )
@@ -104,15 +103,17 @@ func writeSection[T binWord](bw *bufio.Writer, buf []byte, xs []T) {
 
 // ReadBinaryChecked parses the binary graph format, accepting only
 // GBBSBIN2: the header and per-section CRC32C checksums are verified
-// alongside the structural checks. Directed graphs get their transpose
-// rebuilt on scheduler s.
+// alongside the structural checks, and every adjacency list must be
+// non-decreasing. Directed graphs get their transpose built and linked on
+// scheduler s.
 func ReadBinaryChecked(s *parallel.Scheduler, r io.Reader) (*CSR, error) {
 	return readBinary(s, r, false)
 }
 
 // ReadBinary parses the binary graph format: GBBSBIN2 exactly as
 // ReadBinaryChecked does, or a legacy GBBSBIN1 file with structural checks
-// only. Directed graphs get their transpose rebuilt on scheduler s.
+// only. Either way every adjacency list must be non-decreasing, and
+// directed graphs get their transpose built and linked on scheduler s.
 func ReadBinary(s *parallel.Scheduler, r io.Reader) (*CSR, error) {
 	return readBinary(s, r, true)
 }
@@ -147,7 +148,7 @@ func readBinary(s *parallel.Scheduler, r io.Reader, legacy bool) (*CSR, error) {
 	buf := make([]byte, binChunk)
 	offsets, err := readSection(r, buf, n+1, "offsets", checked, func(xs []int64, from int) error {
 		for i := from; i < len(xs); i++ {
-			if xs[i] < 0 || xs[i] > int64(m) || (i > 0 && xs[i] < xs[i-1]) {
+			if xs[i] > int64(m) || (i == 0 && xs[i] != 0) || (i > 0 && xs[i] < xs[i-1]) {
 				return fmt.Errorf("graph: corrupt offsets at %d", i)
 			}
 		}
@@ -170,16 +171,6 @@ func readBinary(s *parallel.Scheduler, r io.Reader, legacy bool) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Loading a directed graph sorts each adjacency list (the transpose
-	// rebuild), so GBBSBIN2 requires them sorted already; otherwise two
-	// distinct files would decode to the same graph.
-	if checked && flags&binSymmetric == 0 {
-		for v := range n {
-			if !slices.IsSorted(edges[offsets[v]:offsets[v+1]]) {
-				return nil, fmt.Errorf("graph: unsorted adjacency of vertex %d in directed binary graph", v)
-			}
-		}
-	}
 	var weights []int32
 	if flags&binWeighted != 0 {
 		if weights, err = readSection[int32](r, buf, m, "weights", checked, nil); err != nil {
@@ -194,11 +185,7 @@ func readBinary(s *parallel.Scheduler, r io.Reader, legacy bool) (*CSR, error) {
 			return nil, fmt.Errorf("graph: trailing garbage after binary graph")
 		}
 	}
-	g := &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: flags&binSymmetric != 0}
-	if !g.symmetric {
-		return rebuildWithTranspose(s, g), nil
-	}
-	return g, nil
+	return validated(s, &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: flags&binSymmetric != 0})
 }
 
 // readSection decodes a section of count elements a chunk at a time through
@@ -222,12 +209,7 @@ func readSection[T binWord](r io.Reader, buf []byte, count int, name string, che
 		if checked {
 			sum = crc32.Update(sum, castagnoli, b)
 		}
-		if from+k > cap(xs) {
-			grown := make([]T, from, min(count, max(2*cap(xs), from+k)))
-			copy(grown, xs)
-			xs = grown
-		}
-		xs = xs[:from+k]
+		xs = growCapped(xs, from+k, count)[:from+k]
 		binary.Decode(b, binary.LittleEndian, xs[from:]) // len(b) fits xs[from:] exactly
 		if valid != nil {
 			if err := valid(xs, from); err != nil {
@@ -244,6 +226,19 @@ func readSection[T binWord](r io.Reader, buf []byte, count int, name string, che
 		}
 	}
 	return xs, nil
+}
+
+// growCapped returns xs with capacity for need elements, at least doubling
+// it but never past limit. Readers grow their arrays through it as data
+// arrives, so a header's sizes never drive an allocation the stream does
+// not back, and an honest stream still ends in an exactly-sized slice.
+func growCapped[T any](xs []T, need, limit int) []T {
+	if need <= cap(xs) {
+		return xs
+	}
+	grown := make([]T, len(xs), min(limit, max(2*cap(xs), need)))
+	copy(grown, xs)
+	return grown
 }
 
 // crcMatch compares a stored checksum to the computed one, naming the

@@ -79,13 +79,13 @@ func TestBinaryRoundTripDirected(t *testing.T) {
 			t.Fatalf("out mismatch at %d", v)
 		}
 		if !slices.Equal(ht.OutNghSlice(v), gt.OutNghSlice(v)) || !slices.Equal(ht.OutWeightSlice(v), gt.OutWeightSlice(v)) {
-			t.Fatalf("in mismatch at %d (transpose rebuild)", v)
+			t.Fatalf("in mismatch at %d (transpose built on load)", v)
 		}
 	}
 }
 
 // Both legacy GBBSBIN1 fixtures still decode, to exactly the graphs they
-// were written from (the directed one with its transpose rebuilt); the
+// were written from (the directed one with its transpose built on load); the
 // strict reader refuses them.
 func TestReadBinaryDecodesLegacyFixtures(t *testing.T) {
 	for _, tc := range []struct {
@@ -174,7 +174,7 @@ func TestBinaryEmptyGraph(t *testing.T) {
 
 // A header alone must not buy an allocation: a file of a few bytes that
 // declares n = 2^27 is rejected after allocating far less than the 1 GiB
-// its offsets section would take.
+// its offsets section would take, in either binary layout or as text.
 func TestReadBinaryBoundsAllocationByData(t *testing.T) {
 	hdr := func(magic string) []byte {
 		b := []byte(magic)
@@ -185,10 +185,12 @@ func TestReadBinaryBoundsAllocationByData(t *testing.T) {
 	v1 := hdr("GBBSBIN1")
 	v2 := hdr("GBBSBIN2")
 	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2[8:], castagnoli))
+	text := []byte("AdjacencyGraph\n134217728\n0\n0\n")
+	decodeText := func(b []byte) (*CSR, error) { return ReadAdjacency(sched, bytes.NewReader(b), true) }
 	for _, tc := range []struct {
 		b      []byte
 		decode func([]byte) (*CSR, error)
-	}{{v1, decodePlain}, {v2, decodePlain}, {v2, decodeChecked}} {
+	}{{v1, decodePlain}, {v2, decodePlain}, {v2, decodeChecked}, {text, decodeText}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := tc.decode(tc.b)
@@ -203,14 +205,17 @@ func TestReadBinaryBoundsAllocationByData(t *testing.T) {
 }
 
 // FuzzReadBinary drives the binary decoder with arbitrary files: it must
-// never panic, and any file the strict reader accepts must re-encode to
-// exactly the same bytes (so no two distinct files decode to one graph).
+// never panic, every graph either reader accepts passes checkLoaded, and any
+// file the strict reader accepts must re-encode to exactly the same bytes
+// (so no two distinct files decode to one graph).
 func FuzzReadBinary(f *testing.F) {
 	for _, name := range []string{fixtureV1WeightedSymmetric, fixtureV1Directed, fixtureV2IO} {
 		f.Add(fixture(f, name))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _ = ReadBinary(sched, bytes.NewReader(b))
+		if g, err := ReadBinary(sched, bytes.NewReader(b)); err == nil {
+			checkLoaded(t, g)
+		}
 		g, err := ReadBinaryChecked(sched, bytes.NewReader(b))
 		if err != nil {
 			return

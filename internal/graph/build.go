@@ -52,8 +52,7 @@ func FromEdgeList(s *parallel.Scheduler, n int, el *EdgeList, opt BuildOptions) 
 			}
 		}
 	})
-	sortBits := 32 + prims.BitsFor(uint64(max(n-1, 0)))
-	offsets, edges, weights := buildAdj(s, n, keys, wts, sortBits, opt)
+	offsets, edges, weights := buildAdj(s, n, keys, wts, 32+prims.BitsFor(uint64(max(n-1, 0))), opt)
 	g := &CSR{
 		n:         n,
 		offsets:   offsets,
@@ -62,30 +61,35 @@ func FromEdgeList(s *parallel.Scheduler, n int, el *EdgeList, opt BuildOptions) 
 		symmetric: opt.Symmetrize,
 	}
 	if !g.symmetric {
-		// Transpose the kept edges: swap endpoint halves and rebuild.
-		s.Poll()
-		mk := len(edges)
-		tkeys := make([]uint64, mk)
-		var twts []uint32
-		if weights != nil {
-			twts = make([]uint32, mk)
-		}
-		s.For(n, 256, func(v int) {
-			lo, hi := offsets[v], offsets[v+1]
-			for i := lo; i < hi; i++ {
-				tkeys[i] = uint64(edges[i])<<32 | uint64(uint32(v))
-				if twts != nil {
-					twts[i] = uint32(weights[i])
-				}
-			}
-		})
-		// The forward pass already deduplicated, so keep everything here.
-		t := &CSR{n: n, t: g}
-		t.offsets, t.edges, t.weights = buildAdj(s, n, tkeys, twts, sortBits,
-			BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
-		g.t = t
+		linkTranspose(s, g)
 	}
 	return g
+}
+
+// linkTranspose builds the transpose of the directed graph g on scheduler s
+// and links the two both ways. Every stored edge is reversed as it is,
+// duplicates and self-loops included, and equal in-neighbors keep their
+// out-order, so the transpose's rows are sorted whenever g's are.
+func linkTranspose(s *parallel.Scheduler, g *CSR) {
+	s.Poll()
+	n, m := g.n, len(g.edges)
+	keys := make([]uint64, m)
+	var wts []uint32
+	if g.weights != nil {
+		wts = make([]uint32, m)
+	}
+	s.For(n, 256, func(v int) {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			keys[i] = uint64(g.edges[i])<<32 | uint64(uint32(v))
+			if wts != nil {
+				wts[i] = uint32(g.weights[i])
+			}
+		}
+	})
+	t := &CSR{n: n, t: g}
+	t.offsets, t.edges, t.weights = buildAdj(s, n, keys, wts, 32+prims.BitsFor(uint64(max(n-1, 0))),
+		BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
+	g.t = t
 }
 
 // buildAdj sorts packed (u<<32|v) keys, applies self-loop/duplicate
@@ -139,14 +143,14 @@ func buildAdj(s *parallel.Scheduler, n int, keys []uint64, wts []uint32, sortBit
 			}
 		}
 	})
-	offsets := fillOffsets(s, n, srcs, mk)
-	return offsets, edges, weights
+	return FillOffsets(s, n, srcs), edges, weights
 }
 
-// fillOffsets computes CSR offsets from the sorted source array: offsets[u]
-// is the first adjacency index whose source is >= u.
-func fillOffsets(s *parallel.Scheduler, n int, srcs []uint32, m int) []int64 {
+// FillOffsets computes the CSR offsets over n vertices of a sorted source
+// array on scheduler s: offsets[u] is the first index whose source is >= u.
+func FillOffsets(s *parallel.Scheduler, n int, srcs []uint32) []int64 {
 	offsets := make([]int64, n+1)
+	m := len(srcs)
 	if m == 0 {
 		return offsets
 	}
@@ -173,15 +177,18 @@ func fillOffsets(s *parallel.Scheduler, n int, srcs []uint32, m int) []int64 {
 	return offsets
 }
 
-// FromAdjacency builds an unweighted CSR graph on scheduler s from the
-// out-edges (v, u) of src for which keep(v, u) holds, used by code that
-// transforms one graph into another (triangle counting's degree-ordered
-// direction step, biconnectivity's critical-edge filter). Adjacency order is
-// preserved, so sorted input gives sorted output. keep is called twice per
-// edge (counting pass, filling pass) and must give the same answer both
-// times. With symmetric false the result is out-only: it serves triangle
-// counting's single pass over out-edges and has no Transpose.
-func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric bool, keep func(v, u uint32) bool) *CSR {
+// FromAdjacency builds a CSR graph on scheduler s from the out-edges (v, u)
+// of src for which keep(v, u) holds. It is the one filtered-subgraph layout:
+// triangle counting's degree-ordered direction step, the one-direction edge
+// lists of MSF and maximal matching, connectivity's contraction and
+// biconnectivity's critical-edge filter all go through it. With weighted
+// true the result carries src's edge weights (1 on an unweighted src);
+// otherwise it is unweighted and no weight array is allocated. Adjacency
+// order is preserved, so sorted input gives sorted output. keep is called
+// twice per edge (counting pass, filling pass) and must give the same
+// answer both times. With symmetric false the result is out-only: it has no
+// Transpose.
+func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric, weighted bool, keep func(v, u uint32) bool) *CSR {
 	n := src.N()
 	degs := make([]int64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
@@ -203,13 +210,20 @@ func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric bool, keep func(v
 	total := prims.Scan(s, degs, offsets[:n])
 	offsets[n] = total
 	edges := make([]uint32, total)
+	var weights []int32
+	if weighted {
+		weights = make([]int32, total)
+	}
 	s.Poll()
 	s.ForRange(n, 64, func(lo, hi int) {
 		var v uint32
 		var j int64
-		add := func(u uint32, _ int32) bool {
+		add := func(u uint32, w int32) bool {
 			if keep(v, u) {
 				edges[j] = u
+				if weights != nil {
+					weights[j] = w
+				}
 				j++
 			}
 			return true
@@ -219,5 +233,5 @@ func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric bool, keep func(v
 			src.OutNgh(v, add)
 		}
 	})
-	return &CSR{n: n, offsets: offsets, edges: edges, symmetric: symmetric}
+	return &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: symmetric}
 }

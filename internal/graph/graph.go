@@ -59,9 +59,10 @@ type CSR struct {
 	edges     []uint32
 	weights   []int32
 	symmetric bool
-	// t is the transpose of a directed graph, linked both ways (t.t == g).
-	// It is nil for symmetric graphs and for the out-only graphs that
-	// FromAdjacency and SplitCSR lay out.
+	// t is the transpose of a directed graph, linked both ways (t.t == g):
+	// FromEdgeList and MergeCSR build it, and the readers link it to the
+	// CSR they decoded. It is nil for symmetric graphs and for the out-only
+	// graphs that FromAdjacency and SplitCSR lay out.
 	t *CSR
 }
 
@@ -156,7 +157,13 @@ func (g *CSR) Transposed() *CSR {
 	return g.t
 }
 
-// Transpose implements the Graph interface over Transposed.
-func (g *CSR) Transpose() Graph { return g.Transposed() }
+// Transpose implements the Graph interface over Transposed. An out-only
+// graph returns an untyped nil, so callers can test for it.
+func (g *CSR) Transpose() Graph {
+	if t := g.Transposed(); t != nil {
+		return t
+	}
+	return nil
+}
 
 var _ Graph = (*CSR)(nil)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"repro/internal/parallel"
+	"repro/internal/prims"
 )
 
 // This file implements the text adjacency-graph format used by Ligra and the
@@ -67,8 +69,8 @@ func WriteAdjacency(w io.Writer, g *CSR) error {
 
 // ReadAdjacency parses an adjacency-graph stream into a CSR graph. symmetric
 // declares whether the file stores a symmetric graph (the format itself does
-// not record this); for directed graphs the transpose is rebuilt on
-// scheduler s.
+// not record this). Every adjacency list must be non-decreasing; a directed
+// graph's transpose is then built and linked on scheduler s.
 func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -110,27 +112,22 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 		return nil, err
 	}
 	n, m := int(n64), int(m64)
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: negative sizes n=%d m=%d", n, m)
+	if n < 0 || m < 0 || n > 1<<32 {
+		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
 	}
-	offsets := make([]int64, n+1)
+	var offsets []int64
 	for v := 0; v < n; v++ {
 		o, err := nextInt()
 		if err != nil {
 			return nil, err
 		}
-		if o < 0 || o > int64(m) {
-			return nil, fmt.Errorf("graph: offset %d out of range", o)
+		if o > int64(m) || (v == 0 && o != 0) || (v > 0 && o < offsets[v-1]) {
+			return nil, fmt.Errorf("graph: offset %d of vertex %d out of order or range", o, v)
 		}
-		offsets[v] = o
+		offsets = append(growCapped(offsets, v+1, n+1), o)
 	}
-	offsets[n] = int64(m)
-	for v := 1; v <= n; v++ {
-		if offsets[v] < offsets[v-1] {
-			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
-		}
-	}
-	edges := make([]uint32, m)
+	offsets = append(growCapped(offsets, n+1, n+1), int64(m))
+	var edges []uint32
 	for i := 0; i < m; i++ {
 		e, err := nextInt()
 		if err != nil {
@@ -139,11 +136,11 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 		if e < 0 || e >= int64(n) {
 			return nil, fmt.Errorf("graph: edge target %d out of range", e)
 		}
-		edges[i] = uint32(e)
+		edges = append(growCapped(edges, i+1, m), uint32(e))
 	}
 	var weights []int32
 	if weighted {
-		weights = make([]int32, m)
+		weights = make([]int32, m) // m edges were read, so m is backed
 		for i := 0; i < m; i++ {
 			w, err := nextInt()
 			if err != nil {
@@ -152,34 +149,27 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 			weights[i] = int32(w)
 		}
 	}
-	g := &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: symmetric}
-	if !symmetric {
-		return rebuildWithTranspose(s, g), nil
-	}
-	return g, nil
+	return validated(s, &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: symmetric})
 }
 
-// rebuildWithTranspose rebuilds a transpose-less directed CSR through the
-// edge-list path so in-edges become available, keeping the stored adjacency
-// as-is (it may intentionally contain duplicates or self-loops).
-func rebuildWithTranspose(s *parallel.Scheduler, g *CSR) *CSR {
-	n, m := g.n, len(g.edges)
-	el := &EdgeList{N: n}
-	el.U = make([]uint32, m)
-	el.V = make([]uint32, m)
-	if g.weights != nil {
-		el.W = make([]int32, m)
-	}
-	s.ForRange(n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-				el.U[i] = uint32(v)
-				el.V[i] = g.edges[i]
-				if g.weights != nil {
-					el.W[i] = g.weights[i]
-				}
-			}
+// validated finishes every reader on the CSR it decoded. Readers never sort,
+// so it checks in one parallel pass on s that each adjacency list is
+// non-decreasing (HasEdge's binary search, Overlay's merge and triangle
+// counting's intersections rely on it), then links a directed graph's
+// transpose. The error names the first offending vertex.
+func validated(s *parallel.Scheduler, g *CSR) (*CSR, error) {
+	n := g.n
+	first := prims.MapReduce(s, n, n, func(v int) int {
+		if slices.IsSorted(g.edges[g.offsets[v]:g.offsets[v+1]]) {
+			return n
 		}
-	})
-	return FromEdgeList(s, n, el, BuildOptions{KeepDuplicates: true, KeepSelfLoops: true})
+		return v
+	}, func(a, b int) int { return min(a, b) })
+	if first < n {
+		return nil, fmt.Errorf("graph: unsorted adjacency of vertex %d", first)
+	}
+	if !g.symmetric {
+		linkTranspose(s, g)
+	}
+	return g, nil
 }

@@ -39,7 +39,7 @@ func testGraphForIO() *CSR {
 }
 
 // directedPathGraph is a directed, unweighted path: its file has no weights
-// section and its load rebuilds the transpose.
+// section and its load links a built transpose.
 func directedPathGraph() *CSR {
 	el := &EdgeList{N: 10}
 	for i := 0; i < 9; i++ {
@@ -128,7 +128,7 @@ func TestReadBinaryCheckedRoundTrip(t *testing.T) {
 		t.Fatal("checked round trip is not byte-identical")
 	}
 
-	// A directed graph exercises the transpose rebuild on load.
+	// A directed graph exercises the transpose built on load.
 	dir := directedPathGraph()
 	g, err = ReadBinaryChecked(sched, bytes.NewReader(binBytes(t, dir)))
 	if err != nil {
@@ -214,10 +214,11 @@ func TestReadBinaryCheckedRejectsBadHeaderFields(t *testing.T) {
 	}
 }
 
-// A directed graph's adjacency lists are sorted on load, so a GBBSBIN2 file
-// with an unsorted one would decode to the same graph as the sorted file:
-// both readers refuse it. Equal targets keep their stored order (and
-// weights), so a sorted list with duplicates still loads unchanged.
+// Readers never sort, and every algorithm assumes sorted adjacency, so both
+// binary readers refuse a directed file with an unsorted list
+// (TestReadersRejectUnsortedAdjacency covers the other formats). Equal
+// targets are not out of order: a sorted list with duplicates loads with
+// its stored order and weights.
 func TestReadBinaryRejectsUnsortedDirectedAdjacency(t *testing.T) {
 	unsorted := binBytes(t, &CSR{n: 3, offsets: []int64{0, 2, 2, 2}, edges: []uint32{2, 1}})
 	mustNotLoad(t, "unsorted directed adjacency", decodeChecked, unsorted)

@@ -149,10 +149,14 @@ func (o *Overlay) DecodeOut(v uint32, buf []uint32) []uint32 {
 }
 
 // Transpose returns the snapshot with edge directions reversed; symmetric
-// snapshots return themselves. The view shares storage with the original.
+// snapshots return themselves, and an out-only base gives an untyped nil.
+// The view shares storage with the original.
 func (o *Overlay) Transpose() Graph {
 	if o.base.symmetric {
 		return o
+	}
+	if o.base.t == nil {
+		return nil
 	}
 	return &Overlay{base: o.base.Transposed(), delta: o.delta.Transposed()}
 }
