@@ -65,11 +65,13 @@ func FromCSR(s *parallel.Scheduler, g *graph.CSR, blockSize int) *Graph {
 // of src for which keep(v, u) holds, without materializing a CSR first —
 // the paper's §B uses this shape to create triangle counting's
 // degree-ordered directed graph "encoded in the parallel-byte format in O(m)
-// work". src's adjacency must be sorted; its order is preserved. keep is
-// called twice per edge (measuring pass, encoding pass) and must give the
-// same answer both times. With symmetric false the result is out-only: it
-// serves triangle counting's single pass over out-edges and has no
-// Transpose.
+// work". Its one caller is triangle counting on a compressed input, which
+// keeps vertex ids so that it never holds the edges uncompressed (a flat
+// input is renumbered by rank instead). src's adjacency must be sorted; its
+// order is preserved. keep is called twice per edge (measuring pass,
+// encoding pass) and must give the same answer both times. With symmetric
+// false the result is out-only: it serves that single pass over out-edges
+// and has no Transpose.
 func FromFunc(s *parallel.Scheduler, src graph.Graph, symmetric bool, blockSize int, keep func(v, u uint32) bool) *Graph {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize

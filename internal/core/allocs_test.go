@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/compress"
@@ -65,6 +66,37 @@ func TestPerVertexPassAllocsIndependentOfN(t *testing.T) {
 				t.Errorf("%s (compressed=%v): %v allocs per call at side %d, %v at side %d; want equal",
 					name, compressed, allocs[0], sides[0], allocs[1], sides[1])
 			}
+		}
+	}
+}
+
+// TriangleCount's allocations per call do not grow with the graph either,
+// flat or compressed. Both sides sit above 16384 vertices, where the radix
+// sort that ranks the vertices switches from one stack-held block bound to a
+// Blocks slice, a fixed step that is not growth.
+func TestTriangleCountAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := parallel.New(1)
+	defer s.Close()
+	// The process's first collection starts the runtime's mark workers,
+	// whose allocations would land in whichever measurement it falls in.
+	runtime.GC()
+	sides := [2]int{128, 256}
+	for _, compressed := range []bool{false, true} {
+		var allocs [2]float64
+		for i, side := range sides {
+			csr := graph.FromEdgeList(s, side*side, gen.Grid2D(side), graph.BuildOptions{Symmetrize: true})
+			var g graph.Graph = csr
+			if compressed {
+				g = compress.FromCSR(s, csr, 0)
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() { TriangleCount(s, g) })
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("TriangleCount (compressed=%v): %v allocs per call at side %d, %v at side %d; want equal",
+				compressed, allocs[0], sides[0], allocs[1], sides[1])
 		}
 	}
 }

@@ -178,10 +178,11 @@ func FillOffsets(s *parallel.Scheduler, n int, srcs []uint32) []int64 {
 }
 
 // FromAdjacency builds a CSR graph on scheduler s from the out-edges (v, u)
-// of src for which keep(v, u) holds. It is the one filtered-subgraph layout:
-// triangle counting's degree-ordered direction step, the one-direction edge
-// lists of MSF and maximal matching, connectivity's contraction and
-// biconnectivity's critical-edge filter all go through it. With weighted
+// of src for which keep(v, u) holds. It is the one filtered-subgraph layout
+// in vertex-id space: the one-direction edge lists of MSF and maximal
+// matching, connectivity's contraction and biconnectivity's critical-edge
+// filter all go through it. Triangle counting does not: its directed graph
+// renumbers vertices by degree rank (core's rankGraph). With weighted
 // true the result carries src's edge weights (1 on an unweighted src);
 // otherwise it is unweighted and no weight array is allocated. Adjacency
 // order is preserved, so sorted input gives sorted output. keep is called

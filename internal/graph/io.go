@@ -146,6 +146,9 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 			if err != nil {
 				return nil, err
 			}
+			if w != int64(int32(w)) {
+				return nil, fmt.Errorf("graph: weight %d of edge %d outside int32", w, i)
+			}
 			weights[i] = int32(w)
 		}
 	}
@@ -155,21 +158,57 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 // validated finishes every reader on the CSR it decoded. Readers never sort,
 // so it checks in one parallel pass on s that each adjacency list is
 // non-decreasing (HasEdge's binary search, Overlay's merge and triangle
-// counting's intersections rely on it), then links a directed graph's
-// transpose. The error names the first offending vertex.
+// counting's intersections rely on it) and, when the graph claims to be
+// symmetric, that every edge (v, u) has its reverse (u, v) with an equal
+// weight, since a symmetric graph serves as its own transpose. Then it
+// links a directed graph's transpose. The error names the first offending
+// vertex; an unsorted list is reported before a missing reverse, which the
+// binary search in an unsorted list could have missed.
 func validated(s *parallel.Scheduler, g *CSR) (*CSR, error) {
 	n := g.n
-	first := prims.MapReduce(s, n, n, func(v int) int {
-		if slices.IsSorted(g.edges[g.offsets[v]:g.offsets[v+1]]) {
-			return n
+	first := prims.MapReduce(s, n, 2*n, func(v int) int {
+		if !slices.IsSorted(g.edges[g.offsets[v]:g.offsets[v+1]]) {
+			return v
 		}
-		return v
+		if _, ok := g.missingReverse(uint32(v)); ok {
+			return n + v
+		}
+		return 2 * n
 	}, func(a, b int) int { return min(a, b) })
-	if first < n {
+	switch {
+	case first < n:
 		return nil, fmt.Errorf("graph: unsorted adjacency of vertex %d", first)
+	case first < 2*n:
+		v := uint32(first - n)
+		u, _ := g.missingReverse(v)
+		return nil, fmt.Errorf("graph: symmetric graph has edge (%d, %d) but not its reverse", v, u)
 	}
 	if !g.symmetric {
 		linkTranspose(s, g)
 	}
 	return g, nil
+}
+
+// missingReverse returns the first neighbour u of v for which a symmetric g
+// stores no edge (u, v) of the same weight, found by binary search in u's
+// sorted list; ok is false when there is none or g is not symmetric.
+func (g *CSR) missingReverse(v uint32) (u uint32, ok bool) {
+	if !g.symmetric {
+		return 0, false
+	}
+	for i, u := range g.OutNghSlice(v) {
+		back := g.OutNghSlice(u)
+		j, found := slices.BinarySearch(back, v)
+		if found && g.weights != nil {
+			w, backW := g.OutWeightSlice(v)[i], g.OutWeightSlice(u)
+			found = false
+			for ; j < len(back) && back[j] == v && !found; j++ {
+				found = backW[j] == w
+			}
+		}
+		if !found {
+			return u, true
+		}
+	}
+	return 0, false
 }

@@ -81,6 +81,11 @@ func TestReadAdjacencyErrors(t *testing.T) {
 		"AdjacencyGraph\n-1\n0\n",            // negative n
 		"AdjacencyGraph\n2\n1\n1\n1\n0\n",    // first offset not 0: edge 0 has no source
 		"AdjacencyGraph\n1099511627776\n0\n", // n beyond the uint32 ID space
+		// Weights outside int32: once these loaded wrapped, as 1 and as a
+		// negative weight.
+		"WeightedAdjacencyGraph\n2\n2\n0\n1\n1\n0\n4294967297\n4294967297\n",
+		"WeightedAdjacencyGraph\n2\n2\n0\n1\n1\n0\n2147483648\n2147483648\n",
+		"WeightedAdjacencyGraph\n2\n2\n0\n1\n1\n0\n-2147483649\n1\n",
 	}
 	for i, c := range cases {
 		if _, err := ReadAdjacency(sched, strings.NewReader(c), false); err == nil {
@@ -160,6 +165,35 @@ func TestReadersRejectUnsortedAdjacency(t *testing.T) {
 	}
 }
 
+// Every reader refuses a graph that claims to be symmetric but lacks an
+// edge's reverse, or holds it with another weight: a symmetric graph is its
+// own transpose, so the pull direction would read the missing edges. A
+// symmetric graph with duplicates, self-loops and equal weights loads.
+func TestReadersRejectAsymmetricSymmetricGraphs(t *testing.T) {
+	bad := map[string]*CSR{
+		// AdjacencyGraph 3 1 0 1 1 1: the single edge 0 -> 1.
+		"one direction": {n: 3, offsets: []int64{0, 1, 1, 1}, edges: []uint32{1}, symmetric: true},
+		"reverse missing among others": {n: 4, offsets: []int64{0, 2, 4, 5, 6},
+			edges: []uint32{1, 2, 0, 3, 0, 2}, symmetric: true},
+		"weights differ": {n: 2, offsets: []int64{0, 1, 2}, edges: []uint32{1, 0},
+			weights: []int32{5, 6}, symmetric: true},
+		"one duplicate's weight unmatched": {n: 2, offsets: []int64{0, 2, 4}, edges: []uint32{1, 1, 0, 0},
+			weights: []int32{3, 4, 3, 3}, symmetric: true},
+	}
+	good := &CSR{n: 3, offsets: []int64{0, 4, 6, 7}, edges: []uint32{0, 1, 1, 2, 0, 0, 0},
+		weights: []int32{9, 4, 7, 2, 7, 4, 2}, symmetric: true}
+	for _, l := range loaders(t) {
+		for name, g := range bad {
+			mustNotLoad(t, l.name+" "+name, func(b []byte) (*CSR, error) { return l.decode(b, true) }, l.encode(g))
+		}
+		got, err := l.decode(l.encode(good), true)
+		if err != nil {
+			t.Fatalf("%s: symmetric multigraph refused: %v", l.name, err)
+		}
+		checkLoaded(t, got)
+	}
+}
+
 // A directed graph loaded by any reader equals, in both directions byte for
 // byte, FromEdgeList over the same edges: the readers keep the stored
 // adjacency (duplicates and self-loops included) and link the transpose the
@@ -200,6 +234,19 @@ func checkLoaded(t *testing.T, g *CSR) {
 		}
 	}
 	if g.symmetric {
+		for v := uint32(0); int(v) < g.n; v++ {
+			g.OutNgh(v, func(u uint32, w int32) bool {
+				found := false
+				g.OutNgh(u, func(x uint32, y int32) bool {
+					found = x == v && y == w
+					return !found
+				})
+				if !found {
+					t.Fatalf("accepted symmetric graph has edge (%d, %d, w=%d) without its reverse", v, u, w)
+				}
+				return true
+			})
+		}
 		return
 	}
 	type in struct {

@@ -17,19 +17,18 @@ func IntersectCount(a, b []uint32) int {
 	if len(b) >= 32*len(a) {
 		return gallopCount(a, b)
 	}
+	// A branch-free merge: which list advances depends on data the branch
+	// predictor cannot guess, so the comparison becomes arithmetic. lt and
+	// gt are the sign bits of a[i]-b[j] and b[j]-a[i]; exactly one of
+	// lt, gt and "equal" is 1.
 	count, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		switch {
-		case av == bv:
-			count++
-			i++
-			j++
-		case av < bv:
-			i++
-		default:
-			j++
-		}
+		d := int64(a[i]) - int64(b[j])
+		lt := int(uint64(d) >> 63)
+		gt := int(uint64(-d) >> 63)
+		count += 1 - lt - gt
+		i += 1 - gt
+		j += 1 - lt
 	}
 	return count
 }
