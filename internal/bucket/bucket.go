@@ -9,6 +9,14 @@
 // against the identifier's current bucket. A bounded window of "open"
 // buckets is materialized; identifiers destined further away wait in an
 // overflow bucket that is re-bucketed when the window advances past it.
+//
+// Costs: filing k identifiers (Update) is one sequential O(k) pass that
+// appends each to its bucket, and extracting a bucket of k entries is one
+// sequential O(k) pass that drops the stale ones. Julienne groups a batch by
+// bucket with a parallel semisort instead, which has O(log k) depth; the
+// sequential passes trade that depth for no sort and no copies. Within a
+// bucket, identifiers come out in the order they were filed, and each is
+// returned at most once per filing.
 package bucket
 
 import (
@@ -33,8 +41,6 @@ const (
 
 // Buckets is the bucketing structure over identifiers [0, n).
 type Buckets struct {
-	sched    *parallel.Scheduler
-	n        int
 	order    Order
 	maxBkt   uint32 // inclusive bound on bucket IDs (used for Decreasing)
 	numOpen  int
@@ -50,14 +56,13 @@ type Buckets struct {
 // processing order and bucket function fn (fn(i) == Nil files identifier i nowhere).
 // maxBkt is an inclusive upper bound on bucket IDs fn can return; it is
 // required for Decreasing order and advisory otherwise. numOpen <= 0 selects
-// the default window of 128 open buckets.
+// the default window of 128 open buckets. The identifiers are filed in
+// increasing order.
 func New(s *parallel.Scheduler, n int, numOpen int, order Order, maxBkt uint32, fn func(uint32) uint32) *Buckets {
 	if numOpen <= 0 {
 		numOpen = 128
 	}
 	b := &Buckets{
-		sched:   s,
-		n:       n,
 		order:   order,
 		maxBkt:  maxBkt,
 		numOpen: numOpen,
@@ -68,8 +73,7 @@ func New(s *parallel.Scheduler, n int, numOpen int, order Order, maxBkt uint32, 
 	for i := range b.cur {
 		b.cur[i] = Nil
 	}
-	ids := prims.PackIndex(s, n, func(i int) bool { return fn(uint32(i)) != Nil })
-	b.file(ids)
+	b.Update(prims.PackIndex(s, n, func(i int) bool { return fn(uint32(i)) != Nil }))
 	return b
 }
 
@@ -93,60 +97,12 @@ func (b *Buckets) bucketOf(tick uint32) uint32 {
 	return b.maxBkt - tick
 }
 
-// file inserts ids (whose fn is not Nil) into open buckets or overflow,
-// recording their tick in cur. Ticks before the current window are clamped
-// into the first open bucket, preserving the monotone processing contract.
-// An id whose live filed copy already sits at the destination tick is
-// skipped, so repeated updates do not accumulate duplicate copies.
-func (b *Buckets) file(ids []uint32) {
-	if len(ids) == 0 {
-		return
-	}
-	// Grouping by destination via a sort keeps insertion deterministic and
-	// contention-free: each destination bucket receives one contiguous run.
-	keys := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		t := b.tick(b.fn(id))
-		if t < b.base+uint32(b.iter) {
-			t = b.base + uint32(b.iter)
-		}
-		if b.cur[id] == t {
-			continue // already filed at this tick
-		}
-		b.cur[id] = t
-		slot := uint64(t - b.base)
-		if slot >= uint64(b.numOpen) {
-			slot = uint64(b.numOpen) // overflow pseudo-slot
-		}
-		keys = append(keys, slot<<32|uint64(id))
-	}
-	prims.RadixSortU64(b.sched, keys, 64)
-	// Split runs by slot.
-	starts := prims.PackIndex(b.sched, len(keys), func(i int) bool {
-		return i == 0 || keys[i]>>32 != keys[i-1]>>32
-	})
-	for si, s := range starts {
-		end := len(keys)
-		if si+1 < len(starts) {
-			end = int(starts[si+1])
-		}
-		slot := int(keys[s] >> 32)
-		run := make([]uint32, 0, end-int(s))
-		for i := int(s); i < end; i++ {
-			run = append(run, uint32(keys[i]))
-		}
-		if slot >= b.numOpen {
-			b.overflow = append(b.overflow, run...)
-		} else {
-			b.open[slot] = append(b.open[slot], run...)
-		}
-	}
-}
-
 // NextBucket extracts the next non-empty bucket in processing order,
-// returning its bucket ID and member identifiers; extracted identifiers are
-// removed from the structure. It returns (Nil, nil) when no identifiers
-// remain.
+// returning its bucket ID and member identifiers in filing order; extracted
+// identifiers are removed from the structure. It returns (Nil, nil) when no
+// identifiers remain. The returned slice is the caller's. Extraction is one
+// O(k) pass over the bucket's k filed entries: an identifier filed into the
+// same bucket twice (moved away and back) comes out once, at its first copy.
 //
 // The processing pointer does not advance past a bucket until the bucket is
 // verified empty: identifiers refiled into the bucket being processed (e.g.
@@ -156,24 +112,24 @@ func (b *Buckets) file(ids []uint32) {
 func (b *Buckets) NextBucket() (uint32, []uint32) {
 	for {
 		for b.iter < b.numOpen {
-			slot := b.iter
-			entries := b.open[slot]
-			b.open[slot] = nil
+			entries := b.open[b.iter]
+			b.open[b.iter] = nil
 			if len(entries) == 0 {
 				b.iter++
 				continue
 			}
-			tick := b.base + uint32(slot)
-			live := prims.Filter(b.sched, entries, func(id uint32) bool { return b.cur[id] == tick })
-			if len(live) == 0 {
-				continue // slot drained of live entries; recheck before advancing
-			}
-			b.sched.ForRange(len(live), 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					b.cur[live[i]] = Nil
+			tick := b.base + uint32(b.iter)
+			live := entries[:0]
+			for _, id := range entries {
+				if b.cur[id] == tick {
+					b.cur[id] = Nil // later copies of id are now stale
+					live = append(live, id)
 				}
-			})
-			return b.bucketOf(tick), live
+			}
+			if len(live) > 0 {
+				return b.bucketOf(tick), live
+			}
+			// Slot drained of live entries; recheck before advancing.
 		}
 		// Window exhausted: advance it over the overflow bucket.
 		if len(b.overflow) == 0 {
@@ -181,36 +137,48 @@ func (b *Buckets) NextBucket() (uint32, []uint32) {
 		}
 		b.base += uint32(b.numOpen)
 		b.iter = 0
+		// Re-file only identifiers still claiming an overflow tick; mark
+		// them unfiled first so Update does not skip them (their only live
+		// copy was just pulled out of the overflow array). Duplicate copies
+		// of one id collapse here: the first is kept and marks it Nil, so
+		// the second is dropped.
 		pending := b.overflow
 		b.overflow = nil
-		// Re-file only identifiers still claiming an overflow tick; mark
-		// them unfiled first so file() does not skip them (their only live
-		// copy was just pulled out of the overflow array). Duplicate copies
-		// of one id in the overflow collapse here via the Nil marking: the
-		// first copy refiles it, the second sees cur already set by file.
-		pending = prims.Filter(b.sched, pending, func(id uint32) bool { return b.cur[id] != Nil && b.cur[id] >= b.base })
+		keep := pending[:0]
 		for _, id := range pending {
-			b.cur[id] = Nil
+			if b.cur[id] != Nil && b.cur[id] >= b.base {
+				b.cur[id] = Nil
+				keep = append(keep, id)
+			}
 		}
-		b.file(pending)
+		b.Update(keep)
 	}
 }
 
 // Update re-files the given identifiers according to the current bucket
-// function (the paper's UpdateBuckets). Identifiers whose function now
-// returns Nil are removed; identifiers extracted earlier stay removed unless
-// the function maps them to a bucket again.
+// function (the paper's UpdateBuckets) in one sequential O(len(ids)) pass.
+// Identifiers whose function now returns Nil are removed; identifiers
+// extracted earlier stay removed unless the function maps them to a bucket
+// again. A bucket before the processing pointer is clamped to the bucket
+// being processed, preserving the monotone processing contract, and an id
+// already filed at its destination is not filed again.
 func (b *Buckets) Update(ids []uint32) {
-	if len(ids) == 0 {
-		return
-	}
-	live := make([]uint32, 0, len(ids))
+	first := b.base + uint32(b.iter)
 	for _, id := range ids {
-		if b.fn(id) == Nil {
+		bkt := b.fn(id)
+		if bkt == Nil {
 			b.cur[id] = Nil // invalidate any filed copy
 			continue
 		}
-		live = append(live, id)
+		t := max(b.tick(bkt), first)
+		if b.cur[id] == t {
+			continue // already filed at this tick
+		}
+		b.cur[id] = t
+		if slot := int(t - b.base); slot < b.numOpen {
+			b.open[slot] = append(b.open[slot], id)
+		} else {
+			b.overflow = append(b.overflow, id)
+		}
 	}
-	b.file(live)
 }

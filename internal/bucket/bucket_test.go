@@ -197,3 +197,40 @@ func TestEmptyStructure(t *testing.T) {
 		t.Fatal("empty structure returned a bucket")
 	}
 }
+
+func TestMoveAwayAndBackExtractsOnce(t *testing.T) {
+	// Moving an id out of a bucket and back leaves two copies filed there
+	// (the first is stale only in between); it must come out once.
+	cur := []uint32{3}
+	b := New(sched, 1, 8, Increasing, 100, func(i uint32) uint32 { return cur[i] })
+	cur[0] = 5
+	b.Update([]uint32{0})
+	cur[0] = 3
+	b.Update([]uint32{0})
+	bkt, ids := b.NextBucket()
+	if bkt != 3 || !slices.Equal(ids, []uint32{0}) {
+		t.Fatalf("bucket %d ids %v, want bucket 3 ids [0]", bkt, ids)
+	}
+	if bkt, ids := b.NextBucket(); bkt != Nil {
+		t.Fatalf("id extracted again: bucket %d ids %v", bkt, ids)
+	}
+}
+
+func TestBucketKeepsFilingOrder(t *testing.T) {
+	// New files ids in increasing order; each Update appends its batch in
+	// the order given.
+	cur := []uint32{2, 2, 2, 2, 2, 2}
+	b := New(sched, len(cur), 4, Increasing, 10, func(i uint32) uint32 { return cur[i] })
+	for _, id := range []uint32{4, 0, 2} {
+		cur[id] = 1
+	}
+	b.Update([]uint32{4, 0, 2})
+	cur[5] = 1
+	b.Update([]uint32{5})
+	if bkt, ids := b.NextBucket(); bkt != 1 || !slices.Equal(ids, []uint32{4, 0, 2, 5}) {
+		t.Fatalf("bucket %d ids %v, want bucket 1 ids [4 0 2 5]", bkt, ids)
+	}
+	if bkt, ids := b.NextBucket(); bkt != 2 || !slices.Equal(ids, []uint32{1, 3}) {
+		t.Fatalf("bucket %d ids %v, want bucket 2 ids [1 3]", bkt, ids)
+	}
+}

@@ -54,7 +54,9 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 	parent, level, roots := SpanningForest(s, g, beta, seed)
 
 	// Children adjacency of the BFS forest, CSR-shaped, ordered by (parent,
-	// child) for deterministic preorder numbers.
+	// child) for deterministic preorder numbers. Keys put the parent in the
+	// low word: treeEdges is in child order, so a stable sort of the parent
+	// bits alone gives (parent, child) order.
 	treeEdges := prims.MapFilter(s, n,
 		func(v int) bool { return parent[v] != uint32(v) && parent[v] != Inf },
 		func(v int) uint32 { return uint32(v) })
@@ -62,27 +64,28 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 	s.ForRange(len(treeEdges), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := treeEdges[i]
-			childKeys[i] = uint64(parent[v])<<32 | uint64(v)
+			childKeys[i] = uint64(v)<<32 | uint64(parent[v])
 		}
 	})
-	prims.RadixSortU64(s, childKeys, 64)
+	prims.RadixSortU64(s, childKeys, prims.BitsFor(uint64(n)))
 	childArr := make([]uint32, len(childKeys))
 	childSrc := make([]uint32, len(childKeys))
 	s.ForRange(len(childKeys), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			childArr[i] = uint32(childKeys[i])
-			childSrc[i] = uint32(childKeys[i] >> 32)
+			childArr[i] = uint32(childKeys[i] >> 32)
+			childSrc[i] = uint32(childKeys[i])
 		}
 	})
 	childOff := graph.FillOffsets(s, n, childSrc)
 	children := func(v uint32) []uint32 { return childArr[childOff[v]:childOff[v+1]] }
 
-	// Group vertices by BFS level for the leaffix/rootfix sweeps.
+	// Group vertices by BFS level for the leaffix/rootfix sweeps, the level
+	// in the low word as above; all 32 bits, because a level may be Inf.
 	levelKeys := make([]uint64, n)
 	maxLevel := uint32(0)
 	s.ForRange(n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			levelKeys[v] = uint64(level[v])<<32 | uint64(uint32(v))
+			levelKeys[v] = uint64(v)<<32 | uint64(level[v])
 		}
 	})
 	for v := 0; v < n; v++ {
@@ -90,9 +93,9 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 			maxLevel = level[v]
 		}
 	}
-	prims.RadixSortU64(s, levelKeys, 64)
+	prims.RadixSortU64(s, levelKeys, 32)
 	levelStarts := prims.PackIndex(s, n, func(i int) bool {
-		return i == 0 || levelKeys[i]>>32 != levelKeys[i-1]>>32
+		return i == 0 || uint32(levelKeys[i]) != uint32(levelKeys[i-1])
 	})
 	levelSlice := func(li int) []uint64 {
 		end := n
@@ -110,7 +113,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 		ls := levelSlice(li)
 		s.ForRange(len(ls), 256, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := uint32(ls[i])
+				v := uint32(ls[i] >> 32)
 				s := uint32(1)
 				for _, c := range children(v) {
 					s += size[c]
@@ -133,7 +136,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 		ls := levelSlice(li)
 		s.ForRange(len(ls), 256, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := uint32(ls[i])
+				v := uint32(ls[i] >> 32)
 				running := pn[v] + 1
 				for _, c := range children(v) {
 					pn[c] = running
@@ -164,7 +167,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 				return true
 			}
 			for i := lo; i < hi; i++ {
-				v = uint32(ls[i])
+				v = uint32(ls[i] >> 32)
 				lv, hv = pn[v], pn[v]
 				g.OutNgh(v, reach)
 				for _, c := range children(v) {

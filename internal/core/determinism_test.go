@@ -43,7 +43,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		ccPart   []uint32
 		sccPart  []uint32
 		tc       int64
-		coverLen int
+		cover    []uint32
 	}
 	collect := func(s *parallel.Scheduler) result {
 		var r result
@@ -62,7 +62,11 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		r.ccPart = Connectivity(s, g, 0.2, 3)
 		r.sccPart = SCC(s, dg, 3, SCCOpts{Beta: 2.0, TrimRounds: 3})
 		r.tc = TriangleCount(s, g)
-		r.coverLen = len(ApproxSetCover(s, g, 0.01, 3))
+		r.cover = ApproxSetCover(s, g, 0.01, 3)
+		if !CoverIsValid(s, g, r.cover) {
+			t.Fatalf("p=%d: invalid set cover", s.Workers())
+		}
+		slices.Sort(r.cover)
 		return r
 	}
 	var base result
@@ -108,8 +112,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		if got.tc != base.tc {
 			t.Fatalf("p=%d: TC %d vs %d", p, got.tc, base.tc)
 		}
-		if got.coverLen != base.coverLen {
-			t.Fatalf("p=%d: cover size %d vs %d", p, got.coverLen, base.coverLen)
+		if !slices.Equal(got.cover, base.cover) {
+			t.Fatalf("p=%d: set cover differs (%d vs %d sets)", p, len(got.cover), len(base.cover))
 		}
 	}
 }

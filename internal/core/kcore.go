@@ -16,8 +16,10 @@ import (
 // each remaining neighbor with the work-efficient histogram (§5), and moves
 // affected vertices to new buckets. Runs in O(m + n) expected work and
 // O(ρ log n) depth w.h.p. on the FA-MT-RAM, where ρ is the graph's peeling
-// complexity. Returns the coreness array and ρ (the number of peeling
-// rounds, reported in Table 3).
+// complexity, given Julienne's semisort for the bucket moves; here package
+// bucket files and extracts a round's k vertices in sequential O(k) passes,
+// so a round's depth is O(k + log n). Returns the coreness array and ρ (the
+// number of peeling rounds, reported in Table 3).
 //
 // g must be symmetric.
 func KCore(s *parallel.Scheduler, g graph.Graph) (coreness []uint32, rho int) {

@@ -39,17 +39,19 @@ func LDD(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) []uint
 		}
 	})
 	maxShift := prims.Reduce(s, shifts, 0, math.Max)
-	// starts[r] lists the vertices whose search may begin at round r.
+	// starts[r] lists the vertices whose search may begin at round r. The
+	// round is the low word and the vertex the high: a stable sort of the
+	// round bits alone keeps each round's vertices in id order.
 	packed := make([]uint64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			r := uint64(maxShift - shifts[v]) // floor; in [0, maxShift]
-			packed[v] = r<<32 | uint64(uint32(v))
+			packed[v] = uint64(v)<<32 | r
 		}
 	})
-	prims.RadixSortU64(s, packed, 64)
+	prims.RadixSortU64(s, packed, prims.BitsFor(uint64(maxShift)))
 	roundStarts := prims.PackIndex(s, n, func(i int) bool {
-		return i == 0 || packed[i]>>32 != packed[i-1]>>32
+		return i == 0 || uint32(packed[i]) != uint32(packed[i-1])
 	})
 
 	numVisited := 0
@@ -64,7 +66,7 @@ func LDD(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) []uint
 		for nextStart < len(roundStarts) {
 			s.Poll()
 			idx := int(roundStarts[nextStart])
-			r := uint32(packed[idx] >> 32)
+			r := uint32(packed[idx])
 			if r > round {
 				break
 			}
@@ -73,8 +75,8 @@ func LDD(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) []uint
 				end = int(roundStarts[nextStart+1])
 			}
 			fresh := prims.MapFilter(s, end-idx,
-				func(i int) bool { return atomics.Load32(&cluster[uint32(packed[idx+i])]) == Inf },
-				func(i int) uint32 { return uint32(packed[idx+i]) })
+				func(i int) bool { return atomics.Load32(&cluster[packed[idx+i]>>32]) == Inf },
+				func(i int) uint32 { return uint32(packed[idx+i] >> 32) })
 			for _, v := range fresh {
 				cluster[v] = v
 			}

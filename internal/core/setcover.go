@@ -15,7 +15,10 @@ import (
 // ApproxSetCover computes an O(log n)-approximate set cover (Algorithm 14,
 // Blelloch et al.'s MaNIS-based algorithm as implemented in Julienne, with
 // the paper's fix of regenerating random priorities for active sets every
-// round) in O(m) expected work and O(log³ n) depth w.h.p. on the PW-MT-RAM.
+// round) in O(m) expected work and O(log³ n) depth w.h.p. on the PW-MT-RAM,
+// given Julienne's semisort for the bucket moves; here package bucket files
+// and extracts a round's k sets in sequential O(k) passes, so a round's
+// depth is O(k + log n).
 //
 // The instance follows the paper's experiments: the elements are the
 // vertices of g and the set for vertex v covers N(v). Sets are bucketed by

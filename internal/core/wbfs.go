@@ -13,7 +13,10 @@ import (
 // positive integer edge weights, or Inf if unreachable. Distances index a
 // Julienne bucketing structure; each step extracts the minimum bucket and
 // relaxes its out-edges with a priority-write. It runs in O(m) expected
-// work and O(diam(G) log n) depth w.h.p. on the PW-MT-RAM.
+// work and O(diam(G) log n) depth w.h.p. on the PW-MT-RAM given Julienne's
+// semisort for the bucket moves; here package bucket files and extracts a
+// round's k vertices in sequential O(k) passes, so a round's depth is
+// O(k + log n).
 //
 // Edge weights must be >= 1 (the paper's inputs draw them from [1, log n)).
 func WeightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32) []uint32 {
