@@ -62,9 +62,8 @@ func (v statsText) String() string {
 }
 
 // paramBeta is the LDD ball-growth parameter shared by every algorithm
-// built on low-diameter decomposition (ldd, cc, spanforest, bicc): the
-// paper's β = 0.2 default, with the decomposition meaningful only for
-// β in (0, 1].
+// built on low-diameter decomposition (ldd, cc): the paper's β = 0.2
+// default, with the decomposition meaningful only for β in (0, 1].
 func paramBeta() Param {
 	return FloatParam("beta", 0.2, "LDD ball-growth rate β: clusters have diameter O(log n/β), 2βm edges cut").Bounded(1e-6, 1)
 }
@@ -166,19 +165,17 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "spanforest", Description: "rooted spanning forest (parents): LDD connectivity, then a multi-source BFS from each component's minimum vertex",
-		Params: []Param{paramBeta()},
+		Name: "spanforest", Description: "rooted spanning forest (parents): union-find connectivity, then a multi-source BFS from each component's minimum vertex",
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		parent, _, roots := core.SpanningForest(s, req.Graph, req.Float("beta"), req.seed(e))
+		parent, _, roots := core.SpanningForest(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d trees, %d forest edges", len(roots), core.ForestEdgeCount(s, parent)), Value: parent}
 	})
 
 	register(Algorithm{
-		Name: "bicc", Description: "biconnected-component labels via Tarjan-Vishkin; O(m) expected work",
+		Name: "bicc", Description: "biconnected-component labels via Tarjan-Vishkin over spanforest's BFS forest, with union-find labelling G minus its critical edges",
 		PaperRow: "Biconnectivity", PaperOrder: 7,
-		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
-		b := core.Biconnectivity(s, req.Graph, req.Float("beta"), req.seed(e))
+		b := core.Biconnectivity(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d biconnected components", core.NumBiccLabels(s, req.Graph, b)), Value: b}
 	})
 

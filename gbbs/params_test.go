@@ -44,7 +44,7 @@ func TestAllBuiltinsDeclareSchemas(t *testing.T) {
 		}
 	}
 	wantParams := map[string][]string{
-		"ldd": {"beta"}, "cc": {"beta"}, "spanforest": {"beta"}, "bicc": {"beta"},
+		"ldd": {"beta"}, "cc": {"beta"}, "spanforest": {}, "bicc": {},
 		"scc": {"beta", "trimrounds"}, "deltastepping": {"delta"}, "setcover": {"eps"},
 		"bfs": {}, "tc": {}, "kcore": {},
 	}

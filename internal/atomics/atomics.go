@@ -44,31 +44,12 @@ func FetchAndAdd32(x *uint32, delta uint32) uint32 {
 	return atomic.AddUint32(x, delta) - delta
 }
 
-// FetchAndAdd64 atomically adds delta to *x and returns the prior value.
-func FetchAndAdd64(x *int64, delta int64) int64 {
-	return atomic.AddInt64(x, delta) - delta
-}
-
 // WriteMin32 atomically sets *x = min(*x, v) and reports whether v became the
 // new value (the paper's priority-write with the < priority function).
 func WriteMin32(x *uint32, v uint32) bool {
 	for {
 		old := atomic.LoadUint32(x)
 		if v >= old {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(x, old, v) {
-			return true
-		}
-	}
-}
-
-// WriteMax32 atomically sets *x = max(*x, v) and reports whether v became the
-// new value.
-func WriteMax32(x *uint32, v uint32) bool {
-	for {
-		old := atomic.LoadUint32(x)
-		if v <= old {
 			return false
 		}
 		if atomic.CompareAndSwapUint32(x, old, v) {

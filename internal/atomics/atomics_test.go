@@ -81,10 +81,6 @@ func TestFetchAndAdd(t *testing.T) {
 	if FetchAndAdd32(&x, 3) != 5 || x != 8 {
 		t.Fatal("FetchAndAdd32 second wrong")
 	}
-	var y int64
-	if FetchAndAdd64(&y, -2) != 0 || y != -2 {
-		t.Fatal("FetchAndAdd64 wrong")
-	}
 }
 
 func TestWriteMinMax(t *testing.T) {
@@ -97,12 +93,6 @@ func TestWriteMinMax(t *testing.T) {
 	}
 	if WriteMin32(&x, 5) {
 		t.Fatal("WriteMin32 equal claimed success")
-	}
-	if !WriteMax32(&x, 9) || x != 9 {
-		t.Fatal("WriteMax32 improve failed")
-	}
-	if WriteMax32(&x, 3) || x != 9 {
-		t.Fatal("WriteMax32 worsened")
 	}
 	var z int64 = 100
 	if !WriteMin64(&z, -5) || z != -5 {

@@ -21,7 +21,7 @@ func TestSubgraphAllocsIndependentOfN(t *testing.T) {
 	keep := func(v, u uint32) bool { return v < u }
 	builders := map[string]func(src graph.Graph){
 		"FromFunc":      func(src graph.Graph) { FromFunc(s, src, false, 0, keep) },
-		"FromAdjacency": func(src graph.Graph) { graph.FromAdjacency(s, src, false, false, keep) },
+		"FromAdjacency": func(src graph.Graph) { graph.FromAdjacency(s, src, false, keep) },
 	}
 	sides := [2]int{32, 128}
 	for name, build := range builders {

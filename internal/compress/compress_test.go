@@ -221,7 +221,7 @@ func TestFromFuncFiltered(t *testing.T) {
 		t.Fatalf("directed M=%d, want half of %d", dg.M(), csr.M())
 	}
 	// The CSR builder over the same predicate keeps the same edges.
-	ref := graph.FromAdjacency(sched, csr, false, false, keep)
+	ref := graph.FromAdjacency(sched, csr, false, keep)
 	for v := uint32(0); int(v) < csr.N(); v++ {
 		if !slices.Equal(dg.DecodeOut(v, nil), ref.OutNghSlice(v)) {
 			t.Fatalf("FromFunc and FromAdjacency disagree at %d", v)
@@ -264,7 +264,7 @@ func TestWeightedFromAdjacencyMatchesFromEdgeList(t *testing.T) {
 			}
 			want := graph.FromEdgeList(sched, n, kept, graph.BuildOptions{})
 			for _, s := range scheds {
-				got := graph.FromAdjacency(s, src, false, true, keep)
+				got := graph.FromAdjacency(s, src, true, keep)
 				if got.M() != want.M() || !got.Weighted() {
 					return false
 				}

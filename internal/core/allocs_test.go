@@ -33,8 +33,23 @@ func TestPerVertexPassAllocsIndependentOfN(t *testing.T) {
 		"extractEdges": func(g graph.Graph) func() {
 			return func() { extractEdges(s, g, false) }
 		},
+		"UnionFindCC": func(g graph.Graph) func() {
+			return func() { UnionFindCC(s, g) }
+		},
+		// Biconnectivity's last pass: union-find over G minus its critical
+		// edges, here every tree edge of a spanning forest.
+		"filtered unionFind": func(g graph.Graph) func() {
+			parent, _, _ := SpanningForest(s, g)
+			critical := make([]bool, g.N())
+			for v := range critical {
+				critical[v] = true
+			}
+			return func() {
+				unionFind(s, g, func(v, u uint32) bool { return !isCritical(critical, parent, v, u) })
+			}
+		},
 		"NumBiccLabels": func(g graph.Graph) func() {
-			b := Biconnectivity(s, g, 0.2, 1)
+			b := Biconnectivity(s, g)
 			return func() { NumBiccLabels(s, g, b) }
 		},
 		"gatherNeighbors": func(g graph.Graph) func() {

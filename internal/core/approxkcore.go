@@ -63,16 +63,3 @@ func ApproxKCore(s *parallel.Scheduler, g graph.Graph) []uint32 {
 	}
 	return core
 }
-
-// NextPow2AtLeast returns the smallest value in {0, 1, 2, 4, 8, ...} >= x,
-// the rounding ApproxKCore applies to exact corenesses.
-func NextPow2AtLeast(x uint32) uint32 {
-	if x == 0 {
-		return 0
-	}
-	p := uint32(1)
-	for p < x {
-		p *= 2
-	}
-	return p
-}

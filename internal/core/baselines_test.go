@@ -106,7 +106,7 @@ func TestApproxKCoreRoundsUpExact(t *testing.T) {
 		exact, _ := KCore(sched, g)
 		approx := ApproxKCore(sched, g)
 		for v := range exact {
-			if want := NextPow2AtLeast(exact[v]); approx[v] != want {
+			if want := nextPow2AtLeast(exact[v]); approx[v] != want {
 				t.Fatalf("%s: approx[%d] = %d want next-pow2(%d) = %d",
 					name, v, approx[v], exact[v], want)
 			}
@@ -117,10 +117,23 @@ func TestApproxKCoreRoundsUpExact(t *testing.T) {
 func TestNextPow2AtLeast(t *testing.T) {
 	cases := map[uint32]uint32{0: 0, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128}
 	for x, want := range cases {
-		if got := NextPow2AtLeast(x); got != want {
-			t.Fatalf("NextPow2AtLeast(%d) = %d want %d", x, got, want)
+		if got := nextPow2AtLeast(x); got != want {
+			t.Fatalf("nextPow2AtLeast(%d) = %d want %d", x, got, want)
 		}
 	}
+}
+
+// nextPow2AtLeast returns the smallest value in {0, 1, 2, 4, 8, ...} >= x,
+// the rounding ApproxKCore applies to exact corenesses.
+func nextPow2AtLeast(x uint32) uint32 {
+	if x == 0 {
+		return 0
+	}
+	p := uint32(1)
+	for p < x {
+		p *= 2
+	}
+	return p
 }
 
 func TestDeltaSteppingPathGraph(t *testing.T) {

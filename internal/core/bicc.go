@@ -39,19 +39,22 @@ func (b *Bicc) EdgeLabel(u, v uint32) uint32 {
 	}
 }
 
-// Biconnectivity implements the Tarjan-Vishkin algorithm (Algorithm 7) in
-// O(m) expected work and O(max(diam(G) log n, log³ n)) depth w.h.p. on the
-// FA-MT-RAM: connectivity picks one root per component; a BFS forest is
-// built from the roots; leaffix and rootfix sweeps over the forest compute
-// preorder numbers, subtree sizes, and the Low/High extrema of preorder
-// numbers reachable through non-tree edges; tree edges to articulation
-// points ("critical edges") are removed and a final connectivity call
-// produces the per-vertex labels of the query structure.
+// Biconnectivity implements the Tarjan-Vishkin algorithm (Algorithm 7),
+// which needs only some spanning forest and some connectivity labelling:
+// SpanningForest builds a rooted BFS forest; leaffix and rootfix sweeps over
+// it compute preorder numbers, subtree sizes, and the Low/High extrema of
+// preorder numbers reachable through non-tree edges; tree edges to
+// articulation points ("critical edges") are filtered out and union-find
+// over the remaining edges of g produces the per-vertex labels of the query
+// structure. The BFS and the sweeps take O(m) work and O(diam(G) log n)
+// depth; the two union-find passes (the forest's roots, the final labels)
+// give the same labels at any thread count in finite work (incrcc.go) but
+// carry no depth bound.
 //
 // g must be symmetric.
-func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) *Bicc {
+func Biconnectivity(s *parallel.Scheduler, g graph.Graph) *Bicc {
 	n := g.N()
-	parent, level, roots := SpanningForest(s, g, beta, seed)
+	parent, level, roots := SpanningForest(s, g)
 
 	// Children adjacency of the BFS forest, CSR-shaped, ordered by (parent,
 	// child) for deterministic preorder numbers. Keys put the parent in the
@@ -199,10 +202,7 @@ func Biconnectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uin
 
 	// Connectivity of G with critical edges removed yields the per-vertex
 	// labels of the query structure.
-	filtered := graph.FromAdjacency(s, g, true, false, func(v, u uint32) bool {
-		return !isCritical(critical, parent, v, u)
-	})
-	labels := Connectivity(s, filtered, beta, seed^0x5ca1ab1e)
+	labels := unionFind(s, g, func(v, u uint32) bool { return !isCritical(critical, parent, v, u) })
 	return &Bicc{Parent: parent, Level: level, Labels: labels}
 }
 

@@ -53,7 +53,7 @@ func TestBiconnectivityMatchesHopcroftTarjan(t *testing.T) {
 			continue
 		}
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, 13))
+		got := biccEdgePartition(g, Biconnectivity(sched, g))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("%s: biconnectivity edge partition mismatch", name)
 		}
@@ -86,7 +86,7 @@ func TestBiconnectivityKnownShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := graph.FromEdgeList(sched, c.el.N, c.el, graph.BuildOptions{Symmetrize: true})
-		b := Biconnectivity(sched, g, 0.2, 3)
+		b := Biconnectivity(sched, g)
 		if got := NumBiccLabels(sched, g, b); got != c.want {
 			t.Fatalf("%s: %d BCCs want %d", c.name, got, c.want)
 		}
@@ -101,7 +101,7 @@ func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		g := gen.BuildErdosRenyi(sched, 150, 300, true, false, 2000+seed)
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, seed))
+		got := biccEdgePartition(g, Biconnectivity(sched, g))
 		if !samePartitionMaps(want, got) {
 			t.Fatalf("seed %d: biconnectivity mismatch", seed)
 		}
@@ -110,7 +110,7 @@ func TestBiconnectivityRandomGraphsProperty(t *testing.T) {
 
 func TestNumBiccLabelsCountsDistinct(t *testing.T) {
 	g := graph.FromEdgeList(sched, 4, gen.Path(4), graph.BuildOptions{Symmetrize: true})
-	b := Biconnectivity(sched, g, 0.2, 1)
+	b := Biconnectivity(sched, g)
 	if got := NumBiccLabels(sched, g, b); got != 3 {
 		t.Fatalf("path4 has %d BCCs want 3", got)
 	}

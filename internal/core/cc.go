@@ -45,7 +45,7 @@ func Connectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint6
 // labelling, as (labels[v], labels[u]) with labels[u] > labels[v] so one
 // direction per cut edge survives; the builder deduplicates.
 func contractEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32, k int) *graph.EdgeList {
-	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, false, false, func(v, u uint32) bool { return labels[u] > labels[v] }))
+	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, false, func(v, u uint32) bool { return labels[u] > labels[v] }))
 	graph.RelabelEdgeList(s, el, labels)
 	el.N = k
 	return el

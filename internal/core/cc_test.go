@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/seqref"
 )
 
@@ -52,7 +53,7 @@ func TestLDDCutFraction(t *testing.T) {
 		g := symGraphs()[name]
 		beta := 0.2
 		labels := LDD(sched, g, beta, 11)
-		cut := CutEdges(sched, g, labels)
+		cut := cutEdges(g, labels)
 		if cut > g.M() { // cut counts each direction once; M counts directions
 			t.Fatalf("%s: impossible cut count %d > m=%d", name, cut, g.M())
 		}
@@ -96,7 +97,7 @@ func TestComponentCount(t *testing.T) {
 
 func TestSpanningForestProperties(t *testing.T) {
 	for name, g := range symGraphs() {
-		parent, level, roots := SpanningForest(sched, g, 0.2, 9)
+		parent, level, roots := SpanningForest(sched, g)
 		cc := seqref.Components(g)
 		// One root per component.
 		comps := map[uint32]bool{}
@@ -140,4 +141,19 @@ func TestSpanningForestProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cutEdges counts edges (u, v) with labels[u] != labels[v] (each direction
+// counted once), the quantity LDD bounds by βm in expectation.
+func cutEdges(g graph.Graph, labels []uint32) int {
+	cut := 0
+	for v := uint32(0); v < uint32(g.N()); v++ {
+		g.OutNgh(v, func(u uint32, _ int32) bool {
+			if labels[u] != labels[v] {
+				cut++
+			}
+			return true
+		})
+	}
+	return cut
 }

@@ -58,8 +58,8 @@ func TestAlgorithmsAgreeOnCompressedSymmetric(t *testing.T) {
 	if a, b := ApproxSetCover(sched, csr, 0.01, 3), ApproxSetCover(sched, cg, 0.01, 3); len(a) != len(b) {
 		t.Fatalf("set cover differs on compressed: %d vs %d sets", len(a), len(b))
 	}
-	ab := Biconnectivity(sched, csr, 0.2, 11)
-	bb := Biconnectivity(sched, cg, 0.2, 11)
+	ab := Biconnectivity(sched, csr)
+	bb := Biconnectivity(sched, cg)
 	if NumBiccLabels(sched, csr, ab) != NumBiccLabels(sched, cg, bb) {
 		t.Fatal("biconnectivity differs on compressed")
 	}

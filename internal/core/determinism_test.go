@@ -121,9 +121,9 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestBiconnectivityDeterministicAcrossWorkers(t *testing.T) {
 	g := symGraphs()["er"]
 	var base map[uint64]uint32
-	withWorkers(1, func(s *parallel.Scheduler) { base = biccEdgePartition(g, Biconnectivity(s, g, 0.2, 5)) })
+	withWorkers(1, func(s *parallel.Scheduler) { base = biccEdgePartition(g, Biconnectivity(s, g)) })
 	var par map[uint64]uint32
-	withWorkers(runtime.NumCPU(), func(s *parallel.Scheduler) { par = biccEdgePartition(g, Biconnectivity(s, g, 0.2, 5)) })
+	withWorkers(runtime.NumCPU(), func(s *parallel.Scheduler) { par = biccEdgePartition(g, Biconnectivity(s, g)) })
 	if !samePartitionMaps(base, par) {
 		t.Fatal("biconnectivity partition depends on worker count")
 	}

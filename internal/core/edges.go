@@ -18,6 +18,6 @@ type WEdge struct {
 // their edgelist phases over this representation. With weighted false no
 // weight array is built.
 func extractEdges(s *parallel.Scheduler, g graph.Graph, weighted bool) (eu, ev []uint32, ew []int32) {
-	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, false, weighted, func(v, u uint32) bool { return u > v }))
+	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, weighted, func(v, u uint32) bool { return u > v }))
 	return el.U, el.V, el.W
 }

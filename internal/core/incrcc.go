@@ -87,6 +87,13 @@ func ufFlatten(s *parallel.Scheduler, parent []uint32) {
 // LDD-based Connectivity it needs no randomness and its output forest is a
 // valid starting state for IncrementalCC.
 func UnionFindCC(s *parallel.Scheduler, g graph.Graph) []uint32 {
+	return unionFind(s, g, nil)
+}
+
+// unionFind is UnionFindCC over the edges (v, u) of g for which keep holds
+// (every edge when keep is nil). On a symmetric g, keep must be symmetric
+// too, since only one direction of each edge is united.
+func unionFind(s *parallel.Scheduler, g graph.Graph, keep func(v, u uint32) bool) []uint32 {
 	n := g.N()
 	parent := make([]uint32, n)
 	s.ForRange(n, 0, func(lo, hi int) {
@@ -100,7 +107,7 @@ func UnionFindCC(s *parallel.Scheduler, g graph.Graph) []uint32 {
 		var v uint32
 		unite := func(u uint32, _ int32) bool {
 			// A symmetric graph stores both directions; uniting one suffices.
-			if !sym || u > v {
+			if (!sym || u > v) && (keep == nil || keep(v, u)) {
 				ufUnite(parent, v, u)
 			}
 			return true

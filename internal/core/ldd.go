@@ -121,18 +121,3 @@ func NumClusters(s *parallel.Scheduler, labels []uint32) (int, []uint32) {
 	})
 	return len(roots), renumber
 }
-
-// CutEdges counts edges (u, v) with labels[u] != labels[v] (each direction
-// counted once), the quantity LDD bounds by βm in expectation.
-func CutEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32) int {
-	return prims.MapReduce(s, g.N(), 0, func(v int) int {
-		cut := 0
-		g.OutNgh(uint32(v), func(u uint32, _ int32) bool {
-			if labels[u] != labels[uint32(v)] {
-				cut++
-			}
-			return true
-		})
-		return cut
-	}, func(a, b int) int { return a + b })
-}

@@ -176,13 +176,13 @@ func TestQuickSCCAgainstTarjan(t *testing.T) {
 }
 
 func TestQuickBiconnectivityAgainstHopcroftTarjan(t *testing.T) {
-	err := quick.Check(func(raw []uint16, seed uint64) bool {
+	err := quick.Check(func(raw []uint16) bool {
 		g := quickGraph(raw, false)
 		if g.M() == 0 {
 			return true
 		}
 		want := seqref.BCC(g)
-		got := biccEdgePartition(g, Biconnectivity(sched, g, 0.2, seed))
+		got := biccEdgePartition(g, Biconnectivity(sched, g))
 		return samePartitionMaps(want, got)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {

@@ -1,44 +1,24 @@
 package core
 
 import (
-	"repro/internal/atomics"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prims"
 )
 
 // SpanningForest computes a rooted spanning forest of a symmetric graph:
-// connectivity labels pick one root per component (the minimum vertex ID),
-// and a multi-source BFS from the roots builds the forest. Returns the
-// parent of each vertex (roots point to themselves), the BFS level of each
-// vertex, and the roots. Biconnectivity (Algorithm 7) consumes this; the
-// paper computes the same forest with a breadth-first search over each
-// component in O(m) work and O(diam(G) log n) depth.
-func SpanningForest(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint64) (parent, level, roots []uint32) {
-	labels := Connectivity(s, g, beta, seed)
-	roots = componentRoots(s, labels)
+// UnionFindCC labels each vertex with its component's minimum vertex ID,
+// those vertices (ascending) are the roots, and a multi-source BFS from the
+// roots builds the forest. Returns the parent of each vertex (roots point to
+// themselves), the BFS level of each vertex, and the roots. Biconnectivity
+// (Algorithm 7) consumes this. The BFS is the paper's, O(m) work and
+// O(diam(G) log n) depth; the union-find is deterministic at any thread
+// count (see incrcc.go) but carries no depth bound.
+func SpanningForest(s *parallel.Scheduler, g graph.Graph) (parent, level, roots []uint32) {
+	labels := UnionFindCC(s, g)
+	roots = prims.PackIndex(s, len(labels), func(v int) bool { return labels[v] == uint32(v) })
 	level, parent = MultiBFS(s, g, roots)
 	return parent, level, roots
-}
-
-// componentRoots returns, for each distinct label, the minimum vertex ID
-// carrying it.
-func componentRoots(s *parallel.Scheduler, labels []uint32) []uint32 {
-	n := len(labels)
-	minOf := make([]uint32, n)
-	s.ForRange(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			minOf[i] = Inf
-		}
-	})
-	s.ForRange(n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			atomics.WriteMin32(&minOf[labels[v]], uint32(v))
-		}
-	})
-	return prims.MapFilter(s, n,
-		func(i int) bool { return minOf[i] != Inf },
-		func(i int) uint32 { return minOf[i] })
 }
 
 // ForestEdgeCount returns the number of tree edges in a parent array

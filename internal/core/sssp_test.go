@@ -58,7 +58,7 @@ func TestBFSTreeIsValid(t *testing.T) {
 
 func TestMultiBFSCoversAllComponents(t *testing.T) {
 	g := symGraphs()["sparse-islands"]
-	_, _, roots := SpanningForest(sched, g, 0.2, 1)
+	_, _, roots := SpanningForest(sched, g)
 	dist, parent := MultiBFS(sched, g, roots)
 	for v := range dist {
 		if dist[v] == Inf || parent[v] == Inf {

@@ -36,7 +36,7 @@ func TestFromAdjacencyAllocsIndependentOfN(t *testing.T) {
 		var allocs [2]float64
 		for i, side := range sides {
 			g := symGrid(s, side)
-			allocs[i] = testing.AllocsPerRun(10, func() { FromAdjacency(s, g, false, weighted, keep) })
+			allocs[i] = testing.AllocsPerRun(10, func() { FromAdjacency(s, g, weighted, keep) })
 		}
 		if allocs[0] != allocs[1] {
 			t.Errorf("weighted=%v: %v allocs per FromAdjacency at side %d, %v at side %d; want equal",

@@ -180,16 +180,15 @@ func FillOffsets(s *parallel.Scheduler, n int, srcs []uint32) []int64 {
 // FromAdjacency builds a CSR graph on scheduler s from the out-edges (v, u)
 // of src for which keep(v, u) holds. It is the one filtered-subgraph layout
 // in vertex-id space: the one-direction edge lists of MSF and maximal
-// matching, connectivity's contraction and biconnectivity's critical-edge
-// filter all go through it. Triangle counting does not: its directed graph
-// renumbers vertices by degree rank (core's rankGraph). With weighted
-// true the result carries src's edge weights (1 on an unweighted src);
-// otherwise it is unweighted and no weight array is allocated. Adjacency
-// order is preserved, so sorted input gives sorted output. keep is called
-// twice per edge (counting pass, filling pass) and must give the same
-// answer both times. With symmetric false the result is out-only: it has no
+// matching and connectivity's contraction go through it. Triangle counting
+// does not: its directed graph renumbers vertices by degree rank (core's
+// rankGraph). With weighted true the result carries src's edge weights (1
+// on an unweighted src); otherwise it is unweighted and no weight array is
+// allocated. Adjacency order is preserved, so sorted input gives sorted
+// output. keep is called twice per edge (counting pass, filling pass) and
+// must give the same answer both times. The result is out-only: it has no
 // Transpose.
-func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric, weighted bool, keep func(v, u uint32) bool) *CSR {
+func FromAdjacency(s *parallel.Scheduler, src Graph, weighted bool, keep func(v, u uint32) bool) *CSR {
 	n := src.N()
 	degs := make([]int64, n)
 	s.ForRange(n, 0, func(lo, hi int) {
@@ -234,5 +233,5 @@ func FromAdjacency(s *parallel.Scheduler, src Graph, symmetric, weighted bool, k
 			src.OutNgh(v, add)
 		}
 	})
-	return &CSR{n: n, offsets: offsets, edges: edges, weights: weights, symmetric: symmetric}
+	return &CSR{n: n, offsets: offsets, edges: edges, weights: weights}
 }

@@ -172,7 +172,7 @@ func TestMaxDegree(t *testing.T) {
 func TestFromAdjacency(t *testing.T) {
 	// Rebuild the small directed graph through FromAdjacency.
 	g := smallDirected()
-	h := FromAdjacency(sched, g, false, false, func(v, u uint32) bool { return true })
+	h := FromAdjacency(sched, g, false, func(v, u uint32) bool { return true })
 	if h.M() != g.M() {
 		t.Fatalf("M mismatch %d vs %d", h.M(), g.M())
 	}

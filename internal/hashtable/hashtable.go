@@ -56,9 +56,6 @@ func (t *Table) home(v uint32) uint64 {
 // Len returns the number of pairs currently stored.
 func (t *Table) Len() int { return int(t.count.Load()) }
 
-// Cap returns the number of slots.
-func (t *Table) Cap() int { return len(t.slots) }
-
 // Insert adds the pair (v, label), returning true if it was not already
 // present. Safe for concurrent use with other Inserts and reads.
 func (t *Table) Insert(v, label uint32) bool {

@@ -86,9 +86,9 @@ func TestReserveGrowsAndPreserves(t *testing.T) {
 	for i := uint32(0); i < 10; i++ {
 		tb.Insert(i, i*i)
 	}
-	capBefore := tb.Cap()
+	capBefore := len(tb.slots)
 	tb.Reserve(100000)
-	if tb.Cap() <= capBefore {
+	if len(tb.slots) <= capBefore {
 		t.Fatal("Reserve did not grow")
 	}
 	if tb.Len() != 10 {
@@ -100,9 +100,9 @@ func TestReserveGrowsAndPreserves(t *testing.T) {
 		}
 	}
 	// Small reserve within capacity is a no-op.
-	capNow := tb.Cap()
+	capNow := len(tb.slots)
 	tb.Reserve(1)
-	if tb.Cap() != capNow {
+	if len(tb.slots) != capNow {
 		t.Fatal("unneeded Reserve changed capacity")
 	}
 }

@@ -17,7 +17,7 @@
 // chunks alongside them, joining through the task's atomic counter when its
 // own claims run out. Round-based algorithms (one EdgeMap per BFS level,
 // ρ peeling rounds in k-core) therefore pay a wake/park handshake per round
-// instead of P goroutine creations. Do and DoN ride the same task machinery:
+// instead of P goroutine creations. Do rides the same task machinery:
 // a fork is published, the caller runs its own half, then reclaims the other
 // half inline if no worker picked it up — no channel is allocated on the
 // fork-join path.
@@ -231,8 +231,8 @@ func (s *Scheduler) ForRange(n, grain int, body func(lo, hi int)) {
 	s.runTask(t, p-1)
 }
 
-// runTask is the single publish/participate/join protocol behind ForRange,
-// Do and DoN. Ordering is load-bearing: the join counter is armed before
+// runTask is the single publish/participate/join protocol behind ForRange
+// and Do. Ordering is load-bearing: the join counter is armed before
 // the task becomes visible to workers; the submitter claims blocks until
 // the counter is exhausted (guaranteeing completion with zero helpers);
 // retire strictly precedes the join so no worker can pick the task up
@@ -290,20 +290,6 @@ func (s *Scheduler) Do(f, g func()) {
 	}
 	pair := [2]func(){f, g}
 	s.runTask(&task{blocks: 2, funcs: pair[:]}, 1)
-}
-
-// DoN runs each of fs in parallel and returns when all have completed. Like
-// Do it publishes one task and participates in draining it, claiming any
-// functions no pool worker picks up.
-func (s *Scheduler) DoN(fs ...func()) {
-	if s.workers == 1 || len(fs) <= 1 {
-		for _, f := range fs {
-			f()
-		}
-		return
-	}
-	helpers := min(s.workers, len(fs)) - 1
-	s.runTask(&task{blocks: int64(len(fs)), funcs: fs}, helpers)
 }
 
 // Blocks returns the block boundaries for n items with the given grain: a

@@ -79,23 +79,6 @@ func TestDoRunsBoth(t *testing.T) {
 	}
 }
 
-func TestDoNRunsAll(t *testing.T) {
-	var count atomic.Int32
-	fs := make([]func(), 17)
-	for i := range fs {
-		fs[i] = func() { count.Add(1) }
-	}
-	sched.DoN(fs...)
-	if count.Load() != 17 {
-		t.Fatalf("DoN ran %d of 17", count.Load())
-	}
-	sched.DoN() // no-op must not hang
-	sched.DoN(func() { count.Add(1) })
-	if count.Load() != 18 {
-		t.Fatalf("DoN single = %d", count.Load())
-	}
-}
-
 func TestBlocksPartition(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 4097} {
 		for _, grain := range []int{0, 1, 7, 4096} {

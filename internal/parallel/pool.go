@@ -26,7 +26,7 @@ type task struct {
 	n      int
 	grain  int
 	body   func(lo, hi int) // loop task
-	funcs  []func()         // fork-join task (Do/DoN); used when body == nil
+	funcs  []func()         // fork-join task (Do); used when body == nil
 	wg     sync.WaitGroup   // counts unfinished blocks
 }
 

@@ -201,10 +201,10 @@ func TestPoolWorkersAutoParkAfterIdle(t *testing.T) {
 	s.Close()
 }
 
-// TestDoNClaimsEverythingWithBusyPool saturates the pool with a long loop
-// while issuing DoN from another goroutine: with no free workers the
-// submitter must claim every function itself.
-func TestDoNClaimsEverythingWithBusyPool(t *testing.T) {
+// TestDoClaimsEverythingWithBusyPool saturates the pool with a long loop
+// while issuing Do from another goroutine: with no free workers the
+// submitter must claim both functions itself.
+func TestDoClaimsEverythingWithBusyPool(t *testing.T) {
 	s := New(2)
 	defer s.Close()
 	release := make(chan struct{})
@@ -217,13 +217,9 @@ func TestDoNClaimsEverythingWithBusyPool(t *testing.T) {
 		})
 	}()
 	var ran atomic.Int32
-	fs := make([]func(), 9)
-	for i := range fs {
-		fs[i] = func() { ran.Add(1) }
-	}
-	s.DoN(fs...) // must complete while the pool worker is blocked above
-	if ran.Load() != 9 {
-		t.Fatalf("DoN ran %d of 9 with a busy pool", ran.Load())
+	s.Do(func() { ran.Add(1) }, func() { ran.Add(1) }) // must complete while the pool worker is blocked above
+	if ran.Load() != 2 {
+		t.Fatalf("Do ran %d of 2 with a busy pool", ran.Load())
 	}
 	close(release)
 	outer.Wait()

@@ -57,7 +57,7 @@ func ComputeSym(s *parallel.Scheduler, name string, g graph.Graph, opt Options) 
 	st.EffectiveDiameter = EffectiveDiameter(s, g, opt.DiameterSamples, opt.Seed)
 	cc := core.Connectivity(s, g, 0.2, opt.Seed)
 	st.NumCC, st.LargestCC = core.ComponentCount(s, cc)
-	bicc := core.Biconnectivity(s, g, 0.2, opt.Seed)
+	bicc := core.Biconnectivity(s, g)
 	st.NumBCC = core.NumBiccLabels(s, g, bicc)
 	if !opt.SkipTriangles {
 		st.Triangles = core.TriangleCount(s, g)
