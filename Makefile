@@ -47,7 +47,7 @@ fuzz-smoke:
 	$(GO) test ./gbbs/store -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/graph -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/graph -fuzz '^FuzzReadAdjacency$$' -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/prims -fuzz '^FuzzIntersectCount$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/core -fuzz '^FuzzTriangleCount$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/bucket -fuzz '^FuzzBuckets$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 # Run the HTTP serving daemon (see cmd/gbbs-serve -h for flags).

@@ -282,7 +282,7 @@ func init() {
 	})
 
 	register(Algorithm{
-		Name: "tc", Description: "triangle count of a symmetric graph via sorted intersection; O(m^1.5) work",
+		Name: "tc", Description: "triangle count of a symmetric graph, repeated edges counted once, by degree-ordered marking; O(m^1.5) work",
 		PaperRow: "Triangle Counting (TC)", PaperOrder: 15,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		count := core.TriangleCount(s, req.Graph)

@@ -115,3 +115,34 @@ func TestTriangleCountAllocsIndependentOfN(t *testing.T) {
 		}
 	}
 }
+
+// At P=4, TriangleCount allocates at most rankGraph's bytes, one n-byte mark
+// array per worker and a constant: the mark arrays are reused from block to
+// block. There are n/tcBlockRanks = 64 blocks here, so an array per block
+// would allocate 64·n bytes, 16 times the P·n allowed.
+func TestTriangleCountAllocsOneMarkArrayPerWorker(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const p, slack = 4, 16 << 10
+	s := parallel.New(p)
+	defer s.Close()
+	g := gen.BuildRMAT(s, 14, 8, true, false, 5)
+	n := g.N()
+	bytesOf := func(f func()) uint64 {
+		f() // start the pool's workers outside the measurement
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ranked := bytesOf(func() { rankGraph(s, g) })
+	counted := bytesOf(func() { TriangleCount(s, g) })
+	if budget := ranked + uint64(p*n) + slack; counted > budget {
+		t.Errorf("TriangleCount allocated %d bytes at P=%d, n=%d; budget %d (rankGraph %d + P·n %d + %d)",
+			counted, p, n, budget, ranked, p*n, slack)
+	}
+	t.Logf("rankGraph %d bytes, TriangleCount %d bytes, P·n %d", ranked, counted, p*n)
+}

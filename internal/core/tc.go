@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -12,7 +10,9 @@ import (
 // tcBlockRanks is the number of ranks per block of the counting loop. Work
 // piles up in the highest ranks (on rmat:16 the last sixteenth of them holds
 // 60 % of it), so the scheduler's default 8 blocks per worker leave one
-// worker with the tail; blocks this small let the workers share it.
+// worker with the tail; blocks this small let the workers share it. A
+// block's only fixed cost is taking a mark array from the spares and
+// handing it back.
 const tcBlockRanks = 256
 
 // TriangleCount counts the triangles of a symmetric graph with the
@@ -21,17 +21,21 @@ const tcBlockRanks = 256
 // position of (degree, id) in sorted order, and each edge is directed from
 // the lower rank to the higher, so every vertex keeps O(sqrt m) out-edges
 // and every triangle is found exactly once: as the wedge r -> u -> w with
-// rank r < u < w, w in N+(r) ∩ N+(u). Adjacency lists are intersected
-// sequentially inside the outer parallel loop, as in the paper.
+// rank r < u < w, w in N+(r) ∩ N+(u). The intersections run sequentially
+// inside the outer parallel loop, as in the paper, but by marking instead
+// of merging: for each r the entries of N+(r) are flagged in an n-byte
+// array, each N+(u) adds up its flags, and the flags are cleared again. So
+// the lists need no order, and the count trades O(n·P) bytes of scratch
+// (one array per worker, P workers) for a merge's none. A multigraph counts
+// as the simple graph underneath: a repeated edge is skipped wherever a
+// list is read, and self-loops never point to a higher rank.
 //
 // On a flat graph (a CSR or an overlay) the directed graph is laid out in
-// rank space: vertex r's list holds the ranks of its higher-rank
-// neighbours, sorted, so for the k-th entry u of N+(r) only N+(r)[k+1:] can
-// meet N+(u), whose entries all rank above u. A compressed graph keeps its
-// vertex ids instead: its directed graph is encoded in the parallel-byte
-// format in id order ("this step creates a directed graph encoded in the
-// parallel-byte format in O(m) work", §B), so tc on it never holds an
-// uncompressed copy of the edges, which is the point of that form.
+// rank space. A compressed graph keeps its vertex ids instead: its directed
+// graph is encoded in the parallel-byte format in id order ("this step
+// creates a directed graph encoded in the parallel-byte format in O(m)
+// work", §B), so tc on it never holds an uncompressed copy of the edges,
+// which is the point of that form.
 func TriangleCount(s *parallel.Scheduler, g graph.Graph) int64 {
 	if g.N() == 0 {
 		return 0
@@ -41,27 +45,59 @@ func TriangleCount(s *parallel.Scheduler, g graph.Graph) int64 {
 	}
 	offsets, edges := rankGraph(s, g)
 	s.Poll()
-	bounds := s.Blocks(g.N(), tcBlockRanks)
-	partial := make([]int64, len(bounds)-1)
-	s.ForBlocks(bounds, func(b, lo, hi int) {
-		var local int64
+	return countMarked(s, g.N(), tcBlockRanks, func(lo, hi int, mark []byte) int64 {
+		var count int64
 		for r := lo; r < hi; r++ {
 			nr := edges[offsets[r]:offsets[r+1]]
-			for k, u := range nr {
-				local += int64(prims.IntersectCount(nr[k+1:], edges[offsets[u]:offsets[u+1]]))
+			if len(nr) < 2 {
+				continue
+			}
+			for _, w := range nr {
+				mark[w] = 1
+			}
+			for _, u := range nr {
+				for _, w := range edges[offsets[u]:offsets[u+1]] {
+					count += int64(mark[w])
+				}
+			}
+			for _, w := range nr {
+				mark[w] = 0
 			}
 		}
-		partial[b] = local
+		return count
+	})
+}
+
+// countMarked sums count over the blocks of [0, n) with the given grain,
+// handing each call an all-zero n-byte mark array that it must return
+// all-zero. A block takes a spare array or makes one and hands it back when
+// done, so there are never more arrays than blocks running at once, at most
+// s.Workers() however many blocks there are: the spare channel holds them
+// all, and handing one back never blocks.
+func countMarked(s *parallel.Scheduler, n, grain int, count func(lo, hi int, mark []byte) int64) int64 {
+	spare := make(chan []byte, s.Workers())
+	bounds := s.Blocks(n, grain)
+	partial := make([]int64, len(bounds)-1)
+	s.ForBlocks(bounds, func(b, lo, hi int) {
+		var mark []byte
+		select {
+		case mark = <-spare:
+		default:
+			mark = make([]byte, n)
+		}
+		partial[b] = count(lo, hi, mark)
+		spare <- mark
 	})
 	return prims.Sum(s, partial)
 }
 
 // rankGraph returns compact-forward's directed graph in rank space as CSR
 // offsets and edges: ranks order vertices by (degree, id), rank 0 lowest,
-// and rank r's list holds the sorted ranks of its higher-rank neighbours.
-// The ranking is one stable radix sort of the n degrees over only the bits
-// the largest needs; the layout is count, scan, fill over DecodeOut, then a
-// sort of each (short) list.
+// and rank r's list holds the ranks of its higher-rank neighbours, once
+// each, in the id order of those neighbours. The ranking is one stable
+// radix sort of the n degrees over only the bits the largest needs; the
+// layout is count, scan, fill over DecodeOut, whose id-sorted lists put a
+// repeated edge next to its first copy.
 func rankGraph(s *parallel.Scheduler, g graph.Graph) ([]int64, []uint32) {
 	n := g.N()
 	degs := make([]uint64, n)
@@ -86,8 +122,8 @@ func rankGraph(s *parallel.Scheduler, g graph.Graph) ([]int64, []uint32) {
 		for r := lo; r < hi; r++ {
 			buf = g.DecodeOut(order[r], buf)
 			d := int64(0)
-			for _, u := range buf {
-				if rank[u] > uint32(r) {
+			for k, u := range buf {
+				if rank[u] > uint32(r) && (k == 0 || u != buf[k-1]) {
 					d++
 				}
 			}
@@ -102,13 +138,12 @@ func rankGraph(s *parallel.Scheduler, g graph.Graph) ([]int64, []uint32) {
 		for r := lo; r < hi; r++ {
 			buf = g.DecodeOut(order[r], buf)
 			j := offsets[r]
-			for _, u := range buf {
-				if ru := rank[u]; ru > uint32(r) {
+			for k, u := range buf {
+				if ru := rank[u]; ru > uint32(r) && (k == 0 || u != buf[k-1]) {
 					edges[j] = ru
 					j++
 				}
 			}
-			slices.Sort(edges[offsets[r]:j])
 		}
 	})
 	return offsets, edges
@@ -116,8 +151,9 @@ func rankGraph(s *parallel.Scheduler, g graph.Graph) ([]int64, []uint32) {
 
 // triangleCountCompressed is TriangleCount on a compressed graph: the
 // directed graph keeps vertex ids and is built by compress.FromFunc under
-// the same (degree, id) order, and each wedge intersects whole decoded
-// out-lists, since in id order the entries below u are not a prefix.
+// the same (degree, id) order, and the same marking kernel runs over its
+// decoded out-lists, which are id-sorted, so a repeated edge is the entry
+// equal to its predecessor.
 func triangleCountCompressed(s *parallel.Scheduler, g graph.Graph) int64 {
 	// rank(u) < rank(v) iff (deg(u), u) < (deg(v), v).
 	rankLess := func(u, v uint32) bool {
@@ -128,22 +164,34 @@ func triangleCountCompressed(s *parallel.Scheduler, g graph.Graph) int64 {
 		return u < v
 	}
 	dg := compress.FromFunc(s, g, false, 0, rankLess)
-	bounds := s.Blocks(g.N(), 0)
-	partial := make([]int64, len(bounds)-1)
-	s.ForBlocks(bounds, func(b, lo, hi int) {
+	return countMarked(s, g.N(), 0, func(lo, hi int, mark []byte) int64 {
 		// Two decode buffers per block: nv must stay valid while each
 		// neighbor list decodes into the second buffer.
-		var buf1, buf2 []uint32
-		var local int64
+		var nv, nu []uint32
+		var count int64
 		for v := lo; v < hi; v++ {
-			buf1 = dg.DecodeOut(uint32(v), buf1)
-			nv := buf1
-			for _, u := range nv {
-				buf2 = dg.DecodeOut(u, buf2)
-				local += int64(prims.IntersectCount(nv, buf2))
+			nv = dg.DecodeOut(uint32(v), nv)
+			if len(nv) < 2 {
+				continue
+			}
+			for _, w := range nv {
+				mark[w] = 1
+			}
+			for k, u := range nv {
+				if k > 0 && u == nv[k-1] {
+					continue
+				}
+				nu = dg.DecodeOut(u, nu)
+				for j, w := range nu {
+					if j == 0 || w != nu[j-1] {
+						count += int64(mark[w])
+					}
+				}
+			}
+			for _, w := range nv {
+				mark[w] = 0
 			}
 		}
-		partial[b] = local
+		return count
 	})
-	return prims.Sum(s, partial)
 }

@@ -158,9 +158,9 @@ func ReadAdjacency(s *parallel.Scheduler, r io.Reader, symmetric bool) (*CSR, er
 // validated finishes every reader on the CSR it decoded. Readers never sort,
 // so it checks in one parallel pass on s that each adjacency list is
 // non-decreasing (HasEdge's binary search, Overlay's merge and triangle
-// counting's intersections rely on it) and, when the graph claims to be
-// symmetric, that every edge (v, u) has its reverse (u, v) with an equal
-// weight, since a symmetric graph serves as its own transpose. Then it
+// counting's skip of repeated edges rely on it) and, when the graph claims
+// to be symmetric, that every edge (v, u) has its reverse (u, v) with an
+// equal weight, since a symmetric graph serves as its own transpose. Then it
 // links a directed graph's transpose. The error names the first offending
 // vertex; an unsorted list is reported before a missing reverse, which the
 // binary search in an unsorted list could have missed.

@@ -152,7 +152,8 @@ func loaders(t *testing.T) []loader {
 
 // No reader sorts, so every reader refuses a file with an unsorted
 // adjacency list, symmetric or directed: HasEdge's binary search, Overlay's
-// merge and triangle counting's intersections all assume sorted lists.
+// merge and triangle counting's skip of repeated edges all assume sorted
+// lists.
 func TestReadersRejectUnsortedAdjacency(t *testing.T) {
 	for _, symmetric := range []bool{false, true} {
 		// 0 -> {2, 1} is unsorted; stored symmetric, the reverse edges are

@@ -259,72 +259,6 @@ func TestInversePermutation(t *testing.T) {
 	}
 }
 
-func TestIntersectCount(t *testing.T) {
-	cases := []struct {
-		a, b []uint32
-		want int
-	}{
-		{nil, nil, 0},
-		{[]uint32{1, 2, 3}, nil, 0},
-		{[]uint32{1, 2, 3}, []uint32{2, 3, 4}, 2},
-		{[]uint32{1, 5, 9}, []uint32{2, 6, 10}, 0},
-		{[]uint32{1, 2, 3}, []uint32{1, 2, 3}, 3},
-	}
-	for i, c := range cases {
-		if got := IntersectCount(c.a, c.b); got != c.want {
-			t.Fatalf("case %d: got %d want %d", i, got, c.want)
-		}
-	}
-}
-
-func TestIntersectCountGalloping(t *testing.T) {
-	// Force the galloping path with very skewed sizes.
-	big := make([]uint32, 100000)
-	for i := range big {
-		big[i] = uint32(i * 2)
-	}
-	small := []uint32{0, 2, 5, 100, 99999, 199998}
-	want := 0
-	for _, v := range small {
-		if v%2 == 0 && int(v) <= 199998 {
-			want++
-		}
-	}
-	if got := IntersectCount(small, big); got != want {
-		t.Fatalf("gallop got %d want %d", got, want)
-	}
-}
-
-func TestIntersectQuickProperty(t *testing.T) {
-	err := quick.Check(func(xs, ys []uint16) bool {
-		a := dedupSorted(xs)
-		b := dedupSorted(ys)
-		want := 0
-		set := map[uint32]bool{}
-		for _, v := range a {
-			set[v] = true
-		}
-		for _, v := range b {
-			if set[v] {
-				want++
-			}
-		}
-		return IntersectCount(a, b) == want
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func dedupSorted(xs []uint16) []uint32 {
-	out := make([]uint32, 0, len(xs))
-	for _, v := range xs {
-		out = append(out, uint32(v))
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 func TestHistogramMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 100, 100000} {

@@ -1,9 +1,8 @@
 // Package prims implements the work-efficient parallel primitives of the
 // paper's §3 (scan, reduce, filter/pack, histogram) plus the sorting,
-// selection, intersection and permutation routines the algorithm
-// implementations rely on. Every primitive has O(n) work (O(n) per radix
-// pass for sorting) and low depth, and takes the scheduler it should run on
-// as its first argument.
+// selection and permutation routines the algorithm implementations rely on.
+// Every primitive has O(n) work (O(n) per radix pass for sorting) and low
+// depth, and takes the scheduler it should run on as its first argument.
 //
 // The blocked primitives share one shape: the scheduler's Blocks partitions
 // the input, a per-block pass runs in parallel, and a short sequential step
