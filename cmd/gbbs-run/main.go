@@ -451,6 +451,9 @@ func requirements(a gbbs.Algorithm) string {
 	if a.NeedsWeights {
 		req = append(req, "weights")
 	}
+	if a.NeedsSymmetric {
+		req = append(req, "sym")
+	}
 	if a.Directed {
 		req = append(req, "directed")
 	}

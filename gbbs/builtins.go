@@ -136,7 +136,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "cc", Description: "connected-component labels via LDD contraction; O(m) expected work, O(log³ n) depth w.h.p.",
-		PaperRow: "Connectivity", PaperOrder: 6,
+		NeedsSymmetric: true, PaperRow: "Connectivity", PaperOrder: 6,
 		Params: []Param{paramBeta()},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		labels := core.Connectivity(s, req.Graph, req.Float("beta"), req.seed(e))
@@ -166,6 +166,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "spanforest", Description: "rooted spanning forest (parents): union-find connectivity, then a multi-source BFS from each component's minimum vertex",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		parent, _, roots := core.SpanningForest(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d trees, %d forest edges", len(roots), core.ForestEdgeCount(s, parent)), Value: parent}
@@ -173,7 +174,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "bicc", Description: "biconnected-component labels via Tarjan-Vishkin over spanforest's BFS forest, with union-find labelling G minus its critical edges",
-		PaperRow: "Biconnectivity", PaperOrder: 7,
+		NeedsSymmetric: true, PaperRow: "Biconnectivity", PaperOrder: 7,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		b := core.Biconnectivity(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d biconnected components", core.NumBiccLabels(s, req.Graph, b)), Value: b}
@@ -194,7 +195,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "msf", Description: "minimum spanning forest via parallel Borůvka; O(m·log n) work",
-		NeedsWeights: true, PaperRow: "Minimum Spanning Forest (MSF)", PaperOrder: 9,
+		NeedsSymmetric: true, NeedsWeights: true, PaperRow: "Minimum Spanning Forest (MSF)", PaperOrder: 9,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		forest, w := core.MSF(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d edges, weight %d", len(forest), w), Value: forest}
@@ -202,7 +203,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "mis", Description: "maximal independent set, greedy over a random permutation (rootset-based); O(m) expected work",
-		PaperRow: "Maximal Independent Set (MIS)", PaperOrder: 10,
+		NeedsSymmetric: true, PaperRow: "Maximal Independent Set (MIS)", PaperOrder: 10,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		in := core.MIS(s, req.Graph, req.seed(e))
 		c := 0
@@ -216,6 +217,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "misprefix", Description: "maximal independent set, prefix-based baseline the paper compares against",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		in := core.MISPrefix(s, req.Graph, req.seed(e))
 		c := 0
@@ -229,7 +231,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "mm", Description: "maximal matching, greedy over a random edge permutation; O(m) expected work",
-		PaperRow: "Maximal Matching (MM)", PaperOrder: 11,
+		NeedsSymmetric: true, PaperRow: "Maximal Matching (MM)", PaperOrder: 11,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		match := core.MaximalMatching(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d matched edges", len(match)), Value: match}
@@ -237,7 +239,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "coloring", Description: "(Δ+1)-vertex-coloring via Jones-Plassmann under the LLF heuristic",
-		PaperRow: "Graph Coloring", PaperOrder: 12,
+		NeedsSymmetric: true, PaperRow: "Graph Coloring", PaperOrder: 12,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		colors := core.Coloring(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d colors", core.NumColors(s, colors)), Value: colors}
@@ -245,6 +247,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "coloring-lf", Description: "(Δ+1)-vertex-coloring via Jones-Plassmann under the largest-degree-first heuristic",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		colors := core.ColoringLF(s, req.Graph, req.seed(e))
 		return Result{Summary: fmt.Sprintf("%d colors", core.NumColors(s, colors)), Value: colors}
@@ -252,7 +255,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "kcore", Description: "exact coreness of every vertex via work-efficient bucketed peeling; O(m+n) expected work",
-		PaperRow: "k-core", PaperOrder: 13,
+		NeedsSymmetric: true, PaperRow: "k-core", PaperOrder: 13,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		coreness, rho := core.KCore(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("kmax=%d rho=%d", core.Degeneracy(s, coreness), rho), Value: coreness}
@@ -260,6 +263,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "kcore-faa", Description: "k-core peeling with fetch-and-add updates (the paper's Table 6 ablation baseline)",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		coreness, rho := core.KCoreFetchAndAdd(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("kmax=%d rho=%d", core.Degeneracy(s, coreness), rho), Value: coreness}
@@ -267,6 +271,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "approxkcore", Description: "approximate coreness rounded to powers of two (Slota et al., Table 7 comparator)",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		coreness := core.ApproxKCore(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("kmax=%d (approx)", core.Degeneracy(s, coreness)), Value: coreness}
@@ -274,7 +279,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "setcover", Description: "O(log n)-approximation of set cover where the set of v covers N(v); O(m) expected work",
-		PaperRow: "Approximate Set Cover", PaperOrder: 14,
+		NeedsSymmetric: true, PaperRow: "Approximate Set Cover", PaperOrder: 14,
 		Params: []Param{FloatParam("eps", 0.01, "bucketing accuracy ε: elements are peeled in (1+ε)-factor cost classes").Bounded(1e-6, 1)},
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		cover := core.ApproxSetCover(s, req.Graph, req.Float("eps"), req.seed(e))
@@ -283,7 +288,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "tc", Description: "triangle count of a symmetric graph, repeated edges counted once, by degree-ordered marking; O(m^1.5) work",
-		PaperRow: "Triangle Counting (TC)", PaperOrder: 15,
+		NeedsSymmetric: true, PaperRow: "Triangle Counting (TC)", PaperOrder: 15,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		count := core.TriangleCount(s, req.Graph)
 		return Result{Summary: fmt.Sprintf("%d triangles", count), Value: count}
@@ -291,6 +296,7 @@ func init() {
 
 	register(Algorithm{
 		Name: "stats", Description: "undirected-graph statistics suite behind the paper's Tables 3 and 8-13",
+		NeedsSymmetric: true,
 	}, func(s *parallel.Scheduler, e *Engine, req Request) Result {
 		gs := stats.ComputeSym(s, "input", req.Graph, stats.Options{Seed: req.seed(e)})
 		return Result{

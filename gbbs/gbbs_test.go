@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/gbbs"
 )
@@ -66,7 +68,10 @@ var valueTypes = map[string]reflect.Type{
 // Every run must give byte-identical JSON for Value and the same Summary —
 // the serving layer's result cache assumes both — and Value must have the
 // type valueTypes records, so an algorithm missing from that table fails
-// the test. Spot checks on the outputs follow.
+// the test. Every algorithm then gets the directed graph, flat and
+// compressed, under a deadline: it must answer, or, when it declares
+// NeedsSymmetric, be refused before it starts. Spot checks on the outputs
+// follow.
 func TestFacadeEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	eng := gbbs.New()
@@ -122,6 +127,21 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if got == nil || (want.Kind() == reflect.Interface && !got.Implements(want)) ||
 			(want.Kind() != reflect.Interface && got != want) {
 			t.Fatalf("%s: Value has type %v, want %v", a.Name, got, want)
+		}
+	}
+
+	for _, a := range gbbs.Algorithms() {
+		for _, dir := range []gbbs.Graph{dg, dcg} {
+			dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			_, err := engines[2].Run(dctx, a.Name, gbbs.Request{Graph: dir, Source: src})
+			cancel()
+			if a.NeedsSymmetric {
+				if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "sym transform") {
+					t.Errorf("%s on a directed %T: error %v, want a refusal naming the sym transform", a.Name, dir, err)
+				}
+			} else if err != nil {
+				t.Errorf("%s on a directed %T: %v", a.Name, dir, err)
+			}
 		}
 	}
 

@@ -226,6 +226,10 @@ type Algorithm struct {
 	NeedsSource bool
 	// NeedsWeights marks algorithms requiring edge weights.
 	NeedsWeights bool
+	// NeedsSymmetric marks algorithms whose problem is defined on an
+	// undirected graph: Engine.Run refuses a directed input, on which some of
+	// them would never return and the rest would answer a different question.
+	NeedsSymmetric bool
 	// Directed marks algorithms that want the directed variant of an input
 	// (the paper runs SCC on directed graphs and everything else on
 	// symmetrized ones).
@@ -308,9 +312,9 @@ func Lookup(name string) (Algorithm, bool) {
 // recorded in Result.Seed), builds the graph from Request.Input when no
 // graph was given directly, executes the algorithm on this engine, and
 // returns the Result with Elapsed (and BuildElapsed for declarative inputs)
-// filled in. Unknown names, missing graphs, unmet weight requirements, and
-// Opts straying from the schema (unknown keys, wrong types, out-of-range
-// values) return descriptive errors.
+// filled in. Unknown names, missing graphs, unmet weight or symmetry
+// requirements, and Opts straying from the schema (unknown keys, wrong
+// types, out-of-range values) return descriptive errors.
 func (e *Engine) Run(ctx context.Context, name string, req Request) (Result, error) {
 	a, ok := Lookup(name)
 	if !ok {
@@ -341,6 +345,9 @@ func (e *Engine) Run(ctx context.Context, name string, req Request) (Result, err
 	}
 	if !req.Graph.Symmetric() && req.Graph.Transpose() == nil {
 		return Result{}, fmt.Errorf("gbbs: %s: directed graph has no transpose (an out-only graph, such as a SplitCSR shard or cut graph, is not an algorithm input)", name)
+	}
+	if a.NeedsSymmetric && !req.Graph.Symmetric() {
+		return Result{}, fmt.Errorf("gbbs: %s requires a symmetric graph (add a sym transform)", name)
 	}
 	if a.NeedsWeights && !req.Graph.Weighted() {
 		return Result{}, fmt.Errorf("gbbs: %s requires a weighted graph (add a weights or paperweights transform)", name)

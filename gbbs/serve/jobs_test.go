@@ -113,7 +113,7 @@ func pollUntil(t *testing.T, ts *httptest.Server, id string, deadline time.Durat
 
 func TestJobHappyPath(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	st, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","include_value":false}`)
+	st, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"include_value":false}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
@@ -148,7 +148,7 @@ func TestJobHappyPath(t *testing.T) {
 
 	// The completed job fed the result cache: the identical synchronous
 	// request must answer from it without executing.
-	body := bytes.NewReader([]byte(`{"algorithm":"cc","source":"rmat:8"}`))
+	body := bytes.NewReader([]byte(`{"algorithm":"cc","source":"rmat:8","transforms":["sym"]}`))
 	sresp, err := http.Post(ts.URL+"/v1/run", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestJobHappyPath(t *testing.T) {
 // under the race detector and on a loaded host.
 func TestJobLongRunObservableAndCancelable(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	st, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:18","timeout_ms":120000}`)
+	st, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:18","transforms":["sym"],"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
@@ -198,7 +198,7 @@ func TestJobLongRunObservableAndCancelable(t *testing.T) {
 
 func TestJobDuplicateSubmissionJoins(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	body := `{"algorithm":"bicc","source":"rmat:17","timeout_ms":120000}`
+	body := `{"algorithm":"bicc","source":"rmat:17","transforms":["sym"],"timeout_ms":120000}`
 	first, code := submitJob(t, ts, body)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit status = %d, want 202", code)
@@ -228,11 +228,11 @@ func TestJobDuplicateSubmissionJoins(t *testing.T) {
 func TestJobCancelWhileQueuedFreesSlot(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 1})
 	// Fill the single thread with a long job, then queue a second.
-	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","threads":1,"timeout_ms":120000}`)
+	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","transforms":["sym"],"threads":1,"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("hog submit = %d", code)
 	}
-	queued, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","threads":1,"timeout_ms":120000}`)
+	queued, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"threads":1,"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("queued submit = %d", code)
 	}
@@ -269,7 +269,7 @@ func TestJobResultAfterTTLIsGone(t *testing.T) {
 	s.jobs.mu.Lock()
 	s.jobs.now = func() time.Time { return base }
 	s.jobs.mu.Unlock()
-	st, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8"}`)
+	st, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -299,7 +299,7 @@ func TestJobResultAfterTTLIsGone(t *testing.T) {
 
 func TestJobResultWhileRunningConflicts(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	st, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","timeout_ms":120000}`)
+	st, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","transforms":["sym"],"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
@@ -337,11 +337,11 @@ func TestJobFailedReplaysError(t *testing.T) {
 
 func TestJobTableFullRejects(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 1, MaxJobs: 1})
-	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","timeout_ms":120000}`)
+	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","transforms":["sym"],"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit = %d", code)
 	}
-	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8"}`); code != http.StatusServiceUnavailable {
+	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"]}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit beyond MaxJobs = %d, want 503", code)
 	}
 	deleteJob(t, ts, hog.ID)
@@ -349,7 +349,7 @@ func TestJobTableFullRejects(t *testing.T) {
 
 func TestJobListFiltersByTenant(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	a, _ := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","tenant":"alpha"}`)
+	a, _ := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"tenant":"alpha"}`)
 	b, _ := submitJob(t, ts, `{"algorithm":"bfs","source":"rmat:8","tenant":"beta"}`)
 	pollUntil(t, ts, a.ID, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() })
 	pollUntil(t, ts, b.ID, 10*time.Second, func(s JobStatus) bool { return s.State.terminal() })
@@ -369,10 +369,10 @@ func TestJobListFiltersByTenant(t *testing.T) {
 
 func TestJobRejectsBadTenant(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","tenant":"no spaces"}`); code != http.StatusBadRequest {
+	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"tenant":"no spaces"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad tenant submit = %d, want 400", code)
 	}
-	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","tenant":"`+strings.Repeat("x", 65)+`"}`); code != http.StatusBadRequest {
+	if _, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"tenant":"`+strings.Repeat("x", 65)+`"}`); code != http.StatusBadRequest {
 		t.Fatalf("oversized tenant submit = %d, want 400", code)
 	}
 }
@@ -398,11 +398,11 @@ func getJobResult(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
 // joining the dead one.
 func TestJobFailedReleasesFingerprint(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 1})
-	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","threads":1,"timeout_ms":120000}`)
+	hog, code := submitJob(t, ts, `{"algorithm":"bicc","source":"rmat:17","transforms":["sym"],"threads":1,"timeout_ms":120000}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("hog submit = %d", code)
 	}
-	body := `{"algorithm":"cc","source":"rmat:8","threads":1}`
+	body := `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"threads":1}`
 	first, code := submitJob(t, ts, body)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit = %d", code)
@@ -428,18 +428,18 @@ func TestJobFailedReleasesFingerprint(t *testing.T) {
 // one execution through the result cache; an identical submission joins.
 func TestJobJoinRespectsIncludeValue(t *testing.T) {
 	s, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	bare, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8"}`)
+	bare, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("bare submit = %d", code)
 	}
-	withValue, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","include_value":true}`)
+	withValue, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"include_value":true}`)
 	if code != http.StatusAccepted || withValue.ID == bare.ID {
 		t.Fatalf("include_value submit = %d %+v, want 202 with a new ID (not %s)", code, withValue, bare.ID)
 	}
 	if withValue.Key != bare.Key {
 		t.Fatalf("keys differ: %q vs %q; include_value is not part of the fingerprint", withValue.Key, bare.Key)
 	}
-	if again, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","include_value":true}`); code != http.StatusOK || again.ID != withValue.ID {
+	if again, code := submitJob(t, ts, `{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"include_value":true}`); code != http.StatusOK || again.ID != withValue.ID {
 		t.Fatalf("identical submit = %d %s, want 200 joining %s", code, again.ID, withValue.ID)
 	}
 	for _, c := range []struct {
@@ -466,7 +466,7 @@ func TestJobJoinRespectsIncludeValue(t *testing.T) {
 // for one it executed.
 func TestJobResultReportsResultCache(t *testing.T) {
 	_, ts := newJobTestServer(t, Config{MaxThreads: 2})
-	body := `{"algorithm":"cc","source":"rmat:8"}`
+	body := `{"algorithm":"cc","source":"rmat:8","transforms":["sym"]}`
 	sresp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestJobResultReportsResultCache(t *testing.T) {
 	}
 	for _, c := range []struct{ body, resultCache, cache string }{
 		{body, "hit", "hit"},
-		{`{"algorithm":"cc","source":"rmat:8","seed":7}`, "miss", "hit"},
+		{`{"algorithm":"cc","source":"rmat:8","transforms":["sym"],"seed":7}`, "miss", "hit"},
 	} {
 		st, code := submitJob(t, ts, c.body)
 		if code != http.StatusAccepted {

@@ -355,6 +355,8 @@ type AlgorithmInfo struct {
 	NeedsSource bool `json:"needs_source,omitempty"`
 	// NeedsWeights marks algorithms requiring a weighted input.
 	NeedsWeights bool `json:"needs_weights,omitempty"`
+	// NeedsSymmetric marks algorithms that refuse a directed input.
+	NeedsSymmetric bool `json:"needs_symmetric,omitempty"`
 	// Directed marks algorithms that want the directed input variant.
 	Directed bool `json:"directed,omitempty"`
 	// PaperRow is the algorithm's row label in the paper's tables, when it
@@ -524,13 +526,14 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	out := make([]AlgorithmInfo, 0, len(algos))
 	for _, a := range algos {
 		out = append(out, AlgorithmInfo{
-			Name:         a.Name,
-			Description:  a.Description,
-			NeedsSource:  a.NeedsSource,
-			NeedsWeights: a.NeedsWeights,
-			Directed:     a.Directed,
-			PaperRow:     a.PaperRow,
-			Params:       a.Params,
+			Name:           a.Name,
+			Description:    a.Description,
+			NeedsSource:    a.NeedsSource,
+			NeedsWeights:   a.NeedsWeights,
+			NeedsSymmetric: a.NeedsSymmetric,
+			Directed:       a.Directed,
+			PaperRow:       a.PaperRow,
+			Params:         a.Params,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -91,7 +91,7 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	if !byName["bfs"].NeedsSource || byName["bfs"].PaperRow == "" {
 		t.Fatalf("bfs metadata = %+v", byName["bfs"])
 	}
-	if !byName["scc"].Directed || !byName["msf"].NeedsWeights {
+	if !byName["scc"].Directed || !byName["msf"].NeedsWeights || !byName["msf"].NeedsSymmetric || byName["scc"].NeedsSymmetric {
 		t.Fatalf("scc/msf metadata wrong: %+v / %+v", byName["scc"], byName["msf"])
 	}
 	// The endpoint serves each algorithm's full typed parameter schema.

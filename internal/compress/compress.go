@@ -12,8 +12,8 @@ import (
 const DefaultBlockSize = 64
 
 // Graph is a parallel-byte compressed graph. The out-direction is always
-// present; a directed graph from FromCSR also holds the in-direction as its
-// linked transpose, which dense edgeMap, SCC and BC read through Transpose.
+// present; a directed graph also holds the in-direction as its linked
+// transpose, which dense edgeMap, SCC and BC read through Transpose.
 //
 // Per-vertex layout in data (for degree d > 0, nb = ceil(d/blockSize)
 // blocks): (nb-1) little-endian uint32 byte-offsets of blocks 1..nb-1
@@ -31,7 +31,7 @@ type Graph struct {
 	degrees   []int32
 	offsets   []int64 // byte offset of each vertex's region in data
 	data      []byte
-	inG       *Graph // transpose of a directed graph; nil when symmetric or out-only
+	inG       *Graph // transpose of a directed graph; nil when symmetric
 }
 
 // FromCSR compresses a CSR graph on scheduler s. blockSize <= 0 selects
@@ -59,71 +59,6 @@ func FromCSR(s *parallel.Scheduler, g *graph.CSR, blockSize int) *Graph {
 		in.inG = out
 	}
 	return out
-}
-
-// FromFunc builds a compressed, unweighted graph from the out-edges (v, u)
-// of src for which keep(v, u) holds, without materializing a CSR first —
-// the paper's §B uses this shape to create triangle counting's
-// degree-ordered directed graph "encoded in the parallel-byte format in O(m)
-// work". Its one caller is triangle counting on a compressed input, which
-// keeps vertex ids so that it never holds the edges uncompressed (a flat
-// input is renumbered by rank instead). src's adjacency must be sorted; its
-// order is preserved. keep is called twice per edge (measuring pass,
-// encoding pass) and must give the same answer both times. With symmetric
-// false the result is out-only: it serves that single pass over out-edges
-// and has no Transpose.
-func FromFunc(s *parallel.Scheduler, src graph.Graph, symmetric bool, blockSize int, keep func(v, u uint32) bool) *Graph {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	n := src.N()
-	g := &Graph{n: n, weighted: false, blockSize: blockSize, symmetric: symmetric}
-	g.degrees = make([]int32, n)
-	sizes := make([]int64, n)
-	s.ForRange(n, 64, func(lo, hi int) {
-		eachKept(src, lo, hi, keep, func(v uint32, ns []uint32) {
-			g.degrees[v] = int32(len(ns))
-			sizes[v] = int64(encodedSize(v, ns, nil, blockSize))
-		})
-	})
-	g.offsets = make([]int64, n+1)
-	total := prims.Scan(s, sizes, g.offsets[:n])
-	g.offsets[n] = total
-	g.data = make([]byte, total)
-	m := 0
-	s.Poll()
-	s.ForRange(n, 64, func(lo, hi int) {
-		eachKept(src, lo, hi, keep, func(v uint32, ns []uint32) {
-			if len(ns) > 0 {
-				encodeVertex(g.data[g.offsets[v]:g.offsets[v]:g.offsets[v+1]], v, ns, nil, blockSize)
-			}
-		})
-	})
-	for v := 0; v < n; v++ {
-		m += int(g.degrees[v])
-	}
-	g.m = m
-	return g
-}
-
-// eachKept calls body(v, ns) for each v in [lo, hi), where ns holds the
-// out-neighbors u of v in src with keep(v, u), in adjacency order. ns is
-// reused from one call to the next, and one visit closure serves the whole
-// range.
-func eachKept(src graph.Graph, lo, hi int, keep func(v, u uint32) bool, body func(v uint32, ns []uint32)) {
-	var v uint32
-	var buf []uint32
-	collect := func(u uint32, _ int32) bool {
-		if keep(v, u) {
-			buf = append(buf, u)
-		}
-		return true
-	}
-	for i := lo; i < hi; i++ {
-		v, buf = uint32(i), buf[:0]
-		src.OutNgh(v, collect)
-		body(v, buf)
-	}
 }
 
 // encodeDirection builds one direction of the compressed graph with a
@@ -350,13 +285,10 @@ func (g *Graph) DecodeOut(v uint32, buf []uint32) []uint32 {
 }
 
 // Transpose returns the reversed-direction view: itself when symmetric,
-// otherwise the linked transpose, or an untyped nil for an out-only graph.
+// otherwise the linked transpose.
 func (g *Graph) Transpose() graph.Graph {
 	if g.symmetric {
 		return g
-	}
-	if g.inG == nil {
-		return nil
 	}
 	return g.inG
 }

@@ -191,44 +191,6 @@ func TestCompressionRatio(t *testing.T) {
 	}
 }
 
-func TestFromFuncMatchesFromCSR(t *testing.T) {
-	csr := gen.BuildRMAT(sched, 9, 8, true, false, 13)
-	direct := FromCSR(sched, csr, 16)
-	viaFunc := FromFunc(sched, csr, true, 16, func(v, u uint32) bool { return true })
-	if viaFunc.M() != direct.M() || viaFunc.N() != direct.N() {
-		t.Fatalf("sizes: %d/%d vs %d/%d", viaFunc.N(), viaFunc.M(), direct.N(), direct.M())
-	}
-	for v := uint32(0); int(v) < csr.N(); v++ {
-		if !slices.Equal(viaFunc.DecodeOut(v, nil), csr.OutNghSlice(v)) {
-			t.Fatalf("FromFunc adjacency mismatch at %d", v)
-		}
-	}
-}
-
-func TestFromFuncFiltered(t *testing.T) {
-	// Build the degree-ordered directed graph the way TC does and verify
-	// edge count halves (every undirected edge kept once).
-	csr := gen.BuildRMAT(sched, 8, 8, true, false, 14)
-	keep := func(v, u uint32) bool {
-		du, dv := csr.OutDeg(u), csr.OutDeg(v)
-		if dv != du {
-			return dv < du
-		}
-		return v < u
-	}
-	dg := FromFunc(sched, csr, false, 0, keep)
-	if dg.M()*2 != csr.M() {
-		t.Fatalf("directed M=%d, want half of %d", dg.M(), csr.M())
-	}
-	// The CSR builder over the same predicate keeps the same edges.
-	ref := graph.FromAdjacency(sched, csr, false, keep)
-	for v := uint32(0); int(v) < csr.N(); v++ {
-		if !slices.Equal(dg.DecodeOut(v, nil), ref.OutNghSlice(v)) {
-			t.Fatalf("FromFunc and FromAdjacency disagree at %d", v)
-		}
-	}
-}
-
 // Property: weighted FromAdjacency over any source representation (CSR,
 // compressed, overlay) and at any worker count lays out exactly the graph
 // FromEdgeList builds from the kept edges, weights included.

@@ -117,9 +117,10 @@ func TestTriangleCountAllocsIndependentOfN(t *testing.T) {
 }
 
 // At P=4, TriangleCount allocates at most rankGraph's bytes, one n-byte mark
-// array per worker and a constant: the mark arrays are reused from block to
-// block. There are n/tcBlockRanks = 64 blocks here, so an array per block
-// would allocate 64·n bytes, 16 times the P·n allowed.
+// array per worker and a constant, on the flat and on the compressed form:
+// the mark arrays are reused from block to block. There are
+// n/tcBlockRanks = 64 blocks here, so an array per block would allocate
+// 64·n bytes, 16 times the P·n allowed.
 func TestTriangleCountAllocsOneMarkArrayPerWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -127,8 +128,8 @@ func TestTriangleCountAllocsOneMarkArrayPerWorker(t *testing.T) {
 	const p, slack = 4, 16 << 10
 	s := parallel.New(p)
 	defer s.Close()
-	g := gen.BuildRMAT(s, 14, 8, true, false, 5)
-	n := g.N()
+	csr := gen.BuildRMAT(s, 14, 8, true, false, 5)
+	n := csr.N()
 	bytesOf := func(f func()) uint64 {
 		f() // start the pool's workers outside the measurement
 		runtime.GC()
@@ -138,11 +139,13 @@ func TestTriangleCountAllocsOneMarkArrayPerWorker(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	ranked := bytesOf(func() { rankGraph(s, g) })
-	counted := bytesOf(func() { TriangleCount(s, g) })
-	if budget := ranked + uint64(p*n) + slack; counted > budget {
-		t.Errorf("TriangleCount allocated %d bytes at P=%d, n=%d; budget %d (rankGraph %d + P·n %d + %d)",
-			counted, p, n, budget, ranked, p*n, slack)
+	for _, g := range []graph.Graph{csr, compress.FromCSR(s, csr, 0)} {
+		ranked := bytesOf(func() { rankGraph(s, g) })
+		counted := bytesOf(func() { TriangleCount(s, g) })
+		if budget := ranked + uint64(p*n) + slack; counted > budget {
+			t.Errorf("TriangleCount on %T allocated %d bytes at P=%d, n=%d; budget %d (rankGraph %d + P·n %d + %d)",
+				g, counted, p, n, budget, ranked, p*n, slack)
+		}
+		t.Logf("%T: rankGraph %d bytes, TriangleCount %d bytes, P·n %d", g, ranked, counted, p*n)
 	}
-	t.Logf("rankGraph %d bytes, TriangleCount %d bytes, P·n %d", ranked, counted, p*n)
 }

@@ -26,7 +26,9 @@ import (
 // top bucket's sets try to acquire their uncovered elements with randomly
 // prioritized priority-writes, sets that acquire at least (1+ε)^(b-1)
 // elements enter the cover, and the rest are rebucketed by their shrunken
-// degree. Returns the chosen set IDs.
+// degree. Returns the chosen set IDs. g must be symmetric: in a directed
+// graph a vertex with out-edges but no in-edge lies in no set, so no cover
+// satisfies CoverIsValid.
 func ApproxSetCover(s *parallel.Scheduler, g graph.Graph, eps float64, seed uint64) []uint32 {
 	n := g.N()
 	if eps <= 0 {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/ligra"
 	"repro/internal/seqref"
 )
 
@@ -83,17 +82,6 @@ func TestWeightedBFSMatchesDijkstra(t *testing.T) {
 			if gv != w {
 				t.Fatalf("%s: wBFS[%d] = %d want %d", name, v, gv, w)
 			}
-		}
-	}
-}
-
-func TestWeightedBFSUnblockedAgrees(t *testing.T) {
-	g := symWeightedGraphs()["rmat-w"]
-	a := WeightedBFS(sched, g, 3)
-	b := weightedBFS(sched, g, 3, ligra.Opts{NoBlocked: true})
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatalf("blocked/unblocked disagree at %d: %d vs %d", v, a[v], b[v])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/prims"
@@ -30,18 +29,18 @@ const tcBlockRanks = 256
 // as the simple graph underneath: a repeated edge is skipped wherever a
 // list is read, and self-loops never point to a higher rank.
 //
-// On a flat graph (a CSR or an overlay) the directed graph is laid out in
-// rank space. A compressed graph keeps its vertex ids instead: its directed
-// graph is encoded in the parallel-byte format in id order ("this step
-// creates a directed graph encoded in the parallel-byte format in O(m)
-// work", §B), so tc on it never holds an uncompressed copy of the edges,
-// which is the point of that form.
+// Every graph form (CSR, overlay, compressed) takes the same path: the
+// directed graph is laid out in rank space as plain CSR words, reading g
+// only through OutDeg and DecodeOut, so each list is decoded twice in all
+// rather than once per wedge. Besides the P mark arrays, the scratch is
+// O(n + m) words: the rank arrays and the m/2 rank-space edges. On a
+// compressed input that is the trade: the paper's §B keeps the directed
+// graph in the parallel-byte format, O(m) bytes, and here it is O(m)
+// words. No workload, test or example depends on that bound; it comes back
+// together with a paper-scale compressed workload that needs it.
 func TriangleCount(s *parallel.Scheduler, g graph.Graph) int64 {
 	if g.N() == 0 {
 		return 0
-	}
-	if _, isCompressed := g.(*compress.Graph); isCompressed {
-		return triangleCountCompressed(s, g)
 	}
 	offsets, edges := rankGraph(s, g)
 	s.Poll()
@@ -147,51 +146,4 @@ func rankGraph(s *parallel.Scheduler, g graph.Graph) ([]int64, []uint32) {
 		}
 	})
 	return offsets, edges
-}
-
-// triangleCountCompressed is TriangleCount on a compressed graph: the
-// directed graph keeps vertex ids and is built by compress.FromFunc under
-// the same (degree, id) order, and the same marking kernel runs over its
-// decoded out-lists, which are id-sorted, so a repeated edge is the entry
-// equal to its predecessor.
-func triangleCountCompressed(s *parallel.Scheduler, g graph.Graph) int64 {
-	// rank(u) < rank(v) iff (deg(u), u) < (deg(v), v).
-	rankLess := func(u, v uint32) bool {
-		du, dv := g.OutDeg(u), g.OutDeg(v)
-		if du != dv {
-			return du < dv
-		}
-		return u < v
-	}
-	dg := compress.FromFunc(s, g, false, 0, rankLess)
-	return countMarked(s, g.N(), 0, func(lo, hi int, mark []byte) int64 {
-		// Two decode buffers per block: nv must stay valid while each
-		// neighbor list decodes into the second buffer.
-		var nv, nu []uint32
-		var count int64
-		for v := lo; v < hi; v++ {
-			nv = dg.DecodeOut(uint32(v), nv)
-			if len(nv) < 2 {
-				continue
-			}
-			for _, w := range nv {
-				mark[w] = 1
-			}
-			for k, u := range nv {
-				if k > 0 && u == nv[k-1] {
-					continue
-				}
-				nu = dg.DecodeOut(u, nu)
-				for j, w := range nu {
-					if j == 0 || w != nu[j-1] {
-						count += int64(mark[w])
-					}
-				}
-			}
-			for _, w := range nv {
-				mark[w] = 0
-			}
-		}
-		return count
-	})
 }

@@ -20,10 +20,6 @@ import (
 //
 // Edge weights must be >= 1 (the paper's inputs draw them from [1, log n)).
 func WeightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32) []uint32 {
-	return weightedBFS(s, g, src, ligra.Opts{})
-}
-
-func weightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32, opt ligra.Opts) []uint32 {
 	n := g.N()
 	dist := make([]uint32, n)
 	flags := make([]uint32, n)
@@ -49,7 +45,7 @@ func weightedBFS(s *parallel.Scheduler, g graph.Graph, src uint32, opt ligra.Opt
 		if bkt == bucket.Nil {
 			break
 		}
-		moved := ligra.EdgeMap(s, g, ligra.FromSparse(n, ids), update, nil, opt)
+		moved := ligra.EdgeMap(s, g, ligra.FromSparse(n, ids), update, nil, ligra.Opts{})
 		// Packing moved once, before the reset, lets VertexMap walk the
 		// packed members instead of a dense output's n flags.
 		b.Update(moved.Sparse(s))

@@ -49,14 +49,15 @@ func TestEdgeMapAllocsIndependentOfN(t *testing.T) {
 	always := func(uint32) bool { return true }
 	traversals := []struct {
 		name  string
+		em    edgeMapFunc
 		dense bool
 		cond  Cond
 		opt   Opts
 	}{
-		{"dense", true, always, Opts{}},
-		{"forward", true, nil, Opts{}},
-		{"blocked", false, always, Opts{NoDense: true}},
-		{"flat", false, always, Opts{NoDense: true, NoBlocked: true}},
+		{"dense", EdgeMap, true, always, Opts{}},
+		{"forward", EdgeMap, true, nil, Opts{}},
+		{"blocked", EdgeMap, false, always, Opts{NoDense: true}},
+		{"flat", edgeMapFlat, false, always, Opts{}},
 	}
 	for _, compressed := range []bool{false, true} {
 		for _, tr := range traversals {
@@ -76,7 +77,7 @@ func TestEdgeMapAllocsIndependentOfN(t *testing.T) {
 					frontier = FromDense(s, all, len(all))
 				}
 				allocs[i] = testing.AllocsPerRun(10, func() {
-					EdgeMap(s, g, frontier, update, tr.cond, tr.opt)
+					tr.em(s, g, frontier, update, tr.cond, tr.opt)
 				})
 			}
 			if allocs[0] != allocs[1] {

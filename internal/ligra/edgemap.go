@@ -28,28 +28,22 @@ type Cond func(d uint32) bool
 
 // Opts tunes an EdgeMap call.
 type Opts struct {
-	// DenseThreshold is the denominator of Ligra's direction heuristic: use
-	// the dense direction when |U| + sum of out-degrees > m/DenseThreshold.
-	// 0 means the Ligra default of 20.
-	DenseThreshold int
 	// NoDense forces the sparse direction (used to exercise or measure the
-	// sparse traversals in isolation).
+	// sparse traversal in isolation).
 	NoDense bool
-	// NoBlocked uses the flat sparse traversal (one output slot per edge)
-	// instead of edgeMapBlocked. The flat path is the simple reference the
-	// tests check edgeMapBlocked against.
-	NoBlocked bool
 	// NoOutput skips building the output subset; EdgeMap returns Empty.
 	NoOutput bool
 }
 
-// none marks an unfilled slot of the flat sparse traversal's output array.
-const none = ^uint32(0)
+// denseThreshold is the denominator of Ligra's direction heuristic: EdgeMap
+// goes dense when |U| + sum of out-degrees > m/denseThreshold.
+const denseThreshold = 20
 
 // Traffic tallies the words written by the sparse traversals, the memory
-// stream edgeMapBlocked shrinks relative to the flat traversal (the
-// paper's Table 6 proxy). It is only approximate (allocation and filter
-// passes are excluded) but both variants are counted the same way.
+// stream edgeMapBlocked shrinks relative to the flat traversal its tests
+// check it against (the paper's Table 6 proxy). It is only approximate
+// (allocation and filter passes are excluded) but both traversals are
+// counted the same way.
 var Traffic atomic.Int64
 
 // EdgeMap is Ligra's edgeMap (§3): it applies update to every edge (u, v)
@@ -64,17 +58,13 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 	if frontier.Size() == 0 {
 		return Empty(n)
 	}
-	threshold := opt.DenseThreshold
-	if threshold <= 0 {
-		threshold = 20
-	}
 	// The direction heuristic needs the frontier's degree sum, not its
 	// member list: when the frontier is already dense, summing over the
 	// flags avoids materializing the sparse form (a pack allocating and
 	// compacting O(n) words) that the dense direction would then never
 	// read. A sparse frontier's degrees are read once: the pass that sums
 	// them also stores them, and only the sparse direction goes on to scan
-	// them into the offsets both sparse traversals index by.
+	// them into the offsets edgeMapBlocked indexes by.
 	var ids []uint32
 	var offsets []int
 	var degSum int
@@ -84,7 +74,7 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 		ids = frontier.Sparse(s)
 		offsets, degSum = outDegrees(s, g, ids)
 	}
-	if !opt.NoDense && frontier.Size()+degSum > g.M()/threshold {
+	if !opt.NoDense && frontier.Size()+degSum > g.M()/denseThreshold {
 		if cond == nil {
 			return edgeMapDenseForward(s, g, frontier, update, opt)
 		}
@@ -97,9 +87,6 @@ func EdgeMap(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, update
 	// Vertex i's edges are [offsets[i], offsets[i+1]); a vertex's degree is
 	// the difference of adjacent offsets.
 	offsets[len(ids)] = prims.ScanInPlace(s, offsets[:len(ids)])
-	if opt.NoBlocked {
-		return edgeMapSparse(s, g, ids, offsets, update, cond, opt)
-	}
 	return edgeMapBlocked(s, g, ids, offsets, update, cond, opt)
 }
 
@@ -214,37 +201,6 @@ func edgeMapDenseForward(s *parallel.Scheduler, g graph.Graph, frontier VertexSu
 		return Empty(n)
 	}
 	return FromDense(s, outFlags, int(added.Load()))
-}
-
-// edgeMapSparse is the standard push direction: one output slot per incident
-// edge, filled with the destination when update succeeds, then filtered.
-// offsets are the frontier's degree offsets, with the degree sum last.
-func edgeMapSparse(s *parallel.Scheduler, g graph.Graph, ids []uint32, offsets []int, update Update, cond Cond, opt Opts) VertexSubset {
-	n := g.N()
-	out := make([]uint32, offsets[len(ids)])
-	s.ForRange(len(ids), 32, func(lo, hi int) {
-		var u uint32
-		var o int
-		visit := func(v uint32, w int32) bool {
-			if (cond == nil || cond(v)) && update(u, v, w) {
-				out[o] = v
-			} else {
-				out[o] = none
-			}
-			o++
-			return true
-		}
-		for i := lo; i < hi; i++ {
-			u, o = ids[i], offsets[i]
-			g.OutNgh(u, visit)
-		}
-		Traffic.Add(int64(offsets[hi] - offsets[lo]))
-	})
-	if opt.NoOutput {
-		return Empty(n)
-	}
-	kept := prims.Filter(s, out, func(v uint32) bool { return v != none })
-	return FromSparse(n, kept)
 }
 
 // edgeMapBlocked is Algorithm 15: the edges incident to the frontier are

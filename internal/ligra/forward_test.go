@@ -21,16 +21,19 @@ import (
 
 // relaxModes are the traversals one filter-free relaxation can take. The
 // pull needs a cond, so it gets one that is always true.
-var relaxModes = []struct {
+type relaxMode struct {
 	name string
+	em   edgeMapFunc
 	cond Cond
 	opt  Opts
-}{
-	{"forward", nil, Opts{DenseThreshold: 1 << 30}},
-	{"pull", func(uint32) bool { return true }, Opts{DenseThreshold: 1 << 30}},
-	{"blocked", nil, Opts{NoDense: true}},
-	{"flat", nil, Opts{NoDense: true, NoBlocked: true}},
-	{"auto", nil, Opts{}},
+}
+
+var relaxModes = []relaxMode{
+	{"forward", edgeMapForward, nil, Opts{}},
+	{"pull", edgeMapDense, func(uint32) bool { return true }, Opts{}},
+	{"blocked", EdgeMap, nil, Opts{NoDense: true}},
+	{"flat", edgeMapFlat, nil, Opts{}},
+	{"auto", EdgeMap, nil, Opts{}},
 }
 
 // relaxFixtures are weighted: symmetric RMAT and torus, directed RMAT (the
@@ -56,15 +59,15 @@ func relaxFixtures() map[string]graph.Graph {
 // lowered destination once, as Bellman-Ford does. Sources read prev and
 // destinations write a copy of it, so the result does not depend on the
 // schedule. It returns the sorted output and the final distances.
-func relaxRound(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, prev []int64, cond Cond, opt Opts) ([]uint32, []int64, int) {
+func relaxRound(s *parallel.Scheduler, g graph.Graph, frontier VertexSubset, prev []int64, m relaxMode) ([]uint32, []int64, int) {
 	next := slices.Clone(prev)
 	flags := make([]uint32, g.N())
-	out := EdgeMap(s, g, frontier, func(u, v uint32, w int32) bool {
+	out := m.em(s, g, frontier, func(u, v uint32, w int32) bool {
 		if atomics.WriteMin64(&next[v], prev[u]+int64(w)) {
 			return atomics.TestAndSet(&flags[v])
 		}
 		return false
-	}, cond, opt)
+	}, m.cond, m.opt)
 	ids := slices.Clone(out.Sparse(s))
 	slices.Sort(ids)
 	return ids, next, out.Size()
@@ -113,7 +116,7 @@ func TestEdgeMapForwardMatchesPullAndSparse(t *testing.T) {
 					if dense {
 						frontier = FromDense(s, slices.Clone(flags), len(members))
 					}
-					ids, next, size := relaxRound(s, g, frontier, prev, m.cond, m.opt)
+					ids, next, size := relaxRound(s, g, frontier, prev, m)
 					if !slices.Equal(ids, wantIDs) || size != len(wantIDs) {
 						t.Fatalf("%s, p=%d, %s, dense frontier %v: output %d ids (size %d), want %d",
 							name, p, m.name, dense, len(ids), size, len(wantIDs))
@@ -132,7 +135,7 @@ func TestEdgeMapForwardMatchesPullAndSparse(t *testing.T) {
 // bellmanFordLoop runs Bellman-Ford from vertex 0 with every round in one
 // mode: a single distance array, a priority-write and a test-and-set
 // cleared by VertexMap after each round, as core.BellmanFord does.
-func bellmanFordLoop(s *parallel.Scheduler, g graph.Graph, cond Cond, opt Opts) []int64 {
+func bellmanFordLoop(s *parallel.Scheduler, g graph.Graph, m relaxMode) []int64 {
 	n := g.N()
 	dist := make([]int64, n)
 	flags := make([]uint32, n)
@@ -147,7 +150,7 @@ func bellmanFordLoop(s *parallel.Scheduler, g graph.Graph, cond Cond, opt Opts) 
 		return false
 	}
 	for frontier := Single(n, 0); frontier.Size() > 0; {
-		frontier = EdgeMap(s, g, frontier, update, cond, opt)
+		frontier = m.em(s, g, frontier, update, m.cond, m.opt)
 		VertexMap(s, frontier, func(v uint32) { atomics.Store32(&flags[v], 0) })
 	}
 	return dist
@@ -159,7 +162,7 @@ func TestEdgeMapForwardBellmanFordAgrees(t *testing.T) {
 		for _, p := range []int{1, 2, runtime.NumCPU()} {
 			s := parallel.New(p)
 			for _, m := range relaxModes {
-				got := bellmanFordLoop(s, g, m.cond, m.opt)
+				got := bellmanFordLoop(s, g, m)
 				if base == nil {
 					base = got
 				} else if !slices.Equal(got, base) {

@@ -14,14 +14,17 @@ import (
 func TestEdgeMapModesAgreeOnCompressed(t *testing.T) {
 	csr := gen.BuildRMAT(sched, 10, 10, true, false, 21)
 	cg := compress.FromCSR(sched, csr, 16) // small blocks exercise multi-block vertices
-	base := bfsLevels(csr, 0, Opts{NoDense: true, NoBlocked: true})
-	for name, opt := range map[string]Opts{
-		"blocked": {NoDense: true},
-		"flat":    {NoDense: true, NoBlocked: true},
-		"auto":    {},
-		"dense":   {DenseThreshold: 1 << 30},
+	base := bfsLevels(csr, 0, edgeMapFlat, Opts{})
+	for name, m := range map[string]struct {
+		em  edgeMapFunc
+		opt Opts
+	}{
+		"blocked": {EdgeMap, Opts{NoDense: true}},
+		"flat":    {edgeMapFlat, Opts{}},
+		"auto":    {EdgeMap, Opts{}},
+		"dense":   {edgeMapDense, Opts{}},
 	} {
-		got := bfsLevels(cg, 0, opt)
+		got := bfsLevels(cg, 0, m.em, m.opt)
 		for v := range base {
 			if got[v] != base[v] {
 				t.Fatalf("%s on compressed: level[%d] = %d want %d", name, v, got[v], base[v])
@@ -32,13 +35,13 @@ func TestEdgeMapModesAgreeOnCompressed(t *testing.T) {
 
 func TestTrafficCounterShrinksWithBlocked(t *testing.T) {
 	csr := gen.BuildRMAT(sched, 12, 10, true, true, 22)
-	run := func(opt Opts) int64 {
+	run := func(em edgeMapFunc, opt Opts) int64 {
 		Traffic.Store(0)
-		bfsLevels(csr, 0, opt)
+		bfsLevels(csr, 0, em, opt)
 		return Traffic.Load()
 	}
-	flat := run(Opts{NoDense: true, NoBlocked: true})
-	blocked := run(Opts{NoDense: true})
+	flat := run(edgeMapFlat, Opts{})
+	blocked := run(EdgeMap, Opts{NoDense: true})
 	if flat == 0 || blocked == 0 {
 		t.Fatalf("counters not recording: flat=%d blocked=%d", flat, blocked)
 	}

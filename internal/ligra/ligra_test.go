@@ -66,10 +66,10 @@ func TestVertexMapAndFilter(t *testing.T) {
 	}
 }
 
-// bfsLevels runs a BFS using EdgeMap under the given options and returns the
+// bfsLevels runs a BFS with em under the given options and returns the
 // level of each vertex (^0 if unreachable). Used to cross-check all edgeMap
 // modes against each other.
-func bfsLevels(g graph.Graph, src uint32, opt Opts) []uint32 {
+func bfsLevels(g graph.Graph, src uint32, em edgeMapFunc, opt Opts) []uint32 {
 	n := g.N()
 	const inf = ^uint32(0)
 	level := make([]uint32, n)
@@ -84,7 +84,7 @@ func bfsLevels(g graph.Graph, src uint32, opt Opts) []uint32 {
 	for frontier.Size() > 0 {
 		round++
 		r := round
-		frontier = EdgeMap(sched, g, frontier,
+		frontier = em(sched, g, frontier,
 			func(s, d uint32, w int32) bool {
 				if atomics.TestAndSet(&visited[d]) {
 					level[d] = r
@@ -105,10 +105,10 @@ func TestEdgeMapModesAgree(t *testing.T) {
 		"er":    gen.BuildErdosRenyi(sched, 2000, 8000, true, false, 5),
 	}
 	for name, g := range graphs {
-		base := bfsLevels(g, 0, Opts{NoDense: true, NoBlocked: true}) // flat sparse only
-		blocked := bfsLevels(g, 0, Opts{NoDense: true})               // blocked sparse only
-		auto := bfsLevels(g, 0, Opts{})                               // direction-optimized
-		denseish := bfsLevels(g, 0, Opts{DenseThreshold: 1000000})    // dense-eager
+		base := bfsLevels(g, 0, edgeMapFlat, Opts{})             // flat sparse only
+		blocked := bfsLevels(g, 0, EdgeMap, Opts{NoDense: true}) // blocked sparse only
+		auto := bfsLevels(g, 0, EdgeMap, Opts{})                 // direction-optimized
+		denseish := bfsLevels(g, 0, edgeMapDense, Opts{})        // dense pull only
 		for v := range base {
 			if blocked[v] != base[v] {
 				t.Fatalf("%s: blocked level[%d] = %d want %d", name, v, blocked[v], base[v])
@@ -128,7 +128,7 @@ func TestEdgeMapDirectedUsesInEdgesForDense(t *testing.T) {
 	// semantics via in-edges.
 	el := &graph.EdgeList{N: 4, U: []uint32{0, 1, 2}, V: []uint32{1, 2, 3}}
 	g := graph.FromEdgeList(sched, 4, el, graph.BuildOptions{})
-	lv := bfsLevels(g, 0, Opts{DenseThreshold: 1 << 30})
+	lv := bfsLevels(g, 0, edgeMapDense, Opts{})
 	want := []uint32{0, 1, 2, 3}
 	if !slices.Equal(lv, want) {
 		t.Fatalf("levels = %v", lv)
@@ -207,13 +207,14 @@ func TestEdgeMapCondSkips(t *testing.T) {
 func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 	always := func(uint32) bool { return true }
 	modes := map[string]struct {
+		em   edgeMapFunc
 		cond Cond
 		opt  Opts
 	}{
-		"flat":    {always, Opts{NoDense: true, NoBlocked: true}},
-		"blocked": {always, Opts{NoDense: true}},
-		"dense":   {always, Opts{DenseThreshold: 1 << 30}},
-		"forward": {nil, Opts{DenseThreshold: 1 << 30}},
+		"flat":    {edgeMapFlat, always, Opts{}},
+		"blocked": {EdgeMap, always, Opts{NoDense: true}},
+		"dense":   {edgeMapDense, always, Opts{}},
+		"forward": {edgeMapForward, nil, Opts{}},
 	}
 	for _, deg := range []int{0, emBlockSize - 1, emBlockSize, emBlockSize + 1, 3 * emBlockSize} {
 		n := deg + 1
@@ -235,7 +236,7 @@ func TestEdgeMapBlockedHighDegreeSplit(t *testing.T) {
 					visited[v] = 1
 				}
 				var calls atomic.Int64
-				out := EdgeMap(sched, g, FromSparse(n, slices.Clone(c.frontier)),
+				out := m.em(sched, g, FromSparse(n, slices.Clone(c.frontier)),
 					func(s, d uint32, w int32) bool {
 						calls.Add(1)
 						return atomics.TestAndSet(&visited[d])
@@ -266,23 +267,31 @@ func TestEdgeMapDenseFrontierMatchesSparse(t *testing.T) {
 		members = append(members, uint32(v))
 		flags[v] = true
 	}
-	for _, opt := range []Opts{{}, {NoDense: true}, {DenseThreshold: 1 << 30}} {
+	for _, m := range []struct {
+		name string
+		em   edgeMapFunc
+		opt  Opts
+	}{
+		{"auto", EdgeMap, Opts{}},
+		{"sparse", EdgeMap, Opts{NoDense: true}},
+		{"dense", edgeMapDense, Opts{}},
+	} {
 		results := [][]uint32{}
 		for _, frontier := range []VertexSubset{
 			FromSparse(n, slices.Clone(members)),
 			FromDense(sched, slices.Clone(flags), len(members)),
 		} {
-			out := EdgeMap(sched, g, frontier,
+			out := m.em(sched, g, frontier,
 				func(s, d uint32, w int32) bool { return true },
-				func(d uint32) bool { return true }, opt)
+				func(d uint32) bool { return true }, m.opt)
 			ids := slices.Clone(out.Sparse(sched))
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
 			results = append(results, ids)
 		}
 		if !slices.Equal(results[0], results[1]) {
-			t.Fatalf("opts %+v: dense frontier output (%d ids) differs from sparse (%d ids)",
-				opt, len(results[1]), len(results[0]))
+			t.Fatalf("%s: dense frontier output (%d ids) differs from sparse (%d ids)",
+				m.name, len(results[1]), len(results[0]))
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package ligra implements the Ligra abstractions the paper's algorithms are
 // written in (§3): vertexSubsets representing subsets of vertices with dual
 // sparse/dense representations, vertexMap, and edgeMap with Ligra's
-// direction optimization over four traversals. A frontier whose size plus
-// degree sum is at most m/20 is sparse and pushes over its out-edges, with
-// the cache-friendly edgeMapBlocked from the paper's §B (Algorithm 15) or
-// the flat traversal it is tested against. A larger frontier is dense: with
+// direction optimization over three traversals. A frontier whose size plus
+// degree sum is at most m/20 is sparse and pushes over its out-edges with
+// the cache-friendly edgeMapBlocked from the paper's §B (Algorithm 15); the
+// tests check it against a flat traversal with one output slot per edge,
+// which they keep as the reference. A larger frontier is dense: with
 // a Cond it pulls over in-edges, stopping early once Cond turns false; with
 // a nil Cond (no destination filter) it pushes from the frontier's flags,
 // Ligra's dense-forward mode, since a pull could never stop early.

@@ -80,10 +80,9 @@ func TestFromSparseNilIsEmpty(t *testing.T) {
 	}
 	// Vertices 1 and 2 are isolated.
 	g := graph.FromEdgeList(sched, 4, &graph.EdgeList{N: 4, U: []uint32{0}, V: []uint32{3}}, graph.BuildOptions{})
-	out := EdgeMap(sched, g, FromSparse(4, []uint32{1, 2}),
+	out := edgeMapFlat(sched, g, FromSparse(4, []uint32{1, 2}),
 		func(s, d uint32, w int32) bool { return true },
-		func(d uint32) bool { return true },
-		Opts{NoDense: true, NoBlocked: true})
+		func(d uint32) bool { return true }, Opts{})
 	VertexMap(sched, out, func(v uint32) { t.Errorf("empty result has member %d", v) })
 	if out.Size() != 0 {
 		t.Fatalf("result size = %d, want 0", out.Size())

@@ -148,7 +148,7 @@ echo "$JOB_SYNC" | grep -q '"result_cache": *"hit"' || fail "sync rerun after jo
 
 # Canceling a job: submit a fresh long run and DELETE it; the job must land
 # in failed with a cancellation error.
-CANCEL_BODY='{"source":"rmat:17","algorithm":"bicc","threads":2,"timeout_ms":60000,"tenant":"bronze"}'
+CANCEL_BODY='{"source":"rmat:17","transforms":["symmetrize"],"algorithm":"bicc","threads":2,"timeout_ms":60000,"tenant":"bronze"}'
 CANCEL_SUBMIT=$(curl -sf -X POST "http://$ADDR/v1/jobs" -d "$CANCEL_BODY") || fail "cancel-target submit failed"
 CANCEL_ID=$(echo "$CANCEL_SUBMIT" | grep -o '"id": *"[^"]*"' | head -1 | sed 's/.*"\(j-[0-9]*\)"/\1/')
 curl -sf -X DELETE "http://$ADDR/v1/jobs/$CANCEL_ID" >/dev/null || fail "job cancel failed"
