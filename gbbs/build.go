@@ -102,7 +102,7 @@ func runBuild(s *parallel.Scheduler, src GraphSource, plan *buildPlan) (Graph, e
 		if csr.Symmetric() {
 			plan.opt.Symmetrize = true
 		}
-		el = graph.ToEdgeList(s, csr)
+		el = graph.FilterEdges(s, csr, csr.Weighted(), nil)
 		csr = nil
 		s.Poll()
 	}
@@ -129,7 +129,7 @@ func runBuild(s *parallel.Scheduler, src GraphSource, plan *buildPlan) (Graph, e
 	if plan.relabelByDegree {
 		s.Poll()
 		perm := graph.DegreePerm(s, csr)
-		rel := graph.ToEdgeList(s, csr)
+		rel := graph.FilterEdges(s, csr, csr.Weighted(), nil)
 		graph.RelabelEdgeList(s, rel, perm)
 		s.Poll()
 		// The CSR's content is already filtered; rebuild preserving it.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// FromAdjacency builds its visit closures once per block, so on a
+// FilterEdges builds its visit closures once per block, so on a
 // one-worker scheduler (one block per loop) its allocations per call do not
 // grow with the graph, whether the source is a CSR or a compressed graph.
 func TestSubgraphAllocsIndependentOfN(t *testing.T) {
@@ -27,10 +27,10 @@ func TestSubgraphAllocsIndependentOfN(t *testing.T) {
 			if compressed {
 				src = FromCSR(s, csr, 0)
 			}
-			allocs[i] = testing.AllocsPerRun(10, func() { graph.FromAdjacency(s, src, false, keep) })
+			allocs[i] = testing.AllocsPerRun(10, func() { graph.FilterEdges(s, src, false, keep) })
 		}
 		if allocs[0] != allocs[1] {
-			t.Errorf("FromAdjacency (compressed source=%v): %v allocs per call at side %d, %v at side %d; want equal",
+			t.Errorf("FilterEdges (compressed source=%v): %v allocs per call at side %d, %v at side %d; want equal",
 				compressed, allocs[0], sides[0], allocs[1], sides[1])
 		}
 	}

@@ -191,10 +191,11 @@ func TestCompressionRatio(t *testing.T) {
 	}
 }
 
-// Property: weighted FromAdjacency over any source representation (CSR,
-// compressed, overlay) and at any worker count lays out exactly the graph
-// FromEdgeList builds from the kept edges, weights included.
-func TestWeightedFromAdjacencyMatchesFromEdgeList(t *testing.T) {
+// Property: FilterEdges over any source representation (CSR, compressed,
+// overlay) and at any worker count lists exactly the kept out-edges a
+// sequential OutNgh loop finds, column by column and in the same order,
+// weights included; a nil keep lists every stored edge.
+func TestFilterEdgesMatchesSequentialFilter(t *testing.T) {
 	const n = 48
 	scheds := []*parallel.Scheduler{parallel.New(1), parallel.New(2), parallel.New(4)}
 	defer func() {
@@ -213,26 +214,29 @@ func TestWeightedFromAdjacencyMatchesFromEdgeList(t *testing.T) {
 		tail := &graph.EdgeList{N: n, U: el.U[split:], V: el.V[split:], W: el.W[split:]}
 		csr := graph.FromEdgeList(sched, n, el, graph.BuildOptions{Symmetrize: true})
 		ov, _ := graph.ApplyEdges(sched, graph.FromEdgeList(sched, n, head, graph.BuildOptions{Symmetrize: true}), tail)
-		keep := func(v, u uint32) bool { return (v*7+u*13+salt)%3 != 0 }
+		filtered := func(v, u uint32) bool { return (v*7+u*13+salt)%3 != 0 }
 		for _, src := range []graph.Graph{csr, FromCSR(sched, csr, 4), ov} {
-			kept := graph.NewEdgeList(n, 0, true)
-			for v := uint32(0); v < n; v++ {
-				src.OutNgh(v, func(u uint32, w int32) bool {
-					if keep(v, u) {
-						kept.Add(v, u, w)
-					}
-					return true
-				})
-			}
-			want := graph.FromEdgeList(sched, n, kept, graph.BuildOptions{})
-			for _, s := range scheds {
-				got := graph.FromAdjacency(s, src, true, keep)
-				if got.M() != want.M() || !got.Weighted() {
+			for _, keep := range []func(v, u uint32) bool{filtered, nil} {
+				want := graph.NewEdgeList(n, 0, true)
+				for v := uint32(0); v < n; v++ {
+					src.OutNgh(v, func(u uint32, w int32) bool {
+						if keep == nil || keep(v, u) {
+							want.Add(v, u, w)
+						}
+						return true
+					})
+				}
+				if keep == nil && want.Len() != src.M() {
 					return false
 				}
-				for v := uint32(0); v < n; v++ {
-					if !slices.Equal(got.OutNghSlice(v), want.OutNghSlice(v)) ||
-						!slices.Equal(got.OutWeightSlice(v), want.OutWeightSlice(v)) {
+				for _, s := range scheds {
+					got := graph.FilterEdges(s, src, true, keep)
+					if got.N != n || !slices.Equal(got.U, want.U) || !slices.Equal(got.V, want.V) ||
+						!slices.Equal(got.W, want.W) {
+						return false
+					}
+					bare := graph.FilterEdges(s, src, false, keep)
+					if bare.W != nil || !slices.Equal(bare.U, want.U) || !slices.Equal(bare.V, want.V) {
 						return false
 					}
 				}

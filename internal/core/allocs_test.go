@@ -149,3 +149,53 @@ func TestTriangleCountAllocsOneMarkArrayPerWorker(t *testing.T) {
 		t.Logf("%T: rankGraph %d bytes, TriangleCount %d bytes, P·n %d", g, ranked, counted, p*n)
 	}
 }
+
+// extractEdges and contractEdges allocate their output columns and at most
+// 64 KiB besides, at P=1 and at P=4, weighted or not: graph.FilterEdges
+// writes the kept edges straight into the columns, with no per-vertex
+// array and no intermediate graph. On symmetric rmat scale 14 an n-sized
+// degree array alone would take 128 KiB.
+func TestEdgeListAllocsOnlyOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const slack = 64 << 10
+	for _, p := range []int{1, 4} {
+		s := parallel.New(p)
+		csr := gen.BuildRMAT(s, 14, 8, true, false, 5)
+		labels := make([]uint32, csr.N())
+		for v := range labels {
+			labels[v] = uint32(v / 4)
+		}
+		k := (csr.N() + 3) / 4
+		calls := map[string]func() int{
+			"extractEdges": func() int {
+				eu, ev, ew := extractEdges(s, csr, false)
+				return 4 * (cap(eu) + cap(ev) + cap(ew))
+			},
+			"extractEdges weighted": func() int {
+				eu, ev, ew := extractEdges(s, csr, true)
+				return 4 * (cap(eu) + cap(ev) + cap(ew))
+			},
+			"contractEdges": func() int {
+				el := contractEdges(s, csr, labels, k)
+				return 4 * (cap(el.U) + cap(el.V) + cap(el.W))
+			},
+		}
+		for name, call := range calls {
+			call() // start the pool's workers outside the measurement
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out := call()
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(out+slack) {
+				t.Errorf("%s at P=%d allocated %d bytes; budget %d (output columns %d + %d)",
+					name, p, got, out+slack, out, slack)
+			} else {
+				t.Logf("%s at P=%d: %d bytes over %d bytes of output columns", name, p, int(got)-out, out)
+			}
+		}
+		s.Close()
+	}
+}

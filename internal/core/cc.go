@@ -43,9 +43,10 @@ func Connectivity(s *parallel.Scheduler, g graph.Graph, beta float64, seed uint6
 
 // contractEdges lists the inter-cluster edges of g under the dense
 // labelling, as (labels[v], labels[u]) with labels[u] > labels[v] so one
-// direction per cut edge survives; the builder deduplicates.
+// direction per cut edge survives; the builder deduplicates. The cut edges
+// are listed by graph.FilterEdges and renamed in place.
 func contractEdges(s *parallel.Scheduler, g graph.Graph, labels []uint32, k int) *graph.EdgeList {
-	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, false, func(v, u uint32) bool { return labels[u] > labels[v] }))
+	el := graph.FilterEdges(s, g, false, func(v, u uint32) bool { return labels[u] > labels[v] })
 	graph.RelabelEdgeList(s, el, labels)
 	el.N = k
 	return el

@@ -12,12 +12,12 @@ type WEdge struct {
 	W    int32
 }
 
-// extractEdges lists each undirected edge of a symmetric graph exactly once
-// (u < v), as parallel arrays in adjacency order: the u < v subgraph laid
-// out by graph.FromAdjacency, then flattened. MSF and maximal matching run
-// their edgelist phases over this representation. With weighted false no
-// weight array is built.
+// extractEdges lists each undirected edge of a symmetric graph exactly once,
+// as (v, u) with v < u, in parallel arrays in vertex and adjacency order:
+// graph.FilterEdges writes them straight into the columns. MSF and maximal
+// matching run their edgelist phases over this representation. With
+// weighted false no weight array is built.
 func extractEdges(s *parallel.Scheduler, g graph.Graph, weighted bool) (eu, ev []uint32, ew []int32) {
-	el := graph.ToEdgeList(s, graph.FromAdjacency(s, g, weighted, func(v, u uint32) bool { return u > v }))
+	el := graph.FilterEdges(s, g, weighted, func(v, u uint32) bool { return u > v })
 	return el.U, el.V, el.W
 }

@@ -21,10 +21,10 @@ func symGrid(s *parallel.Scheduler, side int) *CSR {
 	return FromEdgeList(s, n, el, BuildOptions{Symmetrize: true})
 }
 
-// FromAdjacency builds its visit closures once per block, so on a
+// FilterEdges builds its visit closures once per block, so on a
 // one-worker scheduler (one block per loop) its allocations per call do not
 // grow with the graph, with or without weights.
-func TestFromAdjacencyAllocsIndependentOfN(t *testing.T) {
+func TestFilterEdgesAllocsIndependentOfN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -36,10 +36,10 @@ func TestFromAdjacencyAllocsIndependentOfN(t *testing.T) {
 		var allocs [2]float64
 		for i, side := range sides {
 			g := symGrid(s, side)
-			allocs[i] = testing.AllocsPerRun(10, func() { FromAdjacency(s, g, weighted, keep) })
+			allocs[i] = testing.AllocsPerRun(10, func() { FilterEdges(s, g, weighted, keep) })
 		}
 		if allocs[0] != allocs[1] {
-			t.Errorf("weighted=%v: %v allocs per FromAdjacency at side %d, %v at side %d; want equal",
+			t.Errorf("weighted=%v: %v allocs per FilterEdges at side %d, %v at side %d; want equal",
 				weighted, allocs[0], sides[0], allocs[1], sides[1])
 		}
 	}

@@ -177,61 +177,64 @@ func FillOffsets(s *parallel.Scheduler, n int, srcs []uint32) []int64 {
 	return offsets
 }
 
-// FromAdjacency builds a CSR graph on scheduler s from the out-edges (v, u)
-// of src for which keep(v, u) holds. It is the one filtered-subgraph layout
-// in vertex-id space: the one-direction edge lists of MSF and maximal
-// matching and connectivity's contraction go through it. Triangle counting
-// does not: its directed graph renumbers vertices by degree rank (core's
-// rankGraph). With weighted true the result carries src's edge weights (1
-// on an unweighted src); otherwise it is unweighted and no weight array is
-// allocated. Adjacency order is preserved, so sorted input gives sorted
-// output. keep is called twice per edge (counting pass, filling pass) and
-// must give the same answer both times. The result is out-only: it has no
-// Transpose.
-func FromAdjacency(s *parallel.Scheduler, src Graph, weighted bool, keep func(v, u uint32) bool) *CSR {
-	n := src.N()
-	degs := make([]int64, n)
-	s.ForRange(n, 0, func(lo, hi int) {
+// FilterEdges lists the out-edges (v, u) of g for which keep(v, u) holds
+// as an edge list on scheduler s, in vertex order and in adjacency order
+// within a vertex. It is the one routine that turns a graph into an edge
+// list: the one-direction lists of MSF and maximal matching, connectivity's
+// contraction and the build pipeline's explode and relabel steps all go
+// through it. A nil keep keeps every stored edge. With weighted true the
+// list carries g's edge weights (1 on an unweighted g); otherwise no weight
+// column is allocated. The kept edges are counted per block of one Blocks
+// partition, the block counts are scanned, and each block writes its edges
+// from its offset on, so no per-vertex array and no intermediate graph is
+// made. keep is called twice per edge (counting pass, filling pass) and
+// must give the same answer both times.
+func FilterEdges(s *parallel.Scheduler, g Graph, weighted bool, keep func(v, u uint32) bool) *EdgeList {
+	bounds := s.Blocks(g.N(), 0)
+	offs := make([]int, len(bounds)-1)
+	s.ForBlocks(bounds, func(b, lo, hi int) {
 		var v uint32
-		var d int64
+		c := 0
 		count := func(u uint32, _ int32) bool {
 			if keep(v, u) {
-				d++
+				c++
 			}
 			return true
 		}
 		for i := lo; i < hi; i++ {
-			v, d = uint32(i), 0
-			src.OutNgh(v, count)
-			degs[i] = d
+			if keep == nil {
+				c += g.OutDeg(uint32(i))
+			} else {
+				v = uint32(i)
+				g.OutNgh(v, count)
+			}
 		}
+		offs[b] = c
 	})
-	offsets := make([]int64, n+1)
-	total := prims.Scan(s, degs, offsets[:n])
-	offsets[n] = total
-	edges := make([]uint32, total)
-	var weights []int32
+	m := prims.ScanInPlace(s, offs)
+	el := &EdgeList{N: g.N(), U: make([]uint32, m), V: make([]uint32, m)}
 	if weighted {
-		weights = make([]int32, total)
+		el.W = make([]int32, m)
 	}
 	s.Poll()
-	s.ForRange(n, 64, func(lo, hi int) {
+	s.ForBlocks(bounds, func(b, lo, hi int) {
+		eu, ev, ew := el.U, el.V, el.W
 		var v uint32
-		var j int64
+		j := offs[b]
 		add := func(u uint32, w int32) bool {
-			if keep(v, u) {
-				edges[j] = u
-				if weights != nil {
-					weights[j] = w
+			if keep == nil || keep(v, u) {
+				eu[j], ev[j] = v, u
+				if ew != nil {
+					ew[j] = w
 				}
 				j++
 			}
 			return true
 		}
 		for i := lo; i < hi; i++ {
-			v, j = uint32(i), offsets[i]
-			src.OutNgh(v, add)
+			v = uint32(i)
+			g.OutNgh(v, add)
 		}
 	})
-	return &CSR{n: n, offsets: offsets, edges: edges, weights: weights}
+	return el
 }

@@ -61,8 +61,9 @@ type CSR struct {
 	symmetric bool
 	// t is the transpose of a directed graph, linked both ways (t.t == g):
 	// FromEdgeList and MergeCSR build it, and the readers link it to the
-	// CSR they decoded. It is nil for symmetric graphs and for the out-only
-	// graphs that FromAdjacency and SplitCSR lay out.
+	// CSR they decoded. It is nil for symmetric graphs and for out-only
+	// graphs, which only SplitCSR makes (and MergeCSR keeps out-only when
+	// it compacts one of its shards).
 	t *CSR
 }
 

@@ -169,20 +169,6 @@ func TestMaxDegree(t *testing.T) {
 	}
 }
 
-func TestFromAdjacency(t *testing.T) {
-	// Rebuild the small directed graph through FromAdjacency.
-	g := smallDirected()
-	h := FromAdjacency(sched, g, false, func(v, u uint32) bool { return true })
-	if h.M() != g.M() {
-		t.Fatalf("M mismatch %d vs %d", h.M(), g.M())
-	}
-	for v := uint32(0); int(v) < g.N(); v++ {
-		if !slices.Equal(h.OutNghSlice(v), g.OutNghSlice(v)) {
-			t.Fatalf("adjacency mismatch at %d", v)
-		}
-	}
-}
-
 // Property: for any random edge list, in-degree sum equals out-degree sum
 // equals M, and every stored edge's reverse is findable in the transpose.
 func TestBuildDegreesProperty(t *testing.T) {

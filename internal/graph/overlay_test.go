@@ -131,9 +131,9 @@ func TestOverlayMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// ToEdgeListSeq converts a CSR back to an edge list sequentially (test
-// helper; the relabel.go ToEdgeList needs a scheduler and this keeps the
-// conversions independent of the code under test).
+// ToEdgeListSeq lists the stored out-edges of a CSR as an edge list in a
+// plain sequential OutNgh loop (test helper: the expected graphs the
+// overlay tests rebuild from it depend on no parallel code).
 func (g *CSR) ToEdgeListSeq() *EdgeList {
 	el := NewEdgeList(g.N(), g.M(), g.Weighted())
 	for u := uint32(0); u < uint32(g.N()); u++ {

@@ -5,32 +5,6 @@ import (
 	"repro/internal/prims"
 )
 
-// ToEdgeList extracts the stored out-edges of g as an edge list on
-// scheduler s. For symmetric graphs both directions are emitted (they are
-// both stored); rebuilding with Symmetrize + dedup reproduces the same
-// graph.
-func ToEdgeList(s *parallel.Scheduler, g *CSR) *EdgeList {
-	m := len(g.edges)
-	el := &EdgeList{N: g.n}
-	el.U = make([]uint32, m)
-	el.V = make([]uint32, m)
-	if g.weights != nil {
-		el.W = make([]int32, m)
-	}
-	s.ForRange(g.n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-				el.U[i] = uint32(v)
-				el.V[i] = g.edges[i]
-				if el.W != nil {
-					el.W[i] = g.weights[i]
-				}
-			}
-		}
-	})
-	return el
-}
-
 // CopyEdgeList returns a deep copy of el on scheduler s, so build pipelines
 // can mutate (reweight, relabel) without touching a caller-owned list.
 func CopyEdgeList(s *parallel.Scheduler, el *EdgeList) *EdgeList {
